@@ -26,6 +26,7 @@
 #include "core/env.h"
 #include "core/eval_service.h"
 #include "core/expert_policies.h"
+#include "core/policy.h"
 #include "core/post_agent.h"
 #include "models/zoo.h"
 #include "partition/fluid.h"
@@ -262,7 +263,7 @@ inline void AppendSnapshotJson(std::ostringstream& os,
 }
 
 inline rl::TrainResult TrainOnBenchmark(
-    rl::PolicyAgent& agent, BenchContext& context, rl::Algorithm algorithm,
+    core::PolicyAgent& agent, BenchContext& context, rl::Algorithm algorithm,
     const BenchConfig& config,
     const rl::ProgressCallback& on_progress = nullptr) {
   namespace json = support::json;

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
               : bench::FluidGrouping(context.graph,
                                      config_inner.dims().num_groups,
                                      config_inner.seed);
-      return std::unique_ptr<rl::PolicyAgent>(core::MakeFixedGrouperAgent(
+      return std::unique_ptr<core::PolicyAgent>(core::MakeFixedGrouperAgent(
           context.graph, context.cluster, std::move(grouping),
           core::PlacerKind::kSeq2Seq, core::AttentionVariant::kAfter,
           config_inner.dims(), config_inner.seed, grouper));
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
             agent_config.attention = core::AttentionVariant::kAfter;
             agent_config.use_bridge = false;
             agent_config.seed = config_inner.seed;
-            return std::unique_ptr<rl::PolicyAgent>(
+            return std::unique_ptr<core::PolicyAgent>(
                 std::make_unique<core::HierarchicalAgent>(
                     context.graph, context.cluster, std::move(agent_config)));
           },

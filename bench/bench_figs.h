@@ -16,8 +16,8 @@ namespace eagle::bench {
 
 struct CurveAgent {
   std::string name;
-  std::function<std::unique_ptr<rl::PolicyAgent>(const BenchContext&,
-                                                 const BenchConfig&)>
+  std::function<std::unique_ptr<core::PolicyAgent>(const BenchContext&,
+                                                   const BenchConfig&)>
       make;
   rl::Algorithm algorithm = rl::Algorithm::kPpo;
 };
@@ -90,7 +90,7 @@ inline std::vector<CurveAgent> PaperApproaches() {
   return {
       CurveAgent{"Hierarchical Planner",
                  [](const BenchContext& context, const BenchConfig& config) {
-                   return std::unique_ptr<rl::PolicyAgent>(
+                   return std::unique_ptr<core::PolicyAgent>(
                        core::MakeHierarchicalPlanner(context.graph,
                                                      context.cluster,
                                                      config.dims(),
@@ -99,14 +99,14 @@ inline std::vector<CurveAgent> PaperApproaches() {
                  rl::Algorithm::kReinforce},
       CurveAgent{"Post",
                  [](const BenchContext& context, const BenchConfig& config) {
-                   return std::unique_ptr<rl::PolicyAgent>(
+                   return std::unique_ptr<core::PolicyAgent>(
                        core::MakePostAgent(context.graph, context.cluster,
                                            /*num_groups=*/16, config.seed));
                  },
                  rl::Algorithm::kPpoCe},
       CurveAgent{"EAGLE",
                  [](const BenchContext& context, const BenchConfig& config) {
-                   return std::unique_ptr<rl::PolicyAgent>(
+                   return std::unique_ptr<core::PolicyAgent>(
                        core::MakeEagleAgent(context.graph, context.cluster,
                                             config.dims(), config.seed));
                  },

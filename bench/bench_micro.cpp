@@ -236,144 +236,6 @@ SimRow RunSimCase(models::Benchmark benchmark,
                            repeats, target_seconds);
 }
 
-// ---- delta re-simulation section (results/BENCH_delta.json) ----
-//
-// Measures two evaluation patterns the training loop produces, both
-// against one persistent DeltaContext. Results are bit-identical to full
-// runs in every pattern (tests/test_delta.cpp and the EAGLE_AUDIT
-// cross-check enforce it), so the ratios are pure throughput.
-//
-//  - "repeat": the same placement evaluated over and over (a converged
-//    policy re-sampling its incumbent, or repeated candidate scoring).
-//    After one priming fallback every run is a cone-0 cache serve — this
-//    is where delta re-simulation earns its ≥5× acceptance target.
-//  - "single_op": Placeto-style sequences where each placement differs
-//    from its predecessor by one random op move. The simulator emits
-//    transfers eagerly at producer finish, so moving a backward-pass op
-//    re-routes a forward activation shipped near t=0 and the genuine
-//    invalidation cone spans most of the schedule; bit-identical replay
-//    cannot beat the full run here, and the fallback backoff keeps the
-//    delta path close to parity instead (see docs/PERFORMANCE.md).
-struct DeltaRow {
-  std::string graph;
-  std::string pattern;
-  int num_ops = 0;
-  double full_steps_per_sec = 0.0;
-  double delta_steps_per_sec = 0.0;
-  double speedup = 0.0;
-  std::int64_t hits = 0;
-  std::int64_t fallbacks = 0;
-  double cone_mean = 0.0;  // invalidated ops per delta hit
-};
-
-DeltaRow RunDeltaCaseOnGraph(const std::string& label,
-                             const std::string& pattern,
-                             const graph::OpGraph& graph,
-                             const sim::ClusterSpec& cluster, int repeats,
-                             double target_seconds) {
-  const sim::SimulatorOptions options;
-  sim::ExecutionSimulator simulator(graph, cluster, options);
-
-  support::Rng rng(1);
-  std::vector<sim::DeviceId> devices(static_cast<std::size_t>(graph.num_ops()));
-  for (auto& d : devices) {
-    d = static_cast<sim::DeviceId>(
-        rng.NextBelow(static_cast<std::uint64_t>(cluster.num_devices())));
-  }
-  const int kCycle = pattern == "repeat" ? 1 : 64;
-  std::vector<sim::Placement> cycle;
-  cycle.reserve(static_cast<std::size_t>(kCycle));
-  for (int i = 0; i < kCycle; ++i) {
-    sim::Placement placement(graph, devices);
-    placement.Normalize(graph, cluster);
-    cycle.push_back(std::move(placement));
-    devices[static_cast<std::size_t>(rng.NextBelow(
-        static_cast<std::uint64_t>(graph.num_ops())))] =
-        static_cast<sim::DeviceId>(
-            rng.NextBelow(static_cast<std::uint64_t>(cluster.num_devices())));
-  }
-
-  const BenchTiming full = MeasureMinOfRepeats(
-      [&](long long iters) {
-        for (long long i = 0; i < iters; ++i) {
-          volatile double sink =
-              simulator.Run(cycle[static_cast<std::size_t>(i % kCycle)])
-                  .step_seconds;
-          (void)sink;
-        }
-      },
-      repeats, target_seconds);
-  sim::DeltaContext ctx;  // persists across calibration and all repeats
-  const BenchTiming delta = MeasureMinOfRepeats(
-      [&](long long iters) {
-        for (long long i = 0; i < iters; ++i) {
-          volatile double sink =
-              simulator
-                  .RunWithContext(cycle[static_cast<std::size_t>(i % kCycle)],
-                                  ctx)
-                  .step_seconds;
-          (void)sink;
-        }
-      },
-      repeats, target_seconds);
-
-  DeltaRow row;
-  row.graph = label;
-  row.pattern = pattern;
-  row.num_ops = graph.num_ops();
-  row.full_steps_per_sec = 1.0 / full.seconds_per_call;
-  row.delta_steps_per_sec = 1.0 / delta.seconds_per_call;
-  row.speedup = full.seconds_per_call / delta.seconds_per_call;
-  row.hits = ctx.stats.hits;
-  row.fallbacks = ctx.stats.fallbacks;
-  row.cone_mean = ctx.stats.hits > 0 ? static_cast<double>(ctx.stats.cone_ops) /
-                                           static_cast<double>(ctx.stats.hits)
-                                     : 0.0;
-  return row;
-}
-
-std::string RenderDeltaJson(const std::vector<DeltaRow>& rows, bool smoke,
-                            int repeats) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"eagle.bench_delta.v2\",\n";
-  os << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
-  os << "  \"repeats\": " << repeats << ",\n";
-  os << "  \"simulator\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    os << "    {\"graph\": \"" << support::json::Escape(r.graph)
-       << "\", \"pattern\": \"" << support::json::Escape(r.pattern)
-       << "\", \"num_ops\": " << r.num_ops
-       << ", \"full_steps_per_sec\": "
-       << support::json::Num(r.full_steps_per_sec)
-       << ", \"delta_steps_per_sec\": "
-       << support::json::Num(r.delta_steps_per_sec)
-       << ", \"speedup\": " << support::json::Num(r.speedup)
-       << ", \"hits\": " << r.hits << ", \"fallbacks\": " << r.fallbacks
-       << ", \"cone_mean_ops\": " << support::json::Num(r.cone_mean) << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n";
-  double single_min = 0.0, bert_single = 0.0, bert_repeat = 0.0;
-  for (const auto& r : rows) {
-    if (r.pattern == "single_op") {
-      single_min =
-          single_min == 0.0 ? r.speedup : std::min(single_min, r.speedup);
-      if (r.graph == "BERT") bert_single = r.speedup;
-    } else if (r.pattern == "repeat" && r.graph == "BERT") {
-      bert_repeat = r.speedup;
-    }
-  }
-  os << "  \"summary\": {\"single_op_min_speedup\": "
-     << support::json::Num(single_min)
-     << ", \"bert_single_op_speedup\": " << support::json::Num(bert_single)
-     << ", \"bert_repeat_speedup\": " << support::json::Num(bert_repeat)
-     << "}\n";
-  os << "}\n";
-  return os.str();
-}
-
 std::string RenderJson(const std::vector<GemmRow>& gemm,
                        const std::vector<SimRow>& sims, bool smoke,
                        int repeats) {
@@ -449,9 +311,6 @@ int main(int argc, char** argv) {
   args.AddDouble("target-ms", 60.0, "per-repeat calibrated duration");
   args.AddString("out", "results/BENCH_kernels.json",
                  "output JSON path (empty string: stdout only)");
-  args.AddString("delta-out", "results/BENCH_delta.json",
-                 "delta re-simulation section output path (empty string: "
-                 "stdout only)");
   args.AddString("load", "",
                  "comma-separated graph files (.eg or .json) to add as "
                  "extra simulator rows; malformed files exit 2 with a "
@@ -519,25 +378,6 @@ int main(int argc, char** argv) {
               << " steps/s, speedup " << r.speedup << "x\n";
   }
 
-  std::vector<DeltaRow> deltas;
-  for (const auto benchmark : models::AllBenchmarks()) {
-    models::ZooOptions zoo;
-    zoo.reduced = smoke;
-    const graph::OpGraph graph = models::BuildBenchmark(benchmark, zoo);
-    for (const char* pattern : {"repeat", "single_op"}) {
-      deltas.push_back(RunDeltaCaseOnGraph(models::BenchmarkName(benchmark),
-                                           pattern, graph, cluster, repeats,
-                                           target_seconds));
-      const auto& r = deltas.back();
-      std::cout << "delta " << r.graph << "/" << r.pattern << " ("
-                << r.num_ops << " ops): full " << r.full_steps_per_sec
-                << " evals/s, delta " << r.delta_steps_per_sec
-                << " evals/s, speedup " << r.speedup << "x (" << r.hits
-                << " hits / " << r.fallbacks << " fallbacks, mean cone "
-                << r.cone_mean << " ops)\n";
-    }
-  }
-
   const std::string json = RenderJson(gemm, sims, smoke, repeats);
   const std::string out = args.GetString("out");
   if (!out.empty()) {
@@ -549,19 +389,6 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << out << "\n";
   } else {
     std::cout << json;
-  }
-  const std::string delta_json = RenderDeltaJson(deltas, smoke, repeats);
-  const std::string delta_out = args.GetString("delta-out");
-  if (!delta_out.empty()) {
-    if (!support::WriteFileAtomic(delta_out, [&](std::ostream& os) {
-          return bool(os << delta_json);
-        })) {
-      std::cerr << "failed to write " << delta_out << "\n";
-      return 1;
-    }
-    std::cout << "wrote " << delta_out << "\n";
-  } else {
-    std::cout << delta_json;
   }
   return 0;
 }

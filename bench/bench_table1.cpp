@@ -21,7 +21,7 @@ rl::TrainResult RunGrouper(const std::string& grouper,
                            bench::BenchContext& context,
                            const BenchConfig& config) {
   const auto dims = config.dims();
-  std::unique_ptr<rl::PolicyAgent> agent;
+  std::unique_ptr<core::PolicyAgent> agent;
   if (grouper == "feed-forward") {
     core::HierarchicalAgentConfig agent_config;
     agent_config.display_name = "grouper:feed-forward";

@@ -7,6 +7,7 @@
 
 #include "core/eagle_agent.h"
 #include "core/env.h"
+#include "core/policy.h"
 #include "models/gnmt.h"
 #include "partition/bisection.h"
 #include "partition/fluid.h"
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
                              {"bisection", bisect_grouping}};
   for (auto& entry : entries) {
     core::PlacementEnvironment env(graph, cluster);
-    std::unique_ptr<rl::PolicyAgent> agent;
+    std::unique_ptr<core::PolicyAgent> agent;
     if (entry.grouping.empty()) {
       agent = core::MakeEagleAgent(graph, cluster, dims, seed);
     } else {

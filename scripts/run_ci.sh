@@ -22,11 +22,10 @@
 #      and runs a 100k-op generate→ingest→validate→group→simulate pass
 #      end to end — once on the default box and once on the 2node8
 #      hierarchical topology (see docs/GRAPH_FORMATS.md),
-#   8. a delta differential smoke under the same sanitizer build:
-#      graph_fuzz --mode=delta replays random single- and multi-op move
-#      sequences on zoo + fuzz graphs — swept across the default, 2node8
-#      and mixed topologies — and fails on the first result that is not
-#      bit-identical to a fresh full run (see docs/SIMULATOR.md).
+#   8. an end-to-end benchmark smoke: bench/e2e/run.sh --smoke trains each
+#      of the four benchmark workloads briefly, runs its correctness
+#      checks (repeat digests, bit-exact re-evaluation of the best) and
+#      fails on any missing or non-finite metric (see bench/e2e/README.md).
 # Usage: scripts/run_ci.sh [build-dir]
 set -euo pipefail
 BUILD=${1:-build-ci}
@@ -75,18 +74,12 @@ test -s "$SMOKE/report_phases.csv"
 echo TELEMETRY_SMOKE_CLEAN
 
 echo "=== kernel bench smoke ==="
-"$BUILD/bench/bench_micro" --smoke --out="$SMOKE/BENCH_kernels.json" \
-  --delta-out="$SMOKE/BENCH_delta.json"
+"$BUILD/bench/bench_micro" --smoke --out="$SMOKE/BENCH_kernels.json"
 test -s "$SMOKE/BENCH_kernels.json"
 grep -q '"schema": "eagle.bench_kernels.v1"' "$SMOKE/BENCH_kernels.json"
 grep -q '"smoke": true' "$SMOKE/BENCH_kernels.json"
 grep -q '"kernel": "gemm"' "$SMOKE/BENCH_kernels.json"
 grep -q '"graph": "Inception-V3"' "$SMOKE/BENCH_kernels.json"
-test -s "$SMOKE/BENCH_delta.json"
-grep -q '"schema": "eagle.bench_delta.v2"' "$SMOKE/BENCH_delta.json"
-grep -q '"pattern": "repeat"' "$SMOKE/BENCH_delta.json"
-grep -q '"pattern": "single_op"' "$SMOKE/BENCH_delta.json"
-grep -q '"bert_repeat_speedup"' "$SMOKE/BENCH_delta.json"
 echo BENCH_SMOKE_CLEAN
 
 echo "=== ingestion fuzz smoke (ASan+UBSan) ==="
@@ -110,11 +103,8 @@ FUZZ="$BUILD-fuzz/tools/graph_fuzz"
 "$FUZZ" --mode=e2e --ops=100000 --seed=7 --cluster=2node8
 echo FUZZ_SMOKE_CLEAN
 
-echo "=== delta differential smoke (ASan+UBSan) ==="
-# Same sanitizer binary: every delta-path evaluation across random move
-# sequences must be field-for-field identical to a fresh full run, on
-# all three builtin topologies (default, 2node8, mixed).
-"$FUZZ" --mode=delta --iters=25 --seed=8
-echo DELTA_DIFF_CLEAN
+echo "=== end-to-end benchmark smoke ==="
+bash bench/e2e/run.sh --smoke
+echo E2E_SMOKE_CLEAN
 
 echo CI_CLEAN

@@ -54,14 +54,6 @@ void ReadPod(std::istream& in, T& value) {
   EAGLE_CHECK_MSG(in, "truncated environment state");
 }
 
-// The session's simulator gets the environment-level delta switch folded
-// into its own options (SimulatorOptions stays the single source of truth
-// below the environment layer).
-sim::SimulatorOptions WithDelta(sim::SimulatorOptions options, bool enabled) {
-  options.delta.enabled = enabled;
-  return options;
-}
-
 }  // namespace
 
 PlacementEnvironment::PlacementEnvironment(const graph::OpGraph& graph,
@@ -70,8 +62,7 @@ PlacementEnvironment::PlacementEnvironment(const graph::OpGraph& graph,
     : graph_(&graph),
       cluster_(&cluster),
       options_(options),
-      session_(graph, cluster, options.measurement,
-               WithDelta(options.simulator, options.delta_resim)),
+      session_(graph, cluster, options.measurement, options.simulator),
       fault_rng_(options.faults.seed),
       cache_(options.eval_cache_capacity) {
   options_.retry.Validate();

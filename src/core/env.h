@@ -56,10 +56,6 @@ struct EnvironmentOptions {
   // Invalid placements are charged penalty_factor × the serialized
   // single-fastest-device per-step lower bound.
   double penalty_factor = 10.0;
-  // Delta re-simulation (sim/delta.h) for the session's simulator: move
-  // sequences that change few ops are re-evaluated incrementally. On by
-  // default — results are bit-identical to full runs (audit-enforced).
-  bool delta_resim = true;
   bool cache_evaluations = true;
   // Entry cap for the evaluation cache (<= 0: unbounded). Long fault
   // sweeps revisit thousands of placements; the cap bounds memory with

@@ -5,8 +5,8 @@
 // the dependency arrow matches the layer DAG (support → … → core → rl,
 // enforced by eagle-lint LY01): rl's trainer depends on these interfaces,
 // and core's agents implement them, without core ever including an rl
-// header. src/rl re-exports the names (rl::Sample, rl::PolicyAgent, …)
-// for its own vocabulary, so training code reads naturally either way.
+// header. src/rl, bench/ and tests/ include this header and name the
+// core:: types directly.
 //
 // Device placement is a one-shot (contextual-bandit-like) RL problem: one
 // decision (grouping + per-group devices), one reward (negative square

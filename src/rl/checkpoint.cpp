@@ -53,7 +53,7 @@ std::vector<std::int32_t> ReadI32Vector(std::istream& in) {
   return v;
 }
 
-void WriteSample(std::ostream& out, const Sample& sample) {
+void WriteSample(std::ostream& out, const core::Sample& sample) {
   WriteI32Vector(out, sample.grouping);
   WriteI32Vector(out, sample.group_devices);
   WritePod(out, sample.logp);
@@ -65,8 +65,8 @@ void WriteSample(std::ostream& out, const Sample& sample) {
   WritePod(out, sample.advantage);
 }
 
-Sample ReadSample(std::istream& in, int version) {
-  Sample sample;
+core::Sample ReadSample(std::istream& in, int version) {
+  core::Sample sample;
   sample.grouping = ReadI32Vector(in);
   sample.group_devices = ReadI32Vector(in);
   ReadPod(in, sample.logp);
@@ -151,9 +151,9 @@ bool SaveCheckpoint(const std::string& path, const nn::ParamStore& params,
     WritePod(out, static_cast<std::uint8_t>(data.baseline_initialized));
     WriteResult(out, data.result);
     WritePod(out, static_cast<std::uint32_t>(data.pool.size()));
-    for (const Sample& sample : data.pool) WriteSample(out, sample);
+    for (const core::Sample& sample : data.pool) WriteSample(out, sample);
     WritePod(out, static_cast<std::uint32_t>(data.batch.size()));
-    for (const Sample& sample : data.batch) WriteSample(out, sample);
+    for (const core::Sample& sample : data.batch) WriteSample(out, sample);
     WritePod(out, static_cast<std::int32_t>(data.since_ce));
     WritePod(out, static_cast<std::uint64_t>(data.env_state.size()));
     out.write(data.env_state.data(),

@@ -22,8 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "core/policy.h"
 #include "nn/adam.h"
-#include "rl/episode.h"
 #include "rl/trainer.h"
 
 namespace eagle::rl {
@@ -40,8 +40,8 @@ struct CheckpointData {
   std::array<std::uint64_t, 4> rng_state{};    // trainer's sampling stream
   double baseline_value = 0.0;                 // EMA baseline
   bool baseline_initialized = false;
-  std::vector<Sample> pool;                    // CE elite pool (PPO+CE)
-  std::vector<Sample> batch;                   // in-flight minibatch
+  std::vector<core::Sample> pool;              // CE elite pool (PPO+CE)
+  std::vector<core::Sample> batch;             // in-flight minibatch
   int since_ce = 0;
   std::string env_state;                       // Environment::SerializeState
   std::string critic_state;                    // ValueBaseline (optional)

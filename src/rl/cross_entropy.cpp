@@ -7,7 +7,7 @@
 
 namespace eagle::rl {
 
-std::vector<std::size_t> SelectElites(const std::vector<Sample>& pool,
+std::vector<std::size_t> SelectElites(const std::vector<core::Sample>& pool,
                                       int k) {
   std::vector<std::size_t> idx;
   for (std::size_t i = 0; i < pool.size(); ++i) {
@@ -22,8 +22,8 @@ std::vector<std::size_t> SelectElites(const std::vector<Sample>& pool,
   return idx;
 }
 
-int CrossEntropyUpdate(PolicyAgent& agent, nn::Adam& optimizer,
-                       const std::vector<Sample>& pool,
+int CrossEntropyUpdate(core::PolicyAgent& agent, nn::Adam& optimizer,
+                       const std::vector<core::Sample>& pool,
                        const CrossEntropyOptions& options) {
   EAGLE_CHECK(options.num_elites >= 1 && options.epochs >= 1);
   const auto elites = SelectElites(pool, options.num_elites);

@@ -8,8 +8,8 @@
 
 #include <vector>
 
+#include "core/policy.h"
 #include "nn/adam.h"
-#include "rl/episode.h"
 
 namespace eagle::rl {
 
@@ -21,11 +21,12 @@ struct CrossEntropyOptions {
 // Picks the elite subset of `pool` (highest reward; invalid samples are
 // excluded) and fits the policy to them. No-op if nothing is valid.
 // Returns the number of elites used.
-int CrossEntropyUpdate(PolicyAgent& agent, nn::Adam& optimizer,
-                       const std::vector<Sample>& pool,
+int CrossEntropyUpdate(core::PolicyAgent& agent, nn::Adam& optimizer,
+                       const std::vector<core::Sample>& pool,
                        const CrossEntropyOptions& options);
 
 // Exposed for testing: indices of the top-k valid samples by reward.
-std::vector<std::size_t> SelectElites(const std::vector<Sample>& pool, int k);
+std::vector<std::size_t> SelectElites(const std::vector<core::Sample>& pool,
+                                      int k);
 
 }  // namespace eagle::rl

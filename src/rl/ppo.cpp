@@ -6,8 +6,8 @@
 
 namespace eagle::rl {
 
-PpoStats PpoUpdate(PolicyAgent& agent, nn::Adam& optimizer,
-                   const std::vector<Sample>& batch,
+PpoStats PpoUpdate(core::PolicyAgent& agent, nn::Adam& optimizer,
+                   const std::vector<core::Sample>& batch,
                    const PpoOptions& options) {
   EAGLE_CHECK(!batch.empty());
   EAGLE_CHECK(options.epochs >= 1);
@@ -22,7 +22,7 @@ PpoStats PpoUpdate(PolicyAgent& agent, nn::Adam& optimizer,
     nn::Var loss;
     bool first = true;
     double ratio_sum = 0.0;
-    for (const Sample& sample : batch) {
+    for (const core::Sample& sample : batch) {
       const auto score = agent.ScoreDecision(tape, sample);
       // log r = logp_new - logp_old (optionally per-decision), clamped
       // before exponentiation.

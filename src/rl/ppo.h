@@ -11,8 +11,8 @@
 
 #include <vector>
 
+#include "core/policy.h"
 #include "nn/adam.h"
-#include "rl/episode.h"
 
 namespace eagle::rl {
 
@@ -36,8 +36,8 @@ struct PpoStats {
   double mean_ratio_last = 0.0;
 };
 
-PpoStats PpoUpdate(PolicyAgent& agent, nn::Adam& optimizer,
-                   const std::vector<Sample>& batch,
+PpoStats PpoUpdate(core::PolicyAgent& agent, nn::Adam& optimizer,
+                   const std::vector<core::Sample>& batch,
                    const PpoOptions& options);
 
 }  // namespace eagle::rl

@@ -4,15 +4,15 @@
 
 namespace eagle::rl {
 
-double ReinforceUpdate(PolicyAgent& agent, nn::Adam& optimizer,
-                       const std::vector<Sample>& batch,
+double ReinforceUpdate(core::PolicyAgent& agent, nn::Adam& optimizer,
+                       const std::vector<core::Sample>& batch,
                        const ReinforceOptions& options) {
   EAGLE_CHECK(!batch.empty());
   nn::Tape tape;
   nn::Var loss;
   const float scale = -1.0f / static_cast<float>(batch.size());
   bool first = true;
-  for (const Sample& sample : batch) {
+  for (const core::Sample& sample : batch) {
     const auto score = agent.ScoreDecision(tape, sample);
     nn::Var term = tape.Scale(
         score.logp, scale * static_cast<float>(sample.advantage));

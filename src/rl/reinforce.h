@@ -3,8 +3,8 @@
 
 #include <vector>
 
+#include "core/policy.h"
 #include "nn/adam.h"
-#include "rl/episode.h"
 
 namespace eagle::rl {
 
@@ -14,8 +14,8 @@ struct ReinforceOptions {
 
 // One gradient step on a minibatch:  L = -mean_i(logp_i * Â_i) - c*H.
 // Returns the pre-clip gradient norm.
-double ReinforceUpdate(PolicyAgent& agent, nn::Adam& optimizer,
-                       const std::vector<Sample>& batch,
+double ReinforceUpdate(core::PolicyAgent& agent, nn::Adam& optimizer,
+                       const std::vector<core::Sample>& batch,
                        const ReinforceOptions& options);
 
 }  // namespace eagle::rl

@@ -22,13 +22,13 @@ const char* AlgorithmName(Algorithm algorithm) {
   return "?";
 }
 
-TrainResult TrainAgent(PolicyAgent& agent, Environment& environment,
+TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
                        const TrainerOptions& options,
                        const ProgressCallback& on_progress) {
   EAGLE_CHECK(options.total_samples >= 1 && options.minibatch_size >= 1);
   support::Rng rng(options.seed);
   nn::Adam optimizer(agent.params(), options.adam);
-  EmaBaseline baseline(options.ema_decay);
+  core::EmaBaseline baseline(options.ema_decay);
   std::unique_ptr<ValueBaseline> critic;
   if (options.baseline == BaselineKind::kValueNetwork) {
     critic = std::make_unique<ValueBaseline>(options.num_devices,
@@ -37,8 +37,8 @@ TrainResult TrainAgent(PolicyAgent& agent, Environment& environment,
   RewardOptions reward_options{environment.InvalidPenaltySeconds()};
 
   TrainResult result;
-  std::vector<Sample> pool;  // all samples (CE elite selection)
-  std::vector<Sample> batch;
+  std::vector<core::Sample> pool;  // all samples (CE elite selection)
+  std::vector<core::Sample> batch;
   batch.reserve(static_cast<std::size_t>(options.minibatch_size));
   int since_ce = 0;
 
@@ -120,7 +120,7 @@ TrainResult TrainAgent(PolicyAgent& agent, Environment& environment,
     const int round_size =
         std::min(room, options.total_samples - result.total_samples);
     EAGLE_CHECK(round_size >= 1);
-    std::vector<Sample> round;
+    std::vector<core::Sample> round;
     std::vector<sim::Placement> placements;
     std::vector<support::Rng> eval_rngs;
     round.reserve(static_cast<std::size_t>(round_size));
@@ -129,7 +129,7 @@ TrainResult TrainAgent(PolicyAgent& agent, Environment& environment,
     {
       EAGLE_SPAN("train.sample");
       for (int i = 0; i < round_size; ++i) {
-        Sample sample = agent.SampleDecision(rng);
+        core::Sample sample = agent.SampleDecision(rng);
         sample.eval_stream = next_eval_stream++;
         eval_rngs.push_back(rng.Split(sample.eval_stream));
         placements.push_back(agent.ToPlacement(sample));
@@ -159,7 +159,7 @@ TrainResult TrainAgent(PolicyAgent& agent, Environment& environment,
     {
     EAGLE_SPAN("train.reduce");
     for (std::size_t i = 0; i < round.size(); ++i) {
-      Sample& sample = round[i];
+      core::Sample& sample = round[i];
       const sim::EvalResult& eval = evals[i];
       sample.valid = eval.valid;
       sample.per_step_seconds = eval.per_step_seconds;

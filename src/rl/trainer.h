@@ -23,22 +23,15 @@
 #include <string>
 #include <vector>
 
+#include "core/policy.h"
 #include "nn/adam.h"
-#include "rl/baseline.h"
 #include "rl/cross_entropy.h"
-#include "rl/episode.h"
 #include "rl/ppo.h"
 #include "rl/reinforce.h"
 #include "rl/reward.h"
 #include "rl/value_baseline.h"
 
 namespace eagle::rl {
-
-// The Environment and BatchEvaluator abstractions live in core/policy.h
-// (implemented by core::PlacementEnvironment / core::EvalService); the
-// trainer consumes them through these re-exported names.
-using Environment = core::Environment;
-using BatchEvaluator = core::BatchEvaluator;
 
 enum class Algorithm { kReinforce, kPpo, kPpoCe };
 
@@ -79,7 +72,7 @@ struct TrainerOptions {
   // inline). The trainer dispatches each round of samples through it; a
   // conforming evaluator (core::EvalService) keeps the run bit-identical
   // to the inline path at any thread count.
-  BatchEvaluator* evaluator = nullptr;
+  core::BatchEvaluator* evaluator = nullptr;
   // Stop early once the virtual clock passes this budget (<=0: unlimited).
   // The sample that crosses the budget is the last one counted; samples
   // dispatched after it in the same round are evaluated but discarded.
@@ -128,7 +121,7 @@ struct TrainResult {
 
 using ProgressCallback = std::function<void(const HistoryPoint&)>;
 
-TrainResult TrainAgent(PolicyAgent& agent, Environment& environment,
+TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
                        const TrainerOptions& options,
                        const ProgressCallback& on_progress = nullptr);
 

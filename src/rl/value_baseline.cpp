@@ -19,7 +19,7 @@ ValueBaseline::ValueBaseline(int num_devices, ValueBaselineOptions options)
   l2_ = nn::Linear(store_, "value/l2", options_.hidden, 1, rng);
 }
 
-nn::Tensor ValueBaseline::Featurize(const Sample& sample) const {
+nn::Tensor ValueBaseline::Featurize(const core::Sample& sample) const {
   nn::Tensor features(1, num_devices_);
   if (!sample.group_devices.empty()) {
     const float share =
@@ -32,7 +32,7 @@ nn::Tensor ValueBaseline::Featurize(const Sample& sample) const {
   return features;
 }
 
-double ValueBaseline::Predict(const Sample& sample) const {
+double ValueBaseline::Predict(const core::Sample& sample) const {
   nn::Tape tape;
   nn::Var x = tape.Input(Featurize(sample));
   // Const-cast free: layers only read parameters on the forward path.
@@ -40,14 +40,14 @@ double ValueBaseline::Predict(const Sample& sample) const {
   return static_cast<double>(tape.value(v).at(0, 0));
 }
 
-double ValueBaseline::Update(const std::vector<Sample>& batch) {
+double ValueBaseline::Update(const std::vector<core::Sample>& batch) {
   if (batch.empty()) return 0.0;
   double first_mse = 0.0;
   for (int epoch = 0; epoch < options_.epochs_per_batch; ++epoch) {
     nn::Tape tape;
     nn::Var loss;
     bool first = true;
-    for (const Sample& sample : batch) {
+    for (const core::Sample& sample : batch) {
       nn::Var x = tape.Input(Featurize(sample));
       nn::Var v = l2_.Apply(tape, tape.Tanh(l1_.Apply(tape, x)));
       nn::Var err = tape.AddScalar(v, -static_cast<float>(sample.reward));

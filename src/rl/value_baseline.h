@@ -14,9 +14,9 @@
 #include <iosfwd>
 #include <vector>
 
+#include "core/policy.h"
 #include "nn/adam.h"
 #include "nn/layers.h"
-#include "rl/episode.h"
 
 namespace eagle::rl {
 
@@ -32,11 +32,11 @@ class ValueBaseline {
   ValueBaseline(int num_devices, ValueBaselineOptions options = {});
 
   // Predicted value for a decision (before seeing its reward).
-  double Predict(const Sample& sample) const;
+  double Predict(const core::Sample& sample) const;
 
   // One MSE training pass over a finished minibatch.
   // Returns the mean squared error before the update (for logging).
-  double Update(const std::vector<Sample>& batch);
+  double Update(const std::vector<core::Sample>& batch);
 
   int num_devices() const { return num_devices_; }
 
@@ -46,7 +46,7 @@ class ValueBaseline {
   void LoadState(std::istream& in);
 
  private:
-  nn::Tensor Featurize(const Sample& sample) const;
+  nn::Tensor Featurize(const core::Sample& sample) const;
 
   int num_devices_;
   ValueBaselineOptions options_;

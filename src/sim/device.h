@@ -186,8 +186,9 @@ struct HierarchicalClusterOptions {
 // The returned cluster always passes Validate() (every pair configured).
 ClusterSpec MakeHierarchicalCluster(const HierarchicalClusterOptions& options = {});
 
-// Canonical topologies used by benches, graph_fuzz --mode=delta and the
-// --cluster=<name> CLI shorthand (sim/cluster_ingest.h ResolveCluster):
+// Canonical topologies used by benches, the simulator's reference-oracle
+// tests and the --cluster=<name> CLI shorthand (sim/cluster_ingest.h
+// ResolveCluster):
 //   2node8  — 2 nodes × 4 NVLink-island GPUs over shared-NIC IB;
 //   mixed   — one box with 2 fast (P100-class) + 2 slow (K80-class,
 //             more memory) GPUs behind one PCIe root.

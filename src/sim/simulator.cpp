@@ -25,22 +25,6 @@ SimMetrics& Metrics() {
   return m;
 }
 
-// Delta-path observers: how often the incremental path served a run, how
-// often it fell back to the full loop, and how many ops it re-simulated.
-struct DeltaPathMetrics {
-  support::metrics::Counter* hits =
-      support::metrics::GetCounter("sim.delta.hits");
-  support::metrics::Counter* fallbacks =
-      support::metrics::GetCounter("sim.delta.fallbacks");
-  support::metrics::Counter* cone_ops =
-      support::metrics::GetCounter("sim.delta.cone_ops");
-};
-
-DeltaPathMetrics& DeltaMetrics() {
-  static DeltaPathMetrics m;
-  return m;
-}
-
 }  // namespace
 
 std::string StepResult::ToString(const ClusterSpec& cluster) const {
@@ -76,7 +60,6 @@ ExecutionSimulator::ExecutionSimulator(const graph::OpGraph& graph,
       cluster_(&cluster),
       cost_model_(cluster),
       options_(options),
-      topo_(graph.TopologicalOrder()),
       critical_priority_(static_cast<std::size_t>(graph.num_ops()), 0) {
   // A degenerate spec (zero/negative/non-finite rates) would make the cost
   // model emit inf/NaN step times that poison every comparison downstream;
@@ -85,7 +68,8 @@ ExecutionSimulator::ExecutionSimulator(const graph::OpGraph& graph,
   EAGLE_CHECK_MSG(cluster_status.ok(),
                   "invalid cluster spec: " << cluster_status.ToString());
   // Downstream critical-path length (in ops) as static priority.
-  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
+  const std::vector<graph::OpId> topo = graph.TopologicalOrder();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const graph::OpId u = *it;
     int best = 0;
     for (auto ei : graph.out_edges(u)) {
@@ -98,12 +82,6 @@ ExecutionSimulator::ExecutionSimulator(const graph::OpGraph& graph,
 
 StepResult ExecutionSimulator::Run(const Placement& placement,
                                    const FaultDraw* faults) const {
-  if (options_.delta.enabled) {
-    // LIFO pool: a single-threaded caller gets the same context back every
-    // run, so consecutive placements stay warm against its cached schedule.
-    auto lease = delta_contexts_.Acquire();
-    return RunWithContext(placement, *lease, faults);
-  }
 #ifdef EAGLE_AUDIT
   // Audit builds always record the timeline so every simulated execution
   // can be verified; the recording is dropped again unless the caller
@@ -125,115 +103,6 @@ StepResult ExecutionSimulator::Run(const Placement& placement,
 #else
   return RunInternal(placement, faults, options_.record_schedule);
 #endif
-}
-
-StepResult ExecutionSimulator::RunWithContext(const Placement& placement,
-                                              DeltaContext& ctx,
-                                              const FaultDraw* faults) const {
-  const DeltaRunInputs inputs{graph_,   cluster_,            &cost_model_,
-                              &options_, &critical_priority_, &topo_};
-  StepResult result;
-  // ctx.stats.cone_ops is a running total; the counter wants this run's
-  // increment only.
-  const std::int64_t cone_before = ctx.stats.cone_ops;
-#ifdef EAGLE_AUDIT
-  // Audit builds double-check every delta hit against a fresh full run:
-  // field-for-field, doubles compared exactly. The full result (already
-  // audited against the schedule invariants) is what gets returned, so a
-  // latent delta bug can never leak into audited training results.
-  if (TryDeltaRun(inputs, placement, faults, /*record_schedule=*/true, ctx,
-                  &result)) {
-    StepResult full = RunInternal(placement, faults, /*record_schedule=*/true);
-    {
-      EAGLE_SPAN("sim.audit");
-      const AuditReport audit =
-          AuditSchedule(full, *graph_, *cluster_, placement, options_);
-      EAGLE_CHECK_MSG(audit.ok(),
-                      "schedule audit failed:\n" << audit.ToString());
-    }
-    const std::string diff = DiffStepResults(result, full);
-    EAGLE_CHECK_MSG(diff.empty(),
-                    "delta result diverged from full run: " << diff);
-    Metrics().runs->Increment();
-    Metrics().events->Increment(graph_->num_ops() + result.num_transfers);
-    DeltaMetrics().hits->Increment();
-    DeltaMetrics().cone_ops->Increment(ctx.stats.cone_ops - cone_before);
-    ctx.consecutive_fallbacks = 0;
-    ctx.backoff_remaining = 0;
-    if (!options_.record_schedule) {
-      full.schedule.clear();
-      full.schedule.shrink_to_fit();
-      full.transfers.clear();
-      full.transfers.shrink_to_fit();
-    }
-    return full;
-  }
-#else
-  if (TryDeltaRun(inputs, placement, faults, options_.record_schedule, ctx,
-                  &result)) {
-    Metrics().runs->Increment();
-    Metrics().events->Increment(graph_->num_ops() + result.num_transfers);
-    DeltaMetrics().hits->Increment();
-    DeltaMetrics().cone_ops->Increment(ctx.stats.cone_ops - cone_before);
-    ctx.consecutive_fallbacks = 0;
-    ctx.backoff_remaining = 0;
-    return result;
-  }
-#endif
-  ctx.stats.fallbacks++;
-  DeltaMetrics().fallbacks->Increment();
-  if (ctx.backoff_remaining > 0) {
-    // Backed off: the cache kept missing, so skip the record+refresh tax
-    // and serve a plain full run until the backoff budget runs out.
-    --ctx.backoff_remaining;
-    result = RunInternal(placement, faults,
-#ifdef EAGLE_AUDIT
-                         /*record_schedule=*/true
-#else
-                         options_.record_schedule
-#endif
-    );
-#ifdef EAGLE_AUDIT
-    {
-      EAGLE_SPAN("sim.audit");
-      const AuditReport audit =
-          AuditSchedule(result, *graph_, *cluster_, placement, options_);
-      EAGLE_CHECK_MSG(audit.ok(),
-                      "schedule audit failed:\n" << audit.ToString());
-    }
-    if (!options_.record_schedule) {
-      result.schedule.clear();
-      result.schedule.shrink_to_fit();
-      result.transfers.clear();
-      result.transfers.shrink_to_fit();
-    }
-#endif
-    return result;
-  }
-  // Fallback: a recorded full run both serves this evaluation and
-  // refreshes the cache for the next one. RunInternal bumps sim.runs.
-  result = RunInternal(placement, faults, /*record_schedule=*/true);
-#ifdef EAGLE_AUDIT
-  {
-    EAGLE_SPAN("sim.audit");
-    const AuditReport audit =
-        AuditSchedule(result, *graph_, *cluster_, placement, options_);
-    EAGLE_CHECK_MSG(audit.ok(), "schedule audit failed:\n" << audit.ToString());
-  }
-#endif
-  RefreshDeltaContext(inputs, placement, faults, result, ctx);
-  if (options_.delta.fallback_backoff_threshold > 0 &&
-      ++ctx.consecutive_fallbacks >= options_.delta.fallback_backoff_threshold) {
-    ctx.backoff_remaining = options_.delta.fallback_backoff_runs;
-    ctx.consecutive_fallbacks = 0;
-  }
-  if (!options_.record_schedule) {
-    result.schedule.clear();
-    result.schedule.shrink_to_fit();
-    result.transfers.clear();
-    result.transfers.shrink_to_fit();
-  }
-  return result;
 }
 
 void ExecutionSimulator::PrimeWorkspaceEpochForTest(std::uint32_t epoch) const {

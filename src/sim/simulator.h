@@ -23,7 +23,6 @@
 
 #include "graph/op_graph.h"
 #include "sim/cost_model.h"
-#include "sim/delta.h"
 #include "sim/device.h"
 #include "sim/fault.h"
 #include "sim/memory_model.h"
@@ -76,10 +75,6 @@ struct SimulatorOptions {
   // Record the full op/transfer timeline (for trace export and the
   // critical-path analyzer). Off by default: it allocates per op.
   bool record_schedule = false;
-  // Delta re-simulation (sim/delta.h): when enabled, Run() leases a
-  // DeltaContext and serves placements differing in few ops incrementally.
-  // Results are bit-identical to full runs (audited under EAGLE_AUDIT).
-  DeltaOptions delta;
 };
 
 class ExecutionSimulator {
@@ -96,16 +91,6 @@ class ExecutionSimulator {
   // invariants (sim/audit.h) and aborts via EAGLE_CHECK on a violation.
   StepResult Run(const Placement& placement,
                  const FaultDraw* faults = nullptr) const;
-
-  // Like Run(), but evaluates against a caller-held DeltaContext: when
-  // `placement` differs from the context's cached run in few ops, only the
-  // invalidated cone is re-simulated (bit-identical to a full run; see
-  // sim/delta.h). On a fallback the full path runs and refreshes the
-  // context. Callers that evaluate chains of related placements (the
-  // placement environment's move loop) hold one context per chain; Run()
-  // with options.delta.enabled leases one from an internal pool instead.
-  StepResult RunWithContext(const Placement& placement, DeltaContext& ctx,
-                            const FaultDraw* faults = nullptr) const;
 
   // Test hook: primes the pooled workspace's epoch counter so the
   // wrap-around path (epoch overflowing back to 0) can be exercised
@@ -133,15 +118,11 @@ class ExecutionSimulator {
   const ClusterSpec* cluster_;
   CostModel cost_model_;
   SimulatorOptions options_;
-  std::vector<graph::OpId> topo_;       // cached topological order
   std::vector<int> critical_priority_;  // longer downstream path == higher
   // Run() is const and concurrent (EvalService workers share one
   // simulator), so per-run scratch is leased rather than a plain member.
   // After warm-up every lease hits the free list and runs allocation-free.
   mutable support::ResourcePool<SimWorkspace> workspaces_;
-  // Delta contexts for Run() when options_.delta.enabled: LIFO leasing
-  // keeps each worker's chain of consecutive placements on "its" context.
-  mutable support::ResourcePool<DeltaContext> delta_contexts_;
 };
 
 }  // namespace eagle::sim

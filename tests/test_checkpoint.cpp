@@ -62,7 +62,7 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-std::string ParamBlob(PolicyAgent& agent) {
+std::string ParamBlob(core::PolicyAgent& agent) {
   std::ostringstream blob;
   nn::SaveParams(agent.params(), blob);
   return blob.str();
@@ -172,7 +172,7 @@ TEST(Checkpoint, DataRoundTrip) {
   data.rng_state = {11, 22, 33, 44};
   data.baseline_value = -0.75;
   data.baseline_initialized = true;
-  Sample sample;
+  core::Sample sample;
   sample.grouping = {0, 1, 1};
   sample.group_devices = {2, 4};
   sample.logp = -1.5;
@@ -256,7 +256,7 @@ TEST(Checkpoint, SampleEvalStreamRoundTrips) {
   auto agent = fix.Agent(5);
   nn::Adam optimizer(agent->params());
   CheckpointData data;
-  Sample sample;
+  core::Sample sample;
   sample.grouping = {0, 1};
   sample.group_devices = {2, 3};
   sample.eval_stream = 0x0123456789abcdefULL;

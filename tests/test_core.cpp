@@ -8,6 +8,7 @@
 #include "core/expert_policies.h"
 #include "core/gcn_placer.h"
 #include "core/grouper_ffn.h"
+#include "core/policy.h"
 #include "core/post_agent.h"
 #include "core/seq2seq_placer.h"
 #include "models/bert.h"
@@ -16,7 +17,6 @@
 #include "models/synthetic.h"
 #include "models/zoo.h"
 #include "partition/metis_like.h"
-#include "rl/episode.h"
 
 namespace eagle::core {
 namespace {
@@ -169,7 +169,7 @@ TEST(Agents, SampleScoreLogpConsistency) {
   const auto cluster = sim::MakeDefaultCluster();
   const auto dims = SmallDims();
 
-  std::vector<std::unique_ptr<rl::PolicyAgent>> agents;
+  std::vector<std::unique_ptr<PolicyAgent>> agents;
   agents.push_back(MakeEagleAgent(graph, cluster, dims, 13));
   agents.push_back(MakeHierarchicalPlanner(graph, cluster, dims, 13));
   partition::MetisOptions metis;

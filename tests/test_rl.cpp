@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "core/policy.h"
 #include "models/synthetic.h"
-#include "rl/baseline.h"
 #include "rl/cross_entropy.h"
 #include "rl/ppo.h"
 #include "rl/reinforce.h"
@@ -16,7 +16,7 @@ namespace {
 // A tiny two-op policy over the default 5-device cluster: logits are a raw
 // parameter matrix, one categorical per op. Serves as the minimal
 // PolicyAgent for algorithm and trainer tests.
-class StubAgent : public PolicyAgent {
+class StubAgent : public core::PolicyAgent {
  public:
   StubAgent(const graph::OpGraph& graph, const sim::ClusterSpec& cluster,
             std::uint64_t seed)
@@ -27,10 +27,10 @@ class StubAgent : public PolicyAgent {
     nn::UniformInit(logits_->value, -0.01f, 0.01f, rng);
   }
 
-  Sample SampleDecision(support::Rng& rng) override {
+  core::Sample SampleDecision(support::Rng& rng) override {
     nn::Tape tape;
     nn::Var probs = tape.Softmax(tape.Param(logits_));
-    Sample sample;
+    core::Sample sample;
     sample.grouping.resize(static_cast<std::size_t>(graph_->num_ops()));
     sample.group_devices.resize(static_cast<std::size_t>(graph_->num_ops()));
     std::vector<int> picks(static_cast<std::size_t>(graph_->num_ops()));
@@ -48,7 +48,7 @@ class StubAgent : public PolicyAgent {
     return sample;
   }
 
-  Score ScoreDecision(nn::Tape& tape, const Sample& sample) override {
+  Score ScoreDecision(nn::Tape& tape, const core::Sample& sample) override {
     std::vector<int> picks(sample.group_devices.begin(),
                            sample.group_devices.end());
     nn::Var logsm = tape.LogSoftmax(tape.Param(logits_));
@@ -61,7 +61,7 @@ class StubAgent : public PolicyAgent {
     return score;
   }
 
-  sim::Placement ToPlacement(const Sample& sample) const override {
+  sim::Placement ToPlacement(const core::Sample& sample) const override {
     std::vector<sim::DeviceId> devices(sample.group_devices.begin(),
                                        sample.group_devices.end());
     sim::Placement placement(*graph_, std::move(devices));
@@ -89,7 +89,7 @@ class StubAgent : public PolicyAgent {
 };
 
 // Environment rewarding device 1 for every op; device 4 is "OOM".
-class StubEnv : public Environment {
+class StubEnv : public core::Environment {
  public:
   sim::EvalResult Evaluate(const sim::Placement& placement,
                            support::Rng*) override {
@@ -129,7 +129,7 @@ TEST(Reward, PenaltyForInvalid) {
 }
 
 TEST(Baseline, EmaTracksRewards) {
-  EmaBaseline baseline(0.5);
+  core::EmaBaseline baseline(0.5);
   EXPECT_DOUBLE_EQ(baseline.AdvantageAndUpdate(10.0), 0.0);  // seeds
   EXPECT_DOUBLE_EQ(baseline.value(), 10.0);
   // Advantage uses baseline BEFORE update.
@@ -138,7 +138,7 @@ TEST(Baseline, EmaTracksRewards) {
 }
 
 TEST(CrossEntropy, SelectsTopValidByReward) {
-  std::vector<Sample> pool(5);
+  std::vector<core::Sample> pool(5);
   pool[0].valid = true;
   pool[0].reward = -3.0;
   pool[1].valid = false;
@@ -169,7 +169,7 @@ TEST(Reinforce, MovesPolicyTowardAdvantage) {
   StubAgent agent(graph, cluster, 2);
   nn::Adam adam(agent.params());
   // A batch where choosing device 1 for all ops had positive advantage.
-  Sample good;
+  core::Sample good;
   good.grouping = {0, 1};
   good.group_devices = {1, 1};
   good.advantage = 1.0;
@@ -185,7 +185,7 @@ TEST(Ppo, MovesPolicyAndClipsRatio) {
   const auto cluster = sim::MakeDefaultCluster();
   StubAgent agent(graph, cluster, 3);
   nn::Adam adam(agent.params());
-  Sample good;
+  core::Sample good;
   good.grouping = {0, 1};
   good.group_devices = {1, 1};
   good.advantage = 1.0;
@@ -205,7 +205,7 @@ TEST(Ppo, NegativeAdvantageReducesProbability) {
   const auto cluster = sim::MakeDefaultCluster();
   StubAgent agent(graph, cluster, 4);
   nn::Adam adam(agent.params());
-  Sample bad;
+  core::Sample bad;
   bad.grouping = {0, 1};
   bad.group_devices = {2, 2};
   bad.advantage = -1.0;
@@ -224,7 +224,7 @@ TEST(Ppo, DecisionNormalizationKeepsRatiosMeaningful) {
   StubAgent agent(graph, cluster, 21);
   nn::Adam adam(agent.params());
   support::Rng rng(22);
-  Sample sample = agent.SampleDecision(rng);
+  core::Sample sample = agent.SampleDecision(rng);
   sample.advantage = 1.0;
   sample.logp -= 50.0;          // pretend the sampling policy was far away
   sample.num_decisions = 100;   // ...across 100 decisions

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <utility>
+
+#include "models/fuzz_corpus.h"
 #include "models/synthetic.h"
 #include "models/zoo.h"
 #include "sim/cost_model.h"
@@ -21,6 +26,17 @@ ClusterSpec TwoGpuCluster() {
   ClusterOptions options;
   options.num_gpus = 2;
   return MakeDefaultCluster(options);
+}
+
+std::vector<DeviceId> RandomDevices(const OpGraph& g,
+                                    const ClusterSpec& cluster,
+                                    support::Rng& rng) {
+  std::vector<DeviceId> devices(static_cast<std::size_t>(g.num_ops()));
+  for (auto& d : devices) {
+    d = static_cast<DeviceId>(
+        rng.NextBelow(static_cast<std::uint64_t>(cluster.num_devices())));
+  }
+  return devices;
 }
 
 TEST(Cluster, DefaultShape) {
@@ -319,32 +335,86 @@ void ExpectStepResultsIdentical(const StepResult& got,
 }
 
 TEST(Simulator, MatchesFrozenReferenceOnModelZoo) {
-  const auto cluster = MakeDefaultCluster();
+  // The hierarchical topologies add per-tier link rates, shared contention
+  // channels (PCIe roots, NIC egress ports) and per-device speeds that the
+  // single-root default cluster never exercises.
+  const std::vector<std::pair<const char*, ClusterSpec>> clusters{
+      {"default", MakeDefaultCluster()},
+      {"2node8", MakeTwoNodeNvlinkIbCluster()},
+      {"mixed", MakeMixedSpeedCluster()}};
   models::ZooOptions zoo;
   zoo.reduced = true;
   SimulatorOptions options;
   options.record_schedule = true;
-  for (const auto benchmark : models::AllBenchmarks()) {
-    SCOPED_TRACE(models::BenchmarkName(benchmark));
-    const OpGraph g = models::BuildBenchmark(benchmark, zoo);
-    ExecutionSimulator simulator(g, cluster, options);
-    support::Rng rng(17);
-    // Several runs on one simulator instance: the second and third reuse
-    // the pooled workspace, so any stale epoch-stamped state shows up as
-    // a mismatch against the allocate-fresh-every-time reference.
-    for (int round = 0; round < 3; ++round) {
-      std::vector<DeviceId> devices(static_cast<std::size_t>(g.num_ops()));
-      for (auto& d : devices) {
-        d = static_cast<DeviceId>(rng.NextBelow(
-            static_cast<std::uint64_t>(cluster.num_devices())));
+  for (const auto& [cluster_name, cluster] : clusters) {
+    SCOPED_TRACE(cluster_name);
+    for (const auto benchmark : models::AllBenchmarks()) {
+      SCOPED_TRACE(models::BenchmarkName(benchmark));
+      const OpGraph g = models::BuildBenchmark(benchmark, zoo);
+      ExecutionSimulator simulator(g, cluster, options);
+      support::Rng rng(17);
+      // Several runs on one simulator instance: the second and third reuse
+      // the pooled workspace, so any stale epoch-stamped state shows up as
+      // a mismatch against the allocate-fresh-every-time reference.
+      for (int round = 0; round < 3; ++round) {
+        Placement placement(g, RandomDevices(g, cluster, rng));
+        placement.Normalize(g, cluster);
+        ExpectStepResultsIdentical(
+            simulator.Run(placement),
+            naive::RunReference(g, cluster, options, placement, nullptr,
+                                /*record_schedule=*/true));
       }
-      Placement placement(g, devices);
-      placement.Normalize(g, cluster);
-      ExpectStepResultsIdentical(
-          simulator.Run(placement),
-          naive::RunReference(g, cluster, options, placement, nullptr,
-                              /*record_schedule=*/true));
     }
+  }
+}
+
+TEST(Simulator, SharedNicDedupMatchesFrozenReference) {
+  // One producer on node 0 feeds consumers spread over both nodes of the
+  // 2node8 cluster, so the deduped IB transfers all queue on node 0's
+  // single NIC egress channel. Bouncing one consumer at a time changes
+  // which transfers exist at all (dedup collapses same-destination
+  // copies); every placement must match the frozen reference exactly.
+  constexpr int kConsumers = 24;
+  OpGraph g;
+  OpDef producer;
+  producer.name = "producer";
+  producer.type = OpType::kMatMul;
+  producer.flops = 5e7;
+  producer.output_shape = TensorShape{256};
+  g.AddOp(producer);
+  for (int i = 0; i < kConsumers; ++i) {
+    OpDef use;
+    use.name = "use" + std::to_string(i);
+    use.type = OpType::kMatMul;
+    use.flops = 5e6;
+    use.output_shape = TensorShape{64};
+    g.AddOp(use);
+    // Half the consumers share a tensor size (dedup per destination
+    // device), half are distinct.
+    g.AddEdge(0, i + 1, (i % 2 == 0) ? 4096 : 4096 + i * 64);
+  }
+  const ClusterSpec cluster = MakeTwoNodeNvlinkIbCluster();
+  SimulatorOptions options;
+  options.record_schedule = true;
+  const ExecutionSimulator simulator(g, cluster, options);
+  support::Rng rng(67);
+  const auto gpus = cluster.Gpus();
+  std::vector<DeviceId> devices(static_cast<std::size_t>(g.num_ops()));
+  devices[0] = gpus[0];
+  for (int i = 1; i <= kConsumers; ++i) {
+    devices[static_cast<std::size_t>(i)] = gpus[rng.NextBelow(gpus.size())];
+  }
+  for (int move = 0; move < 20; ++move) {
+    Placement placement(g, devices);
+    placement.Normalize(g, cluster);
+    ExpectStepResultsIdentical(
+        simulator.Run(placement),
+        naive::RunReference(g, cluster, options, placement, nullptr,
+                            /*record_schedule=*/true));
+    // Bounce one consumer to a random GPU (usually across the IB tier).
+    const auto victim =
+        1 + rng.NextBelow(static_cast<std::uint64_t>(kConsumers));
+    devices[victim] = gpus[rng.NextBelow(gpus.size())];
   }
 }
 
@@ -365,12 +435,7 @@ TEST(Simulator, MatchesFrozenReferenceUnderFaults) {
       static_cast<std::size_t>(cluster.num_link_channels()), 1.0);
   faults.link_scale[0] = 3.0;  // degraded channel
   support::Rng rng(23);
-  std::vector<DeviceId> devices(static_cast<std::size_t>(g.num_ops()));
-  for (auto& d : devices) {
-    d = static_cast<DeviceId>(
-        rng.NextBelow(static_cast<std::uint64_t>(cluster.num_devices())));
-  }
-  Placement placement(g, devices);
+  Placement placement(g, RandomDevices(g, cluster, rng));
   placement.Normalize(g, cluster);
   ExpectStepResultsIdentical(
       simulator.Run(placement, &faults),
@@ -439,6 +504,137 @@ TEST(Simulator, TransferDedupKeysOnExactBytes) {
   const auto deduped = simulator2.Run(placement2);
   EXPECT_EQ(deduped.num_transfers, 1);
   EXPECT_EQ(deduped.transfer_bytes_total, kSmall);
+}
+
+TEST(Simulator, TransferDedupManyDistinctSizesPerSlot) {
+  // Adversarial shape for a flat overflow list: one producer ships many
+  // distinct tensor widths to one device, so every lookup would scan every
+  // previous overflow entry. Correctness check: each distinct size is one
+  // physical transfer, duplicates still dedup, and the result matches the
+  // frozen reference bit-for-bit.
+  constexpr int kConsumers = 48;
+  OpGraph g;
+  OpDef producer;
+  producer.name = "producer";
+  producer.type = OpType::kMatMul;
+  producer.flops = 1e6;
+  producer.output_shape = TensorShape{16};
+  g.AddOp(producer);
+  std::int64_t distinct_bytes = 0;
+  for (int i = 0; i < kConsumers; ++i) {
+    OpDef use;
+    use.name = "use" + std::to_string(i);
+    use.type = OpType::kMatMul;
+    use.flops = 1e6;
+    use.output_shape = TensorShape{16};
+    g.AddOp(use);
+    // Every third consumer repeats the previous size — the dedup must
+    // find it mid-chain, not just at the primary slot.
+    const std::int64_t bytes =
+        (i % 3 == 2) ? 1000 + (i - 1) * 8 : 1000 + i * 8;
+    if (i % 3 != 2) distinct_bytes += bytes;
+    g.AddEdge(0, i + 1, bytes);
+  }
+  const auto cluster = TwoGpuCluster();
+  SimulatorOptions options;
+  options.record_schedule = true;
+  ExecutionSimulator simulator(g, cluster, options);
+  std::vector<DeviceId> devices(static_cast<std::size_t>(g.num_ops()), 2);
+  devices[0] = 1;
+  Placement placement(g, devices);
+  placement.Normalize(g, cluster);
+  const auto result = simulator.Run(placement);
+  EXPECT_EQ(result.num_transfers, kConsumers - kConsumers / 3);
+  EXPECT_EQ(result.transfer_bytes_total, distinct_bytes);
+  ExpectStepResultsIdentical(
+      result, naive::RunReference(g, cluster, options, placement, nullptr,
+                                  /*record_schedule=*/true));
+}
+
+TEST(SimWorkspace, EpochWrapRestampsCleanly) {
+  // Prime the pooled workspace's epoch next to the 2^32 boundary and run
+  // straight through the wrap; each run must match a fresh simulator.
+  const auto cluster = TwoGpuCluster();
+  support::Rng graph_rng(47);
+  models::FuzzGraphConfig config;
+  config.num_ops = 120;
+  config.width = 8;
+  const OpGraph g = models::BuildFuzzGraph(config, graph_rng);
+  SimulatorOptions options;
+  options.record_schedule = true;
+  const ExecutionSimulator wrapped(g, cluster, options);
+  wrapped.PrimeWorkspaceEpochForTest(
+      std::numeric_limits<std::uint32_t>::max() - 2);
+  support::Rng rng(53);
+  for (int round = 0; round < 6; ++round) {
+    Placement placement(g, RandomDevices(g, cluster, rng));
+    placement.Normalize(g, cluster);
+    const ExecutionSimulator fresh(g, cluster, options);
+    ExpectStepResultsIdentical(wrapped.Run(placement), fresh.Run(placement));
+  }
+}
+
+TEST(SimWorkspace, PrepareHandlesShapeChanges) {
+  SimWorkspace ws;
+  ws.Prepare(4, 2, 8);
+  EXPECT_EQ(ws.epoch, 1u);
+  ws.Prepare(4, 2, 8);
+  EXPECT_EQ(ws.epoch, 2u);
+  // More devices: the flat op×device arrays regrow and epochs restart, so
+  // no stale stamp from the old shape can alias a live slot.
+  ws.Prepare(4, 3, 18);
+  EXPECT_EQ(ws.epoch, 1u);
+  EXPECT_EQ(ws.live_epoch.size(), 12u);
+  EXPECT_EQ(ws.transfer_overflow_head.size(), 12u);
+  EXPECT_EQ(ws.heaps.size(), 3u);
+  // Back to the smaller shape: same reset.
+  ws.Prepare(4, 2, 8);
+  EXPECT_EQ(ws.epoch, 1u);
+  EXPECT_EQ(ws.live_epoch.size(), 8u);
+  // Op-count change alone also reshapes.
+  ws.Prepare(6, 2, 8);
+  EXPECT_EQ(ws.epoch, 1u);
+  EXPECT_EQ(ws.ready_epoch.size(), 6u);
+}
+
+TEST(ClusterSpec, ValidateRejectsDegenerateSpecs) {
+  EXPECT_EQ(ClusterSpec().Validate().code(), support::ErrorCode::kSyntax);
+
+  ClusterOptions zero_gflops;
+  zero_gflops.num_gpus = 2;
+  zero_gflops.gpu_gflops = 0.0;
+  const auto status = MakeDefaultCluster(zero_gflops).Validate();
+  EXPECT_EQ(status.code(), support::ErrorCode::kNumericOverflow);
+  EXPECT_NE(status.ToString().find("gflops"), std::string::npos);
+
+  ClusterOptions nan_pcie;
+  nan_pcie.num_gpus = 1;
+  nan_pcie.pcie_gbps = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(MakeDefaultCluster(nan_pcie).Validate().code(),
+            support::ErrorCode::kNumericOverflow);
+
+  ClusterOptions neg_latency;
+  neg_latency.num_gpus = 1;
+  neg_latency.pcie_latency_us = -1.0;
+  EXPECT_EQ(MakeDefaultCluster(neg_latency).Validate().code(),
+            support::ErrorCode::kNumericOverflow);
+
+  EXPECT_TRUE(TwoGpuCluster().Validate().ok());
+}
+
+TEST(ClusterSpec, SimulatorRefusesInvalidCluster) {
+  ClusterOptions opts;
+  opts.num_gpus = 1;
+  opts.gpu_gflops = -5.0;
+  const auto bad = MakeDefaultCluster(opts);
+  OpGraph g;
+  OpDef op;
+  op.name = "op";
+  op.type = OpType::kMatMul;
+  op.flops = 1e6;
+  op.output_shape = TensorShape{16};
+  g.AddOp(op);
+  EXPECT_THROW(ExecutionSimulator(g, bad), std::logic_error);
 }
 
 TEST(MemoryModel, InPlaceOverloadMatchesAndReusesScratch) {

@@ -7,8 +7,8 @@
 namespace eagle::rl {
 namespace {
 
-Sample MakeSample(std::vector<std::int32_t> devices, double reward) {
-  Sample sample;
+core::Sample MakeSample(std::vector<std::int32_t> devices, double reward) {
+  core::Sample sample;
   sample.group_devices = std::move(devices);
   sample.reward = reward;
   sample.valid = true;
@@ -25,8 +25,8 @@ TEST(ValueBaseline, LearnsDecisionConditionedValues) {
   // Two decision mixes with very different rewards: after training the
   // critic must separate them.
   ValueBaseline critic(3, {.hidden = 8, .lr = 0.05, .epochs_per_batch = 4});
-  const Sample good = MakeSample({0, 0, 0, 0}, -1.0);
-  const Sample bad = MakeSample({2, 2, 2, 2}, -5.0);
+  const core::Sample good = MakeSample({0, 0, 0, 0}, -1.0);
+  const core::Sample bad = MakeSample({2, 2, 2, 2}, -5.0);
   for (int i = 0; i < 200; ++i) {
     critic.Update({good, bad});
   }
@@ -37,8 +37,8 @@ TEST(ValueBaseline, LearnsDecisionConditionedValues) {
 
 TEST(ValueBaseline, MseDecreases) {
   ValueBaseline critic(4, {.hidden = 8, .lr = 0.05, .epochs_per_batch = 2});
-  std::vector<Sample> batch{MakeSample({0, 1}, -2.0),
-                            MakeSample({2, 3}, -4.0)};
+  std::vector<core::Sample> batch{MakeSample({0, 1}, -2.0),
+                                  MakeSample({2, 3}, -4.0)};
   const double first = critic.Update(batch);
   double last = first;
   for (int i = 0; i < 100; ++i) last = critic.Update(batch);
@@ -52,7 +52,7 @@ TEST(ValueBaseline, EmptyBatchNoop) {
 
 TEST(ValueBaseline, EmptyDecisionHandled) {
   ValueBaseline critic(3);
-  Sample sample;
+  core::Sample sample;
   sample.reward = -1.0;
   EXPECT_TRUE(std::isfinite(critic.Predict(sample)));
   EXPECT_GE(critic.Update({sample}), 0.0);

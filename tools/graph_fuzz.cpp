@@ -1,6 +1,6 @@
 // Structure-aware fuzz driver for the graph ingestion pipeline.
 //
-// Three modes, all deterministic for a given --seed:
+// Four modes, all deterministic for a given --seed:
 //
 //   generate  build a valid layered training graph and write it out
 //             (--format=eg|json, or inferred from --out's suffix):
@@ -15,36 +15,25 @@
 //   e2e       generate → serialize → re-ingest → validate → METIS-group
 //             → simulate one training step, end to end, at stress scale:
 //               $ ./graph_fuzz --mode=e2e --ops=100000
-//   delta     differential gate for delta re-simulation: drive random
-//             single- and multi-op move sequences on the benchmark zoo
-//             plus fuzz-corpus training graphs, comparing every
-//             delta-path result field-for-field (doubles exact) against
-//             a fresh full run. Sweeps the default, 2node8 and mixed
-//             topologies unless --cluster pins one:
-//               $ ./graph_fuzz --mode=delta --iters=50
 //   cluster-fuzz  like fuzz, but corrupts a cluster-spec file (.ec or
 //             .json) and feeds it to the hardened cluster importer:
 //               $ ./graph_fuzz --mode=cluster-fuzz --in=clusters/2node8.ec
 //
-// Exit codes: 0 success, 1 delta divergence, 2 structured ingestion
-// failure (e2e/fuzz input), matching the friendly-diagnostic convention
-// of the other tools.
+// Exit codes: 0 success, 2 structured ingestion failure (e2e/fuzz
+// input), matching the friendly-diagnostic convention of the other tools.
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/graph_io.h"
 #include "graph/grouped_graph.h"
 #include "graph/ingest.h"
 #include "models/fuzz_corpus.h"
-#include "models/zoo.h"
 #include "partition/metis_like.h"
 #include "sim/cluster_ingest.h"
-#include "sim/delta.h"
 #include "sim/device.h"
 #include "sim/placement.h"
 #include "sim/simulator.h"
@@ -203,111 +192,12 @@ int RunE2e(int ops, std::uint64_t seed, bool json,
   return 0;
 }
 
-// Drives `iters` evaluations of a random move sequence on `graph`
-// through one persistent DeltaContext, comparing each against a fresh
-// full run. Returns 0 when every result is bit-identical.
-int DriveDeltaMoves(const std::string& label, const graph::OpGraph& graph,
-                    const sim::ClusterSpec& cluster, int iters,
-                    support::Rng& rng, int* checked) {
-  sim::SimulatorOptions options;
-  options.record_schedule = true;  // diff the full timeline, not summaries
-  // Exercise the replay machinery on every move: no cutover escape, no
-  // fallback backoff. (Production defaults are gentler; correctness must
-  // not depend on them.)
-  options.delta.cutover_fraction = 1.0;
-  options.delta.fallback_backoff_threshold = 0;
-  options.delta.max_moved_ops = 64;
-  const sim::ExecutionSimulator delta_sim(graph, cluster, options);
-  const sim::ExecutionSimulator full_sim(graph, cluster, options);
-  sim::DeltaContext ctx;
-  std::vector<sim::DeviceId> devices(static_cast<std::size_t>(graph.num_ops()));
-  for (auto& d : devices) {
-    d = static_cast<sim::DeviceId>(
-        rng.NextBelow(static_cast<std::uint64_t>(cluster.num_devices())));
-  }
-  for (int i = 0; i < iters; ++i) {
-    sim::Placement placement(graph, devices);
-    placement.Normalize(graph, cluster);
-    const sim::StepResult got = delta_sim.RunWithContext(placement, ctx);
-    const sim::StepResult want = full_sim.Run(placement);
-    const std::string diff = sim::DiffStepResults(got, want);
-    if (!diff.empty()) {
-      std::fprintf(stderr,
-                   "graph_fuzz: delta diverged on %s, move %d: %s\n",
-                   label.c_str(), i, diff.c_str());
-      return 1;
-    }
-    ++*checked;
-    // 1–4 random op moves per step: singles dominate training, multis
-    // cover colocation-group collapses and overlapping cones.
-    const int moves = 1 + static_cast<int>(rng.NextBelow(4));
-    for (int m = 0; m < moves; ++m) {
-      devices[static_cast<std::size_t>(rng.NextBelow(
-          static_cast<std::uint64_t>(graph.num_ops())))] =
-          static_cast<sim::DeviceId>(rng.NextBelow(
-              static_cast<std::uint64_t>(cluster.num_devices())));
-    }
-  }
-  return 0;
-}
-
-int RunDeltaDiff(int iters, std::uint64_t seed,
-                 const std::string& cluster_flag) {
-  // Default sweep: the homogeneous single-root box plus both shipped
-  // hierarchical topologies, so the channel-cut logic is exercised
-  // against shared PCIe-root, shared NIC-egress and per-pair NVLink
-  // channels with heterogeneous per-device rates. --cluster pins one.
-  std::vector<std::pair<std::string, sim::ClusterSpec>> topologies;
-  if (cluster_flag.empty()) {
-    topologies.emplace_back("default", sim::MakeDefaultCluster());
-    topologies.emplace_back("2node8", sim::MakeTwoNodeNvlinkIbCluster());
-    topologies.emplace_back("mixed", sim::MakeMixedSpeedCluster());
-  } else {
-    support::StatusOr<sim::ClusterSpec> resolved =
-        sim::ResolveCluster(cluster_flag);
-    if (!resolved.ok()) {
-      std::fprintf(stderr, "graph_fuzz: %s\n",
-                   resolved.status().ToString().c_str());
-      return 2;
-    }
-    topologies.emplace_back(cluster_flag, std::move(resolved).value());
-  }
-  support::Rng rng(seed);
-  int checked = 0;
-  for (const auto& [topo_name, cluster] : topologies) {
-    for (const auto benchmark : models::AllBenchmarks()) {
-      models::ZooOptions zoo;
-      zoo.reduced = true;
-      const graph::OpGraph graph = models::BuildBenchmark(benchmark, zoo);
-      if (DriveDeltaMoves(topo_name + "/" +
-                              models::BenchmarkName(benchmark),
-                          graph, cluster, iters, rng, &checked) != 0) {
-        return 1;
-      }
-    }
-    for (int c = 0; c < 3; ++c) {
-      models::FuzzGraphConfig config;
-      config.num_ops = 120 + 80 * c;
-      config.width = 6 + 4 * c;
-      support::Rng graph_rng(seed + static_cast<std::uint64_t>(c) * 977);
-      const graph::OpGraph graph = models::BuildFuzzGraph(config, graph_rng);
-      if (DriveDeltaMoves(topo_name + "/fuzz" + std::to_string(c), graph,
-                          cluster, iters, rng, &checked) != 0) {
-        return 1;
-      }
-    }
-  }
-  std::printf("delta diff clean: %d evaluations bit-identical to full\n",
-              checked);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   support::ArgParser args("EAGLE graph-ingestion fuzzer");
   args.AddString("mode", "fuzz",
-                 "generate | fuzz | e2e | delta | cluster-fuzz");
+                 "generate | fuzz | e2e | cluster-fuzz");
   args.AddInt("ops", 10000, "approximate op count (generate/e2e)");
   args.AddInt("seed", 1, "deterministic corpus seed");
   args.AddInt("iters", 1000, "mutants to try (fuzz/cluster-fuzz)");
@@ -318,9 +208,8 @@ int main(int argc, char** argv) {
   args.AddString("format", "",
                  "eg | json (default: from the file suffix, else eg)");
   args.AddString("cluster", "",
-                 "cluster topology for e2e/delta: default, 2node8, mixed "
-                 "or a .ec/.json spec file (delta default: sweep all "
-                 "three builtins)");
+                 "cluster topology for e2e: default, 2node8, mixed or a "
+                 ".ec/.json spec file");
   if (!args.Parse(argc, argv)) return 0;
 
   const std::string mode = args.GetString("mode");
@@ -377,10 +266,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     return RunE2e(ops, seed, is_json(""), resolved.value());
-  }
-  if (mode == "delta") {
-    return RunDeltaDiff(static_cast<int>(args.GetInt("iters")), seed,
-                        args.GetString("cluster"));
   }
   std::fprintf(stderr, "graph_fuzz: unknown --mode=%s\n", mode.c_str());
   return 2;

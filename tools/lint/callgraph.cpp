@@ -188,8 +188,7 @@ std::vector<Diagnostic> CheckLockOrder(const Index& index) {
 namespace {
 
 bool IsHotPath(const std::string& path) {
-  return HasPrefix(path, "src/nn/") || HasPrefix(path, "src/sim/simulator.") ||
-         HasPrefix(path, "src/sim/delta.");
+  return HasPrefix(path, "src/nn/") || HasPrefix(path, "src/sim/simulator.");
 }
 
 // The sanctioned allocation substrate: the arena and workspace pools plus

@@ -13,11 +13,11 @@
 //         acquires atomically and imposes no internal order) and flags
 //         each inverted pair at both sites.
 //   HP02  flow-aware escalation of HP01: a hot-path function (src/nn,
-//         src/sim/simulator.*, src/sim/delta.*) whose call graph reaches
-//         an allocating function outside the arena/workspace/support
-//         allowlist is flagged with the full call chain. Names that
-//         resolve to more than one definition are skipped, so the rule
-//         only under-reports, never guesses.
+//         src/sim/simulator.*) whose call graph reaches an allocating
+//         function outside the arena/workspace/support allowlist is
+//         flagged with the full call chain. Names that resolve to more
+//         than one definition are skipped, so the rule only
+//         under-reports, never guesses.
 #pragma once
 
 #include <vector>

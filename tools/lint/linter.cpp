@@ -72,10 +72,8 @@ std::vector<RuleInfo> MakeRules() {
       // The NN kernel layer and the simulator inner loop: one malloc per
       // tape node / per Run() is exactly the overhead the arena and the
       // workspace removed, and flat epoch-stamped arrays replaced the
-      // hash maps. The delta-replay path inherits the same contract (a
-      // warm DeltaContext must not allocate). The pools themselves are
-      // the sanctioned layer.
-      {"src/nn/", "src/sim/simulator.", "src/sim/delta."},
+      // hash maps. The pools themselves are the sanctioned layer.
+      {"src/nn/", "src/sim/simulator."},
       {"src/nn/arena.", "src/sim/sim_workspace."}});
   rules.push_back(RuleInfo{
       "IN01", "error",
@@ -125,7 +123,7 @@ std::vector<RuleInfo> MakeRules() {
       "HP02", "error",
       "hot-path function whose call graph reaches an allocating function "
       "outside the arena/workspace pools (flow-aware HP01)",
-      {"src/nn/", "src/sim/simulator.", "src/sim/delta."},
+      {"src/nn/", "src/sim/simulator."},
       {"src/nn/arena.", "src/sim/sim_workspace."}});
   return rules;
 }
