@@ -25,7 +25,10 @@
 #   8. an end-to-end benchmark smoke: bench/e2e/run.sh --smoke trains each
 #      of the four benchmark workloads briefly, runs its correctness
 #      checks (repeat digests, bit-exact re-evaluation of the best) and
-#      fails on any missing or non-finite metric (see bench/e2e/README.md).
+#      fails on any missing or non-finite metric (see bench/e2e/README.md);
+#      each workload's training digest must equal the value pinned below,
+#      so any change to training arithmetic fails here instead of passing
+#      as noise.
 # Usage: scripts/run_ci.sh [build-dir]
 set -euo pipefail
 BUILD=${1:-build-ci}
@@ -104,7 +107,25 @@ FUZZ="$BUILD-fuzz/tools/graph_fuzz"
 echo FUZZ_SMOKE_CLEAN
 
 echo "=== end-to-end benchmark smoke ==="
-bash bench/e2e/run.sh --smoke
+# Pinned --smoke digests, recorded on an x86-64 AVX2+FMA Release build.
+# A change that is meant to alter training output re-pins them: run
+# `bash bench/e2e/run.sh --smoke`, copy each "<workload> digest <hex>"
+# line into this table, and say in the change description why the
+# digests moved (see docs/PERFORMANCE.md, "Subnormals").
+E2E_DIGESTS=(
+  "gnmt-eagle-ppo 68c9969725e4607b"
+  "gnmt-post-ppoce 033dbbe163ab5d35"
+  "fuzz40k-post-ppoce 28d4e859553a6569"
+  "gnmt-post-2node8-faults-t4 c05fbf3375184385"
+)
+bash bench/e2e/run.sh --smoke | tee "$SMOKE/e2e.out"
+for pin in "${E2E_DIGESTS[@]}"; do
+  read -r workload want <<<"$pin"
+  got=$(awk -v w="$workload" '$1 == w && $2 == "digest" { print $3 }' \
+    "$SMOKE/e2e.out")
+  test "$got" = "$want" ||
+    { echo "$workload: smoke digest '$got' != pinned $want"; exit 1; }
+done
 echo E2E_SMOKE_CLEAN
 
 echo CI_CLEAN

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 
+#include "nn/float_mode.h"
 #include "support/check.h"
 #include "support/metrics.h"
 
@@ -14,6 +15,8 @@ Adam::Adam(ParamStore& store, AdamOptions options)
 
 double Adam::Step() {
   EAGLE_SPAN("adam.step");
+  // Callers usually step while their tape is alive; do not rely on it.
+  FlushDenormalsScope flush;
   const double norm = options_.clip_norm > 0
                           ? store_->ClipGradNorm(options_.clip_norm)
                           : store_->GradNorm();

@@ -1,5 +1,6 @@
 #include "nn/arena.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <new>
 #include <vector>
@@ -11,8 +12,6 @@ constexpr std::size_t kAlign = 32;
 constexpr int kMinBucketLog2 = 6;   // 64 floats (256 B) smallest class
 constexpr int kMaxBucketLog2 = 24;  // 16M floats (64 MB) largest class
 constexpr int kNumBuckets = kMaxBucketLog2 - kMinBucketLog2 + 1;
-// Per-thread cap on cached bytes; releases beyond it free immediately.
-constexpr std::uint64_t kMaxPooledBytes = 64ull << 20;
 
 // Smallest size class holding `count` floats, or -1 when too large to pool.
 int BucketFor(std::int64_t count) {
@@ -42,6 +41,16 @@ void RawFree(float* ptr) { ::operator delete(ptr, std::align_val_t{kAlign}); }
 enum : int { kUnborn = 0, kAlive = 1, kDead = 2 };
 thread_local int tl_arena_state = kUnborn;
 
+// One size class. `live` is blocks acquired on this thread minus blocks
+// released on it, floored at zero (blocks born on other threads were never
+// counted). The pool keeps free.size() + live <= high_water, so a class
+// never holds more blocks than this thread has needed at once.
+struct SizeClass {
+  std::vector<float*> free;
+  std::int64_t live = 0;
+  std::int64_t high_water = 0;
+};
+
 struct ThreadArena {
   ThreadArena() { tl_arena_state = kAlive; }
   ~ThreadArena() {
@@ -50,14 +59,15 @@ struct ThreadArena {
   }
 
   void Trim() {
-    for (auto& list : free_lists) {
-      for (float* ptr : list) RawFree(ptr);
-      list.clear();
+    for (SizeClass& cls : classes) {
+      for (float* ptr : cls.free) RawFree(ptr);
+      cls.free.clear();
+      cls.high_water = cls.live;
     }
     stats.pooled_bytes = 0;
   }
 
-  std::vector<float*> free_lists[kNumBuckets];
+  SizeClass classes[kNumBuckets];
   ArenaStats stats;
 };
 
@@ -89,17 +99,19 @@ float* ArenaAcquire(std::int64_t count) {
   // thread's pool, which assumes class-sized blocks.
   if (tl_arena_state == kDead) return RawAlloc(BucketCapacity(bucket));
   ThreadArena& arena = Arena();
-  ++arena.stats.acquires;
-  auto& list = arena.free_lists[bucket];
-  if (!list.empty()) {
-    float* ptr = list.back();
-    list.pop_back();
-    ++arena.stats.pool_hits;
-    arena.stats.pooled_bytes -=
+  ArenaStats& stats = arena.stats;
+  SizeClass& cls = arena.classes[bucket];
+  ++stats.acquires;
+  cls.high_water = std::max(cls.high_water, ++cls.live);
+  if (!cls.free.empty()) {
+    float* ptr = cls.free.back();
+    cls.free.pop_back();
+    ++stats.pool_hits;
+    stats.pooled_bytes -=
         static_cast<std::uint64_t>(BucketCapacity(bucket)) * sizeof(float);
     return ptr;
   }
-  ++arena.stats.fresh_allocs;
+  ++stats.fresh_allocs;
   // Pooled blocks are always full-bucket-sized so any same-class release,
   // from any thread, can recycle them interchangeably.
   return RawAlloc(BucketCapacity(bucket));
@@ -113,15 +125,20 @@ void ArenaRelease(float* ptr, std::int64_t count) {
     return;
   }
   ThreadArena& arena = Arena();
+  SizeClass& cls = arena.classes[bucket];
   ++arena.stats.releases;
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(BucketCapacity(bucket)) * sizeof(float);
-  if (arena.stats.pooled_bytes + bytes > kMaxPooledBytes) {
+  if (cls.live > 0) --cls.live;
+  // Within this thread's own peak for the class: a tape rebuilt with the
+  // same shapes always fits, and a thread that only releases blocks born
+  // elsewhere (high_water 0) keeps none.
+  if (static_cast<std::int64_t>(cls.free.size()) + cls.live >=
+      cls.high_water) {
     RawFree(ptr);
     return;
   }
-  arena.free_lists[bucket].push_back(ptr);
-  arena.stats.pooled_bytes += bytes;
+  cls.free.push_back(ptr);
+  arena.stats.pooled_bytes +=
+      static_cast<std::uint64_t>(BucketCapacity(bucket)) * sizeof(float);
 }
 
 }  // namespace detail

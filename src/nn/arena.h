@@ -17,6 +17,13 @@
 // Lifetime: each thread's pool is trimmed when the thread exits; tensors
 // that outlive their birth thread are safe because the underlying blocks
 // come from the global aligned operator new.
+//
+// Bound: per size class, a thread never holds more pooled plus live
+// blocks than its own high-water mark of live blocks in that class, so
+// the pool is as large as the biggest working set the thread has needed —
+// a whole PPO epoch tape, say — and no larger. A release that would break
+// the bound frees the block instead. A thread that only releases tensors
+// created elsewhere has a high-water mark of zero and pools nothing.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +42,8 @@ struct ArenaStats {
 
 ArenaStats ArenaStatsSnapshot();
 
-// Frees every buffer cached by the calling thread's arena.
+// Frees every buffer cached by the calling thread's arena and lowers its
+// high-water marks to the blocks still live.
 void ArenaTrim();
 
 namespace detail {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "support/metrics.h"
+
 namespace eagle::nn {
 
 void Tape::Reset() {
@@ -598,6 +600,7 @@ Var Tape::PickPerRow(Var a, std::vector<int> idx) {
 }
 
 void Tape::Backward(Var loss) {
+  EAGLE_SPAN("tape.backward");
   Node& ln = node(loss);
   EAGLE_CHECK_MSG(ln.value.rows() == 1 && ln.value.cols() == 1,
                   "Backward expects a scalar loss, got "

@@ -5,11 +5,13 @@
 // accumulating gradients into node slots and — for leaves bound via
 // Param() — into the persistent Parameter::grad buffers the optimizer
 // consumes. The tape is rebuilt every forward pass (PPO recomputes log
-// probabilities under current parameters each epoch).
+// probabilities under current parameters each epoch). A live tape flushes
+// subnormals on its thread (nn/float_mode.h).
 #pragma once
 
 #include <vector>
 
+#include "nn/float_mode.h"
 #include "nn/tensor.h"
 #include "support/inplace_function.h"
 
@@ -101,6 +103,10 @@ class Tape {
   const Node& node(Var v) const;
   Tensor& GradRef(Var v);
 
+  // First member: constructed before any node and destroyed after the
+  // last, so every op, Backward, and whatever the caller runs while the
+  // tape is alive executes with subnormals flushed (nn/float_mode.h).
+  FlushDenormalsScope float_mode_;
   std::vector<Node> nodes_;
   std::vector<std::pair<Parameter*, Var>> param_cache_;
 };

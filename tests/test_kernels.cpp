@@ -5,11 +5,14 @@
 // must reproduce gradients exactly.
 #include <cmath>
 #include <cstring>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nn/arena.h"
+#include "nn/float_mode.h"
 #include "nn/naive_ref.h"
 #include "nn/tape.h"
 #include "nn/tensor.h"
@@ -44,14 +47,28 @@ bool BitIdentical(const Tensor& a, const Tensor& b) {
 
 using KernelFn = void (*)(const Tensor&, const Tensor&, Tensor&);
 
+// Replaces every fifth entry with a subnormal of the same sign, the
+// operand mix a softmax that underflowed feeds into the backward GEMMs.
+Tensor WithSubnormals(Tensor t) {
+  float* d = t.data();
+  for (std::int64_t i = 0; i < t.size(); i += 5) {
+    d[i] = std::ldexp(d[i] == 0.0f ? 1.0f : d[i], -130);
+  }
+  return t;
+}
+
 // Runs optimized vs reference on a(m×k)·b(k×n)-shaped inputs (the caller
 // maps m/k/n onto the kernel's own convention) with a non-zero starting
 // out so the accumulate path is exercised too.
 void ExpectKernelMatches(KernelFn optimized, KernelFn reference, int ar,
                          int ac, int br, int bc, int outr, int outc,
-                         std::uint32_t seed) {
-  const Tensor a = TestMatrix(ar, ac, seed);
-  const Tensor b = TestMatrix(br, bc, seed + 1);
+                         std::uint32_t seed, bool subnormals = false) {
+  Tensor a = TestMatrix(ar, ac, seed);
+  Tensor b = TestMatrix(br, bc, seed + 1);
+  if (subnormals) {
+    a = WithSubnormals(std::move(a));
+    b = WithSubnormals(std::move(b));
+  }
   Tensor out_opt = TestMatrix(outr, outc, seed + 2);
   Tensor out_ref = out_opt;
   optimized(a, b, out_opt);
@@ -89,6 +106,30 @@ TEST(Kernels, GemmTransBAccumBitIdenticalAcrossShapeGrid) {
       for (int n : kDims)
         ExpectKernelMatches(GemmTransBAccum, naive::GemmTransBAccum, m, n, k,
                             n, m, k, ++seed);
+}
+
+// The grouper head's shapes (5042 ops × 24 hidden × 24 groups), with
+// subnormal operands, in the default float mode and flushed: blocked and
+// naive kernels must agree bit-for-bit under the same mode, whether the
+// subnormals flow through or are flushed to zero.
+TEST(Kernels, GrouperShapeWithSubnormalsBitIdenticalInBothFloatModes) {
+  constexpr int kOps = 5042;
+  constexpr int kHidden = 24;
+  constexpr int kGroups = 24;
+  for (const bool flush : {false, true}) {
+    std::optional<FlushDenormalsScope> scope;
+    if (flush) scope.emplace();
+    // logits = h·W, dh = dlogits·Wᵀ, dW = hᵀ·dlogits.
+    ExpectKernelMatches(GemmAccum, naive::GemmAccum, kOps, kHidden, kHidden,
+                        kGroups, kOps, kGroups, 30001, /*subnormals=*/true);
+    ExpectKernelMatches(GemmTransBAccum, naive::GemmTransBAccum, kOps,
+                        kGroups, kHidden, kGroups, kOps, kHidden, 30011,
+                        /*subnormals=*/true);
+    ExpectKernelMatches(GemmTransAAccum, naive::GemmTransAAccum, kOps,
+                        kHidden, kOps, kGroups, kHidden, kGroups, 30021,
+                        /*subnormals=*/true);
+  }
+  EXPECT_FALSE(DenormalsFlushed());
 }
 
 // Regression for the old `if (av == 0.0f) continue;` zero-skip: a zero in
@@ -177,6 +218,39 @@ TEST(Arena, TapeRebuildOnRecycledBuffersIsBitIdentical) {
   EXPECT_EQ(after.fresh_allocs, before.fresh_allocs)
       << "tape rebuild should not allocate";
   EXPECT_GT(after.pool_hits, before.pool_hits);
+}
+
+// 17 chained 1024×1024 Tanh nodes: a 72 MB tape, larger than the old
+// fixed 64 MB pool cap. The pool is bounded by the thread's own peak, so
+// the whole tape is recycled and the rebuild allocates nothing.
+TEST(Arena, TapeLargerThan64MbRebuildsWithoutAllocating) {
+  const auto build = [] {
+    Tape tape;
+    Var x = tape.Input(Tensor(1024, 1024, 0.5f));
+    for (int i = 0; i < 17; ++i) x = tape.Tanh(x);
+    return tape.value(x).at(0, 0);
+  };
+  const float first = build();
+  const ArenaStats before = ArenaStatsSnapshot();
+  const float second = build();
+  const ArenaStats after = ArenaStatsSnapshot();
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(after.fresh_allocs - before.fresh_allocs, 0u);
+  EXPECT_GE(after.pool_hits - before.pool_hits, 18u);
+  EXPECT_GT(after.pooled_bytes, std::uint64_t{64} << 20);
+}
+
+TEST(Arena, ForeignReleasesPoolNothing) {
+  std::vector<Tensor> tensors;
+  for (int i = 0; i < 8; ++i) tensors.emplace_back(64, 64, 1.0f);
+  ArenaStats stats;
+  std::thread releaser([&tensors, &stats] {
+    tensors.clear();
+    stats = ArenaStatsSnapshot();
+  });
+  releaser.join();
+  EXPECT_EQ(stats.releases, 8u);
+  EXPECT_EQ(stats.pooled_bytes, 0u);
 }
 
 TEST(Arena, TrimReleasesCachedBytes) {

@@ -48,8 +48,8 @@ TEST(LintRules, CatalogueIsWellFormed) {
   }
   EXPECT_EQ(ids, (std::set<std::string>{"ND01", "ND02", "CC01", "DC01",
                                         "CP01", "HS01", "WC01", "HP01",
-                                        "IN01", "LY01", "ST01", "LK01",
-                                        "HP02"}));
+                                        "IN01", "FP01", "LY01", "ST01",
+                                        "LK01", "HP02"}));
 }
 
 TEST(LintRules, NondeterminismFixtureFires) {
@@ -208,6 +208,35 @@ TEST(LintRules, RawNumericParseScopedToGraphLayer) {
   EXPECT_EQ(RuleIds(LintSource("src/sim/cluster_ingest.cpp", src)),
             std::set<std::string>{"IN01"});
   EXPECT_TRUE(LintSource("src/sim/cluster.cpp", src).empty());
+}
+
+TEST(LintRules, FloatEnvWriteFixtureFires) {
+  const std::string src = ReadFixture("float_env.cpp");
+  const auto diags = LintSource("src/sim/fixture.cpp", src);
+  EXPECT_EQ(RuleIds(diags), std::set<std::string>{"FP01"});
+  // _mm_setcsr, both _MM_SET_*_MODE macros, fesetround, fesetenv and the
+  // FPCR asm; reads, the member call and the plain string stay clean.
+  EXPECT_EQ(Lines(diags), (std::set<int>{10, 11, 12, 16, 17, 21}));
+  // Every tree directory is in scope, not only src/.
+  EXPECT_EQ(RuleIds(LintSource("tests/fixture.cpp", src)),
+            std::set<std::string>{"FP01"});
+}
+
+TEST(LintRules, FloatEnvWritesConfinedToFlushScope) {
+  const std::string src = ReadFixture("float_env.cpp");
+  EXPECT_TRUE(LintSource("src/nn/float_mode.cpp", src).empty());
+  // The header and the rest of src/nn are not exempt.
+  EXPECT_FALSE(LintSource("src/nn/float_mode.h", src).empty());
+  EXPECT_FALSE(LintSource("src/nn/tape.cpp", src).empty());
+}
+
+TEST(LintRules, FloatEnvWriteSuppressionSilences) {
+  Analyzer analyzer;
+  analyzer.AddFile("src/nn/oracle.cpp",
+                   ReadFixture("float_env_suppressed.cpp"));
+  const TreeResult result = analyzer.Run();
+  EXPECT_TRUE(result.diagnostics.empty());
+  EXPECT_EQ(result.suppressed, 3);
 }
 
 TEST(LintRules, SuppressionsSilenceFindings) {

@@ -1,6 +1,7 @@
 #include "linter.h"
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -94,6 +95,13 @@ std::vector<RuleInfo> MakeRules() {
       // src/ and examples/ must observe time only through spans.
       {"src/", "examples/"},
       {"src/support/"}});
+  rules.push_back(RuleInfo{
+      "FP01", "error",
+      "write to the thread's float environment (MXCSR/FPCR/fenv) outside "
+      "nn::FlushDenormalsScope — a stray mode change silently alters every "
+      "later result on that thread",
+      {},
+      {"src/nn/float_mode.cpp"}});
   // -------------------------------------------------------------------
   // Cross-file rules (phase 2). Scope/allow columns document the
   // contract; the implementations in include_graph.cpp / callgraph.cpp
@@ -195,6 +203,15 @@ const char* const kRawParseIdents[] = {
     "stoi", "stol", "stoll", "stoul", "stoull", "stof", "stod", "stold",
     "atoi", "atol", "atoll", "atof", "strtol", "strtoll", "strtoul",
     "strtoull", "strtof", "strtod", "strtold", "sscanf", "scanf",
+};
+
+// FP01: calls that write the float environment. All fire call-only;
+// inline asm is checked separately for MXCSR loads and FPCR writes.
+const char* const kFloatEnvWriters[] = {
+    "_mm_setcsr", "_MM_SET_FLUSH_ZERO_MODE", "_MM_SET_DENORMALS_ZERO_MODE",
+    "_MM_SET_ROUNDING_MODE", "__builtin_ia32_ldmxcsr", "fesetenv",
+    "feupdateenv", "fesetround", "__builtin_aarch64_set_fpcr",
+    "__builtin_aarch64_set_fpcr64",
 };
 
 // ---------------------------------------------------------------------------
@@ -600,6 +617,54 @@ void CheckRawNumericParse(const Tokens& toks, const std::string& path,
   }
 }
 
+void CheckFloatEnvWrites(const Tokens& toks, const std::string& path,
+                         std::vector<Diagnostic>* out) {
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].kind != TokKind::kIdentifier) continue;
+    const std::string& name = toks[i].text;
+    if (name == "asm" || name == "__asm__" || name == "__asm") {
+      // Scan the asm operands (past volatile/goto qualifiers) for an
+      // MXCSR load or an FPCR write.
+      std::size_t j = i + 1;
+      while (j < toks.size() && toks[j].kind == TokKind::kIdentifier) ++j;
+      int depth = 0;
+      for (; j < toks.size(); ++j) {
+        if (IsPunct(toks[j], "(")) ++depth;
+        if (IsPunct(toks[j], ")") && --depth == 0) break;
+        if (toks[j].kind != TokKind::kString) continue;
+        std::string text = toks[j].text;
+        for (char& c : text) {
+          c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+        }
+        if (text.find("ldmxcsr") != std::string::npos ||
+            (text.find("msr") != std::string::npos &&
+             text.find("fpcr") != std::string::npos)) {
+          out->push_back(Diagnostic{
+              "FP01", path, toks[j].line,
+              "inline asm writes the float control register — go through "
+              "nn::FlushDenormalsScope (src/nn/float_mode.h)"});
+          break;
+        }
+      }
+      continue;
+    }
+    // Calls only; member access `x.fesetround(...)` is some other API.
+    if (!IsPunct(toks[i + 1], "(") ||
+        (i >= 1 && (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->")))) {
+      continue;
+    }
+    for (const char* writer : kFloatEnvWriters) {
+      if (name == writer) {
+        out->push_back(Diagnostic{
+            "FP01", path, toks[i].line,
+            "float-environment write '" + name +
+                "' — only nn::FlushDenormalsScope (src/nn/float_mode.cpp) "
+                "may change the thread's float mode"});
+      }
+    }
+  }
+}
+
 void CheckPragmaOnce(const Tokens& toks, const std::string& path,
                      std::vector<Diagnostic>* out) {
   if (!IsHeaderPath(path)) return;
@@ -648,6 +713,8 @@ void RunPerFileRules(const LexedFile& lexed, const Tokens& companion,
       CheckHotPathAlloc(lexed.tokens, rel_path, raw);
     } else if (rule.id == "IN01") {
       CheckRawNumericParse(lexed.tokens, rel_path, raw);
+    } else if (rule.id == "FP01") {
+      CheckFloatEnvWrites(lexed.tokens, rel_path, raw);
     }
   }
 }

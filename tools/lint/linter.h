@@ -33,6 +33,10 @@
 //         importer (src/sim/cluster_ingest.*) — they throw or silently
 //         saturate on hostile input; ingestion must classify failures
 //         through graph::ParseInt64 / graph::ParseDouble instead
+//   FP01  writes to the float environment (_mm_setcsr, the _MM_SET_*_MODE
+//         macros, fesetenv/fesetround, FPCR writes, MXCSR/FPCR inline
+//         asm) only in src/nn/float_mode.cpp — the nn layer's flush scope
+//         is the one place a thread's float mode may change
 //
 // v2 adds cross-file rules that run over a whole-tree index (phase 1 in
 // index.{h,cpp}; phase 2 in include_graph.cpp / callgraph.cpp):
