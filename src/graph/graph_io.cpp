@@ -2,10 +2,7 @@
 
 #include <fstream>
 #include <sstream>
-#include <utility>
 
-#include "graph/ingest.h"
-#include "support/check.h"
 #include "support/json.h"
 
 namespace eagle::graph {
@@ -90,27 +87,11 @@ void SaveText(const OpGraph& graph, std::ostream& out) {
   }
 }
 
-// The throwing loaders are thin wrappers over the hardened StatusOr
-// parsers (graph/ingest.h): one grammar, one validator, two calling
-// conventions. Internal callers that own their inputs keep the throwing
-// contract; anything loading *user* files should call ImportGraphFile.
-OpGraph LoadText(std::istream& in) {
-  support::StatusOr<OpGraph> parsed = ParseTextGraph(in);
-  EAGLE_CHECK_MSG(parsed.ok(), parsed.status().ToString());
-  return std::move(parsed).value();
-}
-
 bool SaveTextFile(const OpGraph& graph, const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
   SaveText(graph, out);
   return static_cast<bool>(out);
-}
-
-OpGraph LoadTextFile(const std::string& path) {
-  support::StatusOr<OpGraph> parsed = ImportGraphFile(path);
-  EAGLE_CHECK_MSG(parsed.ok(), parsed.status().ToString());
-  return std::move(parsed).value();
 }
 
 }  // namespace eagle::graph

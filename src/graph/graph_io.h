@@ -1,6 +1,7 @@
 // Graph serialization: DOT (for visualization), JSON (for external
 // tooling), and a line-based ".eg" text format that round-trips through
-// SaveText/LoadText so users can define custom graphs in a file.
+// SaveText and graph/ingest.h's ParseTextGraph / ImportGraphFile, so
+// users can define custom graphs in a file.
 #pragma once
 
 #include <iosfwd>
@@ -24,15 +25,7 @@ std::string ToJson(const OpGraph& graph);
 //       [cpu_only] [grad] [layer=<tag>] [colo=<group>]
 //   edge <src_name> <dst_name> [bytes]
 // Lines starting with '#' are comments.
-//
-// LoadText throws std::logic_error on malformed input — it is for
-// internal callers that own their inputs. User-supplied files should go
-// through graph/ingest.h (ParseTextGraph / ImportGraphFile), which
-// returns structured errors instead.
 void SaveText(const OpGraph& graph, std::ostream& out);
-OpGraph LoadText(std::istream& in);
-
 bool SaveTextFile(const OpGraph& graph, const std::string& path);
-OpGraph LoadTextFile(const std::string& path);
 
 }  // namespace eagle::graph

@@ -1,17 +1,13 @@
 #include "graph/ingest.h"
 
-#include <cmath>
 #include <cstdint>
-#include <fstream>
-#include <istream>
 #include <set>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "graph/parse_num.h"
+#include "graph/record_reader.h"
 #include "support/json.h"
 
 namespace eagle::graph {
@@ -22,56 +18,16 @@ using support::StatusOr;
 
 namespace {
 
-// A whitespace-delimited token and the 1-based column it starts at.
-struct Tok {
-  std::string_view text;
-  int col = 0;
-};
-
-void TokenizeLine(const std::string& line, std::vector<Tok>* out) {
-  out->clear();
-  const std::string_view sv(line);
-  std::size_t i = 0;
-  while (i < sv.size()) {
-    if (sv[i] == ' ' || sv[i] == '\t') {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < sv.size() && sv[j] != ' ' && sv[j] != '\t') ++j;
-    out->push_back(Tok{sv.substr(i, j - i), static_cast<int>(i) + 1});
-    i = j;
-  }
-}
-
-// Classifies a failed numeric conversion: a token that *tried* to be a
-// number is an overflow, anything else is a syntax error.
-ErrorCode NumericFailCode(std::string_view token) {
-  return LooksNumeric(token) ? ErrorCode::kNumericOverflow
-                             : ErrorCode::kSyntax;
-}
-
-// Exact double→int64 conversion for JSON quantities; false on
-// non-finite, fractional, or out-of-range values (a bare static_cast
-// would be undefined behaviour on those).
-bool JsonToInt64(double v, std::int64_t* out) {
-  if (!std::isfinite(v) || std::floor(v) != v) return false;
-  if (v < -9223372036854775808.0 || v >= 9223372036854775808.0) return false;
-  *out = static_cast<std::int64_t>(v);
-  return true;
-}
-
-std::string Quote(std::string_view s) {
-  return "'" + std::string(s) + "'";
-}
-
-// Kahn's algorithm with edge attribution: when a cycle exists, reports
-// the first declared edge whose both endpoints failed to topologically
-// drain — an edge on (or feeding) the cycle — with its source position
-// when the caller tracked one.
-Status CycleCheck(const OpGraph& graph,
+// The whole-graph checks once every op and edge is in: a cycle check,
+// then ValidateGraph. The cycle check is Kahn's algorithm with edge
+// attribution: when a cycle exists, it reports the first declared edge
+// whose both endpoints failed to topologically drain — an edge on (or
+// feeding) the cycle — with its source position when the caller tracked
+// one.
+Status CheckGraph(const OpGraph& graph,
                   const std::vector<std::pair<int, int>>& edge_sites,
-                  const std::string& source_name) {
+                  const IngestOptions& opts) {
+  const std::string& source_name = opts.source_name;
   const int n = graph.num_ops();
   std::vector<int> indeg(static_cast<std::size_t>(n), 0);
   for (const Edge& e : graph.edges()) {
@@ -91,7 +47,11 @@ Status CycleCheck(const OpGraph& graph,
       if (--indeg[static_cast<std::size_t>(v)] == 0) stack.push_back(v);
     }
   }
-  if (processed == n) return Status::Ok();
+  if (processed == n) {
+    Status status = ValidateGraph(graph, opts.limits);
+    if (!status.ok()) status.At(source_name);
+    return status;
+  }
   for (std::size_t i = 0; i < graph.edges().size(); ++i) {
     const Edge& e = graph.edges()[i];
     if (indeg[static_cast<std::size_t>(e.src)] > 0 &&
@@ -164,34 +124,26 @@ Status CheckAddEdge(OpGraph* graph, std::set<std::pair<OpId, OpId>>* pairs,
   return Status::Ok();
 }
 
-StatusOr<OpGraph> ParseTextImpl(std::istream& in, const IngestOptions& opts) {
+StatusOr<OpGraph> ParseText(std::istream& in, const IngestOptions& opts) {
   OpGraph graph;
   std::set<std::pair<OpId, OpId>> pairs;
   std::vector<std::pair<int, int>> edge_sites;
-  const std::string& src_name = opts.source_name;
-
-  std::string line;
-  std::vector<Tok> toks;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    TokenizeLine(line, &toks);
-    if (toks.empty() || toks[0].text[0] == '#') continue;
-
+  LineReader reader(in, opts.source_name);
+  while (reader.Next()) {
+    const std::vector<Token>& toks = reader.tokens();
     if (toks[0].text == "op") {
       if (toks.size() < 4) {
-        return Status::Error(ErrorCode::kSyntax,
-                             "op line needs: op <name> <type> <shape>")
-            .At(src_name, lineno, toks[0].col);
+        return reader.Error(ErrorCode::kSyntax,
+                            "op line needs: op <name> <type> <shape>",
+                            toks[0]);
       }
       OpDef op;
       op.name = std::string(toks[1].text);
       op.type = OpTypeFromName(std::string(toks[2].text));
       if (op.type == OpType::kNumOpTypes) {
-        return Status::Error(ErrorCode::kUnknownOp,
-                             "unknown op type " + Quote(toks[2].text))
-            .At(src_name, lineno, toks[2].col);
+        return reader.Error(ErrorCode::kUnknownOp,
+                            "unknown op type " + Quote(toks[2].text),
+                            toks[2]);
       }
       if (toks[3].text != "scalar") {
         std::vector<std::int64_t> dims;
@@ -199,453 +151,196 @@ StatusOr<OpGraph> ParseTextImpl(std::istream& in, const IngestOptions& opts) {
         std::size_t start = 0;
         while (true) {
           const std::size_t x = shape.find('x', start);
-          const std::string_view dim_tok =
-              shape.substr(start, x == std::string_view::npos
-                                      ? std::string_view::npos
-                                      : x - start);
-          const int col = toks[3].col + static_cast<int>(start);
+          // substr clamps the npos - start count of the last dimension.
+          const Token dim{shape.substr(start, x - start),
+                          toks[3].col + static_cast<int>(start)};
           std::int64_t d = 0;
-          if (!ParseInt64(dim_tok, &d)) {
-            return Status::Error(NumericFailCode(dim_tok),
-                                 "bad shape dimension " + Quote(dim_tok))
-                .At(src_name, lineno, col);
-          }
-          if (d < 0) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "negative shape dimension " + Quote(dim_tok))
-                .At(src_name, lineno, col);
-          }
+          Status status = reader.NonNegative(dim, "shape dimension", &d);
+          if (!status.ok()) return status;
           dims.push_back(d);
           if (x == std::string_view::npos) break;
           start = x + 1;
         }
         op.output_shape = TensorShape(std::move(dims));
       }
+      for (std::size_t t = 4; t < toks.size(); ++t) {
+        const Token& tok = toks[t];
+        Token value;
+        Status status;
+        if (tok.text == "cpu_only") {
+          op.cpu_only = true;
+        } else if (tok.text == "grad") {
+          op.is_gradient = true;
+        } else if (KeyValue(tok, "layer", &value)) {
+          op.layer = std::string(value.text);
+        } else if (KeyValue(tok, "colo", &value)) {
+          std::int64_t group = op.colocation_group;
+          status = reader.Integer(value, "colocation group", -1,
+                                  std::int64_t{0x7fffffff}, &group);
+          op.colocation_group = static_cast<std::int32_t>(group);
+        } else if (!reader.NumberAttr(tok, "flops", Sign::kNonNegative,
+                                      &op.flops, &status) &&
+                   !reader.NumberAttr(tok, "params", Sign::kNonNegative,
+                                      &op.param_bytes, &status) &&
+                   !reader.NumberAttr(tok, "temp", Sign::kNonNegative,
+                                      &op.temp_bytes, &status)) {
+          status = reader.Unknown("attribute", tok);
+        }
+        if (!status.ok()) return status;
+      }
       // The name token's position doubles as the op's: every later
       // failure about this op (caps, byte overflow) points there.
-      const int name_col = toks[1].col;
-      for (std::size_t t = 4; t < toks.size(); ++t) {
-        const std::string_view attr = toks[t].text;
-        const int col = toks[t].col;
-        if (attr.rfind("flops=", 0) == 0) {
-          const std::string_view val = attr.substr(6);
-          double f = 0.0;
-          if (!ParseDouble(val, &f)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad flops value " + Quote(val))
-                .At(src_name, lineno, col + 6);
-          }
-          if (f < 0.0) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "negative flops value " + Quote(val))
-                .At(src_name, lineno, col + 6);
-          }
-          op.flops = f;
-        } else if (attr.rfind("params=", 0) == 0) {
-          const std::string_view val = attr.substr(7);
-          std::int64_t b = 0;
-          if (!ParseInt64(val, &b)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad params value " + Quote(val))
-                .At(src_name, lineno, col + 7);
-          }
-          if (b < 0) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "negative params value " + Quote(val))
-                .At(src_name, lineno, col + 7);
-          }
-          op.param_bytes = b;
-        } else if (attr.rfind("temp=", 0) == 0) {
-          const std::string_view val = attr.substr(5);
-          std::int64_t b = 0;
-          if (!ParseInt64(val, &b)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad temp value " + Quote(val))
-                .At(src_name, lineno, col + 5);
-          }
-          if (b < 0) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "negative temp value " + Quote(val))
-                .At(src_name, lineno, col + 5);
-          }
-          op.temp_bytes = b;
-        } else if (attr.rfind("colo=", 0) == 0) {
-          const std::string_view val = attr.substr(5);
-          std::int64_t g = 0;
-          if (!ParseInt64(val, &g) || g < -1 ||
-              g > std::int64_t{0x7fffffff}) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad colocation group " + Quote(val))
-                .At(src_name, lineno, col + 5);
-          }
-          op.colocation_group = static_cast<std::int32_t>(g);
-        } else if (attr == "cpu_only") {
-          op.cpu_only = true;
-        } else if (attr == "grad") {
-          op.is_gradient = true;
-        } else if (attr.rfind("layer=", 0) == 0) {
-          op.layer = std::string(attr.substr(6));
-        } else {
-          return Status::Error(ErrorCode::kSyntax,
-                               "unknown attribute " + Quote(attr))
-              .At(src_name, lineno, col);
-        }
-      }
       Status status = CheckAddOp(&graph, std::move(op), opts.limits);
-      if (!status.ok()) return status.At(src_name, lineno, name_col);
+      if (!status.ok()) return reader.At(std::move(status), toks[1]);
     } else if (toks[0].text == "edge") {
       if (toks.size() < 3 || toks.size() > 4) {
-        return Status::Error(ErrorCode::kSyntax,
-                             "edge line needs: edge <src> <dst> [bytes]")
-            .At(src_name, lineno, toks[0].col);
+        return reader.Error(ErrorCode::kSyntax,
+                            "edge line needs: edge <src> <dst> [bytes]",
+                            toks[0]);
       }
-      const OpId s = graph.FindOp(std::string(toks[1].text));
-      if (s == kInvalidOp) {
-        return Status::Error(ErrorCode::kDanglingRef,
-                             "unknown op " + Quote(toks[1].text))
-            .At(src_name, lineno, toks[1].col);
-      }
-      const OpId d = graph.FindOp(std::string(toks[2].text));
-      if (d == kInvalidOp) {
-        return Status::Error(ErrorCode::kDanglingRef,
-                             "unknown op " + Quote(toks[2].text))
-            .At(src_name, lineno, toks[2].col);
+      OpId ends[2] = {kInvalidOp, kInvalidOp};
+      for (int k = 0; k < 2; ++k) {
+        const Token& end = toks[1 + static_cast<std::size_t>(k)];
+        ends[k] = graph.FindOp(std::string(end.text));
+        if (ends[k] == kInvalidOp) {
+          return reader.Error(ErrorCode::kDanglingRef,
+                              "unknown op " + Quote(end.text), end);
+        }
       }
       std::int64_t bytes = -1;  // producer output size
       if (toks.size() == 4) {
-        if (!ParseInt64(toks[3].text, &bytes)) {
-          return Status::Error(NumericFailCode(toks[3].text),
-                               "bad edge bytes " + Quote(toks[3].text))
-              .At(src_name, lineno, toks[3].col);
-        }
-        if (bytes < 0) {
-          return Status::Error(ErrorCode::kNumericOverflow,
-                               "negative edge bytes " + Quote(toks[3].text))
-              .At(src_name, lineno, toks[3].col);
-        }
+        Status status = reader.NonNegative(toks[3], "edge bytes", &bytes);
+        if (!status.ok()) return status;
       }
-      Status status = CheckAddEdge(&graph, &pairs, s, d, bytes, opts.limits);
-      if (!status.ok()) return status.At(src_name, lineno, toks[1].col);
-      edge_sites.emplace_back(lineno, toks[1].col);
+      Status status =
+          CheckAddEdge(&graph, &pairs, ends[0], ends[1], bytes, opts.limits);
+      if (!status.ok()) return reader.At(std::move(status), toks[1]);
+      edge_sites.emplace_back(reader.line(), toks[1].col);
     } else {
-      return Status::Error(ErrorCode::kSyntax,
-                           "unknown directive " + Quote(toks[0].text))
-          .At(src_name, lineno, toks[0].col);
+      return reader.Unknown("directive", toks[0]);
     }
   }
-  if (in.bad()) {
-    return Status::Error(ErrorCode::kIo, "read error").At(src_name, lineno);
-  }
-
-  if (opts.validate) {
-    Status status = CycleCheck(graph, edge_sites, src_name);
-    if (!status.ok()) return status;
-    status = ValidateGraph(graph, opts.limits);
-    if (!status.ok()) return status.At(src_name);
-  }
+  Status status = reader.Finish();
+  if (status.ok()) status = CheckGraph(graph, edge_sites, opts);
+  if (!status.ok()) return status;
   return graph;
 }
 
-// 1-based line:column of a byte offset, for JSON syntax diagnostics.
-void LineColAt(const std::string& text, std::size_t offset, int* line,
-               int* col) {
-  *line = 1;
-  *col = 1;
-  for (std::size_t i = 0; i < offset && i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      ++*line;
-      *col = 1;
-    } else {
-      ++*col;
-    }
-  }
-}
-
-StatusOr<OpGraph> FromJsonImpl(const std::string& text,
-                               const IngestOptions& opts) {
+StatusOr<OpGraph> ParseJson(const std::string& text,
+                            const IngestOptions& opts) {
   namespace json = support::json;
   const std::string& src_name = opts.source_name;
-
-  std::string parse_error;
-  std::size_t error_offset = 0;
-  const json::Value root =
-      json::Value::Parse(text, &parse_error, &error_offset);
-  if (!parse_error.empty()) {
-    int line = 0, col = 0;
-    LineColAt(text, error_offset, &line, &col);
-    return Status::Error(ErrorCode::kSyntax, "JSON " + parse_error)
-        .At(src_name, line, col);
-  }
-  if (!root.is_object()) {
-    return Status::Error(ErrorCode::kSyntax,
-                         "top-level JSON value must be an object")
-        .At(src_name, 1, 1);
-  }
-  const json::Value* jops = root.Find("ops");
-  if (jops == nullptr || !jops->is_array()) {
-    return Status::Error(ErrorCode::kSyntax,
-                         "missing or non-array \"ops\" field")
-        .At(src_name);
-  }
-  const json::Value* jedges = root.Find("edges");
-  if (jedges == nullptr || !jedges->is_array()) {
-    return Status::Error(ErrorCode::kSyntax,
-                         "missing or non-array \"edges\" field")
-        .At(src_name);
-  }
+  json::Value root;
+  const json::Value* jops = nullptr;
+  const json::Value* jedges = nullptr;
+  Status status = ParseJsonObject(text, src_name, &root);
+  if (status.ok()) status = RequireArray(root, "ops", src_name, &jops);
+  if (status.ok()) status = RequireArray(root, "edges", src_name, &jedges);
+  if (!status.ok()) return status;
 
   OpGraph graph;
-  std::set<std::pair<OpId, OpId>> pairs;
-
   for (std::size_t i = 0; i < jops->items().size(); ++i) {
-    const json::Value& jop = jops->items()[i];
-    const std::string ctx = "ops[" + std::to_string(i) + "]";
-    if (!jop.is_object()) {
-      return Status::Error(ErrorCode::kSyntax, ctx + " is not an object")
-          .At(src_name);
-    }
+    JsonRecord rec(jops->items()[i], "ops", i, src_name);
     OpDef op;
-
-    const json::Value* name = jop.Find("name");
-    if (name == nullptr || !name->is_string() ||
-        name->string_value().empty()) {
-      return Status::Error(ErrorCode::kSyntax,
-                           ctx + " has a missing or empty \"name\"")
-          .At(src_name);
+    const json::Value* name =
+        rec.Require("name", IsNonEmptyString, "missing or empty");
+    const json::Value* type = rec.Require("type", IsString, "missing");
+    if (type != nullptr) {
+      op.type = OpTypeFromName(type->string_value());
+      if (op.type == OpType::kNumOpTypes) {
+        rec.Fail(ErrorCode::kUnknownOp,
+                 ": unknown op type " + Quote(type->string_value()));
+      }
     }
-    op.name = name->string_value();
-
-    const json::Value* type = jop.Find("type");
-    if (type == nullptr || !type->is_string()) {
-      return Status::Error(ErrorCode::kSyntax,
-                           ctx + " has a missing \"type\"")
-          .At(src_name);
-    }
-    op.type = OpTypeFromName(type->string_value());
-    if (op.type == OpType::kNumOpTypes) {
-      return Status::Error(ErrorCode::kUnknownOp,
-                           ctx + ": unknown op type " +
-                               Quote(type->string_value()))
-          .At(src_name);
-    }
-
-    const json::Value* shape = jop.Find("shape");
-    if (shape == nullptr || !shape->is_array()) {
-      return Status::Error(ErrorCode::kSyntax,
-                           ctx + " has a missing or non-array \"shape\"")
-          .At(src_name);
-    }
+    const json::Value* shape =
+        rec.Require("shape", IsArray, "missing or non-array");
     std::vector<std::int64_t> dims;
-    for (const json::Value& dim : shape->items()) {
-      std::int64_t d = 0;
+    for (std::size_t d = 0; shape != nullptr && d < shape->items().size();
+         ++d) {
+      const json::Value& dim = shape->items()[d];
+      std::int64_t v = 0;
       if (!dim.is_number()) {
-        return Status::Error(ErrorCode::kSyntax,
-                             ctx + " has a non-numeric shape dimension")
-            .At(src_name);
+        rec.Fail(ErrorCode::kSyntax, " has a non-numeric shape dimension");
+        break;
       }
-      if (!JsonToInt64(dim.number(), &d) || d < 0) {
-        return Status::Error(ErrorCode::kNumericOverflow,
-                             ctx + " has a negative, fractional or "
-                                   "overflowing shape dimension")
-            .At(src_name);
+      if (!JsonToInt64(dim.number(), &v) || v < 0) {
+        rec.Fail(ErrorCode::kNumericOverflow,
+                 " has a negative, fractional or overflowing shape "
+                 "dimension");
+        break;
       }
-      dims.push_back(d);
+      dims.push_back(v);
     }
+    rec.Number("flops", Sign::kNonNegative, &op.flops);
+    rec.Integer("param_bytes", 0, INT64_MAX, &op.param_bytes);
+    rec.Integer("temp_bytes", 0, INT64_MAX, &op.temp_bytes);
+    rec.Bool("cpu_only", &op.cpu_only);
+    rec.Bool("is_gradient", &op.is_gradient);
+    const json::Value* layer = rec.Optional("layer", IsString, "non-string");
+    std::int64_t group = op.colocation_group;
+    rec.Integer("colocation", -1, std::int64_t{0x7fffffff}, &group);
+    if (!rec.ok()) return rec.status();
+    op.name = name->string_value();
     op.output_shape = TensorShape(std::move(dims));
-
-    const json::Value* flops = jop.Find("flops");
-    if (flops != nullptr) {
-      if (!flops->is_number() || !std::isfinite(flops->number()) ||
-          flops->number() < 0.0) {
-        return Status::Error(ErrorCode::kNumericOverflow,
-                             ctx + " has a bad \"flops\" value")
-            .At(src_name);
-      }
-      op.flops = flops->number();
-    }
-    struct ByteField {
-      const char* key;
-      std::int64_t* dest;
-    };
-    const ByteField byte_fields[] = {
-        {"param_bytes", &op.param_bytes},
-        {"temp_bytes", &op.temp_bytes},
-    };
-    for (const ByteField& field : byte_fields) {
-      const json::Value* v = jop.Find(field.key);
-      if (v == nullptr) continue;
-      std::int64_t b = 0;
-      if (!v->is_number() || !JsonToInt64(v->number(), &b) || b < 0) {
-        return Status::Error(ErrorCode::kNumericOverflow,
-                             ctx + " has a bad \"" +
-                                 std::string(field.key) + "\" value")
-            .At(src_name);
-      }
-      *field.dest = b;
-    }
-    struct BoolField {
-      const char* key;
-      bool* dest;
-    };
-    const BoolField bool_fields[] = {
-        {"cpu_only", &op.cpu_only},
-        {"is_gradient", &op.is_gradient},
-    };
-    for (const BoolField& field : bool_fields) {
-      const json::Value* v = jop.Find(field.key);
-      if (v == nullptr) continue;
-      if (!v->is_bool()) {
-        return Status::Error(ErrorCode::kSyntax,
-                             ctx + " has a non-boolean \"" +
-                                 std::string(field.key) + "\"")
-            .At(src_name);
-      }
-      *field.dest = v->bool_value();
-    }
-    const json::Value* layer = jop.Find("layer");
-    if (layer != nullptr) {
-      if (!layer->is_string()) {
-        return Status::Error(ErrorCode::kSyntax,
-                             ctx + " has a non-string \"layer\"")
-            .At(src_name);
-      }
-      op.layer = layer->string_value();
-    }
-    const json::Value* colo = jop.Find("colocation");
-    if (colo != nullptr) {
-      std::int64_t g = 0;
-      if (!colo->is_number() || !JsonToInt64(colo->number(), &g) || g < -1 ||
-          g > std::int64_t{0x7fffffff}) {
-        return Status::Error(ErrorCode::kNumericOverflow,
-                             ctx + " has a bad \"colocation\" value")
-            .At(src_name);
-      }
-      op.colocation_group = static_cast<std::int32_t>(g);
-    }
-
-    Status status = CheckAddOp(&graph, std::move(op), opts.limits);
-    if (!status.ok()) {
-      Status wrapped =
-          Status::Error(status.code(), ctx + ": " + status.message());
-      return wrapped.At(src_name);
-    }
+    if (layer != nullptr) op.layer = layer->string_value();
+    op.colocation_group = static_cast<std::int32_t>(group);
+    status = CheckAddOp(&graph, std::move(op), opts.limits);
+    if (!status.ok()) return rec.Wrap(status);
   }
 
+  std::set<std::pair<OpId, OpId>> pairs;
   for (std::size_t i = 0; i < jedges->items().size(); ++i) {
-    const json::Value& jedge = jedges->items()[i];
-    const std::string ctx = "edges[" + std::to_string(i) + "]";
-    if (!jedge.is_object()) {
-      return Status::Error(ErrorCode::kSyntax, ctx + " is not an object")
-          .At(src_name);
-    }
-    OpId endpoints[2] = {kInvalidOp, kInvalidOp};
-    const char* endpoint_keys[2] = {"src", "dst"};
+    JsonRecord rec(jedges->items()[i], "edges", i, src_name);
+    OpId ends[2] = {kInvalidOp, kInvalidOp};
+    const char* keys[2] = {"src", "dst"};
     for (int k = 0; k < 2; ++k) {
-      const json::Value* v = jedge.Find(endpoint_keys[k]);
-      if (v == nullptr || !v->is_number()) {
-        return Status::Error(ErrorCode::kSyntax,
-                             ctx + " has a missing or non-numeric \"" +
-                                 std::string(endpoint_keys[k]) + "\"")
-            .At(src_name);
-      }
+      const json::Value* v = rec.Require(keys[k], IsNumber,
+                                         "missing or non-numeric");
+      if (v == nullptr) break;
       std::int64_t id = 0;
       if (!JsonToInt64(v->number(), &id)) {
-        return Status::Error(ErrorCode::kNumericOverflow,
-                             ctx + " has a non-integer \"" +
-                                 std::string(endpoint_keys[k]) + "\"")
-            .At(src_name);
+        rec.Fail(ErrorCode::kNumericOverflow,
+                 std::string(" has a non-integer \"") + keys[k] + "\"");
+      } else if (id < 0 || id >= graph.num_ops()) {
+        rec.Fail(ErrorCode::kDanglingRef,
+                 std::string(": \"") + keys[k] + "\" " +
+                     std::to_string(id) + " names no declared op");
+      } else {
+        ends[k] = static_cast<OpId>(id);
       }
-      if (id < 0 || id >= graph.num_ops()) {
-        return Status::Error(ErrorCode::kDanglingRef,
-                             ctx + ": \"" + std::string(endpoint_keys[k]) +
-                                 "\" " + std::to_string(id) +
-                                 " names no declared op")
-            .At(src_name);
-      }
-      endpoints[k] = static_cast<OpId>(id);
     }
     std::int64_t bytes = -1;  // producer output size
-    const json::Value* jbytes = jedge.Find("bytes");
-    if (jbytes != nullptr) {
-      if (!jbytes->is_number() || !JsonToInt64(jbytes->number(), &bytes) ||
-          bytes < 0) {
-        return Status::Error(ErrorCode::kNumericOverflow,
-                             ctx + " has a bad \"bytes\" value")
-            .At(src_name);
-      }
-    }
-    Status status = CheckAddEdge(&graph, &pairs, endpoints[0], endpoints[1],
-                                 bytes, opts.limits);
-    if (!status.ok()) {
-      Status wrapped =
-          Status::Error(status.code(), ctx + ": " + status.message());
-      return wrapped.At(src_name);
-    }
+    rec.Integer("bytes", 0, INT64_MAX, &bytes);
+    if (!rec.ok()) return rec.status();
+    status = CheckAddEdge(&graph, &pairs, ends[0], ends[1], bytes, opts.limits);
+    if (!status.ok()) return rec.Wrap(status);
   }
-
-  if (opts.validate) {
-    Status status = CycleCheck(graph, {}, src_name);
-    if (!status.ok()) return status;
-    status = ValidateGraph(graph, opts.limits);
-    if (!status.ok()) return status.At(src_name);
-  }
+  status = CheckGraph(graph, {}, opts);
+  if (!status.ok()) return status;
   return graph;
-}
-
-// Belt and braces for the no-throw contract: nothing in the impls
-// should throw (every AddOp/AddEdge precondition is pre-checked), but a
-// latent bug must surface as a Status, not a terminate().
-template <typename Fn>
-StatusOr<OpGraph> NoThrow(const IngestOptions& opts, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const std::bad_alloc&) {
-    return Status::Error(ErrorCode::kResourceLimit,
-                         "out of memory while parsing")
-        .At(opts.source_name);
-  } catch (const std::exception& e) {
-    return Status::Error(ErrorCode::kSyntax,
-                         std::string("internal parser error: ") + e.what())
-        .At(opts.source_name);
-  }
 }
 
 }  // namespace
 
-StatusOr<OpGraph> ParseTextGraph(std::istream& in, const IngestOptions& opts) {
-  return NoThrow(opts, [&] { return ParseTextImpl(in, opts); });
-}
-
 StatusOr<OpGraph> ParseTextGraph(const std::string& text,
                                  const IngestOptions& opts) {
   std::istringstream in(text);
-  return ParseTextGraph(in, opts);
+  return NoThrow(opts.source_name, [&] { return ParseText(in, opts); });
 }
 
 StatusOr<OpGraph> FromJson(const std::string& text,
                            const IngestOptions& opts) {
-  return NoThrow(opts, [&] { return FromJsonImpl(text, opts); });
+  return NoThrow(opts.source_name, [&] { return ParseJson(text, opts); });
 }
 
 StatusOr<OpGraph> ImportGraphFile(const std::string& path,
                                   const IngestOptions& opts) {
   IngestOptions file_opts = opts;
   file_opts.source_name = path;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::Error(ErrorCode::kIo, "cannot open graph file").At(path);
-  }
-  const bool is_json =
-      path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  if (is_json) {
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-      return Status::Error(ErrorCode::kIo, "read error").At(path);
-    }
-    return FromJson(buffer.str(), file_opts);
-  }
-  return ParseTextGraph(in, file_opts);
+  return ImportFile(
+      path, "graph",
+      [&](std::istream& in) { return ParseText(in, file_opts); },
+      [&](const std::string& text) { return ParseJson(text, file_opts); });
 }
 
 }  // namespace eagle::graph

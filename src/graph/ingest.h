@@ -1,13 +1,13 @@
 // Hardened graph ingestion: StatusOr parsers for untrusted input.
 //
-// graph_io.h's LoadText/LoadTextFile keep their original throwing
-// contract for internal callers that own their inputs (tests, zoo
-// builders). Everything that accepts a *user-supplied* graph file —
-// inspect_model --load, trace_placement --load, bench --load, zoo
-// registration of imported graphs — goes through this module instead:
-// no input, however malformed, makes these functions throw or abort.
-// Failures come back as a support::Status carrying an error-taxonomy
-// code and the file:line:column the problem was detected at.
+// Everything that accepts a *user-supplied* graph file — inspect_model
+// --load, trace_placement --load, bench --load, zoo registration of
+// imported graphs — goes through this module: no input, however
+// malformed, makes these functions throw or abort. Failures come back as
+// a support::Status carrying an error-taxonomy code and the
+// file:line:column the problem was detected at. The line reader, JSON
+// record checks and file import underneath are shared with the cluster
+// importer (graph/record_reader.h).
 //
 // Two formats are accepted:
 //   *.eg   — the line-based text format written by SaveText
@@ -18,7 +18,6 @@
 // taxonomy, and the IngestLimits defaults.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "graph/op_graph.h"
@@ -29,20 +28,15 @@ namespace eagle::graph {
 
 struct IngestOptions {
   // Resource caps applied both during parsing (so a hostile file cannot
-  // balloon memory before validation runs) and by ValidateGraph after.
+  // balloon memory before validation runs) and by ValidateGraph, which
+  // every parser runs on its result.
   IngestLimits limits;
-  // Run ValidateGraph (cycle check, duplicate edges, byte arithmetic)
-  // on the parsed graph. Off only for tools that want to inspect a
-  // broken graph anyway.
-  bool validate = true;
   // Name used in diagnostics ("<input>" for in-memory strings;
   // ImportGraphFile overrides it with the path).
   std::string source_name = "<input>";
 };
 
 // Parses the .eg text format. Never throws on malformed input.
-support::StatusOr<OpGraph> ParseTextGraph(std::istream& in,
-                                          const IngestOptions& opts = {});
 support::StatusOr<OpGraph> ParseTextGraph(const std::string& text,
                                           const IngestOptions& opts = {});
 
@@ -53,9 +47,10 @@ support::StatusOr<OpGraph> ParseTextGraph(const std::string& text,
 support::StatusOr<OpGraph> FromJson(const std::string& text,
                                     const IngestOptions& opts = {});
 
-// Opens `path`, dispatches on its suffix (".json" → FromJson, anything
-// else → ParseTextGraph), and uses the path as the diagnostic source
-// name. kIo when the file cannot be opened or read.
+// Opens `path`, dispatches on its suffix (".json" → the FromJson
+// grammar, anything else → the .eg grammar, streamed from disk), and
+// uses the path as the diagnostic source name. kIo when the file cannot
+// be opened or read.
 support::StatusOr<OpGraph> ImportGraphFile(const std::string& path,
                                            const IngestOptions& opts = {});
 

@@ -1,9 +1,6 @@
 #include "sim/cluster_ingest.h"
 
-#include <cmath>
 #include <cstdint>
-#include <fstream>
-#include <istream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -12,57 +9,21 @@
 #include <utility>
 #include <vector>
 
-#include "graph/parse_num.h"
+#include "graph/record_reader.h"
 #include "support/json.h"
 
 namespace eagle::sim {
 
+using graph::JsonRecord;
+using graph::LineReader;
+using graph::Quote;
+using graph::Sign;
+using graph::Token;
 using support::ErrorCode;
 using support::Status;
 using support::StatusOr;
 
 namespace {
-
-// A whitespace-delimited token and the 1-based column it starts at.
-struct Tok {
-  std::string_view text;
-  int col = 0;
-};
-
-void TokenizeLine(const std::string& line, std::vector<Tok>* out) {
-  out->clear();
-  const std::string_view sv(line);
-  std::size_t i = 0;
-  while (i < sv.size()) {
-    if (sv[i] == ' ' || sv[i] == '\t') {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < sv.size() && sv[j] != ' ' && sv[j] != '\t') ++j;
-    out->push_back(Tok{sv.substr(i, j - i), static_cast<int>(i) + 1});
-    i = j;
-  }
-}
-
-// Classifies a failed numeric conversion: a token that *tried* to be a
-// number is an overflow, anything else is a syntax error.
-ErrorCode NumericFailCode(std::string_view token) {
-  return graph::LooksNumeric(token) ? ErrorCode::kNumericOverflow
-                                    : ErrorCode::kSyntax;
-}
-
-// Exact double→int64 conversion for JSON quantities; false on
-// non-finite, fractional, or out-of-range values (a bare static_cast
-// would be undefined behaviour on those).
-bool JsonToInt64(double v, std::int64_t* out) {
-  if (!std::isfinite(v) || std::floor(v) != v) return false;
-  if (v < -9223372036854775808.0 || v >= 9223372036854775808.0) return false;
-  *out = static_cast<std::int64_t>(v);
-  return true;
-}
-
-std::string Quote(std::string_view s) { return "'" + std::string(s) + "'"; }
 
 // Shared parser state: name→id resolution, string channel labels mapped
 // to dense integer labels in first-use order, duplicate-link detection.
@@ -126,539 +87,235 @@ Status CheckAddLink(Builder* b, DeviceId src, DeviceId dst, LinkSpec link,
   return Status::Ok();
 }
 
-Status FinishValidate(const ClusterSpec& cluster,
-                      const ClusterIngestOptions& opts) {
-  if (!opts.validate) return Status::Ok();
-  Status status = cluster.Validate();
-  if (!status.ok()) return status.At(opts.source_name);
-  return Status::Ok();
+// A device kind name: "cpu" or "gpu"; false for anything else.
+bool ParseKind(std::string_view name, DeviceKind* kind) {
+  if (name != "cpu" && name != "gpu") return false;
+  *kind = name == "cpu" ? DeviceKind::kCPU : DeviceKind::kGPU;
+  return true;
 }
 
-StatusOr<ClusterSpec> ParseTextImpl(std::istream& in,
-                                    const ClusterIngestOptions& opts) {
+// A link tier's `bw=`/`lat=` attribute, on `link` and `default_link`
+// lines alike (see LineReader::NumberAttr).
+bool LinkAttr(const LineReader& reader, const Token& tok, LinkSpec* link,
+              Status* status) {
+  return reader.NumberAttr(tok, "bw", Sign::kPositive, &link->bandwidth_gbps,
+                           status) ||
+         reader.NumberAttr(tok, "lat", Sign::kNonNegative, &link->latency_us,
+                           status);
+}
+
+StatusOr<ClusterSpec> ParseText(std::istream& in,
+                                const ClusterIngestOptions& opts) {
   Builder b;
-  const std::string& src_name = opts.source_name;
-
-  std::string line;
-  std::vector<Tok> toks;
-  int lineno = 0;
+  LineReader reader(in, opts.source_name);
   bool saw_default_link = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    TokenizeLine(line, &toks);
-    if (toks.empty() || toks[0].text[0] == '#') continue;
-
+  while (reader.Next()) {
+    const std::vector<Token>& toks = reader.tokens();
     if (toks[0].text == "device") {
       if (toks.size() < 3) {
-        return Status::Error(
-                   ErrorCode::kSyntax,
-                   "device line needs: device <name> <cpu|gpu> [attrs]")
-            .At(src_name, lineno, toks[0].col);
+        return reader.Error(
+            ErrorCode::kSyntax,
+            "device line needs: device <name> <cpu|gpu> [attrs]", toks[0]);
       }
       DeviceSpec device;
       device.name = std::string(toks[1].text);
-      if (toks[2].text == "cpu") {
-        device.kind = DeviceKind::kCPU;
-      } else if (toks[2].text == "gpu") {
-        device.kind = DeviceKind::kGPU;
-      } else {
-        return Status::Error(ErrorCode::kSyntax,
-                             "device kind must be 'cpu' or 'gpu', got " +
-                                 Quote(toks[2].text))
-            .At(src_name, lineno, toks[2].col);
+      if (!ParseKind(toks[2].text, &device.kind)) {
+        return reader.Error(ErrorCode::kSyntax,
+                            "device kind must be 'cpu' or 'gpu', got " +
+                                Quote(toks[2].text),
+                            toks[2]);
       }
       for (std::size_t t = 3; t < toks.size(); ++t) {
-        const std::string_view attr = toks[t].text;
-        const int col = toks[t].col;
-        if (attr.rfind("gflops=", 0) == 0) {
-          const std::string_view val = attr.substr(7);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad gflops value " + Quote(val))
-                .At(src_name, lineno, col + 7);
-          }
-          if (!(v > 0.0)) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "gflops must be positive, got " + Quote(val))
-                .At(src_name, lineno, col + 7);
-          }
-          device.gflops = v;
-        } else if (attr.rfind("mem_bw=", 0) == 0) {
-          const std::string_view val = attr.substr(7);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad mem_bw value " + Quote(val))
-                .At(src_name, lineno, col + 7);
-          }
-          if (!(v > 0.0)) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "mem_bw must be positive, got " + Quote(val))
-                .At(src_name, lineno, col + 7);
-          }
-          device.mem_bw_gbps = v;
-        } else if (attr.rfind("overhead=", 0) == 0) {
-          const std::string_view val = attr.substr(9);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad overhead value " + Quote(val))
-                .At(src_name, lineno, col + 9);
-          }
-          if (v < 0.0) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "negative overhead value " + Quote(val))
-                .At(src_name, lineno, col + 9);
-          }
-          device.launch_overhead_us = v;
-        } else if (attr.rfind("mem=", 0) == 0) {
-          const std::string_view val = attr.substr(4);
-          std::int64_t v = 0;
-          if (!graph::ParseInt64(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad mem value " + Quote(val))
-                .At(src_name, lineno, col + 4);
-          }
-          if (v < 0) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "negative mem value " + Quote(val))
-                .At(src_name, lineno, col + 4);
-          }
-          device.memory_bytes = v;
-        } else {
-          return Status::Error(ErrorCode::kSyntax,
-                               "unknown device attribute " + Quote(attr))
-              .At(src_name, lineno, col);
+        const Token& tok = toks[t];
+        Status status;
+        if (!reader.NumberAttr(tok, "gflops", Sign::kPositive, &device.gflops,
+                               &status) &&
+            !reader.NumberAttr(tok, "mem_bw", Sign::kPositive,
+                               &device.mem_bw_gbps, &status) &&
+            !reader.NumberAttr(tok, "overhead", Sign::kNonNegative,
+                               &device.launch_overhead_us, &status) &&
+            !reader.NumberAttr(tok, "mem", Sign::kNonNegative,
+                               &device.memory_bytes, &status)) {
+          status = reader.Unknown("device attribute", tok);
         }
+        if (!status.ok()) return status;
       }
       Status status = CheckAddDevice(&b, std::move(device), opts.limits);
-      if (!status.ok()) return status.At(src_name, lineno, toks[1].col);
+      if (!status.ok()) return reader.At(std::move(status), toks[1]);
     } else if (toks[0].text == "default_link") {
       if (saw_default_link) {
-        return Status::Error(ErrorCode::kSyntax,
-                             "duplicate default_link directive")
-            .At(src_name, lineno, toks[0].col);
+        return reader.Error(ErrorCode::kSyntax,
+                            "duplicate default_link directive", toks[0]);
       }
       LinkSpec link;
       for (std::size_t t = 1; t < toks.size(); ++t) {
-        const std::string_view attr = toks[t].text;
-        const int col = toks[t].col;
-        if (attr.rfind("bw=", 0) == 0) {
-          const std::string_view val = attr.substr(3);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad bw value " + Quote(val))
-                .At(src_name, lineno, col + 3);
-          }
-          if (!(v > 0.0)) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "bw must be positive, got " + Quote(val))
-                .At(src_name, lineno, col + 3);
-          }
-          link.bandwidth_gbps = v;
-        } else if (attr.rfind("lat=", 0) == 0) {
-          const std::string_view val = attr.substr(4);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad lat value " + Quote(val))
-                .At(src_name, lineno, col + 4);
-          }
-          if (v < 0.0) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "negative lat value " + Quote(val))
-                .At(src_name, lineno, col + 4);
-          }
-          link.latency_us = v;
-        } else {
-          return Status::Error(ErrorCode::kSyntax,
-                               "unknown default_link attribute " +
-                                   Quote(attr))
-              .At(src_name, lineno, col);
+        Status status;
+        if (!LinkAttr(reader, toks[t], &link, &status)) {
+          status = reader.Unknown("default_link attribute", toks[t]);
         }
+        if (!status.ok()) return status;
       }
       b.cluster.SetDefaultLink(link);
       saw_default_link = true;
     } else if (toks[0].text == "link") {
       if (toks.size() < 3) {
-        return Status::Error(
-                   ErrorCode::kSyntax,
-                   "link line needs: link <src> <dst> [bw=] [lat=] "
-                   "[chan=] [bidir]")
-            .At(src_name, lineno, toks[0].col);
+        return reader.Error(ErrorCode::kSyntax,
+                            "link line needs: link <src> <dst> [bw=] [lat=] "
+                            "[chan=] [bidir]",
+                            toks[0]);
       }
-      const auto sit = b.device_ids.find(toks[1].text);
-      if (sit == b.device_ids.end()) {
-        return Status::Error(ErrorCode::kDanglingRef,
-                             "unknown device " + Quote(toks[1].text))
-            .At(src_name, lineno, toks[1].col);
-      }
-      const auto dit = b.device_ids.find(toks[2].text);
-      if (dit == b.device_ids.end()) {
-        return Status::Error(ErrorCode::kDanglingRef,
-                             "unknown device " + Quote(toks[2].text))
-            .At(src_name, lineno, toks[2].col);
+      DeviceId ends[2] = {-1, -1};
+      for (int k = 0; k < 2; ++k) {
+        const Token& end = toks[1 + static_cast<std::size_t>(k)];
+        const auto it = b.device_ids.find(end.text);
+        if (it == b.device_ids.end()) {
+          return reader.Error(ErrorCode::kDanglingRef,
+                              "unknown device " + Quote(end.text), end);
+        }
+        ends[k] = it->second;
       }
       LinkSpec link;
       int channel_label = -1;
       bool bidir = false;
       for (std::size_t t = 3; t < toks.size(); ++t) {
-        const std::string_view attr = toks[t].text;
-        const int col = toks[t].col;
-        if (attr.rfind("bw=", 0) == 0) {
-          const std::string_view val = attr.substr(3);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad bw value " + Quote(val))
-                .At(src_name, lineno, col + 3);
-          }
-          if (!(v > 0.0)) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "bw must be positive, got " + Quote(val))
-                .At(src_name, lineno, col + 3);
-          }
-          link.bandwidth_gbps = v;
-        } else if (attr.rfind("lat=", 0) == 0) {
-          const std::string_view val = attr.substr(4);
-          double v = 0.0;
-          if (!graph::ParseDouble(val, &v)) {
-            return Status::Error(NumericFailCode(val),
-                                 "bad lat value " + Quote(val))
-                .At(src_name, lineno, col + 4);
-          }
-          if (v < 0.0) {
-            return Status::Error(ErrorCode::kNumericOverflow,
-                                 "negative lat value " + Quote(val))
-                .At(src_name, lineno, col + 4);
-          }
-          link.latency_us = v;
-        } else if (attr.rfind("chan=", 0) == 0) {
-          const std::string_view val = attr.substr(5);
-          if (val.empty()) {
-            return Status::Error(ErrorCode::kSyntax,
-                                 "empty channel label")
-                .At(src_name, lineno, col + 5);
-          }
-          channel_label = b.ChannelLabel(val);
-        } else if (attr == "bidir") {
+        const Token& tok = toks[t];
+        Token value;
+        Status status;
+        if (tok.text == "bidir") {
           bidir = true;
-        } else {
-          return Status::Error(ErrorCode::kSyntax,
-                               "unknown link attribute " + Quote(attr))
-              .At(src_name, lineno, col);
+        } else if (graph::KeyValue(tok, "chan", &value)) {
+          if (value.text.empty()) {
+            status = reader.Error(ErrorCode::kSyntax, "empty channel label",
+                                  value);
+          } else {
+            channel_label = b.ChannelLabel(value.text);
+          }
+        } else if (!LinkAttr(reader, tok, &link, &status)) {
+          status = reader.Unknown("link attribute", tok);
         }
+        if (!status.ok()) return status;
       }
-      Status status = CheckAddLink(&b, sit->second, dit->second, link,
-                                   channel_label, bidir);
-      if (!status.ok()) return status.At(src_name, lineno, toks[1].col);
+      Status status =
+          CheckAddLink(&b, ends[0], ends[1], link, channel_label, bidir);
+      if (!status.ok()) return reader.At(std::move(status), toks[1]);
     } else {
-      return Status::Error(ErrorCode::kSyntax,
-                           "unknown directive " + Quote(toks[0].text))
-          .At(src_name, lineno, toks[0].col);
+      return reader.Unknown("directive", toks[0]);
     }
   }
-  if (in.bad()) {
-    return Status::Error(ErrorCode::kIo, "read error").At(src_name, lineno);
-  }
-
-  Status status = FinishValidate(b.cluster, opts);
+  Status status = reader.Finish();
   if (!status.ok()) return status;
+  status = b.cluster.Validate();
+  if (!status.ok()) return status.At(opts.source_name);
   return std::move(b.cluster);
 }
 
-// 1-based line:column of a byte offset, for JSON syntax diagnostics.
-void LineColAt(const std::string& text, std::size_t offset, int* line,
-               int* col) {
-  *line = 1;
-  *col = 1;
-  for (std::size_t i = 0; i < offset && i < text.size(); ++i) {
-    if (text[i] == '\n') {
-      ++*line;
-      *col = 1;
-    } else {
-      ++*col;
-    }
-  }
-}
-
-// A positive finite rate field ("gflops", "bandwidth_gbps", ...);
-// false leaves *dest untouched and the caller reports the error.
-bool JsonRate(const support::json::Value* v, double* dest) {
-  if (v == nullptr) return true;
-  if (!v->is_number() || !std::isfinite(v->number()) || v->number() <= 0.0) {
-    return false;
-  }
-  *dest = v->number();
-  return true;
-}
-
-// A non-negative finite cost field ("launch_overhead_us", "latency_us").
-bool JsonCost(const support::json::Value* v, double* dest) {
-  if (v == nullptr) return true;
-  if (!v->is_number() || !std::isfinite(v->number()) || v->number() < 0.0) {
-    return false;
-  }
-  *dest = v->number();
-  return true;
-}
-
-StatusOr<ClusterSpec> FromJsonImpl(const std::string& text,
-                                   const ClusterIngestOptions& opts) {
+StatusOr<ClusterSpec> ParseJson(const std::string& text,
+                                const ClusterIngestOptions& opts) {
   namespace json = support::json;
   const std::string& src_name = opts.source_name;
-
-  std::string parse_error;
-  std::size_t error_offset = 0;
-  const json::Value root =
-      json::Value::Parse(text, &parse_error, &error_offset);
-  if (!parse_error.empty()) {
-    int line = 0, col = 0;
-    LineColAt(text, error_offset, &line, &col);
-    return Status::Error(ErrorCode::kSyntax, "JSON " + parse_error)
-        .At(src_name, line, col);
+  json::Value root;
+  const json::Value* jdevices = nullptr;
+  const json::Value* jlinks = nullptr;
+  Status status = graph::ParseJsonObject(text, src_name, &root);
+  if (status.ok()) {
+    status = graph::RequireArray(root, "devices", src_name, &jdevices);
   }
-  if (!root.is_object()) {
-    return Status::Error(ErrorCode::kSyntax,
-                         "top-level JSON value must be an object")
-        .At(src_name, 1, 1);
+  if (status.ok()) {
+    status = graph::RequireArray(root, "links", src_name, &jlinks);
   }
-  const json::Value* jdevices = root.Find("devices");
-  if (jdevices == nullptr || !jdevices->is_array()) {
-    return Status::Error(ErrorCode::kSyntax,
-                         "missing or non-array \"devices\" field")
-        .At(src_name);
-  }
-  const json::Value* jlinks = root.Find("links");
-  if (jlinks == nullptr || !jlinks->is_array()) {
-    return Status::Error(ErrorCode::kSyntax,
-                         "missing or non-array \"links\" field")
-        .At(src_name);
-  }
+  if (!status.ok()) return status;
 
   Builder b;
-
   for (std::size_t i = 0; i < jdevices->items().size(); ++i) {
-    const json::Value& jdev = jdevices->items()[i];
-    const std::string ctx = "devices[" + std::to_string(i) + "]";
-    if (!jdev.is_object()) {
-      return Status::Error(ErrorCode::kSyntax, ctx + " is not an object")
-          .At(src_name);
-    }
+    JsonRecord rec(jdevices->items()[i], "devices", i, src_name);
     DeviceSpec device;
-
-    const json::Value* name = jdev.Find("name");
-    if (name == nullptr || !name->is_string() ||
-        name->string_value().empty()) {
-      return Status::Error(ErrorCode::kSyntax,
-                           ctx + " has a missing or empty \"name\"")
-          .At(src_name);
+    const json::Value* name =
+        rec.Require("name", graph::IsNonEmptyString, "missing or empty");
+    const json::Value* kind = rec.Require("kind", graph::IsString, "missing");
+    if (kind != nullptr && !ParseKind(kind->string_value(), &device.kind)) {
+      rec.Fail(ErrorCode::kSyntax,
+               ": \"kind\" must be \"cpu\" or \"gpu\", got " +
+                   Quote(kind->string_value()));
     }
+    rec.Number("gflops", Sign::kPositive, &device.gflops);
+    rec.Number("mem_bw_gbps", Sign::kPositive, &device.mem_bw_gbps);
+    rec.Number("launch_overhead_us", Sign::kNonNegative,
+               &device.launch_overhead_us);
+    rec.Integer("memory_bytes", 0, INT64_MAX, &device.memory_bytes);
+    if (!rec.ok()) return rec.status();
     device.name = name->string_value();
-
-    const json::Value* kind = jdev.Find("kind");
-    if (kind == nullptr || !kind->is_string()) {
-      return Status::Error(ErrorCode::kSyntax, ctx + " has a missing \"kind\"")
-          .At(src_name);
-    }
-    if (kind->string_value() == "cpu") {
-      device.kind = DeviceKind::kCPU;
-    } else if (kind->string_value() == "gpu") {
-      device.kind = DeviceKind::kGPU;
-    } else {
-      return Status::Error(ErrorCode::kSyntax,
-                           ctx + ": \"kind\" must be \"cpu\" or \"gpu\", got " +
-                               Quote(kind->string_value()))
-          .At(src_name);
-    }
-
-    if (!JsonRate(jdev.Find("gflops"), &device.gflops)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           ctx + " has a bad \"gflops\" value")
-          .At(src_name);
-    }
-    if (!JsonRate(jdev.Find("mem_bw_gbps"), &device.mem_bw_gbps)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           ctx + " has a bad \"mem_bw_gbps\" value")
-          .At(src_name);
-    }
-    if (!JsonCost(jdev.Find("launch_overhead_us"),
-                  &device.launch_overhead_us)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           ctx + " has a bad \"launch_overhead_us\" value")
-          .At(src_name);
-    }
-    const json::Value* mem = jdev.Find("memory_bytes");
-    if (mem != nullptr) {
-      std::int64_t v = 0;
-      if (!mem->is_number() || !JsonToInt64(mem->number(), &v) || v < 0) {
-        return Status::Error(ErrorCode::kNumericOverflow,
-                             ctx + " has a bad \"memory_bytes\" value")
-            .At(src_name);
-      }
-      device.memory_bytes = v;
-    }
-
-    Status status = CheckAddDevice(&b, std::move(device), opts.limits);
-    if (!status.ok()) {
-      Status wrapped =
-          Status::Error(status.code(), ctx + ": " + status.message());
-      return wrapped.At(src_name);
-    }
+    status = CheckAddDevice(&b, std::move(device), opts.limits);
+    if (!status.ok()) return rec.Wrap(status);
   }
 
   const json::Value* jdefault = root.Find("default_link");
   if (jdefault != nullptr) {
-    if (!jdefault->is_object()) {
-      return Status::Error(ErrorCode::kSyntax,
-                           "\"default_link\" is not an object")
-          .At(src_name);
-    }
+    JsonRecord rec(*jdefault, "default_link", JsonRecord::kField, src_name);
     LinkSpec link;
-    if (!JsonRate(jdefault->Find("bandwidth_gbps"), &link.bandwidth_gbps)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           "default_link has a bad \"bandwidth_gbps\" value")
-          .At(src_name);
-    }
-    if (!JsonCost(jdefault->Find("latency_us"), &link.latency_us)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           "default_link has a bad \"latency_us\" value")
-          .At(src_name);
-    }
+    rec.Number("bandwidth_gbps", Sign::kPositive, &link.bandwidth_gbps);
+    rec.Number("latency_us", Sign::kNonNegative, &link.latency_us);
+    if (!rec.ok()) return rec.status();
     b.cluster.SetDefaultLink(link);
   }
 
   for (std::size_t i = 0; i < jlinks->items().size(); ++i) {
-    const json::Value& jlink = jlinks->items()[i];
-    const std::string ctx = "links[" + std::to_string(i) + "]";
-    if (!jlink.is_object()) {
-      return Status::Error(ErrorCode::kSyntax, ctx + " is not an object")
-          .At(src_name);
-    }
-    DeviceId endpoints[2] = {-1, -1};
-    const char* endpoint_keys[2] = {"src", "dst"};
+    JsonRecord rec(jlinks->items()[i], "links", i, src_name);
+    DeviceId ends[2] = {-1, -1};
+    const char* keys[2] = {"src", "dst"};
     for (int k = 0; k < 2; ++k) {
-      const json::Value* v = jlink.Find(endpoint_keys[k]);
-      if (v == nullptr || !v->is_string()) {
-        return Status::Error(ErrorCode::kSyntax,
-                             ctx + " has a missing or non-string \"" +
-                                 std::string(endpoint_keys[k]) + "\"")
-            .At(src_name);
-      }
+      const json::Value* v =
+          rec.Require(keys[k], graph::IsString, "missing or non-string");
+      if (v == nullptr) break;
       const auto it = b.device_ids.find(v->string_value());
       if (it == b.device_ids.end()) {
-        return Status::Error(ErrorCode::kDanglingRef,
-                             ctx + ": \"" + std::string(endpoint_keys[k]) +
-                                 "\" " + Quote(v->string_value()) +
-                                 " names no declared device")
-            .At(src_name);
+        rec.Fail(ErrorCode::kDanglingRef,
+                 std::string(": \"") + keys[k] + "\" " +
+                     Quote(v->string_value()) + " names no declared device");
+      } else {
+        ends[k] = it->second;
       }
-      endpoints[k] = it->second;
     }
     LinkSpec link;
-    if (!JsonRate(jlink.Find("bandwidth_gbps"), &link.bandwidth_gbps)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           ctx + " has a bad \"bandwidth_gbps\" value")
-          .At(src_name);
-    }
-    if (!JsonCost(jlink.Find("latency_us"), &link.latency_us)) {
-      return Status::Error(ErrorCode::kNumericOverflow,
-                           ctx + " has a bad \"latency_us\" value")
-          .At(src_name);
-    }
-    int channel_label = -1;
-    const json::Value* chan = jlink.Find("channel");
-    if (chan != nullptr) {
-      if (!chan->is_string() || chan->string_value().empty()) {
-        return Status::Error(ErrorCode::kSyntax,
-                             ctx + " has a non-string or empty \"channel\"")
-            .At(src_name);
-      }
-      channel_label = b.ChannelLabel(chan->string_value());
-    }
+    rec.Number("bandwidth_gbps", Sign::kPositive, &link.bandwidth_gbps);
+    rec.Number("latency_us", Sign::kNonNegative, &link.latency_us);
+    const json::Value* chan =
+        rec.Optional("channel", graph::IsNonEmptyString, "non-string or empty");
     bool bidir = false;
-    const json::Value* jbidir = jlink.Find("bidir");
-    if (jbidir != nullptr) {
-      if (!jbidir->is_bool()) {
-        return Status::Error(ErrorCode::kSyntax,
-                             ctx + " has a non-boolean \"bidir\"")
-            .At(src_name);
-      }
-      bidir = jbidir->bool_value();
-    }
-    Status status = CheckAddLink(&b, endpoints[0], endpoints[1], link,
-                                 channel_label, bidir);
-    if (!status.ok()) {
-      Status wrapped =
-          Status::Error(status.code(), ctx + ": " + status.message());
-      return wrapped.At(src_name);
-    }
+    rec.Bool("bidir", &bidir);
+    if (!rec.ok()) return rec.status();
+    const int channel_label =
+        chan != nullptr ? b.ChannelLabel(chan->string_value()) : -1;
+    status = CheckAddLink(&b, ends[0], ends[1], link, channel_label, bidir);
+    if (!status.ok()) return rec.Wrap(status);
   }
-
-  Status status = FinishValidate(b.cluster, opts);
-  if (!status.ok()) return status;
+  status = b.cluster.Validate();
+  if (!status.ok()) return status.At(opts.source_name);
   return std::move(b.cluster);
-}
-
-// Belt and braces for the no-throw contract: nothing in the impls
-// should throw (every precondition is pre-checked before the EAGLE_CHECK
-// guards in ClusterSpec can fire), but a latent bug must surface as a
-// Status, not a terminate().
-template <typename Fn>
-StatusOr<ClusterSpec> NoThrow(const ClusterIngestOptions& opts, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const std::bad_alloc&) {
-    return Status::Error(ErrorCode::kResourceLimit,
-                         "out of memory while parsing")
-        .At(opts.source_name);
-  } catch (const std::exception& e) {
-    return Status::Error(ErrorCode::kSyntax,
-                         std::string("internal parser error: ") + e.what())
-        .At(opts.source_name);
-  }
 }
 
 }  // namespace
 
-StatusOr<ClusterSpec> ParseTextCluster(std::istream& in,
-                                       const ClusterIngestOptions& opts) {
-  return NoThrow(opts, [&] { return ParseTextImpl(in, opts); });
-}
-
 StatusOr<ClusterSpec> ParseTextCluster(const std::string& text,
                                        const ClusterIngestOptions& opts) {
   std::istringstream in(text);
-  return ParseTextCluster(in, opts);
+  return graph::NoThrow(opts.source_name,
+                        [&] { return ParseText(in, opts); });
 }
 
 StatusOr<ClusterSpec> ClusterFromJson(const std::string& text,
                                       const ClusterIngestOptions& opts) {
-  return NoThrow(opts, [&] { return FromJsonImpl(text, opts); });
+  return graph::NoThrow(opts.source_name,
+                        [&] { return ParseJson(text, opts); });
 }
 
 StatusOr<ClusterSpec> ImportClusterFile(const std::string& path,
                                         const ClusterIngestOptions& opts) {
   ClusterIngestOptions file_opts = opts;
   file_opts.source_name = path;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::Error(ErrorCode::kIo, "cannot open cluster file").At(path);
-  }
-  const bool is_json =
-      path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  if (is_json) {
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-      return Status::Error(ErrorCode::kIo, "read error").At(path);
-    }
-    return ClusterFromJson(buffer.str(), file_opts);
-  }
-  return ParseTextCluster(in, file_opts);
+  return graph::ImportFile(
+      path, "cluster",
+      [&](std::istream& in) { return ParseText(in, file_opts); },
+      [&](const std::string& text) { return ParseJson(text, file_opts); });
 }
 
 StatusOr<ClusterSpec> ResolveCluster(const std::string& spec,

@@ -12,14 +12,17 @@
 // Two formats are accepted:
 //   *.ec   — a line-based text format:
 //              device <name> <cpu|gpu> [gflops=] [mem_bw=] [overhead=] [mem=]
-//              default_link bw=<gbps> lat=<us>
-//              link <src> <dst> bw=<gbps> lat=<us> [chan=<label>] [bidir]
+//              default_link [bw=<gbps>] [lat=<us>]
+//              link <src> <dst> [bw=<gbps>] [lat=<us>] [chan=<label>] [bidir]
+//            an omitted bw=/lat= keeps the LinkSpec default (12 GB/s,
+//            10 µs)
 //   *.json — an object with "devices", optional "default_link", "links"
 // Ingestion is one-way (there is no cluster writer); specs are authored
-// by hand or by tools/graph_fuzz --mode=cluster-fuzz mutation seeds.
+// by hand or by tools/graph_fuzz --mode=cluster-fuzz mutation seeds. The
+// line reader, JSON record checks and file import underneath are shared
+// with the graph importer (graph/record_reader.h).
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "sim/device.h"
@@ -34,19 +37,14 @@ struct ClusterLimits {
 };
 
 struct ClusterIngestOptions {
+  // Every parser also runs ClusterSpec::Validate() on its result.
   ClusterLimits limits;
-  // Run ClusterSpec::Validate() on the parsed cluster (rate/cost sanity,
-  // unconfigured-link detection). Off only for tools that want to
-  // inspect a broken spec anyway.
-  bool validate = true;
   // Name used in diagnostics ("<input>" for in-memory strings;
   // ImportClusterFile overrides it with the path).
   std::string source_name = "<input>";
 };
 
 // Parses the .ec text format. Never throws on malformed input.
-support::StatusOr<ClusterSpec> ParseTextCluster(
-    std::istream& in, const ClusterIngestOptions& opts = {});
 support::StatusOr<ClusterSpec> ParseTextCluster(
     const std::string& text, const ClusterIngestOptions& opts = {});
 
@@ -56,9 +54,10 @@ support::StatusOr<ClusterSpec> ParseTextCluster(
 support::StatusOr<ClusterSpec> ClusterFromJson(
     const std::string& text, const ClusterIngestOptions& opts = {});
 
-// Opens `path`, dispatches on its suffix (".json" → ClusterFromJson,
-// anything else → ParseTextCluster), and uses the path as the diagnostic
-// source name. kIo when the file cannot be opened or read.
+// Opens `path`, dispatches on its suffix (".json" → the ClusterFromJson
+// grammar, anything else → the .ec grammar, streamed from disk), and
+// uses the path as the diagnostic source name. kIo when the file cannot
+// be opened or read.
 support::StatusOr<ClusterSpec> ImportClusterFile(
     const std::string& path, const ClusterIngestOptions& opts = {});
 

@@ -1,19 +1,17 @@
 // Cluster-spec ingestion and device-model tests: the malformed-fixture
-// corpus (tests/cluster_fixtures/, one code+line assertion per case), the
+// corpus (tests/cluster_fixtures/, each case's whole diagnostic pinned), the
 // happy-path .ec/.json grammars including channel labels and the default
 // tier, ResolveCluster name dispatch, the hierarchical builders, and the
 // PR's device-model bugfix regressions (dense channel re-indexing under
 // AddDevice interleaving, zero-cost self transfers, unconfigured-link
 // validation, MakeScaledCluster status propagation).
 #include <cstdint>
-#include <fstream>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "fixture_corpus.h"
 #include "gtest/gtest.h"
 #include "sim/cluster_ingest.h"
 #include "sim/cost_model.h"
@@ -27,64 +25,21 @@ using support::ErrorCode;
 using support::Status;
 using support::StatusOr;
 
-std::string FixturePath(const std::string& name) {
-  return std::string(EAGLE_SOURCE_DIR) + "/tests/cluster_fixtures/" + name;
-}
-
 std::string ShippedClusterPath(const std::string& name) {
   return std::string(EAGLE_SOURCE_DIR) + "/clusters/" + name;
 }
 
 // ---------------------------------------------------------------------------
-// The malformed-fixture corpus: every file must come back as the
-// manifest's taxonomy code, at the manifest's line, never as a throw.
+// The malformed-fixture corpus: every file must come back as exactly the
+// diagnostic its MANIFEST entry pins, never as a throw.
 
-struct FixtureCase {
-  std::string file;
-  ErrorCode code = ErrorCode::kOk;
-  int line = -1;  // -1: no line attribution expected
-  bool tiny = false;
-};
-
-std::vector<FixtureCase> ReadManifest() {
-  std::ifstream in(FixturePath("MANIFEST"));
-  EXPECT_TRUE(in.good()) << "missing " << FixturePath("MANIFEST");
-  std::vector<FixtureCase> cases;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    FixtureCase c;
-    std::string code, line_spec, flag;
-    fields >> c.file >> code >> line_spec >> flag;
-    EXPECT_TRUE(support::ErrorCodeFromName(code, &c.code))
-        << "bad code in MANIFEST: " << line;
-    if (line_spec != "-") c.line = std::stoi(line_spec);
-    c.tiny = flag == "tiny";
-    cases.push_back(std::move(c));
-  }
-  return cases;
-}
-
-TEST(ClusterFixtureCorpus, EveryFixtureFailsWithItsDocumentedCodeAndLine) {
-  const std::vector<FixtureCase> cases = ReadManifest();
-  ASSERT_GE(cases.size(), 40u) << "fixture corpus shrank";
-  for (const FixtureCase& c : cases) {
-    ClusterIngestOptions opts;
-    if (c.tiny) opts.limits.max_devices = 3;
-    const std::string path = FixturePath(c.file);
-    const StatusOr<ClusterSpec> parsed = ImportClusterFile(path, opts);
-    ASSERT_FALSE(parsed.ok()) << c.file << " unexpectedly parsed";
-    const Status& status = parsed.status();
-    EXPECT_EQ(support::ErrorCodeName(status.code()),
-              std::string(support::ErrorCodeName(c.code)))
-        << c.file << ": " << status.ToString();
-    EXPECT_EQ(status.file(), path) << status.ToString();
-    if (c.line >= 0) {
-      EXPECT_EQ(status.line(), c.line) << c.file << ": " << status.ToString();
-    }
-    EXPECT_FALSE(status.message().empty());
-  }
+TEST(ClusterFixtureCorpus, EveryFixtureFailsWithItsPinnedDiagnostic) {
+  testing_fixtures::ExpectPinnedDiagnostics(
+      "cluster_fixtures", [](const std::string& path, bool tiny) {
+        ClusterIngestOptions opts;
+        if (tiny) opts.limits.max_devices = 3;
+        return ImportClusterFile(path, opts).status();
+      });
 }
 
 TEST(ClusterFixtureCorpus, CoversTheClusterTaxonomy) {
@@ -92,7 +47,9 @@ TEST(ClusterFixtureCorpus, CoversTheClusterTaxonomy) {
   // unopenable file, covered below) must appear in the corpus. kUnknownOp
   // is graph-only: clusters have no op-type catalogue.
   std::map<ErrorCode, int> seen;
-  for (const FixtureCase& c : ReadManifest()) seen[c.code]++;
+  for (const auto& c : testing_fixtures::ReadManifest("cluster_fixtures")) {
+    seen[c.code]++;
+  }
   for (ErrorCode code :
        {ErrorCode::kSyntax, ErrorCode::kDuplicateOp, ErrorCode::kDuplicateEdge,
         ErrorCode::kDanglingRef, ErrorCode::kCycle,
@@ -103,7 +60,8 @@ TEST(ClusterFixtureCorpus, CoversTheClusterTaxonomy) {
 }
 
 TEST(ImportClusterFile, MissingFileIsIo) {
-  const auto result = ImportClusterFile(FixturePath("does_not_exist.ec"));
+  const auto result = ImportClusterFile(
+      testing_fixtures::CorpusPath("cluster_fixtures", "does_not_exist.ec"));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kIo);
 }
@@ -165,23 +123,7 @@ TEST(ParseTextCluster, DefaultTierFillsOmittedPairs) {
 }
 
 TEST(ClusterFromJson, ParsesTheObjectForm) {
-  const char* spec = R"({
-    "devices": [
-      {"name": "host", "kind": "cpu", "gflops": 80, "memory_bytes": 1024},
-      {"name": "g0", "kind": "gpu", "gflops": 2500, "mem_bw_gbps": 550,
-       "launch_overhead_us": 50},
-      {"name": "g1", "kind": "gpu", "gflops": 900}
-    ],
-    "default_link": {"bandwidth_gbps": 9, "latency_us": 130},
-    "links": [
-      {"src": "host", "dst": "g0", "bandwidth_gbps": 11, "latency_us": 50,
-       "channel": "root", "bidir": true},
-      {"src": "host", "dst": "g1", "bandwidth_gbps": 11, "latency_us": 50,
-       "channel": "root", "bidir": true},
-      {"src": "g0", "dst": "g1", "bandwidth_gbps": 44, "latency_us": 6}
-    ]
-  })";
-  const auto parsed = ClusterFromJson(spec);
+  const auto parsed = ClusterFromJson(testing_fixtures::kClusterObjectSpec);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const ClusterSpec& c = parsed.value();
   ASSERT_EQ(c.num_devices(), 3);

@@ -5,7 +5,9 @@
 #include "graph/features.h"
 #include "graph/graph_io.h"
 #include "graph/grouped_graph.h"
+#include "graph/ingest.h"
 #include "graph/op_graph.h"
+#include "support/status.h"
 
 namespace eagle::graph {
 namespace {
@@ -243,8 +245,9 @@ TEST(GraphIo, TextRoundTrip) {
   g.mutable_op(2).layer = "mid";
   std::ostringstream out;
   SaveText(g, out);
-  std::istringstream in(out.str());
-  OpGraph loaded = LoadText(in);
+  const support::StatusOr<OpGraph> parsed = ParseTextGraph(out.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const OpGraph& loaded = parsed.value();
   ASSERT_EQ(loaded.num_ops(), g.num_ops());
   ASSERT_EQ(loaded.num_edges(), g.num_edges());
   EXPECT_TRUE(loaded.op(1).cpu_only);
@@ -254,8 +257,10 @@ TEST(GraphIo, TextRoundTrip) {
 }
 
 TEST(GraphIo, LoadsCheckedInFixture) {
-  OpGraph g = LoadTextFile(std::string(EAGLE_SOURCE_DIR) +
-                           "/examples/fixtures/tiny_transformer.eg");
+  const support::StatusOr<OpGraph> parsed = ImportGraphFile(
+      std::string(EAGLE_SOURCE_DIR) + "/examples/fixtures/tiny_transformer.eg");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const OpGraph& g = parsed.value();
   EXPECT_EQ(g.num_ops(), 17);
   EXPECT_EQ(g.num_edges(), 20);
   EXPECT_TRUE(g.IsDag());
@@ -266,12 +271,12 @@ TEST(GraphIo, LoadsCheckedInFixture) {
 }
 
 TEST(GraphIo, MalformedTextRejected) {
-  std::istringstream in("op onlyname\n");
-  EXPECT_THROW(LoadText(in), std::logic_error);
-  std::istringstream in2("edge a b\n");
-  EXPECT_THROW(LoadText(in2), std::logic_error);
-  std::istringstream in3("frob x\n");
-  EXPECT_THROW(LoadText(in3), std::logic_error);
+  EXPECT_EQ(ParseTextGraph("op onlyname\n").status().code(),
+            support::ErrorCode::kSyntax);
+  EXPECT_EQ(ParseTextGraph("edge a b\n").status().code(),
+            support::ErrorCode::kDanglingRef);
+  EXPECT_EQ(ParseTextGraph("frob x\n").status().code(),
+            support::ErrorCode::kSyntax);
 }
 
 }  // namespace

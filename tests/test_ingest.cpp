@@ -1,26 +1,30 @@
 // Hardened-ingestion tests: the Status taxonomy, the checked numeric
-// conversions, the malformed-fixture corpus (tests/graph_fixtures/, one
-// line-exact assertion per taxonomy code), byte-identical round-trips
+// conversions, the malformed-fixture corpus (tests/graph_fixtures/, each
+// case's whole diagnostic pinned), byte-identical round-trips
 // through both serialization formats, a deterministic mutation-fuzz
 // smoke, a stress-scale end-to-end run, ValidateGraph semantics, and the
 // imported-graph zoo registry.
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "fixture_corpus.h"
 #include "graph/graph_io.h"
 #include "graph/grouped_graph.h"
 #include "graph/ingest.h"
-#include "graph/parse_num.h"
+#include "graph/record_reader.h"
 #include "graph/validate.h"
 #include "gtest/gtest.h"
 #include "models/fuzz_corpus.h"
 #include "models/zoo.h"
 #include "partition/metis_like.h"
+#include "sim/cluster_ingest.h"
 #include "sim/device.h"
 #include "sim/placement.h"
 #include "sim/simulator.h"
@@ -39,10 +43,6 @@ using graph::TensorShape;
 using support::ErrorCode;
 using support::Status;
 using support::StatusOr;
-
-std::string FixturePath(const std::string& name) {
-  return std::string(EAGLE_SOURCE_DIR) + "/tests/graph_fixtures/" + name;
-}
 
 OpGraph MakeTinyGraph() {
   OpGraph g;
@@ -151,67 +151,29 @@ TEST(ParseNum, LooksNumericClassifiesFailedConversions) {
 }
 
 // ---------------------------------------------------------------------------
-// The malformed-fixture corpus: every file must come back as the
-// manifest's taxonomy code, at the manifest's line, never as a throw.
+// The malformed-fixture corpus: every file must come back as exactly the
+// diagnostic its MANIFEST entry pins, never as a throw.
 
-struct FixtureCase {
-  std::string file;
-  ErrorCode code = ErrorCode::kOk;
-  int line = -1;  // -1: no line attribution expected
-  bool tiny = false;
-};
-
-std::vector<FixtureCase> ReadManifest() {
-  std::ifstream in(FixturePath("MANIFEST"));
-  EXPECT_TRUE(in.good()) << "missing " << FixturePath("MANIFEST");
-  std::vector<FixtureCase> cases;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    FixtureCase c;
-    std::string code, line_spec, flag;
-    fields >> c.file >> code >> line_spec >> flag;
-    EXPECT_TRUE(support::ErrorCodeFromName(code, &c.code))
-        << "bad code in MANIFEST: " << line;
-    if (line_spec != "-") c.line = std::stoi(line_spec);
-    c.tiny = flag == "tiny";
-    cases.push_back(std::move(c));
-  }
-  return cases;
-}
-
-TEST(FixtureCorpus, EveryFixtureFailsWithItsDocumentedCodeAndLine) {
-  const std::vector<FixtureCase> cases = ReadManifest();
-  ASSERT_GE(cases.size(), 40u) << "fixture corpus shrank";
-  for (const FixtureCase& c : cases) {
-    IngestOptions opts;
-    if (c.tiny) {
-      opts.limits.max_ops = 4;
-      opts.limits.max_edges = 3;
-      opts.limits.max_total_bytes = 4096;
-    }
-    const std::string path = FixturePath(c.file);
-    const StatusOr<OpGraph> parsed = graph::ImportGraphFile(path, opts);
-    ASSERT_FALSE(parsed.ok()) << c.file << " unexpectedly parsed";
-    const Status& status = parsed.status();
-    EXPECT_EQ(support::ErrorCodeName(status.code()),
-              std::string(support::ErrorCodeName(c.code)))
-        << c.file << ": " << status.ToString();
-    EXPECT_EQ(status.file(), path) << status.ToString();
-    if (c.line >= 0) {
-      EXPECT_EQ(status.line(), c.line)
-          << c.file << ": " << status.ToString();
-    }
-    EXPECT_FALSE(status.message().empty());
-  }
+TEST(FixtureCorpus, EveryFixtureFailsWithItsPinnedDiagnostic) {
+  testing_fixtures::ExpectPinnedDiagnostics(
+      "graph_fixtures", [](const std::string& path, bool tiny) {
+        IngestOptions opts;
+        if (tiny) {
+          opts.limits.max_ops = 4;
+          opts.limits.max_edges = 3;
+          opts.limits.max_total_bytes = 4096;
+        }
+        return graph::ImportGraphFile(path, opts).status();
+      });
 }
 
 TEST(FixtureCorpus, CoversTheWholeTaxonomy) {
   // Every code except kOk and kIo (kIo needs an unopenable file, covered
   // by ImportGraphFile.MissingFileIsIo below) must appear in the corpus.
   std::map<ErrorCode, int> seen;
-  for (const FixtureCase& c : ReadManifest()) seen[c.code]++;
+  for (const auto& c : testing_fixtures::ReadManifest("graph_fixtures")) {
+    seen[c.code]++;
+  }
   for (ErrorCode code :
        {ErrorCode::kSyntax, ErrorCode::kUnknownOp, ErrorCode::kDuplicateOp,
         ErrorCode::kDuplicateEdge, ErrorCode::kDanglingRef, ErrorCode::kCycle,
@@ -268,70 +230,79 @@ TEST(RoundTrip, FiftySeededFuzzGraphsSurviveBothFormats) {
 }
 
 // ---------------------------------------------------------------------------
-// Mutation-fuzz smoke: a deterministic slice of what scripts/run_ci.sh
-// runs at 10k iterations under ASan/UBSan. Every mutant must come back
-// as either a parsed graph or a structured status — the ASSERT_NO_THROW
-// is the no-crash/no-throw contract.
+// Mutation-fuzz smoke over every importer — graph .eg and JSON, cluster
+// .ec and JSON: a deterministic slice of what scripts/run_ci.sh runs
+// under ASan/UBSan. Every mutant must come back as either a parsed value
+// or a structured status: the ASSERT_NO_THROW is the no-crash/no-throw
+// contract, and no mutant may fall through to the no-throw guard's
+// internal-error status.
 
-TEST(MutationFuzz, TextMutantsAlwaysYieldStructuredResults) {
-  models::FuzzGraphConfig config;
-  config.num_ops = 120;
-  config.width = 16;
-  support::Rng build_rng(7);
-  const std::string base = SaveTextString(
-      models::BuildFuzzGraph(config, build_rng));
+TEST(MutationFuzz, EveryImporterYieldsStructuredResults) {
+  models::FuzzGraphConfig text_config;
+  text_config.num_ops = 120;
+  text_config.width = 16;
+  support::Rng text_rng(7);
+  models::FuzzGraphConfig json_config;
+  json_config.num_ops = 60;
+  json_config.width = 8;
+  support::Rng json_rng(11);
+  std::ifstream ec_file(std::string(EAGLE_SOURCE_DIR) + "/clusters/2node8.ec");
+  std::ostringstream ec_text;
+  ec_text << ec_file.rdbuf();
 
-  support::Rng rng(1234);
-  std::map<std::string, int> histogram;
-  for (int i = 0; i < 2500; ++i) {
-    std::string mutant = base;
-    const int depth = 1 + static_cast<int>(rng.NextBelow(3));
-    for (int d = 0; d < depth; ++d) {
-      mutant = models::MutateSerializedGraph(mutant, rng);
+  struct Input {
+    const char* name;
+    std::string base;
+    std::uint64_t seed;
+    int iters;
+    std::function<Status(const std::string&)> parse;
+    // Codes the mutants must keep reaching: the strategies have to drive
+    // a broad slice of the taxonomy, not collapse into one failure mode.
+    std::vector<const char*> reached;
+  };
+  const Input inputs[] = {
+      {"graph .eg",
+       SaveTextString(models::BuildFuzzGraph(text_config, text_rng)), 1234,
+       2500,
+       [](const std::string& m) { return graph::ParseTextGraph(m).status(); },
+       {"ok", "syntax", "duplicate-op", "dangling-ref", "numeric-overflow"}},
+      {"graph JSON",
+       graph::ToJson(models::BuildFuzzGraph(json_config, json_rng)), 5678,
+       1500,
+       [](const std::string& m) { return graph::FromJson(m).status(); },
+       {"ok", "syntax", "numeric-overflow"}},
+      {"cluster .ec", ec_text.str(), 4321, 2000,
+       [](const std::string& m) { return sim::ParseTextCluster(m).status(); },
+       {"ok", "syntax", "duplicate-op", "duplicate-edge", "dangling-ref",
+        "numeric-overflow"}},
+      {"cluster JSON", testing_fixtures::kClusterObjectSpec, 8765, 2000,
+       [](const std::string& m) { return sim::ClusterFromJson(m).status(); },
+       {"ok", "syntax", "dangling-ref", "numeric-overflow"}},
+  };
+  for (const Input& input : inputs) {
+    ASSERT_FALSE(input.base.empty()) << input.name;
+    support::Rng rng(input.seed);
+    std::map<std::string, int> histogram;
+    for (int i = 0; i < input.iters; ++i) {
+      std::string mutant = input.base;
+      const int depth = 1 + static_cast<int>(rng.NextBelow(3));
+      for (int d = 0; d < depth; ++d) {
+        mutant = models::MutateSerializedGraph(mutant, rng);
+      }
+      Status status;
+      ASSERT_NO_THROW(status = input.parse(mutant))
+          << input.name << " iter " << i;
+      if (!status.ok()) {
+        EXPECT_EQ(status.file(), "<input>") << input.name;
+        EXPECT_NE(status.message().rfind("internal parser error", 0), 0u)
+            << input.name << " iter " << i << ": " << status.ToString();
+      }
+      ++histogram[support::ErrorCodeName(status.code())];
     }
-    StatusOr<OpGraph> parsed = graph::ParseTextGraph("");
-    ASSERT_NO_THROW(parsed = graph::ParseTextGraph(mutant)) << "iter " << i;
-    if (parsed.ok()) {
-      ++histogram["ok"];
-    } else {
-      EXPECT_EQ(parsed.status().file(), "<input>");
-      ++histogram[support::ErrorCodeName(parsed.status().code())];
+    for (const char* code : input.reached) {
+      EXPECT_GT(histogram[code], 0) << input.name << " never reached " << code;
     }
   }
-  int total = 0;
-  for (const auto& [code, count] : histogram) total += count;
-  EXPECT_EQ(total, 2500);
-  // The corpus is seeded and deterministic: the mutation strategies must
-  // keep driving a broad slice of the taxonomy, not collapse into one
-  // failure mode.
-  EXPECT_GT(histogram["syntax"], 0);
-  EXPECT_GT(histogram["duplicate-op"], 0);
-  EXPECT_GT(histogram["dangling-ref"], 0);
-  EXPECT_GT(histogram["numeric-overflow"], 0);
-}
-
-TEST(MutationFuzz, JsonMutantsAlwaysYieldStructuredResults) {
-  models::FuzzGraphConfig config;
-  config.num_ops = 60;
-  config.width = 8;
-  support::Rng build_rng(11);
-  const std::string base =
-      graph::ToJson(models::BuildFuzzGraph(config, build_rng));
-
-  support::Rng rng(5678);
-  int ok = 0, failed = 0;
-  for (int i = 0; i < 1500; ++i) {
-    std::string mutant = base;
-    const int depth = 1 + static_cast<int>(rng.NextBelow(3));
-    for (int d = 0; d < depth; ++d) {
-      mutant = models::MutateSerializedGraph(mutant, rng);
-    }
-    StatusOr<OpGraph> parsed = graph::FromJson("{}");
-    ASSERT_NO_THROW(parsed = graph::FromJson(mutant)) << "iter " << i;
-    parsed.ok() ? ++ok : ++failed;
-  }
-  EXPECT_EQ(ok + failed, 1500);
-  EXPECT_GT(failed, 0);  // mutations do corrupt
 }
 
 // ---------------------------------------------------------------------------
@@ -463,6 +434,28 @@ TEST(ImportGraphFile, DispatchesOnSuffix) {
   const StatusOr<OpGraph> from_json = graph::ImportGraphFile(json_path);
   ASSERT_TRUE(from_json.ok()) << from_json.status().ToString();
   EXPECT_EQ(from_json.value().num_ops(), 2);
+}
+
+// A directory opens like a file but fails the first read: for both
+// importers and both suffixes that is an io error, not an empty input or
+// a JSON syntax error. A really empty file still reaches the parser.
+TEST(ImportFile, ReadErrorIsIoForEveryImporterAndSuffix) {
+  for (const char* name : {"unreadable_input", "unreadable_input.json"}) {
+    const std::string path = testing::TempDir() + name;
+    std::filesystem::create_directories(path);
+    for (const Status& status : {graph::ImportGraphFile(path).status(),
+                                 sim::ImportClusterFile(path).status()}) {
+      EXPECT_EQ(status.ToString(), path + ": [io] read error");
+    }
+  }
+  const std::string empty = testing::TempDir() + "empty_input.json";
+  std::ofstream(empty).close();
+  for (const Status& status : {graph::ImportGraphFile(empty).status(),
+                               sim::ImportClusterFile(empty).status()}) {
+    EXPECT_EQ(status.ToString(),
+              empty + ":1:1: [syntax] JSON at offset 0: unexpected end of "
+                      "input");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -198,9 +198,9 @@ TEST(LintRules, RawNumericParseFixtureFires) {
 
 TEST(LintRules, RawNumericParseScopedToGraphLayer) {
   const std::string src = ReadFixture("raw_numeric_parse.cpp");
-  // parse_num.* is the sanctioned conversion layer; src/support parses
-  // trusted input (args, telemetry JSON) and is out of scope entirely.
-  EXPECT_TRUE(LintSource("src/graph/parse_num.cpp", src).empty());
+  // record_reader.* is the sanctioned conversion layer; src/support
+  // parses trusted input (args, telemetry JSON) and is out of scope.
+  EXPECT_TRUE(LintSource("src/graph/record_reader.cpp", src).empty());
   EXPECT_TRUE(LintSource("src/support/json.cpp", src).empty());
   EXPECT_TRUE(LintSource("tools/fixture.cpp", src).empty());
   // The cluster-spec importer parses the same class of untrusted files

@@ -67,8 +67,13 @@ std::string Serialize(const graph::OpGraph& graph, bool json) {
   return os.str();
 }
 
-int RunFuzz(const std::string& path, bool json, int iters,
-            std::uint64_t seed) {
+// Mutation fuzz of one importer: `parse` maps a corrupted copy of the
+// file to its status (ok when it parsed). The contract under test
+// is that every mutant comes back as a structured result, never a crash
+// or a throw; the histogram shows which failure modes the mutants reach.
+template <typename Parse>
+int RunFuzz(const std::string& path, const char* what, const char* format,
+            int iters, std::uint64_t seed, Parse&& parse) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "graph_fuzz: cannot open %s\n", path.c_str());
@@ -88,59 +93,9 @@ int RunFuzz(const std::string& path, bool json, int iters,
     for (int d = 0; d < depth; ++d) {
       mutant = models::MutateSerializedGraph(mutant, rng);
     }
-    const support::StatusOr<graph::OpGraph> parsed =
-        json ? graph::FromJson(mutant)
-             : graph::ParseTextGraph(mutant);
-    if (parsed.ok()) {
-      ++histogram["ok"];
-    } else {
-      ++histogram[support::ErrorCodeName(parsed.status().code())];
-    }
+    ++histogram[support::ErrorCodeName(parse(mutant).code())];
   }
-  std::printf("%d mutants of %s (%s):\n", iters, path.c_str(),
-              json ? "json" : "eg");
-  for (const auto& [code, count] : histogram) {
-    std::printf("  %-17s %d\n", code.c_str(), count);
-  }
-  return 0;
-}
-
-// Cluster-spec mutation fuzz: the same stacked-corruption loop as
-// RunFuzz, pointed at the cluster importer. The contract under test is
-// identical — every mutant must come back as a structured Status from
-// the shared taxonomy, never a crash or a throw.
-int RunClusterFuzz(const std::string& path, bool json, int iters,
-                   std::uint64_t seed) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "graph_fuzz: cannot open %s\n", path.c_str());
-    return 2;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string base = buffer.str();
-
-  support::Rng rng(seed);
-  std::map<std::string, int> histogram;
-  for (int i = 0; i < iters; ++i) {
-    std::string mutant = base;
-    const int depth = 1 + static_cast<int>(rng.NextBelow(3));
-    for (int d = 0; d < depth; ++d) {
-      mutant = models::MutateSerializedGraph(mutant, rng);
-    }
-    sim::ClusterIngestOptions opts;
-    opts.source_name = json ? "<mutant.json>" : "<mutant.ec>";
-    const support::StatusOr<sim::ClusterSpec> parsed =
-        json ? sim::ClusterFromJson(mutant, opts)
-             : sim::ParseTextCluster(mutant, opts);
-    if (parsed.ok()) {
-      ++histogram["ok"];
-    } else {
-      ++histogram[support::ErrorCodeName(parsed.status().code())];
-    }
-  }
-  std::printf("%d cluster mutants of %s (%s):\n", iters, path.c_str(),
-              json ? "json" : "ec");
+  std::printf("%d %s of %s (%s):\n", iters, what, path.c_str(), format);
   for (const auto& [code, count] : histogram) {
     std::printf("  %-17s %d\n", code.c_str(), count);
   }
@@ -239,23 +194,26 @@ int main(int argc, char** argv) {
                 graph.num_ops(), graph.num_edges());
     return 0;
   }
-  if (mode == "fuzz") {
+  if (mode == "fuzz" || mode == "cluster-fuzz") {
     const std::string in_path = args.GetString("in");
     if (in_path.empty()) {
-      std::fprintf(stderr, "graph_fuzz: --mode=fuzz needs --in\n");
+      std::fprintf(stderr, "graph_fuzz: --mode=%s needs --in\n",
+                   mode.c_str());
       return 2;
     }
-    return RunFuzz(in_path, is_json(in_path),
-                   static_cast<int>(args.GetInt("iters")), seed);
-  }
-  if (mode == "cluster-fuzz") {
-    const std::string in_path = args.GetString("in");
-    if (in_path.empty()) {
-      std::fprintf(stderr, "graph_fuzz: --mode=cluster-fuzz needs --in\n");
-      return 2;
-    }
-    return RunClusterFuzz(in_path, is_json(in_path),
-                          static_cast<int>(args.GetInt("iters")), seed);
+    const bool json = is_json(in_path);
+    const bool cluster = mode == "cluster-fuzz";
+    return RunFuzz(in_path, cluster ? "cluster mutants" : "mutants",
+                   json ? "json" : (cluster ? "ec" : "eg"),
+                   static_cast<int>(args.GetInt("iters")), seed,
+                   [&](const std::string& mutant) -> support::Status {
+                     if (cluster) {
+                       return json ? sim::ClusterFromJson(mutant).status()
+                                   : sim::ParseTextCluster(mutant).status();
+                     }
+                     return json ? graph::FromJson(mutant).status()
+                                 : graph::ParseTextGraph(mutant).status();
+                   });
   }
   if (mode == "e2e") {
     support::StatusOr<sim::ClusterSpec> resolved =

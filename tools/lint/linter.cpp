@@ -80,12 +80,13 @@ std::vector<RuleInfo> MakeRules() {
       "IN01", "error",
       "raw numeric conversion in the graph-ingestion layer — std::stoll "
       "throws and strtod saturates silently on hostile input; classify "
-      "failures through graph::ParseInt64 / graph::ParseDouble",
+      "failures through graph::ParseInt64 / graph::ParseDouble "
+      "(graph/record_reader.h)",
       // src/graph plus the cluster-spec importer, which parses the same
       // class of untrusted files; json.cpp (strtod) and args.cpp (stoll)
       // live in src/support and parse trusted, non-adversarial input.
       {"src/graph/", "src/sim/cluster_ingest."},
-      {"src/graph/parse_num."}});
+      {"src/graph/record_reader."}});
   rules.push_back(RuleInfo{
       "WC01", "error",
       "raw support::Stopwatch wall-clock read in hot-path code — time "
@@ -610,7 +611,7 @@ void CheckRawNumericParse(const Tokens& toks, const std::string& path,
             "IN01", path, toks[i].line,
             "raw numeric conversion '" + toks[i].text +
                 "' in the ingestion layer — use graph::ParseInt64 / "
-                "graph::ParseDouble (parse_num.h) so failures become "
+                "graph::ParseDouble (record_reader.h) so failures become "
                 "structured Status errors"});
       }
     }

@@ -29,7 +29,7 @@
 //         (src/nn/arena.*, src/sim/sim_workspace.h are the sanctioned
 //         allocation layer and exempt)
 //   IN01  no raw numeric conversions (std::stoll/strtod/atoi/sscanf/...)
-//         in src/graph (outside parse_num.*) or the cluster-spec
+//         in src/graph (outside record_reader.*) or the cluster-spec
 //         importer (src/sim/cluster_ingest.*) — they throw or silently
 //         saturate on hostile input; ingestion must classify failures
 //         through graph::ParseInt64 / graph::ParseDouble instead
