@@ -24,7 +24,6 @@
 #include <utility>
 
 #include "bench/bench_common.h"
-#include "graph/grouped_graph.h"
 
 using namespace eagle;
 using bench::BenchConfig;
@@ -46,30 +45,6 @@ Cell EvalCell(const sim::EvalResult& eval) {
 Cell TrainCell(const rl::TrainResult& result) {
   return {bench::FormatResult(result),
           result.found_valid ? result.best_per_step_seconds : std::nan("")};
-}
-
-// The trace_placement "balanced" policy: METIS groups (4 per device)
-// round-robined over the GPUs, then normalized so CPU-pinned ops land on
-// the host. Deliberately speed- and topology-oblivious — it is the
-// strongest non-learned baseline that needs no model knowledge.
-sim::Placement MetisBalancedPlacement(const graph::OpGraph& graph,
-                                      const sim::ClusterSpec& cluster,
-                                      std::uint64_t seed) {
-  partition::MetisOptions options;
-  options.num_parts = 4 * cluster.num_devices();
-  options.seed = seed;
-  const auto grouping = partition::MetisPartition(graph, options);
-  graph::GroupedGraph grouped(graph, grouping, options.num_parts);
-  const auto gpus = cluster.Gpus();
-  std::vector<std::int32_t> group_devices(
-      static_cast<std::size_t>(options.num_parts));
-  for (int g = 0; g < options.num_parts; ++g) {
-    group_devices[static_cast<std::size_t>(g)] =
-        gpus[static_cast<std::size_t>(g) % gpus.size()];
-  }
-  sim::Placement placement(graph, grouped.ExpandToOps(group_devices));
-  placement.Normalize(graph, cluster);
-  return placement;
 }
 
 }  // namespace
@@ -134,8 +109,8 @@ int main(int argc, char** argv) {
                                                               nullptr))
                              : Cell{"OOM", std::nan("")});
       cells.push_back(EvalCell(context.env->Evaluate(
-          MetisBalancedPlacement(context.graph, context.cluster,
-                                 config.seed),
+          core::MetisBalancedPlacement(context.graph, context.cluster,
+                                       config.seed),
           nullptr)));
 
       // The learned row: EAGLE trained with PPO against this topology.

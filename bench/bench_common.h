@@ -51,9 +51,6 @@ struct BenchConfig {
   // this changes wall-clock time only, never results.
   int threads = 1;
   std::vector<models::Benchmark> benchmarks;
-  // Names of --load graphs registered in the zoo's imported-graph
-  // registry (models::FindImportedGraph), in flag order.
-  std::vector<std::string> imported_graphs;
   std::string csv_prefix;
   // Fault-injected measurement (sim::FaultProfileFromString syntax;
   // all-zero disables).
@@ -88,10 +85,6 @@ inline void AddCommonFlags(support::ArgParser& args, int default_samples) {
   args.AddString("models", "inception_v3,gnmt,bert",
                  "comma-separated benchmark subset");
   args.AddString("csv", "", "CSV output path prefix (empty: no CSV)");
-  args.AddString("load", "",
-                 "comma-separated graph files (.eg or .json) to import, "
-                 "validate and register alongside the benchmarks; "
-                 "malformed files exit 2 with a file:line diagnostic");
   args.AddInt("threads", 1,
               "evaluation threads (0: hardware count; results are "
               "bit-identical at any thread count)");
@@ -159,7 +152,6 @@ inline BenchConfig ReadCommonFlags(const support::ArgParser& args) {
   if (args.GetBool("verbose")) {
     support::SetLogLevel(support::LogLevel::kDebug);
   }
-  config.imported_graphs = ImportGraphsOrExit(args.GetString("load"));
   config.telemetry_out = args.GetString("telemetry-out");
   config.profile_out = args.GetString("profile-out");
   if (!config.telemetry_out.empty() &&

@@ -320,8 +320,7 @@ int main(int argc, char** argv) {
                  "2node8, mixed, or a .ec/.json cluster-spec file");
   if (!args.Parse(argc, argv)) return 0;
 
-  const std::vector<std::string> imported =
-      bench::ImportGraphsOrExit(args.GetString("load"));
+  const auto imported = bench::ImportGraphsOrExit(args.GetString("load"));
   const sim::ClusterSpec cluster =
       bench::ResolveClusterOrExit(args.GetString("cluster"));
 
@@ -368,9 +367,9 @@ int main(int argc, char** argv) {
               << r.opt_steps_per_sec << " steps/s, speedup " << r.speedup
               << "x\n";
   }
-  for (const std::string& name : imported) {
-    sims.push_back(RunSimCaseOnGraph(name, *models::FindImportedGraph(name),
-                                     cluster, repeats, target_seconds));
+  for (const auto& [name, graph] : imported) {
+    sims.push_back(
+        RunSimCaseOnGraph(name, graph, cluster, repeats, target_seconds));
     const auto& r = sims.back();
     std::cout << "sim " << r.graph << " (" << r.num_ops
               << " ops, imported): naive " << r.naive_steps_per_sec

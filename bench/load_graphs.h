@@ -1,7 +1,6 @@
 // --load / --cluster flag plumbing shared by the benches: import user
 // graph files (.eg / .json) through the hardened ingestion pipeline and
-// register them in the model zoo so bench rows can refer to them by
-// name; resolve cluster topology specs the same way.
+// resolve cluster topology specs the same way.
 //
 // Kept separate from bench_common.h so bench_micro (which links only
 // nn/sim/models, not the RL stack) can use it too.
@@ -14,29 +13,18 @@
 #include <vector>
 
 #include "graph/ingest.h"
-#include "models/zoo.h"
 #include "sim/cluster_ingest.h"
 
 namespace eagle::bench {
 
-// Registry name for an imported file: the basename without extension
-// ("runs/my_net.eg" → "my_net").
-inline std::string ImportedGraphName(const std::string& path) {
-  std::string name = path;
-  const std::size_t slash = name.find_last_of('/');
-  if (slash != std::string::npos) name = name.substr(slash + 1);
-  const std::size_t dot = name.find_last_of('.');
-  if (dot != std::string::npos && dot > 0) name = name.substr(0, dot);
-  return name;
-}
-
-// Imports, validates and registers every file in the comma-separated
-// `list`; returns the registered names in order. A malformed graph is a
-// friendly exit 2 with the parser's file:line:column diagnostic on
-// stderr — the same convention as the tools (inspect_model,
-// trace_placement).
-inline std::vector<std::string> ImportGraphsOrExit(const std::string& list) {
-  std::vector<std::string> names;
+// Imports and validates every file in the comma-separated `list`; returns
+// each graph in order, named after its file's basename without extension
+// ("runs/my_net.eg" → "my_net"). A malformed graph is a friendly exit 2
+// with the parser's file:line:column diagnostic on stderr — the same
+// convention as the tools (inspect_model, trace_placement).
+inline std::vector<std::pair<std::string, graph::OpGraph>> ImportGraphsOrExit(
+    const std::string& list) {
+  std::vector<std::pair<std::string, graph::OpGraph>> graphs;
   std::size_t pos = 0;
   while (pos <= list.size() && !list.empty()) {
     const std::size_t comma = list.find(',', pos);
@@ -49,20 +37,15 @@ inline std::vector<std::string> ImportGraphsOrExit(const std::string& list) {
         std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
         std::exit(2);
       }
-      const std::string name = ImportedGraphName(path);
-      const support::Status status =
-          models::RegisterImportedGraph(name, std::move(parsed).value());
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     status.ToString().c_str());
-        std::exit(2);
-      }
-      names.push_back(name);
+      std::string name = path.substr(path.find_last_of('/') + 1);
+      const std::size_t dot = name.find_last_of('.');
+      if (dot != std::string::npos && dot > 0) name.resize(dot);
+      graphs.emplace_back(std::move(name), std::move(parsed).value());
     }
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
-  return names;
+  return graphs;
 }
 
 // Resolves a --cluster value (builtin name or spec file path) through

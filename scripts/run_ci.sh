@@ -21,7 +21,9 @@
 #      cluster-spec files 2k times each against the cluster importer,
 #      and runs a 100k-op generate→ingest→validate→group→simulate pass
 #      end to end — once on the default box and once on the 2node8
-#      hierarchical topology (see docs/GRAPH_FORMATS.md),
+#      hierarchical topology (see docs/GRAPH_FORMATS.md) — and checks that
+#      a cluster without a GPU is refused with exit 2 by the GPU
+#      placement paths of graph_fuzz and trace_placement,
 #   8. an end-to-end benchmark smoke: bench/e2e/run.sh --smoke trains each
 #      of the four benchmark workloads briefly, runs its correctness
 #      checks (repeat digests, bit-exact re-evaluation of the best) and
@@ -104,6 +106,24 @@ FUZZ="$BUILD-fuzz/tools/graph_fuzz"
 "$FUZZ" --mode=cluster-fuzz --in=clusters/mixed.ec --iters=2000 --seed=6
 "$FUZZ" --mode=e2e --ops=100000 --seed=7
 "$FUZZ" --mode=e2e --ops=100000 --seed=7 --cluster=2node8
+# A GPU-less cluster passes ClusterSpec::Validate, but the METIS-balanced
+# placement has no GPU to round-robin over: both tools must refuse it
+# with a one-line diagnostic and exit 2 (not divide by zero).
+cat >"$SMOKE/cpus.ec" <<'SPEC'
+device /cpu:0 cpu gflops=80 mem_bw=60 overhead=25 mem=128849018880
+device /cpu:1 cpu gflops=80 mem_bw=60 overhead=25 mem=128849018880
+link /cpu:0 /cpu:1 bw=11 lat=50 bidir
+SPEC
+expect_exit_2() {
+  local status=0
+  "$@" || status=$?
+  test "$status" -eq 2 ||
+    { echo "$1 on a GPU-less cluster exited $status, want 2"; exit 1; }
+}
+expect_exit_2 "$BUILD/tools/trace_placement" --policy=balanced \
+  --cluster="$SMOKE/cpus.ec" --out="$SMOKE/cpus.trace.json"
+expect_exit_2 "$FUZZ" --mode=e2e --ops=2000 --seed=7 \
+  --cluster="$SMOKE/cpus.ec"
 echo FUZZ_SMOKE_CLEAN
 
 echo "=== end-to-end benchmark smoke ==="

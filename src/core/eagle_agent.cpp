@@ -146,11 +146,8 @@ HierarchicalAgent::Score HierarchicalAgent::ScoreDecision(
 }
 
 sim::Placement HierarchicalAgent::ToPlacement(const Sample& sample) const {
-  graph::GroupedGraph grouped(*graph_, sample.grouping,
-                              config_.dims.num_groups);
-  sim::Placement placement(*graph_, grouped.ExpandToOps(sample.group_devices));
-  placement.Normalize(*graph_, *cluster_);
-  return placement;
+  return sim::Placement::FromGroups(*graph_, *cluster_, sample.grouping,
+                                    sample.group_devices);
 }
 
 std::unique_ptr<HierarchicalAgent> MakeEagleAgent(

@@ -1,8 +1,8 @@
 #include "core/env.h"
 
 #include <algorithm>
-#include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "sim/cost_model.h"
@@ -43,6 +43,10 @@ EnvMetrics& Metrics() {
   return m;
 }
 
+// Invalid placements are charged this multiple of the serialized
+// single-fastest-device per-step lower bound.
+constexpr double kPenaltyFactor = 10.0;
+
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
@@ -62,9 +66,8 @@ PlacementEnvironment::PlacementEnvironment(const graph::OpGraph& graph,
     : graph_(&graph),
       cluster_(&cluster),
       options_(options),
-      session_(graph, cluster, options.measurement, options.simulator),
-      fault_rng_(options.faults.seed),
-      cache_(options.eval_cache_capacity) {
+      session_(graph, cluster, options.measurement),
+      fault_rng_(options.faults.seed) {
   options_.retry.Validate();
   if (options_.faults.enabled()) {
     injector_ = std::make_unique<sim::FaultInjector>(options_.faults, cluster);
@@ -80,16 +83,8 @@ PlacementEnvironment::PlacementEnvironment(const graph::OpGraph& graph,
     }
     best = std::min(best, total);
   }
-  penalty_seconds_ = options_.penalty_factor * best;
+  penalty_seconds_ = kPenaltyFactor * best;
   EAGLE_CHECK(penalty_seconds_ > 0.0);
-}
-
-bool PlacementEnvironment::PendingContains(
-    std::uint64_t hash, const std::vector<sim::DeviceId>& devices) const {
-  for (const PendingEval& pending : pending_) {
-    if (pending.hash == hash && pending.devices == devices) return true;
-  }
-  return false;
 }
 
 EvalTicket PlacementEnvironment::PrepareEvaluation(
@@ -104,24 +99,18 @@ EvalTicket PlacementEnvironment::PrepareEvaluation(
     // of this evaluation, on whichever thread it lands.
     ticket.fault_rng = fault_rng_.Split();
   }
-  if (options_.cache_evaluations) {
-    const std::uint64_t hash = placement.Hash();
-    if (cache_.LookupByHash(hash, placement.devices(), &ticket.clean)) {
-      ticket.has_clean = true;
-      ticket.counted_cache_hit = true;
-    } else if (PendingContains(hash, placement.devices())) {
-      // A duplicate of an in-flight evaluation: a serial run would have
-      // found it cached by now, so count the hit (the worker recomputes
-      // the identical noiseless result rather than waiting).
-      ticket.counted_cache_hit = true;
-    }
-    if (ticket.counted_cache_hit) {
-      ++cache_hits_;
-      Metrics().cache_hits->Increment();
-    } else {
-      Metrics().cache_misses->Increment();
-    }
-    pending_.push_back(PendingEval{hash, placement.devices()});
+  const auto [slot, added] = cache_.Claim(placement);
+  ticket.slot = slot;
+  if (added) {
+    Metrics().cache_misses->Increment();
+  } else {
+    // Done, or a duplicate still in flight in this batch: a serial run
+    // would have found it cached by now either way, so count the hit. An
+    // in-flight entry hands over no result; the worker recomputes the
+    // identical noiseless result rather than waiting.
+    ++cache_hits_;
+    Metrics().cache_hits->Increment();
+    ticket.has_clean = cache_.Result(slot, &ticket.clean);
   }
   return ticket;
 }
@@ -130,33 +119,22 @@ EvalOutcome PlacementEnvironment::EvaluateTicket(
     const sim::Placement& placement, EvalTicket& ticket,
     support::Rng* rng) const {
   EvalOutcome outcome;
-  sim::EvalResult clean;
-  if (ticket.has_clean) {
-    clean = ticket.clean;
-  } else {
-    // The *noiseless* result is what gets cached; noise is re-applied
+  if (!ticket.has_clean) {
+    // The *noiseless* result is what the table keeps; noise is re-applied
     // per evaluation below so repeated visits still look like
     // independent measurements.
-    clean = session_.Evaluate(placement, nullptr);
-    outcome.clean = clean;
-    outcome.insert_clean = options_.cache_evaluations;
+    outcome.clean = session_.Evaluate(placement, nullptr);
   }
+  const sim::EvalResult& clean =
+      ticket.has_clean ? ticket.clean : outcome.clean;
 
   if (injector_ == nullptr) {
     outcome.attempts = 1;
-    sim::EvalResult result = clean;
-    if (result.valid && rng != nullptr &&
-        options_.measurement.noise_stddev > 0.0) {
-      const int measured = options_.measurement.total_steps -
-                           options_.measurement.warmup_steps;
-      double sum = 0.0;
-      for (int i = 0; i < measured; ++i) {
-        sum += result.true_per_step_seconds *
-               sim::NoiseFactor(options_.measurement.noise_stddev, *rng);
-      }
-      result.per_step_seconds = sum / measured;
+    outcome.result = clean;
+    if (clean.valid) {
+      outcome.result.per_step_seconds =
+          session_.MeasuredPerStep(clean.true_per_step_seconds, rng);
     }
-    outcome.result = result;
     return outcome;
   }
 
@@ -217,19 +195,10 @@ sim::EvalResult PlacementEnvironment::EvaluateWithRetries(
   return result;
 }
 
-void PlacementEnvironment::CommitEvaluation(const sim::Placement& placement,
+void PlacementEnvironment::CommitEvaluation(const EvalTicket& ticket,
                                             const EvalOutcome& outcome) {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  if (options_.cache_evaluations) {
-    const std::uint64_t hash = placement.Hash();
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (it->hash == hash && it->devices == placement.devices()) {
-        pending_.erase(it);
-        break;
-      }
-    }
-    if (outcome.insert_clean) cache_.Insert(placement, outcome.clean);
-  }
+  if (!ticket.has_clean) cache_.Fill(ticket.slot, outcome.clean);
   attempts_ += outcome.attempts;
   transient_failures_ += outcome.transient_failures;
   timeouts_ += outcome.timeouts;
@@ -253,7 +222,7 @@ sim::EvalResult PlacementEnvironment::Evaluate(
     const sim::Placement& placement, support::Rng* rng) {
   EvalTicket ticket = PrepareEvaluation(placement);
   EvalOutcome outcome = EvaluateTicket(placement, ticket, rng);
-  CommitEvaluation(placement, outcome);
+  CommitEvaluation(ticket, outcome);
   return outcome.result;
 }
 

@@ -1,8 +1,9 @@
 // PlacementEnvironment: the environment the RL agents interact with.
 //
-// Wraps a benchmark graph + cluster + MeasurementSession, caches noiseless
-// evaluations (collision-checked by full device vector — see EvalCache),
-// and supplies the invalid-placement penalty used by reward shaping.
+// Wraps a benchmark graph + cluster + MeasurementSession, remembers every
+// placement's noiseless evaluation (collision-checked by full device
+// vector — see EvalCache), and supplies the invalid-placement penalty used
+// by reward shaping.
 //
 // Robustness layer: when EnvironmentOptions::faults is enabled, every
 // evaluation becomes a retry loop over fault-injected measurement
@@ -19,14 +20,16 @@
 // while the run stays bit-identical to a serial one:
 //
 //   1. PrepareEvaluation (serial, dispatch order) — splits a per-sample
-//      child off the fault stream, resolves the cache and counts the
-//      hit/miss verdict.
+//      child off the fault stream and claims the placement's slot in the
+//      evaluation table: a placement already there (done, or in flight
+//      earlier in the same batch) counts as a cache hit, and a done
+//      entry hands its noiseless result to the ticket.
 //   2. EvaluateTicket (any thread) — const: simulator runs, fault-
 //      injected retry attempts and measurement noise touch only the
-//      ticket's private RNGs; shared counters/cache are never written.
-//   3. CommitEvaluation (serial, submission order) — inserts the clean
-//      result into the cache and applies the counter deltas, replaying
-//      exactly what an interleaved serial run would have done.
+//      ticket's private RNGs; shared counters/table are never written.
+//   3. CommitEvaluation (serial, submission order) — fills the ticket's
+//      slot with the clean result and applies the counter deltas,
+//      replaying exactly what an interleaved serial run would have done.
 //
 // Evaluate() is Prepare+Evaluate+Commit back to back, so serial callers,
 // a 1-thread service and an N-thread service all advance the same
@@ -36,7 +39,6 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "core/eval_cache.h"
 #include "core/policy.h"
@@ -48,27 +50,18 @@ namespace eagle::core {
 
 struct EnvironmentOptions {
   sim::MeasurementOptions measurement;
-  sim::SimulatorOptions simulator;
   // Fault injection (all-zero rates: disabled) and the retry policy that
   // governs failed measurement attempts.
   sim::FaultProfile faults;
   support::RetryPolicy retry;
-  // Invalid placements are charged penalty_factor × the serialized
-  // single-fastest-device per-step lower bound.
-  double penalty_factor = 10.0;
-  bool cache_evaluations = true;
-  // Entry cap for the evaluation cache (<= 0: unbounded). Long fault
-  // sweeps revisit thousands of placements; the cap bounds memory with
-  // LRU-ish eviction (see EvalCache).
-  int eval_cache_capacity = 0;
 };
 
 // One in-flight evaluation's private context, split off serially at
 // dispatch time so concurrent evaluations share no mutable state.
 struct EvalTicket {
   support::Rng fault_rng;         // per-sample child of the fault stream
-  bool counted_cache_hit = false;
-  bool has_clean = false;         // noiseless result resolved from cache
+  int slot = -1;                  // the placement's evaluation-table entry
+  bool has_clean = false;         // the entry was done: `clean` holds it
   sim::EvalResult clean;
 };
 
@@ -76,8 +69,7 @@ struct EvalTicket {
 // commit phase applies in submission order.
 struct EvalOutcome {
   sim::EvalResult result;
-  sim::EvalResult clean;          // noiseless result, for the cache
-  bool insert_clean = false;
+  sim::EvalResult clean;  // computed noiseless result when the ticket had none
   int attempts = 0;
   int transient_failures = 0;
   int timeouts = 0;
@@ -104,8 +96,7 @@ class PlacementEnvironment : public Environment {
   EvalTicket PrepareEvaluation(const sim::Placement& placement);
   EvalOutcome EvaluateTicket(const sim::Placement& placement,
                              EvalTicket& ticket, support::Rng* rng) const;
-  void CommitEvaluation(const sim::Placement& placement,
-                        const EvalOutcome& outcome);
+  void CommitEvaluation(const EvalTicket& ticket, const EvalOutcome& outcome);
 
   // Fault stream + robustness counters, for checkpoint/resume.
   void SerializeState(std::ostream& out) const override;
@@ -114,13 +105,15 @@ class PlacementEnvironment : public Environment {
   const graph::OpGraph& graph() const { return *graph_; }
   const sim::ClusterSpec& cluster() const { return *cluster_; }
   const sim::MeasurementSession& session() const { return session_; }
+  // Unlocked: read it only while no evaluation is in progress.
   const EvalCache& cache() const { return cache_; }
 
   int cache_hits() const { return ReadCounter(cache_hits_); }
   int evaluations() const { return ReadCounter(evaluations_); }
 
-  // Robustness counters (all zero when faults are disabled).
+  // Measurement attempts: one per evaluation when faults are disabled.
   int attempts() const { return ReadCounter(attempts_); }
+  // Robustness counters (all zero when faults are disabled).
   int transient_failures() const { return ReadCounter(transient_failures_); }
   int timeouts() const { return ReadCounter(timeouts_); }
   int retries() const { return ReadCounter(retries_); }
@@ -136,8 +129,6 @@ class PlacementEnvironment : public Environment {
                                       support::Rng* noise_rng,
                                       support::Rng& fault_rng,
                                       EvalOutcome* outcome) const;
-  bool PendingContains(std::uint64_t hash,
-                       const std::vector<sim::DeviceId>& devices) const;
   int ReadCounter(const int& counter) const {
     std::lock_guard<std::mutex> lock(state_mutex_);
     return counter;
@@ -151,20 +142,12 @@ class PlacementEnvironment : public Environment {
   double penalty_seconds_ = 0.0;
 
   // Mutable environment state. The mutex guards everything below it:
-  // the fault stream, the pending list, the counters and the backoff
+  // the fault stream, the evaluation table, the counters and the backoff
   // accumulator. Counters are only written inside the serialized
   // Prepare/Commit phases, so plain ints under the lock suffice — no
   // atomics needed (eagle-lint rule CC01 keeps it that way).
   mutable std::mutex state_mutex_;
   support::Rng fault_rng_;
-  // Placements prepared but not yet committed: a duplicate dispatched in
-  // the same round counts as a cache hit exactly as it would have in an
-  // interleaved serial run.
-  struct PendingEval {
-    std::uint64_t hash;
-    std::vector<sim::DeviceId> devices;
-  };
-  std::vector<PendingEval> pending_;
   EvalCache cache_;
   int cache_hits_ = 0;
   int evaluations_ = 0;

@@ -1,135 +1,50 @@
 #include "core/eval_cache.h"
 
-#include <algorithm>
-
 #include "support/check.h"
 
 namespace eagle::core {
 
-EvalCache::EvalCache(int max_entries) : max_entries_(std::max(0, max_entries)) {
-  if (max_entries_ > 0) {
-    shard_capacity_ = std::max(
-        1, (max_entries_ + static_cast<int>(kNumShards) - 1) /
-               static_cast<int>(kNumShards));
-  }
-}
-
-bool EvalCache::LookupByHash(std::uint64_t hash,
-                             const std::vector<sim::DeviceId>& devices,
-                             sim::EvalResult* out) {
-  Shard& shard = ShardFor(hash);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(hash);
-  if (it == shard.index.end()) return false;
-  for (const std::uint32_t slot : it->second) {
-    Entry& entry = shard.entries[slot];
-    if (entry.devices == devices) {
-      entry.last_used = ++shard.tick;
-      *out = entry.result;
-      return true;
+int EvalCache::Find(std::uint64_t hash,
+                    const std::vector<sim::DeviceId>& devices) const {
+  const auto it = index_.find(hash);
+  if (it == index_.end()) return -1;
+  for (const int slot : it->second) {
+    if (entries_[static_cast<std::size_t>(slot)].devices == devices) {
+      return slot;
     }
   }
-  return false;
+  return -1;
 }
 
-const sim::EvalResult* EvalCache::FindByHash(
-    std::uint64_t hash, const std::vector<sim::DeviceId>& devices) const {
-  const Shard& shard = ShardFor(hash);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(hash);
-  if (it == shard.index.end()) return nullptr;
-  for (const std::uint32_t slot : it->second) {
-    const Entry& entry = shard.entries[slot];
-    if (entry.devices == devices) return &entry.result;
-  }
-  return nullptr;
+std::pair<int, bool> EvalCache::Claim(
+    std::uint64_t hash, const std::vector<sim::DeviceId>& devices) {
+  const int found = Find(hash, devices);
+  if (found >= 0) return {found, false};
+  std::vector<int>& slots = index_[hash];
+  if (!slots.empty()) ++collisions_;
+  slots.push_back(size());
+  entries_.push_back(Entry{devices, false, {}});
+  return {slots.back(), true};
 }
 
-void EvalCache::EvictOne(Shard& shard) {
-  if (shard.entries.empty()) return;
-  // Deterministic LRU: walk the flat vector in slot order; ticks are
-  // unique per shard so there is exactly one oldest entry.
-  std::size_t victim = 0;
-  for (std::size_t i = 1; i < shard.entries.size(); ++i) {
-    if (shard.entries[i].last_used < shard.entries[victim].last_used) {
-      victim = i;
-    }
-  }
-
-  const auto unindex = [&shard](std::uint64_t hash, std::uint32_t slot) {
-    const auto it = shard.index.find(hash);
-    EAGLE_DCHECK(it != shard.index.end());
-    auto& slots = it->second;
-    slots.erase(std::find(slots.begin(), slots.end(), slot));
-    if (slots.empty()) shard.index.erase(it);
-  };
-
-  unindex(shard.entries[victim].hash, static_cast<std::uint32_t>(victim));
-  const std::size_t last = shard.entries.size() - 1;
-  if (victim != last) {
-    // Swap-and-pop: the moved entry changes slot, so re-point its index.
-    auto& slots = shard.index[shard.entries[last].hash];
-    *std::find(slots.begin(), slots.end(), static_cast<std::uint32_t>(last)) =
-        static_cast<std::uint32_t>(victim);
-    shard.entries[victim] = std::move(shard.entries[last]);
-  }
-  shard.entries.pop_back();
-  ++shard.evictions;
+bool EvalCache::Result(int slot, sim::EvalResult* out) const {
+  EAGLE_CHECK(slot >= 0 && slot < size());
+  const Entry& entry = entries_[static_cast<std::size_t>(slot)];
+  if (entry.done) *out = entry.result;
+  return entry.done;
 }
 
-void EvalCache::InsertByHash(std::uint64_t hash,
-                             const std::vector<sim::DeviceId>& devices,
-                             const sim::EvalResult& result) {
-  Shard& shard = ShardFor(hash);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(hash);
-  if (it != shard.index.end()) {
-    for (const std::uint32_t slot : it->second) {
-      Entry& entry = shard.entries[slot];
-      if (entry.devices == devices) {
-        entry.result = result;
-        entry.last_used = ++shard.tick;
-        return;
-      }
-    }
-  }
-  // Full shard: drop the least-recently-used entry before adding. The
-  // index bucket is re-resolved afterwards since eviction can erase it.
-  if (shard_capacity_ > 0 &&
-      shard.entries.size() >= static_cast<std::size_t>(shard_capacity_)) {
-    EvictOne(shard);
-  }
-  auto& slots = shard.index[hash];
-  if (!slots.empty()) ++shard.collisions;
-  slots.push_back(static_cast<std::uint32_t>(shard.entries.size()));
-  shard.entries.push_back(Entry{hash, devices, result, ++shard.tick});
+void EvalCache::Fill(int slot, const sim::EvalResult& result) {
+  EAGLE_CHECK(slot >= 0 && slot < size());
+  Entry& entry = entries_[static_cast<std::size_t>(slot)];
+  entry.result = result;
+  entry.done = true;
 }
 
-int EvalCache::size() const {
-  int total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += static_cast<int>(shard.entries.size());
-  }
-  return total;
-}
-
-int EvalCache::collisions() const {
-  int total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.collisions;
-  }
-  return total;
-}
-
-int EvalCache::evictions() const {
-  int total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.evictions;
-  }
-  return total;
+bool EvalCache::Lookup(const sim::Placement& placement,
+                       sim::EvalResult* out) const {
+  const int slot = Find(placement.Hash(), placement.devices());
+  return slot >= 0 && Result(slot, out);
 }
 
 }  // namespace eagle::core

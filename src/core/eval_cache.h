@@ -1,29 +1,25 @@
-// Evaluation cache for PlacementEnvironment.
+// Evaluation table for PlacementEnvironment: one entry per placement the
+// environment has evaluated or is evaluating.
 //
-// Keyed by the placement's 64-bit content hash, but — unlike the plain
-// unordered_map it replaces — each hit verifies the full device vector,
-// so a hash collision can never silently return another placement's
-// EvalResult (it just becomes a second entry under the same hash).
+// Keyed by the placement's 64-bit content hash, but every hit verifies
+// the full device vector, so a hash collision can never return another
+// placement's EvalResult (it just becomes a second entry under the same
+// hash).
 //
-// Thread-safe via sharded locks: entries are spread over 16 shards, each
-// guarded by its own mutex, so concurrent evaluations (core::EvalService)
-// contend only when they land on the same shard. Growth is bounded by an
-// optional entry cap with LRU-ish eviction — Lookup/Insert refresh a
-// per-shard recency tick and a full shard evicts its least-recently-used
-// entry — so long fault sweeps no longer grow the cache without limit.
+// An entry is in flight from the moment PrepareEvaluation claims it until
+// CommitEvaluation fills in its noiseless result; after that it is done.
+// Entries are never evicted. The table holds no lock of its own: the
+// environment only touches it inside its serial Prepare/Commit phases,
+// under its state lock.
 //
-// Storage layout: each shard keeps its entries in a flat vector with an
-// unordered hash -> slot-list index on the side. All scans (eviction in
-// particular) walk the vector in slot order, so no behavior ever depends
-// on unordered-container iteration order (eagle-lint rule ND02) — ticks
-// are unique per shard, which makes the LRU victim deterministic anyway,
-// but the flat walk keeps even tie-breaking reproducible by construction.
+// Entries sit in a flat vector in claim order; the hash -> slots index
+// is only ever probed, never iterated, so no behavior depends on
+// unordered-container iteration order (eagle-lint rule ND02).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/measurement.h"
@@ -33,82 +29,45 @@ namespace eagle::core {
 
 class EvalCache {
  public:
-  // max_entries <= 0 keeps the cache unbounded (the historical default).
-  explicit EvalCache(int max_entries = 0);
-
-  // Copies the cached result for exactly this placement into `*out` and
-  // refreshes its recency; returns false on miss. This is the
-  // thread-safe lookup: the copy means no pointer can dangle when
-  // another thread inserts or evicts concurrently.
-  bool Lookup(const sim::Placement& placement, sim::EvalResult* out) {
-    return LookupByHash(placement.Hash(), placement.devices(), out);
+  // The slot holding this placement, adding an in-flight entry when there
+  // is none; `.second` is true when the entry was added.
+  std::pair<int, bool> Claim(const sim::Placement& placement) {
+    return Claim(placement.Hash(), placement.devices());
   }
+  // Hash-explicit variant, exposed so tests can force collisions without
+  // hunting for real 64-bit hash collisions.
+  std::pair<int, bool> Claim(std::uint64_t hash,
+                             const std::vector<sim::DeviceId>& devices);
 
+  // Copies a done slot's result into `*out`; false while it is in flight.
+  bool Result(int slot, sim::EvalResult* out) const;
+  // Stores the slot's noiseless result and marks it done.
+  void Fill(int slot, const sim::EvalResult& result);
+
+  // Copies the result of a done entry for exactly this placement into
+  // `*out`; false when it is absent or still in flight.
+  bool Lookup(const sim::Placement& placement, sim::EvalResult* out) const;
   void Insert(const sim::Placement& placement, const sim::EvalResult& result) {
-    InsertByHash(placement.Hash(), placement.devices(), result);
+    Fill(Claim(placement).first, result);
   }
 
-  // Hash-explicit variants, exposed so tests can force collisions
-  // without hunting for real 64-bit hash collisions.
-  bool LookupByHash(std::uint64_t hash,
-                    const std::vector<sim::DeviceId>& devices,
-                    sim::EvalResult* out);
-  void InsertByHash(std::uint64_t hash,
-                    const std::vector<sim::DeviceId>& devices,
-                    const sim::EvalResult& result);
-
-  // Pointer-returning lookup kept for single-threaded callers and tests.
-  // The pointer is only valid until the next mutating call (an insert
-  // can evict or move the entry); it does not refresh recency.
-  const sim::EvalResult* Find(const sim::Placement& placement) const {
-    return FindByHash(placement.Hash(), placement.devices());
-  }
-  const sim::EvalResult* FindByHash(
-      std::uint64_t hash, const std::vector<sim::DeviceId>& devices) const;
-
-  int size() const;
-  int collisions() const;  // inserts that shared a hash with different devices
-  int evictions() const;   // entries dropped to respect max_entries
-
-  int max_entries() const { return max_entries_; }
-
-  // The cap is enforced per shard (ceil(max_entries / kNumShards) each),
-  // so total occupancy can round up to at most kNumShards extra entries.
-  static constexpr std::size_t kNumShards = 16;
+  int size() const { return static_cast<int>(entries_.size()); }
+  // Entries added under a hash an earlier, different placement holds.
+  int collisions() const { return collisions_; }
 
  private:
   struct Entry {
-    std::uint64_t hash = 0;
     std::vector<sim::DeviceId> devices;
+    bool done = false;
     sim::EvalResult result;
-    std::uint64_t last_used = 0;
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::vector<Entry> entries;  // flat storage; scans walk this in order
-    // hash -> slots in `entries` holding that hash (lookup acceleration
-    // only — never iterated as a container).
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index;
-    std::uint64_t tick = 0;  // per-shard recency clock
-    int collisions = 0;
-    int evictions = 0;
   };
 
-  Shard& ShardFor(std::uint64_t hash) {
-    return shards_[static_cast<std::size_t>(hash) & (kNumShards - 1)];
-  }
-  const Shard& ShardFor(std::uint64_t hash) const {
-    return shards_[static_cast<std::size_t>(hash) & (kNumShards - 1)];
-  }
+  // The slot holding `devices` under `hash`, or -1.
+  int Find(std::uint64_t hash, const std::vector<sim::DeviceId>& devices) const;
 
-  // Drops the least-recently-used entry of `shard` (linear scan over the
-  // flat entry vector; ticks are unique so the victim is unambiguous).
-  // Caller holds the lock.
-  static void EvictOne(Shard& shard);
-
-  std::array<Shard, kNumShards> shards_;
-  int max_entries_ = 0;
-  int shard_capacity_ = 0;  // 0: unbounded
+  std::vector<Entry> entries_;
+  std::unordered_map<std::uint64_t, std::vector<int>> index_;
+  int collisions_ = 0;
 };
 
 }  // namespace eagle::core

@@ -46,8 +46,9 @@ std::vector<sim::EvalResult> EvalService::EvaluateBatch(
   const std::size_t count = placements.size();
   const double batch_start = metrics::NowSeconds();
 
-  // Phase 1 — dispatch order: split the fault stream and settle cache
-  // accounting while the environment is still in its pre-batch state.
+  // Phase 1 — dispatch order: split the fault stream, claim table slots
+  // and settle cache accounting while the environment is still in its
+  // pre-batch state.
   std::vector<EvalTicket> tickets;
   tickets.reserve(count);
   for (const sim::Placement& placement : placements) {
@@ -93,12 +94,12 @@ std::vector<sim::EvalResult> EvalService::EvaluateBatch(
     Metrics().occupancy->Set(busy / (wall * num_threads()));
   }
 
-  // Phase 3 — submission order: replay cache fills and counter updates
+  // Phase 3 — submission order: replay table fills and counter updates
   // exactly as an interleaved serial run would have.
   std::vector<sim::EvalResult> results;
   results.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    environment_->CommitEvaluation(placements[i], outcomes[i]);
+    environment_->CommitEvaluation(tickets[i], outcomes[i]);
     results.push_back(outcomes[i].result);
   }
   return results;

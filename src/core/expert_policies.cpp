@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "partition/metis_like.h"
 #include "support/check.h"
 
 namespace eagle::core {
@@ -12,6 +13,24 @@ sim::Placement SingleGpuPlacement(const graph::OpGraph& graph,
   const auto gpus = cluster.Gpus();
   EAGLE_CHECK_MSG(!gpus.empty(), "cluster has no GPU");
   return sim::Placement::AllOnDevice(graph, cluster, gpus.front());
+}
+
+sim::Placement MetisBalancedPlacement(const graph::OpGraph& graph,
+                                      const sim::ClusterSpec& cluster,
+                                      std::uint64_t seed) {
+  const auto gpus = cluster.Gpus();
+  EAGLE_CHECK_MSG(!gpus.empty(), "cluster has no GPU");
+  partition::MetisOptions options;
+  options.num_parts = 4 * cluster.num_devices();
+  options.seed = seed;
+  std::vector<sim::DeviceId> group_devices(
+      static_cast<std::size_t>(options.num_parts));
+  for (std::size_t g = 0; g < group_devices.size(); ++g) {
+    group_devices[g] = gpus[g % gpus.size()];
+  }
+  return sim::Placement::FromGroups(
+      graph, cluster, partition::MetisPartition(graph, options),
+      group_devices);
 }
 
 namespace {

@@ -19,8 +19,6 @@ PlacetoAgent::PlacetoAgent(const graph::OpGraph& graph,
   metis.num_parts = options_.num_groups;
   metis.seed = options_.seed;
   grouping_ = partition::MetisPartition(graph, metis);
-  grouped_ = std::make_unique<graph::GroupedGraph>(graph, grouping_,
-                                                   options_.num_groups);
   embeddings_ = MakeGroupEmbeddings(graph, grouping_, options_.num_groups,
                                     graph::FeatureMode::kReconstructed,
                                     /*include_adjacency=*/true);
@@ -62,9 +60,8 @@ int PlacetoAgent::PolicyStep(nn::Tape& tape, int group,
 double PlacetoAgent::Evaluate(const std::vector<std::int32_t>& group_devices,
                               sim::StepResult* step_out) {
   ++eval_count_;
-  sim::Placement placement(*graph_, grouped_->ExpandToOps(group_devices));
-  placement.Normalize(*graph_, *cluster_);
-  const auto step = simulator_.Run(placement);
+  const auto step = simulator_.Run(sim::Placement::FromGroups(
+      *graph_, *cluster_, grouping_, group_devices));
   if (step_out != nullptr) *step_out = step;
   // Invalid changes are punished with a large effective time (Placeto's
   // simulator rejects them the same way).
@@ -106,9 +103,8 @@ PlacetoResult PlacetoAgent::Train() {
       if (!step.oom && step.step_seconds < result.best_per_step_seconds) {
         result.found_valid = true;
         result.best_per_step_seconds = step.step_seconds;
-        sim::Placement placement(*graph_, grouped_->ExpandToOps(devices));
-        placement.Normalize(*graph_, *cluster_);
-        result.best_placement = placement;
+        result.best_placement =
+            sim::Placement::FromGroups(*graph_, *cluster_, grouping_, devices);
       }
     }
     // REINFORCE with rewards-to-go and the EMA baseline on episode return.

@@ -69,7 +69,6 @@ class PlacetoAgent {
   const sim::ClusterSpec* cluster_;
   PlacetoOptions options_;
   graph::Grouping grouping_;
-  std::unique_ptr<graph::GroupedGraph> grouped_;
   nn::Tensor embeddings_;
   nn::ParamStore store_;
   nn::Linear l1_;

@@ -72,10 +72,8 @@ PostAgent::Score PostAgent::ScoreDecision(nn::Tape& tape,
 }
 
 sim::Placement PostAgent::ToPlacement(const Sample& sample) const {
-  graph::GroupedGraph grouped(*graph_, sample.grouping, config_.num_groups);
-  sim::Placement placement(*graph_, grouped.ExpandToOps(sample.group_devices));
-  placement.Normalize(*graph_, *cluster_);
-  return placement;
+  return sim::Placement::FromGroups(*graph_, *cluster_, sample.grouping,
+                                    sample.group_devices);
 }
 
 std::unique_ptr<PostAgent> MakePostAgent(const graph::OpGraph& graph,

@@ -69,17 +69,4 @@ std::int64_t GroupedGraph::CutBytes() const {
   return total;
 }
 
-std::vector<std::int32_t> GroupedGraph::ExpandToOps(
-    const std::vector<std::int32_t>& group_devices) const {
-  EAGLE_CHECK_MSG(static_cast<int>(group_devices.size()) == num_groups_,
-                  "device decision covers " << group_devices.size()
-                                            << " groups, expected "
-                                            << num_groups_);
-  std::vector<std::int32_t> per_op(grouping_.size());
-  for (std::size_t i = 0; i < grouping_.size(); ++i) {
-    per_op[i] = group_devices[static_cast<std::size_t>(grouping_[i])];
-  }
-  return per_op;
-}
-
 }  // namespace eagle::graph

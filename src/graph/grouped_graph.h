@@ -3,8 +3,8 @@
 // The hierarchical model (§III-A) never places individual operations; the
 // grouper maps every op to one of k groups and the placer sees only the
 // group-level graph. This type aggregates per-group resource demands and
-// inter-group traffic, and converts a per-group device decision back into
-// a per-op placement.
+// inter-group traffic; sim::Placement::FromGroups turns a per-group device
+// decision back into a per-op placement.
 #pragma once
 
 #include <array>
@@ -49,10 +49,6 @@ class GroupedGraph {
 
   // Member op ids per group.
   const std::vector<std::vector<OpId>>& members() const { return members_; }
-
-  // Expands a per-group device decision into a per-op device vector.
-  std::vector<std::int32_t> ExpandToOps(
-      const std::vector<std::int32_t>& group_devices) const;
 
  private:
   const OpGraph* graph_;

@@ -1,8 +1,8 @@
 // Hardened graph ingestion: StatusOr parsers for untrusted input.
 //
 // Everything that accepts a *user-supplied* graph file — inspect_model
-// --load, trace_placement --load, bench --load, zoo registration of
-// imported graphs — goes through this module: no input, however
+// --load, trace_placement --load, bench_micro --load, custom_model
+// --load — goes through this module: no input, however
 // malformed, makes these functions throw or abort. Failures come back as
 // a support::Status carrying an error-taxonomy code and the
 // file:line:column the problem was detected at. The line reader, JSON

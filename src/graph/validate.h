@@ -4,9 +4,9 @@
 // OpGraph is a graph the rest of the system can safely consume: acyclic,
 // free of duplicate edges, with shape/byte arithmetic that cannot
 // overflow int64, and within configurable resource caps. Every external
-// entry point (inspect_model --load, trace_placement --load, bench
-// --load, zoo registration of imported graphs) runs this before the
-// graph reaches grouping or simulation.
+// entry point (inspect_model --load, trace_placement --load, bench_micro
+// --load, custom_model --load) runs this before the graph reaches
+// grouping or simulation.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,5 @@
 #include "models/zoo.h"
 
-#include <utility>
-
-#include "graph/validate.h"
 #include "models/bert.h"
 #include "models/gnmt.h"
 #include "models/inception_v3.h"
@@ -66,62 +63,5 @@ graph::OpGraph BuildBenchmark(Benchmark benchmark, const ZooOptions& options) {
   }
   EAGLE_CHECK(false);
 }
-
-namespace {
-
-struct ImportedGraph {
-  std::string name;
-  graph::OpGraph graph;
-};
-
-// Plain static storage, no lock: registration happens during
-// single-threaded flag handling (see the header contract), and lookups
-// after that are read-only.
-std::vector<ImportedGraph>& ImportedRegistry() {
-  static std::vector<ImportedGraph> registry;
-  return registry;
-}
-
-bool IsBenchmarkName(const std::string& name) {
-  return name == "inception_v3" || name == "inception" || name == "gnmt" ||
-         name == "nmt" || name == "bert" || name == "bert_base";
-}
-
-}  // namespace
-
-support::Status RegisterImportedGraph(const std::string& name,
-                                      graph::OpGraph graph) {
-  if (name.empty()) {
-    return support::Status::Error(support::ErrorCode::kSyntax,
-                                  "imported graph needs a non-empty name");
-  }
-  if (IsBenchmarkName(name) || FindImportedGraph(name) != nullptr) {
-    return support::Status::Error(
-        support::ErrorCode::kDuplicateOp,
-        "graph name '" + name + "' is already taken");
-  }
-  support::Status status = graph::ValidateGraph(graph);
-  if (!status.ok()) return status.At(name);
-  ImportedRegistry().push_back(ImportedGraph{name, std::move(graph)});
-  return support::Status::Ok();
-}
-
-const graph::OpGraph* FindImportedGraph(const std::string& name) {
-  for (const ImportedGraph& entry : ImportedRegistry()) {
-    if (entry.name == name) return &entry.graph;
-  }
-  return nullptr;
-}
-
-std::vector<std::string> ImportedGraphNames() {
-  std::vector<std::string> names;
-  names.reserve(ImportedRegistry().size());
-  for (const ImportedGraph& entry : ImportedRegistry()) {
-    names.push_back(entry.name);
-  }
-  return names;
-}
-
-void ClearImportedGraphs() { ImportedRegistry().clear(); }
 
 }  // namespace eagle::models

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "graph/op_graph.h"
-#include "support/status.h"
 
 namespace eagle::models {
 
@@ -31,21 +30,5 @@ struct ZooOptions {
 
 graph::OpGraph BuildBenchmark(Benchmark benchmark,
                               const ZooOptions& options = {});
-
-// Imported-graph registry: user-supplied graphs (bench --load files)
-// living alongside the built-in benchmarks so sim rows can report on
-// them by name. Registration re-validates the graph (graph/validate.h)
-// even if the importer already did — the registry is an ingestion entry
-// point in its own right — and rejects duplicate or benchmark-colliding
-// names with kDuplicateOp. Not thread-safe: register during startup
-// flag handling, before any evaluation threads exist.
-support::Status RegisterImportedGraph(const std::string& name,
-                                      graph::OpGraph graph);
-// Null when no graph was registered under `name`.
-const graph::OpGraph* FindImportedGraph(const std::string& name);
-// Registration order.
-std::vector<std::string> ImportedGraphNames();
-// Empties the registry (tests).
-void ClearImportedGraphs();
 
 }  // namespace eagle::models

@@ -27,9 +27,8 @@ std::string EvalResult::ToString() const {
 
 MeasurementSession::MeasurementSession(const graph::OpGraph& graph,
                                        const ClusterSpec& cluster,
-                                       MeasurementOptions options,
-                                       SimulatorOptions sim_options)
-    : simulator_(graph, cluster, sim_options), options_(options) {
+                                       MeasurementOptions options)
+    : simulator_(graph, cluster), options_(options) {
   EAGLE_CHECK(options_.total_steps > options_.warmup_steps);
   EAGLE_CHECK(options_.warmup_steps >= 0);
   EAGLE_CHECK(options_.noise_stddev >= 0.0);
@@ -56,21 +55,25 @@ EvalResult MeasurementSession::Measure(const Placement& placement,
   // Warm-up: the first step additionally places every parameter tensor.
   const double warmup_extra =
       simulator_.ParamTransferSeconds(placement, faults);
-  const int measured = options_.total_steps - options_.warmup_steps;
+  result.per_step_seconds = MeasuredPerStep(step.step_seconds, rng);
+  result.measurement_cost_seconds =
+      options_.session_overhead_seconds + warmup_extra +
+      options_.total_steps * step.step_seconds;
+  return result;
+}
 
+double MeasurementSession::MeasuredPerStep(double step_seconds,
+                                           support::Rng* rng) const {
+  const int measured = options_.total_steps - options_.warmup_steps;
   double sum = 0.0;
   for (int i = 0; i < measured; ++i) {
-    double s = step.step_seconds;
+    double s = step_seconds;
     if (rng != nullptr && options_.noise_stddev > 0.0) {
       s *= NoiseFactor(options_.noise_stddev, *rng);
     }
     sum += s;
   }
-  result.per_step_seconds = sum / measured;
-  result.measurement_cost_seconds =
-      options_.session_overhead_seconds + warmup_extra +
-      options_.total_steps * step.step_seconds;
-  return result;
+  return sum / measured;
 }
 
 EvalResult MeasurementSession::Evaluate(const Placement& placement,

@@ -56,8 +56,7 @@ struct EvalResult {
 class MeasurementSession {
  public:
   MeasurementSession(const graph::OpGraph& graph, const ClusterSpec& cluster,
-                     MeasurementOptions options = {},
-                     SimulatorOptions sim_options = {});
+                     MeasurementOptions options = {});
 
   // Evaluates a (normalized) placement. `rng` drives measurement noise;
   // pass nullptr for a noiseless evaluation.
@@ -73,6 +72,11 @@ class MeasurementSession {
   EvalResult EvaluateWithFaults(const Placement& placement,
                                 const FaultDraw& faults,
                                 support::Rng* rng = nullptr) const;
+
+  // Average reported per-step time over the measured (post-warm-up)
+  // steps of a step that truly takes `step_seconds`; `rng` draws each
+  // step's noise (nullptr: noiseless).
+  double MeasuredPerStep(double step_seconds, support::Rng* rng) const;
 
   const ExecutionSimulator& simulator() const { return simulator_; }
   const MeasurementOptions& options() const { return options_; }

@@ -25,6 +25,27 @@ Placement Placement::AllOnDevice(const graph::OpGraph& graph,
   return placement;
 }
 
+Placement Placement::FromGroups(const graph::OpGraph& graph,
+                                const ClusterSpec& cluster,
+                                const graph::Grouping& grouping,
+                                const std::vector<DeviceId>& group_devices) {
+  EAGLE_CHECK_MSG(static_cast<int>(grouping.size()) == graph.num_ops(),
+                  "grouping covers " << grouping.size() << " ops, graph has "
+                                     << graph.num_ops());
+  Placement placement;
+  placement.devices_.resize(grouping.size());
+  for (std::size_t i = 0; i < grouping.size(); ++i) {
+    const std::int32_t g = grouping[i];
+    EAGLE_CHECK_MSG(g >= 0 && static_cast<std::size_t>(g) <
+                                  group_devices.size(),
+                    "op " << i << " assigned to group " << g << ", but "
+                          << group_devices.size() << " groups have devices");
+    placement.devices_[i] = group_devices[static_cast<std::size_t>(g)];
+  }
+  placement.Normalize(graph, cluster);
+  return placement;
+}
+
 DeviceId Placement::device(graph::OpId op) const {
   EAGLE_CHECK(op >= 0 && op < num_ops());
   return devices_[static_cast<std::size_t>(op)];

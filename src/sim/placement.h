@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/grouped_graph.h"
 #include "graph/op_graph.h"
 #include "sim/device.h"
 
@@ -23,6 +24,15 @@ class Placement {
   // Every op on `device` (cpu_only ops still forced to CPU).
   static Placement AllOnDevice(const graph::OpGraph& graph,
                                const ClusterSpec& cluster, DeviceId device);
+
+  // Expands a per-group device decision — every op in group g goes to
+  // group_devices[g] — into a normalized per-op placement. Throws
+  // std::logic_error when the grouping does not cover the graph or names
+  // a group group_devices has no device for.
+  static Placement FromGroups(const graph::OpGraph& graph,
+                              const ClusterSpec& cluster,
+                              const graph::Grouping& grouping,
+                              const std::vector<DeviceId>& group_devices);
 
   // Rebuilds a placement from a raw device vector without constraint
   // checks — for deserializing already-normalized placements from

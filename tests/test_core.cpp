@@ -236,6 +236,22 @@ TEST(ExpertPolicies, SingleGpuPinsCpuOps) {
   EXPECT_TRUE(has_gpu_op);
 }
 
+TEST(ExpertPolicies, GpuLessClusterThrowsInsteadOfDividingByZero) {
+  auto graph = SmallGraph();
+  sim::ClusterSpec cluster;
+  for (const char* name : {"/cpu:0", "/cpu:1"}) {
+    sim::DeviceSpec cpu;
+    cpu.name = name;
+    cpu.kind = sim::DeviceKind::kCPU;
+    cpu.memory_bytes = std::int64_t{1} << 34;
+    cluster.AddDevice(cpu);
+  }
+  cluster.SetDefaultLink(sim::LinkSpec{});
+  ASSERT_TRUE(cluster.Validate().ok());
+  EXPECT_THROW(MetisBalancedPlacement(graph, cluster, 3), std::logic_error);
+  EXPECT_THROW(SingleGpuPlacement(graph, cluster), std::logic_error);
+}
+
 TEST(ExpertPolicies, GnmtExpertUsesAllGpus) {
   models::GnmtConfig config;
   config.seq_len = 6;

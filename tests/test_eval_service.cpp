@@ -11,7 +11,6 @@
 
 #include "core/eagle_agent.h"
 #include "core/env.h"
-#include "core/eval_cache.h"
 #include "core/eval_service.h"
 #include "core/policy.h"
 #include "models/synthetic.h"
@@ -232,6 +231,50 @@ TEST(EvalService, BatchMatchesSerialEvaluateExactly) {
   EXPECT_EQ(pool_env.backoff_seconds_total(),
             serial_env.backoff_seconds_total());
   EXPECT_EQ(pool_env.cache().size(), serial_env.cache().size());
+  // Absolute accounting, not just agreement: the 12 samples are distinct,
+  // so the two appended duplicates are the only hits and the table holds
+  // one entry per sample.
+  EXPECT_EQ(serial_env.cache_hits(), 2);
+  EXPECT_EQ(serial_env.cache().size(), 12);
+}
+
+// A placement prepared twice before either commit: the second ticket
+// finds the first one's entry in flight, so it counts the hit a serial
+// run would have counted but carries no result to reuse. Both commits
+// leave one entry behind, and a later visit gets the stored result.
+TEST(EvalService, DuplicatePreparedBeforeCommitCountsHitWithoutResult) {
+  Fixture fix;
+  auto agent = fix.Agent(3);
+  support::Rng sampler(4);
+  const sim::Placement placement =
+      agent->ToPlacement(agent->SampleDecision(sampler));
+  PlacementEnvironment env(fix.graph, fix.cluster, fix.EnvOptions());
+
+  EvalTicket first = env.PrepareEvaluation(placement);
+  EvalTicket second = env.PrepareEvaluation(placement);
+  EXPECT_FALSE(first.has_clean);
+  EXPECT_FALSE(second.has_clean);
+  EXPECT_EQ(env.cache_hits(), 1);
+
+  support::Rng rng_first = sampler.Split(0);
+  support::Rng rng_second = sampler.Split(1);
+  const EvalOutcome first_outcome =
+      env.EvaluateTicket(placement, first, &rng_first);
+  const EvalOutcome second_outcome =
+      env.EvaluateTicket(placement, second, &rng_second);
+  EXPECT_EQ(first_outcome.clean.true_per_step_seconds,
+            second_outcome.clean.true_per_step_seconds);
+  env.CommitEvaluation(first, first_outcome);
+  env.CommitEvaluation(second, second_outcome);
+  EXPECT_EQ(env.evaluations(), 2);
+  EXPECT_EQ(env.cache_hits(), 1);
+  EXPECT_EQ(env.cache().size(), 1);
+
+  const EvalTicket third = env.PrepareEvaluation(placement);
+  EXPECT_TRUE(third.has_clean);
+  EXPECT_EQ(third.clean.true_per_step_seconds,
+            first_outcome.clean.true_per_step_seconds);
+  EXPECT_EQ(env.cache_hits(), 2);
 }
 
 TEST(EvalService, KillAndResumeThroughParallelPath) {
@@ -327,13 +370,11 @@ TEST(EvalService, ResumeWithDifferentThreadCountStillMatches) {
 }
 
 // Concurrency stress for TSan: hammer one environment through a wide
-// service with duplicate-heavy batches so the cache, counters and fault
+// service with duplicate-heavy batches so the table, counters and fault
 // stream all see real contention.
 TEST(EvalService, ConcurrentStress) {
   Fixture fix;
-  EnvironmentOptions env_options = fix.EnvOptions();
-  env_options.eval_cache_capacity = 32;  // force concurrent-era evictions
-  PlacementEnvironment env(fix.graph, fix.cluster, env_options);
+  PlacementEnvironment env(fix.graph, fix.cluster, fix.EnvOptions());
   EvalService service(env, 8);
   auto agent = fix.Agent(7);
   support::Rng sampler(8);
@@ -354,70 +395,10 @@ TEST(EvalService, ConcurrentStress) {
     ASSERT_EQ(results.size(), batch.size());
   }
   EXPECT_EQ(env.evaluations(), 8 * 48);
-  EXPECT_LE(env.cache().size(), 32 + static_cast<int>(EvalCache::kNumShards));
-}
-
-TEST(EvalCache, CapacityBoundsGrowth) {
-  EvalCache cache(/*max_entries=*/32);  // ceil(32/16) = 2 per shard
-  EXPECT_EQ(cache.max_entries(), 32);
-  sim::EvalResult result;
-  result.valid = true;
-  for (int i = 0; i < 200; ++i) {
-    result.per_step_seconds = static_cast<double>(i);
-    cache.InsertByHash(static_cast<std::uint64_t>(i),
-                       {static_cast<sim::DeviceId>(i), 1}, result);
-  }
-  EXPECT_LE(cache.size(), 32);
-  EXPECT_GT(cache.evictions(), 0);
-}
-
-TEST(EvalCache, EvictsLeastRecentlyUsedEntry) {
-  EvalCache cache(/*max_entries=*/32);  // 2 entries per shard
-  sim::EvalResult result;
-  result.valid = true;
-  const std::vector<sim::DeviceId> d0{0, 0}, d1{1, 1}, d2{2, 2};
-  // Hashes 0, 16, 32 all land in shard 0 (hash mod 16 == 0).
-  cache.InsertByHash(0, d0, result);
-  cache.InsertByHash(16, d1, result);
-  sim::EvalResult out;
-  EXPECT_TRUE(cache.LookupByHash(0, d0, &out));  // keep entry 0 hot
-  cache.InsertByHash(32, d2, result);            // shard full: evict LRU
-  EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_TRUE(cache.LookupByHash(0, d0, &out));    // hot entry survived
-  EXPECT_FALSE(cache.LookupByHash(16, d1, &out));  // stale entry evicted
-  EXPECT_TRUE(cache.LookupByHash(32, d2, &out));
-  EXPECT_EQ(cache.size(), 2);
-}
-
-TEST(EvalCache, UnboundedByDefault) {
-  EvalCache cache;
-  EXPECT_EQ(cache.max_entries(), 0);
-  sim::EvalResult result;
-  result.valid = true;
-  for (int i = 0; i < 500; ++i) {
-    cache.Insert(sim::Placement::FromRaw({static_cast<std::int32_t>(i), 0,
-                                          1, 2}),
-                 result);
-  }
-  EXPECT_EQ(cache.size(), 500);
-  EXPECT_EQ(cache.evictions(), 0);
-}
-
-TEST(EvalCache, EnvironmentHonorsCapacityOption) {
-  Fixture fix;
-  EnvironmentOptions options = fix.EnvOptions();
-  options.faults = sim::FaultProfile{};  // noiseless accounting
-  options.eval_cache_capacity = 8;
-  PlacementEnvironment env(fix.graph, fix.cluster, options);
-  auto agent = fix.Agent(9);
-  support::Rng sampler(10);
-  for (int i = 0; i < 100; ++i) {
-    const auto placement = agent->ToPlacement(agent->SampleDecision(sampler));
-    support::Rng rng = sampler.Split(static_cast<std::uint64_t>(i));
-    env.Evaluate(placement, &rng);
-  }
-  EXPECT_LE(env.cache().size(), 8 + static_cast<int>(EvalCache::kNumShards));
-  EXPECT_GT(env.cache().evictions(), 0);
+  // Nothing is evicted: one entry per distinct placement drawn, and every
+  // other evaluation was a hit.
+  EXPECT_LE(env.cache().size(), 24);
+  EXPECT_EQ(env.cache_hits() + env.cache().size(), env.evaluations());
 }
 
 }  // namespace

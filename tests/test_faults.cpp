@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/env.h"
 #include "core/eval_cache.h"
@@ -222,24 +223,35 @@ TEST(MeasurementNoise, NegativeStddevRejected) {
 TEST(EvalCache, HashCollisionNeverAliases) {
   // Regression: the old unordered_map<hash, result> cache returned
   // another placement's result on a 64-bit hash collision. Force one via
-  // the hash-explicit API.
+  // the hash-explicit Claim.
   core::EvalCache cache;
   const std::vector<sim::DeviceId> a{1, 1, 2}, b{2, 1, 1};
   sim::EvalResult result_a;
   result_a.valid = true;
   result_a.per_step_seconds = 1.0;
-  cache.InsertByHash(42, a, result_a);
-  EXPECT_NE(cache.FindByHash(42, a), nullptr);
-  EXPECT_EQ(cache.FindByHash(42, b), nullptr);  // collision: not aliased
+  const auto [slot_a, added_a] = cache.Claim(42, a);
+  ASSERT_TRUE(added_a);
+  cache.Fill(slot_a, result_a);
+
+  // Collision: b gets its own in-flight entry, not a's result.
+  const auto [slot_b, added_b] = cache.Claim(42, b);
+  ASSERT_TRUE(added_b);
+  EXPECT_NE(slot_b, slot_a);
+  sim::EvalResult out;
+  EXPECT_FALSE(cache.Result(slot_b, &out));
 
   sim::EvalResult result_b;
   result_b.valid = true;
   result_b.per_step_seconds = 2.0;
-  cache.InsertByHash(42, b, result_b);
+  cache.Fill(slot_b, result_b);
   EXPECT_EQ(cache.size(), 2);
   EXPECT_EQ(cache.collisions(), 1);
-  EXPECT_DOUBLE_EQ(cache.FindByHash(42, a)->per_step_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(cache.FindByHash(42, b)->per_step_seconds, 2.0);
+  EXPECT_EQ(cache.Claim(42, a), std::make_pair(slot_a, false));
+  EXPECT_EQ(cache.Claim(42, b), std::make_pair(slot_b, false));
+  ASSERT_TRUE(cache.Result(slot_a, &out));
+  EXPECT_DOUBLE_EQ(out.per_step_seconds, 1.0);
+  ASSERT_TRUE(cache.Result(slot_b, &out));
+  EXPECT_DOUBLE_EQ(out.per_step_seconds, 2.0);
 }
 
 TEST(RetryPolicy, ExponentialGrowthWithCap) {

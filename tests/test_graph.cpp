@@ -149,13 +149,6 @@ TEST(GroupedGraph, AggregatesAndTraffic) {
   EXPECT_EQ(grouped.CutBytes(), 128);
 }
 
-TEST(GroupedGraph, ExpandToOps) {
-  OpGraph g = Diamond();
-  GroupedGraph grouped(g, {0, 0, 1, 1}, 2);
-  const auto devices = grouped.ExpandToOps({3, 7});
-  EXPECT_EQ(devices, (std::vector<std::int32_t>{3, 3, 7, 7}));
-}
-
 TEST(GroupedGraph, InvalidGroupingRejected) {
   OpGraph g = Diamond();
   EXPECT_THROW(GroupedGraph(g, {0, 0, 1}, 2), std::logic_error);

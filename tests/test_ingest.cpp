@@ -2,8 +2,7 @@
 // conversions, the malformed-fixture corpus (tests/graph_fixtures/, each
 // case's whole diagnostic pinned), byte-identical round-trips
 // through both serialization formats, a deterministic mutation-fuzz
-// smoke, a stress-scale end-to-end run, ValidateGraph semantics, and the
-// imported-graph zoo registry.
+// smoke, a stress-scale end-to-end run and ValidateGraph semantics.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -14,16 +13,15 @@
 #include <utility>
 #include <vector>
 
+#include "core/expert_policies.h"
 #include "fixture_corpus.h"
 #include "graph/graph_io.h"
-#include "graph/grouped_graph.h"
 #include "graph/ingest.h"
 #include "graph/record_reader.h"
 #include "graph/validate.h"
 #include "gtest/gtest.h"
 #include "models/fuzz_corpus.h"
 #include "models/zoo.h"
-#include "partition/metis_like.h"
 #include "sim/cluster_ingest.h"
 #include "sim/device.h"
 #include "sim/placement.h"
@@ -327,22 +325,9 @@ TEST(EndToEnd, TenThousandOpIngestedGraphGroupsAndSimulates) {
   EXPECT_EQ(graph.num_edges(), generated.num_edges());
 
   const auto cluster = sim::MakeDefaultCluster();
-  partition::MetisOptions metis;
-  metis.num_parts = 4 * cluster.num_devices();
-  metis.seed = 42;
-  const auto grouping = partition::MetisPartition(graph, metis);
-  graph::GroupedGraph grouped(graph, grouping, metis.num_parts);
-  const auto gpus = cluster.Gpus();
-  std::vector<std::int32_t> group_devices(
-      static_cast<std::size_t>(metis.num_parts));
-  for (int g = 0; g < metis.num_parts; ++g) {
-    group_devices[static_cast<std::size_t>(g)] =
-        gpus[static_cast<std::size_t>(g) % gpus.size()];
-  }
-  sim::Placement placement(graph, grouped.ExpandToOps(group_devices));
-  placement.Normalize(graph, cluster);
   sim::ExecutionSimulator simulator(graph, cluster);
-  const auto result = simulator.Run(placement);
+  const auto result =
+      simulator.Run(core::MetisBalancedPlacement(graph, cluster, 42));
   EXPECT_GT(result.step_seconds, 0.0);
 }
 
@@ -456,42 +441,6 @@ TEST(ImportFile, ReadErrorIsIoForEveryImporterAndSuffix) {
               empty + ":1:1: [syntax] JSON at offset 0: unexpected end of "
                       "input");
   }
-}
-
-// ---------------------------------------------------------------------------
-// The imported-graph registry (bench --load's backing store).
-
-TEST(ImportedGraphRegistry, RegistersFindsAndRejectsCollisions) {
-  models::ClearImportedGraphs();
-  ASSERT_TRUE(models::RegisterImportedGraph("mygraph", MakeTinyGraph()).ok());
-  ASSERT_NE(models::FindImportedGraph("mygraph"), nullptr);
-  EXPECT_EQ(models::FindImportedGraph("mygraph")->num_ops(), 2);
-  EXPECT_EQ(models::ImportedGraphNames(),
-            std::vector<std::string>{"mygraph"});
-  EXPECT_EQ(models::FindImportedGraph("absent"), nullptr);
-
-  // Duplicate and benchmark-colliding names are rejected.
-  EXPECT_EQ(models::RegisterImportedGraph("mygraph", MakeTinyGraph()).code(),
-            ErrorCode::kDuplicateOp);
-  EXPECT_EQ(models::RegisterImportedGraph("bert", MakeTinyGraph()).code(),
-            ErrorCode::kDuplicateOp);
-  EXPECT_EQ(models::RegisterImportedGraph("", MakeTinyGraph()).code(),
-            ErrorCode::kSyntax);
-
-  models::ClearImportedGraphs();
-  EXPECT_EQ(models::FindImportedGraph("mygraph"), nullptr);
-  EXPECT_TRUE(models::ImportedGraphNames().empty());
-}
-
-TEST(ImportedGraphRegistry, RevalidatesAtRegistration) {
-  models::ClearImportedGraphs();
-  OpGraph cyclic = MakeTinyGraph();
-  cyclic.AddEdge(1, 0);
-  const Status status =
-      models::RegisterImportedGraph("broken", std::move(cyclic));
-  EXPECT_EQ(status.code(), ErrorCode::kCycle);
-  EXPECT_EQ(models::FindImportedGraph("broken"), nullptr);
-  models::ClearImportedGraphs();
 }
 
 }  // namespace

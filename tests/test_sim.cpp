@@ -147,6 +147,39 @@ TEST(Placement, CpuOnlyDragsColocationGroup) {
   EXPECT_EQ(placement.device(1), cluster.FirstCpu());
 }
 
+TEST(Placement, FromGroupsExpandsAndNormalizes) {
+  // Ops 0 and 1 share colocation group 0; op 2 is CPU-pinned.
+  OpGraph g;
+  for (int i = 0; i < 4; ++i) {
+    OpDef op;
+    op.name = "n" + std::to_string(i);
+    op.output_shape = TensorShape{4};
+    op.colocation_group = i < 2 ? 0 : -1;
+    op.cpu_only = i == 2;
+    g.AddOp(op);
+  }
+  const auto cluster = MakeDefaultCluster();
+  // Op 1's group says GPU 3, but it follows its colocation leader (op 0,
+  // group 0 → GPU 2); op 2's group says GPU 3, but it is pinned to the CPU.
+  const auto placement =
+      Placement::FromGroups(g, cluster, {0, 1, 1, 1}, {2, 3});
+  EXPECT_EQ(placement.devices(),
+            (std::vector<DeviceId>{2, 2, cluster.FirstCpu(), 3}));
+}
+
+TEST(Placement, FromGroupsRejectsBadGroupings) {
+  OpGraph g = models::BuildChain(2);  // input + 2 ops
+  const auto cluster = MakeDefaultCluster();
+  // Grouping shorter than the graph.
+  EXPECT_THROW(Placement::FromGroups(g, cluster, {0, 1}, {1, 2}),
+               std::logic_error);
+  // Group ids outside the device decision, on either side.
+  EXPECT_THROW(Placement::FromGroups(g, cluster, {0, 1, 2}, {1, 2}),
+               std::logic_error);
+  EXPECT_THROW(Placement::FromGroups(g, cluster, {0, -1, 1}, {1, 2}),
+               std::logic_error);
+}
+
 TEST(Placement, HashDiffers) {
   OpGraph g = models::BuildChain(8);
   const auto cluster = MakeDefaultCluster();

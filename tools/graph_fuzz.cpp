@@ -20,7 +20,8 @@
 //               $ ./graph_fuzz --mode=cluster-fuzz --in=clusters/2node8.ec
 //
 // Exit codes: 0 success, 2 structured ingestion failure (e2e/fuzz
-// input), matching the friendly-diagnostic convention of the other tools.
+// input) or an e2e cluster without a GPU to place on, matching the
+// friendly-diagnostic convention of the other tools.
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -28,11 +29,10 @@
 #include <string>
 #include <vector>
 
+#include "core/expert_policies.h"
 #include "graph/graph_io.h"
-#include "graph/grouped_graph.h"
 #include "graph/ingest.h"
 #include "models/fuzz_corpus.h"
-#include "partition/metis_like.h"
 #include "sim/cluster_ingest.h"
 #include "sim/device.h"
 #include "sim/placement.h"
@@ -125,25 +125,12 @@ int RunE2e(int ops, std::uint64_t seed, bool json,
   std::printf("ingested + validated in %.2f s\n",
               stopwatch.ElapsedSeconds());
 
-  partition::MetisOptions metis;
-  metis.num_parts = 4 * cluster.num_devices();
-  metis.seed = seed;
-  const auto grouping = partition::MetisPartition(graph, metis);
-  graph::GroupedGraph grouped(graph, grouping, metis.num_parts);
-  const auto gpus = cluster.Gpus();
-  std::vector<std::int32_t> group_devices(
-      static_cast<std::size_t>(metis.num_parts));
-  for (int g = 0; g < metis.num_parts; ++g) {
-    group_devices[static_cast<std::size_t>(g)] =
-        gpus[static_cast<std::size_t>(g) % gpus.size()];
-  }
-  sim::Placement placement(graph, grouped.ExpandToOps(group_devices));
-  placement.Normalize(graph, cluster);
+  const sim::Placement placement =
+      core::MetisBalancedPlacement(graph, cluster, seed);
   sim::ExecutionSimulator simulator(graph, cluster);
   const auto result = simulator.Run(placement);
-  std::printf("grouped into %d parts, simulated step: %s (total %.2f s)\n",
-              metis.num_parts, result.ToString(cluster).c_str(),
-              stopwatch.ElapsedSeconds());
+  std::printf("METIS-balanced placement, simulated step: %s (total %.2f s)\n",
+              result.ToString(cluster).c_str(), stopwatch.ElapsedSeconds());
   return 0;
 }
 
@@ -221,6 +208,12 @@ int main(int argc, char** argv) {
     if (!resolved.ok()) {
       std::fprintf(stderr, "graph_fuzz: %s\n",
                    resolved.status().ToString().c_str());
+      return 2;
+    }
+    if (resolved.value().Gpus().empty()) {
+      std::fprintf(stderr,
+                   "graph_fuzz: --mode=e2e places on GPUs and the cluster "
+                   "has none\n");
       return 2;
     }
     return RunE2e(ops, seed, is_json(""), resolved.value());

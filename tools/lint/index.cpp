@@ -495,8 +495,8 @@ class FileScanner {
 
   // Normalizes one mutex argument to a stable identity. A bare member
   // name is qualified with the enclosing function's class so `mutex_` in
-  // EvalCache and `mutex_` in ThreadPool never collide; tag arguments
-  // (std::defer_lock etc.) are dropped.
+  // two different classes never collides; tag arguments (std::defer_lock
+  // etc.) are dropped.
   std::string NormalizeMutexArg(std::size_t begin, std::size_t end,
                                 const FunctionInfo& fn) {
     std::string joined;

@@ -22,10 +22,10 @@ namespace {
 
 const char* const kEvalLayer[] = {
     // The sanctioned concurrency layer: the pool itself, the batch
-    // evaluation service, the sharded cache, and the environment whose
-    // Prepare/Commit phases hold the service's state lock.
-    "src/support/", "src/core/eval_service.", "src/core/eval_cache.",
-    "src/core/env.",
+    // evaluation service, and the environment whose Prepare/Commit phases
+    // hold the service's state lock (it also guards the evaluation table,
+    // which has no lock of its own).
+    "src/support/", "src/core/eval_service.", "src/core/env.",
 };
 
 std::vector<RuleInfo> MakeRules() {
@@ -50,7 +50,7 @@ std::vector<RuleInfo> MakeRules() {
       "raw concurrency primitive (std::mutex/std::thread/std::atomic/...) "
       "outside src/support and the evaluation-service layer",
       {"src/", "bench/", "tools/", "examples/"},
-      {kEvalLayer[0], kEvalLayer[1], kEvalLayer[2], kEvalLayer[3]}});
+      {kEvalLayer[0], kEvalLayer[1], kEvalLayer[2]}});
   rules.push_back(RuleInfo{
       "DC01", "error",
       "side-effecting expression inside EAGLE_DCHECK (stripped in Release "

@@ -12,7 +12,7 @@
 //         src/sim — hash-table iteration order is unspecified and has
 //         historically leaked into eviction choices and serialized output
 //   CC01  raw std::mutex/std::thread/std::atomic confined to src/support
-//         and the evaluation-service layer (eval_service/eval_cache/env)
+//         and the evaluation-service layer (eval_service/env)
 //   DC01  no side-effecting expressions inside EAGLE_DCHECK (it compiles
 //         to (void)0 in Release, so side effects would vanish there)
 //   CP01  any file embedding the checkpoint magic ("EAGLCKP") must

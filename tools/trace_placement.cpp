@@ -9,17 +9,16 @@
 //
 // Policies: single (one GPU), expert (the paper's human-expert layout,
 // built-in models only), balanced (METIS groups round-robined over the
-// GPUs), random. Malformed --load files and unusable policy choices are
-// a diagnostic on stderr and exit 2, never an abort.
+// GPUs), random. Malformed --load files and unusable policy choices (a
+// GPU policy on a cluster without a GPU, say) are a diagnostic on stderr
+// and exit 2, never an abort.
 #include <cstdio>
 #include <ostream>
 #include <utility>
 
 #include "core/expert_policies.h"
-#include "graph/grouped_graph.h"
 #include "graph/ingest.h"
 #include "models/zoo.h"
-#include "partition/metis_like.h"
 #include "sim/cluster_ingest.h"
 #include "sim/fault.h"
 #include "sim/trace.h"
@@ -39,21 +38,7 @@ sim::Placement MakePlacement(const std::string& policy,
     return core::SingleGpuPlacement(graph, cluster);
   }
   if (policy == "balanced") {
-    partition::MetisOptions options;
-    options.num_parts = 4 * cluster.num_devices();
-    options.seed = seed;
-    const auto grouping = partition::MetisPartition(graph, options);
-    graph::GroupedGraph grouped(graph, grouping, options.num_parts);
-    const auto gpus = cluster.Gpus();
-    std::vector<std::int32_t> group_devices(
-        static_cast<std::size_t>(options.num_parts));
-    for (int g = 0; g < options.num_parts; ++g) {
-      group_devices[static_cast<std::size_t>(g)] =
-          gpus[static_cast<std::size_t>(g) % gpus.size()];
-    }
-    sim::Placement placement(graph, grouped.ExpandToOps(group_devices));
-    placement.Normalize(graph, cluster);
-    return placement;
+    return core::MetisBalancedPlacement(graph, cluster, seed);
   }
   if (policy == "random") {
     support::Rng rng(seed);
@@ -127,6 +112,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   const sim::ClusterSpec cluster = std::move(resolved).value();
+  if (policy != "random" && cluster.Gpus().empty()) {
+    std::fprintf(stderr,
+                 "trace_placement: the %s policy needs a GPU and the "
+                 "cluster has none — try --policy=random\n",
+                 policy.c_str());
+    return 2;
+  }
   sim::Placement placement;
   if (policy == "expert") {
     // Expert layouts exist only for the built-in benchmarks.
