@@ -9,7 +9,6 @@
 #include "core/env.h"
 #include "core/policy.h"
 #include "models/gnmt.h"
-#include "partition/bisection.h"
 #include "partition/fluid.h"
 #include "partition/metis_like.h"
 #include "rl/trainer.h"
@@ -54,13 +53,8 @@ int main(int argc, char** argv) {
   fluid.num_communities = k;
   fluid.seed = seed;
   const auto fluid_grouping = partition::FluidCommunities(graph, fluid);
-  partition::BisectionOptions bisect;
-  bisect.num_parts = k;
-  bisect.seed = seed;
-  const auto bisect_grouping = partition::BisectionPartition(graph, bisect);
   PrintPartitionQuality(graph, metis_grouping, k, "METIS");
   PrintPartitionQuality(graph, fluid_grouping, k, "fluid");
-  PrintPartitionQuality(graph, bisect_grouping, k, "bisection");
 
   // …vs what actually matters: the per-step time of the placement the
   // placer learns on top of each grouping.
@@ -78,8 +72,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Entry> entries{{"feed-forward", {}},
                              {"METIS", metis_grouping},
-                             {"fluid", fluid_grouping},
-                             {"bisection", bisect_grouping}};
+                             {"fluid", fluid_grouping}};
   for (auto& entry : entries) {
     core::PlacementEnvironment env(graph, cluster);
     std::unique_ptr<core::PolicyAgent> agent;

@@ -10,7 +10,10 @@
 #   5. a telemetry smoke run: a tiny bench_fig5 training run with
 #      --telemetry-out / --profile-out must produce JSONL that
 #      tools/metrics_report parses and a Chrome trace containing
-#      trainer-phase spans (see docs/OBSERVABILITY.md),
+#      trainer-phase spans (see docs/OBSERVABILITY.md); its training
+#      checkpoints and those of a tiny bench_table2 run must match the
+#      sha256 sums pinned below, so every agent's training output is
+#      pinned, not only the two the end-to-end smoke trains,
 #   6. a kernel-bench smoke run: bench_micro --smoke must complete and
 #      emit well-formed BENCH_kernels.json (tiny shapes — it guards the
 #      harness and the naive-reference plumbing, not the perf ratios;
@@ -62,7 +65,7 @@ SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 "$BUILD/bench/bench_fig5" --samples=20 --threads=2 \
   --telemetry-out="$SMOKE/run.jsonl" --profile-out="$SMOKE/profile.json" \
-  --csv="$SMOKE/"
+  --csv="$SMOKE/" --checkpoint-dir="$SMOKE/ck"
 # The JSONL must cover the whole run and the profile must contain
 # trainer-phase spans (an empty traceEvents array would grep clean on
 # the header alone, so match an actual span name).
@@ -77,6 +80,35 @@ grep -q '"name":"eval\.' "$SMOKE/profile.json"
 test -s "$SMOKE/report_runs.csv"
 test -s "$SMOKE/report_phases.csv"
 echo TELEMETRY_SMOKE_CLEAN
+
+echo "=== training checkpoint pins ==="
+# The end-to-end smoke below trains only EAGLE (PPO) and Post (PPO+CE).
+# The final training checkpoints of the bench_fig5 run above and of this
+# bench_table2 run also cover Hierarchical Planner (attention-after,
+# REINFORCE) and the fixed-grouper seq2seq-before/-after and GCN placers.
+# Pinned sha256 sums, recorded on an x86-64 AVX2+FMA RelWithDebInfo build.
+# A change that is meant to alter training output re-pins them: rerun the
+# two benches with --checkpoint-dir, copy each file's `sha256sum` into this
+# table, and say in the change description why the bytes moved (see
+# docs/PERFORMANCE.md, "Subnormals").
+"$BUILD/bench/bench_table2" --models=inception_v3 --samples=20 \
+  --checkpoint-dir="$SMOKE/ck"
+CKPT_SHA256=(
+  "695811d3791027f3cef9a22eaccd71a11be6b7fb09f45c4343d34c6799f5df83 Inception-V3_EAGLE_PPO.ckpt"
+  "1de8e1482f6561596ea08f56de45aa3f1f6412359318ae0c83a992ba9b1c7d64 Inception-V3_Hierarchical Planner_REINFORCE.ckpt"
+  "e8d43e7783abf652b6902b1a1a1194e7a5f67476ad4685675fd4029664a4808e Inception-V3_Post_PPO+CE.ckpt"
+  "6af531b89497ad7f6778569af562c0589bf1cfa309de35f1dc3f640aecb2f46a Inception-V3_placer:before_PPO.ckpt"
+  "03f5ff02b4ec14fb1c210a17b77c0825e8c1f017bd79aa33e6d29f47f2e61c6c Inception-V3_placer:after_PPO.ckpt"
+  "25816ecb8b98c72a990cd05ad41d3564cccc6005f07367338a59126b7cedc155 Inception-V3_placer:gcn_PPO.ckpt"
+)
+for pin in "${CKPT_SHA256[@]}"; do
+  want=${pin%% *}
+  file=${pin#* }
+  got=$(sha256sum -- "$SMOKE/ck/$file" | cut -d' ' -f1)
+  test "$got" = "$want" ||
+    { echo "$file: checkpoint sha256 '$got' != pinned $want"; exit 1; }
+done
+echo CHECKPOINT_PINS_CLEAN
 
 echo "=== kernel bench smoke ==="
 "$BUILD/bench/bench_micro" --smoke --out="$SMOKE/BENCH_kernels.json"

@@ -60,8 +60,9 @@ HierarchicalAgent::HierarchicalAgent(const graph::OpGraph& graph,
 }
 
 HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
-    nn::Tape& tape, support::Rng* rng, const Sample* forced) {
-  EAGLE_CHECK((rng != nullptr) != (forced != nullptr));
+    nn::Tape& tape, support::Rng* rng,
+    std::span<const std::int32_t> forced_grouping,
+    std::span<const std::int32_t> forced_devices) {
   const int k = config_.dims.num_groups;
   PolicyOutput out;
 
@@ -72,12 +73,10 @@ HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
 
   if (config_.grouper == GrouperKind::kLearned) {
     nn::Var features = tape.Input(op_features_);
-    const graph::Grouping* forced_grouping =
-        forced != nullptr ? &forced->grouping : nullptr;
     auto grouped = grouper_.Run(
         tape, features, rng, forced_grouping,
         locality_prior_.empty() ? nullptr : &locality_prior_);
-    out.grouping = grouped.grouping;
+    out.grouping = std::move(grouped.choices);
     grouper_logp = grouped.log_prob;
     grouper_entropy = grouped.entropy;
     has_grouper_terms = true;
@@ -88,7 +87,7 @@ HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
     group_embeddings = tape.Input(std::move(embeds));
     if (config_.use_bridge) {
       nn::Var conditioning =
-          bridge_.Apply(tape, grouper_, grouped.softmax, out.grouping);
+          bridge_.Apply(tape, grouper_, grouped.probs, out.grouping);
       group_embeddings = tape.ConcatCols(group_embeddings, conditioning);
     }
   } else {
@@ -97,8 +96,6 @@ HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
   }
 
   PlacerRollout rollout;
-  const std::vector<std::int32_t>* forced_devices =
-      forced != nullptr ? &forced->group_devices : nullptr;
   if (config_.placer == PlacerKind::kSeq2Seq) {
     rollout = seq_placer_.Run(tape, group_embeddings, rng, forced_devices);
   } else {
@@ -125,7 +122,7 @@ HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
 
 Sample HierarchicalAgent::SampleDecision(support::Rng& rng) {
   nn::Tape tape;
-  PolicyOutput out = RunPolicy(tape, &rng, nullptr);
+  PolicyOutput out = RunPolicy(tape, &rng, {}, {});
   Sample sample;
   sample.grouping = std::move(out.grouping);
   sample.group_devices = std::move(out.devices);
@@ -141,7 +138,8 @@ Sample HierarchicalAgent::SampleDecision(support::Rng& rng) {
 
 HierarchicalAgent::Score HierarchicalAgent::ScoreDecision(
     nn::Tape& tape, const Sample& sample) {
-  PolicyOutput out = RunPolicy(tape, nullptr, &sample);
+  PolicyOutput out =
+      RunPolicy(tape, nullptr, sample.grouping, sample.group_devices);
   return Score{out.logp, out.entropy};
 }
 

@@ -75,8 +75,10 @@ class HierarchicalAgent : public PolicyAgent {
     nn::Var logp;
     nn::Var entropy;
   };
+  // Samples (rng set, forced spans empty) or scores a stored decision.
   PolicyOutput RunPolicy(nn::Tape& tape, support::Rng* rng,
-                         const Sample* forced);
+                         std::span<const std::int32_t> forced_grouping,
+                         std::span<const std::int32_t> forced_devices);
 
   const graph::OpGraph* graph_;
   const sim::ClusterSpec* cluster_;

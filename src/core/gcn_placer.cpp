@@ -1,48 +1,21 @@
 #include "core/gcn_placer.h"
 
-#include "support/check.h"
-
 namespace eagle::core {
 
 GcnPlacer::GcnPlacer(nn::ParamStore& store, int input_dim, int hidden,
                      int num_devices, support::Rng& rng)
     : conv1_(store, "gcn/conv1", input_dim, hidden, rng),
       conv2_(store, "gcn/conv2", hidden, hidden, rng),
-      output_(store, "gcn/output", hidden, num_devices, rng),
-      num_devices_(num_devices) {}
+      output_(store, "gcn/output", hidden, num_devices, rng) {}
 
 PlacerRollout GcnPlacer::Run(nn::Tape& tape, nn::Var group_embeddings,
                              nn::Var adjacency, support::Rng* rng,
-                             const std::vector<std::int32_t>* forced) const {
-  EAGLE_CHECK_MSG((rng != nullptr) != (forced != nullptr),
-                  "pass exactly one of rng / forced devices");
-  const int k = tape.value(group_embeddings).rows();
+                             std::span<const std::int32_t> forced) const {
   nn::Var h1 = conv1_.Apply(tape, adjacency, group_embeddings);
   nn::Var h2 = conv2_.Apply(tape, adjacency, h1);
   nn::Var logits = output_.Apply(tape, h2);  // k×D
-  nn::Var logp = tape.LogSoftmax(logits);
-  nn::Var probs = tape.Softmax(logits);
-
-  PlacerRollout rollout;
-  rollout.devices.resize(static_cast<std::size_t>(k));
-  std::vector<int> picks(static_cast<std::size_t>(k));
-  const nn::Tensor& probs_value = tape.value(probs);
-  for (int g = 0; g < k; ++g) {
-    int device;
-    if (forced != nullptr) {
-      device = (*forced)[static_cast<std::size_t>(g)];
-      EAGLE_CHECK(device >= 0 && device < num_devices_);
-    } else {
-      device = static_cast<int>(rng->NextFromProbs(
-          probs_value.row(g), static_cast<std::size_t>(num_devices_)));
-    }
-    rollout.devices[static_cast<std::size_t>(g)] = device;
-    picks[static_cast<std::size_t>(g)] = device;
-  }
-  rollout.log_prob = tape.Sum(tape.PickPerRow(logp, std::move(picks)));
-  rollout.entropy = tape.Scale(tape.Sum(tape.Mul(probs, logp)),
-                               -1.0f / static_cast<float>(k));
-  return rollout;
+  CategoricalHead head = Categorical(tape, logits, rng, forced);
+  return PlacerRollout{std::move(head.choices), head.log_prob, head.entropy};
 }
 
 }  // namespace eagle::core

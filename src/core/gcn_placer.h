@@ -19,15 +19,12 @@ class GcnPlacer {
   // `adjacency` is the constant normalized group adjacency Â (k×k).
   PlacerRollout Run(nn::Tape& tape, nn::Var group_embeddings, nn::Var adjacency,
                     support::Rng* rng,
-                    const std::vector<std::int32_t>* forced) const;
-
-  int num_devices() const { return num_devices_; }
+                    std::span<const std::int32_t> forced) const;
 
  private:
   nn::GraphConv conv1_;
   nn::GraphConv conv2_;
   nn::Linear output_;
-  int num_devices_ = 0;
 };
 
 }  // namespace eagle::core

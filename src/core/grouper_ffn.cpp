@@ -1,7 +1,5 @@
 #include "core/grouper_ffn.h"
 
-#include "support/check.h"
-
 namespace eagle::core {
 
 GrouperFFN::GrouperFFN(nn::ParamStore& store, int feature_dim, int hidden,
@@ -24,43 +22,12 @@ nn::Var GrouperFFN::Logits(nn::Tape& tape, nn::Var op_features,
   return logits;
 }
 
-GrouperFFN::SampleResult GrouperFFN::Run(nn::Tape& tape, nn::Var op_features,
-                                         support::Rng* rng,
-                                         const graph::Grouping* forced,
-                                         const nn::Tensor* locality_prior)
-    const {
-  EAGLE_CHECK_MSG((rng != nullptr) != (forced != nullptr),
-                  "pass exactly one of rng / forced grouping");
-  nn::Var logits = Logits(tape, op_features, locality_prior);
-  nn::Var logp = tape.LogSoftmax(logits);
-  nn::Var probs = tape.Softmax(logits);
-  const nn::Tensor& probs_value = tape.value(probs);
-  const int num_ops = probs_value.rows();
-
-  SampleResult result;
-  result.softmax = probs;
-  std::vector<int> picks(static_cast<std::size_t>(num_ops));
-  if (forced != nullptr) {
-    EAGLE_CHECK(static_cast<int>(forced->size()) == num_ops);
-    for (int i = 0; i < num_ops; ++i) {
-      picks[static_cast<std::size_t>(i)] =
-          (*forced)[static_cast<std::size_t>(i)];
-    }
-    result.grouping = *forced;
-  } else {
-    result.grouping.resize(static_cast<std::size_t>(num_ops));
-    for (int i = 0; i < num_ops; ++i) {
-      const auto g = static_cast<int>(rng->NextFromProbs(
-          probs_value.row(i), static_cast<std::size_t>(num_groups_)));
-      picks[static_cast<std::size_t>(i)] = g;
-      result.grouping[static_cast<std::size_t>(i)] = g;
-    }
-  }
-  result.log_prob = tape.Sum(tape.PickPerRow(logp, std::move(picks)));
-  // Mean per-op entropy: -mean_rows Σ_g p log p.
-  result.entropy = tape.Scale(tape.Sum(tape.Mul(probs, logp)),
-                              -1.0f / static_cast<float>(num_ops));
-  return result;
+CategoricalHead GrouperFFN::Run(nn::Tape& tape, nn::Var op_features,
+                                support::Rng* rng,
+                                std::span<const std::int32_t> forced,
+                                const nn::Tensor* locality_prior) const {
+  return Categorical(tape, Logits(tape, op_features, locality_prior), rng,
+                     forced);
 }
 
 nn::Tensor MakeLocalityPrior(const graph::OpGraph& graph, int num_groups) {

@@ -3,8 +3,7 @@
 // groups). Sampling a grouping draws one categorical per operation.
 #pragma once
 
-#include <vector>
-
+#include "core/categorical.h"
 #include "graph/grouped_graph.h"
 #include "nn/layers.h"
 #include "support/rng.h"
@@ -28,17 +27,12 @@ class GrouperFFN {
   nn::Var Logits(nn::Tape& tape, nn::Var op_features,
                  const nn::Tensor* locality_prior = nullptr) const;
 
-  struct SampleResult {
-    graph::Grouping grouping;
-    nn::Var log_prob;   // 1×1: Σ_op log p(g_op | op)
-    nn::Var entropy;    // 1×1: mean per-op policy entropy
-    nn::Var softmax;    // num_ops × k (reused by the bridge RNN)
-  };
-  // Samples (rng != nullptr) or scores a forced grouping (forced !=
-  // nullptr); exactly one must be set.
-  SampleResult Run(nn::Tape& tape, nn::Var op_features, support::Rng* rng,
-                   const graph::Grouping* forced,
-                   const nn::Tensor* locality_prior = nullptr) const;
+  // Samples a grouping (rng set) or scores a forced one; see Categorical.
+  // The head's `probs` is the num_ops × k soft assignment the bridge RNN
+  // reads.
+  CategoricalHead Run(nn::Tape& tape, nn::Var op_features, support::Rng* rng,
+                      std::span<const std::int32_t> forced,
+                      const nn::Tensor* locality_prior = nullptr) const;
 
   // Second-layer weights (hidden × num_groups); each column is a group's
   // parameter signature — the bridge RNN's per-group input (§III, "an

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/categorical.h"
 #include "core/policy.h"
 #include "partition/metis_like.h"
 #include "support/check.h"
@@ -48,13 +49,10 @@ int PlacetoAgent::PolicyStep(nn::Tape& tape, int group,
   }
   nn::Var logits =
       l2_.Apply(tape, tape.Tanh(l1_.Apply(tape, tape.Input(std::move(state)))));
-  nn::Var logp = tape.LogSoftmax(logits);
-  nn::Var probs = tape.Softmax(logits);
-  const int device = static_cast<int>(rng.NextFromProbs(
-      tape.value(probs).row(0), static_cast<std::size_t>(num_devices)));
-  logps.push_back(tape.PickPerRow(logp, {device}));
-  entropies.push_back(tape.Scale(tape.Sum(tape.Mul(probs, logp)), -1.0f));
-  return device;
+  CategoricalHead head = Categorical(tape, logits, &rng, {});
+  logps.push_back(head.log_prob);
+  entropies.push_back(head.entropy);
+  return head.choices[0];
 }
 
 double PlacetoAgent::Evaluate(const std::vector<std::int32_t>& group_devices,

@@ -1,7 +1,6 @@
 #include "core/post_agent.h"
 
 #include "partition/metis_like.h"
-#include "support/check.h"
 
 namespace eagle::core {
 
@@ -22,53 +21,28 @@ PostAgent::PostAgent(const graph::OpGraph& graph,
                    cluster.num_devices(), rng);
 }
 
-PostAgent::Output PostAgent::RunPolicy(
-    nn::Tape& tape, support::Rng* rng,
-    const std::vector<std::int32_t>* forced) {
-  EAGLE_CHECK((rng != nullptr) != (forced != nullptr));
-  const int k = config_.num_groups;
-  const int num_devices = cluster_->num_devices();
+CategoricalHead PostAgent::RunPolicy(nn::Tape& tape, support::Rng* rng,
+                                     std::span<const std::int32_t> forced) {
   nn::Var x = tape.Input(embeddings_);
   nn::Var logits = l2_.Apply(tape, tape.Tanh(l1_.Apply(tape, x)));  // k×D
-  nn::Var logp = tape.LogSoftmax(logits);
-  nn::Var probs = tape.Softmax(logits);
-
-  Output out;
-  out.devices.resize(static_cast<std::size_t>(k));
-  std::vector<int> picks(static_cast<std::size_t>(k));
-  for (int g = 0; g < k; ++g) {
-    int device;
-    if (forced != nullptr) {
-      device = (*forced)[static_cast<std::size_t>(g)];
-      EAGLE_CHECK(device >= 0 && device < num_devices);
-    } else {
-      device = static_cast<int>(rng->NextFromProbs(
-          tape.value(probs).row(g), static_cast<std::size_t>(num_devices)));
-    }
-    out.devices[static_cast<std::size_t>(g)] = device;
-    picks[static_cast<std::size_t>(g)] = device;
-  }
-  out.logp = tape.Sum(tape.PickPerRow(logp, std::move(picks)));
-  out.entropy = tape.Scale(tape.Sum(tape.Mul(probs, logp)),
-                           -1.0f / static_cast<float>(k));
-  return out;
+  return Categorical(tape, logits, rng, forced);
 }
 
 Sample PostAgent::SampleDecision(support::Rng& rng) {
   nn::Tape tape;
-  Output out = RunPolicy(tape, &rng, nullptr);
+  CategoricalHead head = RunPolicy(tape, &rng, {});
   Sample sample;
   sample.grouping = grouping_;
-  sample.group_devices = std::move(out.devices);
-  sample.logp = static_cast<double>(tape.value(out.logp).at(0, 0));
+  sample.group_devices = std::move(head.choices);
+  sample.logp = static_cast<double>(tape.value(head.log_prob).at(0, 0));
   sample.num_decisions = static_cast<int>(sample.group_devices.size());
   return sample;
 }
 
 PostAgent::Score PostAgent::ScoreDecision(nn::Tape& tape,
                                           const Sample& sample) {
-  Output out = RunPolicy(tape, nullptr, &sample.group_devices);
-  return Score{out.logp, out.entropy};
+  CategoricalHead head = RunPolicy(tape, nullptr, sample.group_devices);
+  return Score{head.log_prob, head.entropy};
 }
 
 sim::Placement PostAgent::ToPlacement(const Sample& sample) const {

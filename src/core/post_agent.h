@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "core/categorical.h"
 #include "core/group_embedding.h"
 #include "core/policy.h"
 #include "core/run_config.h"
@@ -41,13 +42,8 @@ class PostAgent : public PolicyAgent {
   const char* name() const override { return config_.display_name.c_str(); }
 
  private:
-  struct Output {
-    std::vector<std::int32_t> devices;
-    nn::Var logp;
-    nn::Var entropy;
-  };
-  Output RunPolicy(nn::Tape& tape, support::Rng* rng,
-                   const std::vector<std::int32_t>* forced);
+  CategoricalHead RunPolicy(nn::Tape& tape, support::Rng* rng,
+                            std::span<const std::int32_t> forced);
 
   const graph::OpGraph* graph_;
   const sim::ClusterSpec* cluster_;

@@ -32,14 +32,10 @@ Seq2SeqPlacer::Seq2SeqPlacer(nn::ParamStore& store, int input_dim, int hidden,
 
 PlacerRollout Seq2SeqPlacer::Run(nn::Tape& tape, nn::Var group_embeddings,
                                  support::Rng* rng,
-                                 const std::vector<std::int32_t>* forced)
-    const {
-  EAGLE_CHECK_MSG((rng != nullptr) != (forced != nullptr),
-                  "pass exactly one of rng / forced devices");
+                                 std::span<const std::int32_t> forced) const {
   const int k = tape.value(group_embeddings).rows();
-  if (forced != nullptr) {
-    EAGLE_CHECK(static_cast<int>(forced->size()) == k);
-  }
+  // Checked up front: the loop below slices one forced device per step.
+  EAGLE_CHECK(forced.empty() || static_cast<int>(forced.size()) == k);
 
   const auto enc = encoder_.Apply(tape, group_embeddings);
   nn::Var enc_proj = attention_.ProjectEncoder(tape, enc.states);
@@ -66,23 +62,12 @@ PlacerRollout Seq2SeqPlacer::Run(nn::Tape& tape, nn::Var group_embeddings,
       const auto attn = attention_.Apply(tape, enc.states, enc_proj, state.h);
       logits = output_.Apply(tape, tape.ConcatCols(state.h, attn.context));
     }
-    nn::Var logp = tape.LogSoftmax(logits);
-    nn::Var probs = tape.Softmax(logits);
-    int device;
-    if (forced != nullptr) {
-      device = (*forced)[static_cast<std::size_t>(g)];
-      EAGLE_CHECK_MSG(device >= 0 && device < num_devices_,
-                      "forced device " << device << " out of range");
-    } else {
-      device = static_cast<int>(rng->NextFromProbs(
-          tape.value(probs).row(0), static_cast<std::size_t>(num_devices_)));
-    }
-    rollout.devices[static_cast<std::size_t>(g)] = device;
-    picked_logps[static_cast<std::size_t>(g)] =
-        tape.PickPerRow(logp, {device});
-    entropies[static_cast<std::size_t>(g)] =
-        tape.Scale(tape.Sum(tape.Mul(probs, logp)), -1.0f);
-    prev_device = device;
+    CategoricalHead head = Categorical(
+        tape, logits, rng, forced.empty() ? forced : forced.subspan(g, 1));
+    prev_device = head.choices[0];
+    rollout.devices[static_cast<std::size_t>(g)] = prev_device;
+    picked_logps[static_cast<std::size_t>(g)] = head.log_prob;
+    entropies[static_cast<std::size_t>(g)] = head.entropy;
   }
   rollout.log_prob = tape.Sum(tape.ConcatRows(picked_logps));
   rollout.entropy = tape.Scale(tape.Sum(tape.ConcatRows(entropies)),

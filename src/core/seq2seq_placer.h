@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "core/categorical.h"
 #include "core/run_config.h"
 #include "nn/layers.h"
 #include "support/rng.h"
@@ -27,11 +28,11 @@ class Seq2SeqPlacer {
                 int attn_dim, int device_embed_dim, int num_devices,
                 AttentionVariant variant, support::Rng& rng);
 
-  // Samples (rng) or scores (forced) a device sequence for the k rows of
-  // group_embeddings. Exactly one of rng/forced must be set.
+  // Samples (rng) or scores (forced, one device per row) a device sequence
+  // for the k rows of group_embeddings, one Categorical step per group.
   PlacerRollout Run(nn::Tape& tape, nn::Var group_embeddings,
                     support::Rng* rng,
-                    const std::vector<std::int32_t>* forced) const;
+                    std::span<const std::int32_t> forced) const;
 
   int num_devices() const { return num_devices_; }
   AttentionVariant variant() const { return variant_; }

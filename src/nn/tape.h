@@ -78,8 +78,6 @@ class Tape {
   Var SumRows(Var a);           // R×C -> 1×C (column sums)
   // out[r, 0] = a[r, idx[r]] — gathers per-row entries (picked log-probs).
   Var PickPerRow(Var a, std::vector<int> idx);
-  // Row-wise entropy of a probability matrix: out 1×1 = -Σ p log p / R…
-  // left to callers via Mul/Sum of Softmax and LogSoftmax outputs.
 
   // Seeds d(loss)=1 (loss must be 1×1) and back-propagates.
   void Backward(Var loss);

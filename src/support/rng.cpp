@@ -44,22 +44,6 @@ double Rng::NextGaussian() {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(two_pi * u2);
 }
 
-std::size_t Rng::NextCategorical(const std::vector<double>& weights) {
-  EAGLE_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    EAGLE_CHECK_MSG(w >= 0.0, "negative categorical weight " << w);
-    total += w;
-  }
-  if (total <= 0.0) return static_cast<std::size_t>(NextBelow(weights.size()));
-  double r = NextDouble() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.size() - 1;  // floating-point edge: return last bucket
-}
-
 std::size_t Rng::NextFromProbs(const float* probs, std::size_t n) {
   EAGLE_CHECK(n > 0);
   double r = NextDouble();

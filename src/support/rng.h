@@ -77,10 +77,6 @@ class Rng {
   // Standard normal via Box-Muller (no cached spare; deterministic order).
   double NextGaussian();
 
-  // Sample an index from an unnormalized non-negative weight vector.
-  // All-zero weights sample uniformly.
-  std::size_t NextCategorical(const std::vector<double>& weights);
-
   // Sample an index from a row of probabilities (assumed to sum to ~1).
   std::size_t NextFromProbs(const float* probs, std::size_t n);
 

@@ -160,7 +160,8 @@ TEST(Agents, LearnedGcnPlacerWithLearnedGrouper) {
   const auto sample = agent.SampleDecision(rng);
   nn::Tape tape;
   const auto score = agent.ScoreDecision(tape, sample);
-  EXPECT_NEAR(sample.logp, tape.value(score.logp).at(0, 0), 1e-3);
+  EXPECT_EQ(sample.logp,
+            static_cast<double>(tape.value(score.logp).at(0, 0)));
 }
 
 TEST(Agents, EntropyWithinCategoricalBounds) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <span>
 
 #include "core/bridge_rnn.h"
+#include "core/categorical.h"
 #include "core/eagle_agent.h"
 #include "core/env.h"
 #include "core/expert_policies.h"
@@ -66,6 +70,123 @@ TEST(Environment, NoiseReappliedOnCacheHits) {
   EXPECT_EQ(r1.true_per_step_seconds, r2.true_per_step_seconds);
 }
 
+// A frozen copy of the sequence each agent ran inline before they shared
+// core::Categorical. One-row callers (the seq2seq and Placeto steps) took
+// the picked log-probability without the outer Sum.
+CategoricalHead InlineSequence(nn::Tape& tape, nn::Var logits,
+                               support::Rng* rng,
+                               std::span<const std::int32_t> forced) {
+  nn::Var logp = tape.LogSoftmax(logits);
+  nn::Var probs = tape.Softmax(logits);
+  const nn::Tensor& probs_value = tape.value(probs);
+  const int rows = probs_value.rows();
+  CategoricalHead head;
+  for (int r = 0; r < rows; ++r) {
+    head.choices.push_back(
+        rng == nullptr ? forced[static_cast<std::size_t>(r)]
+                       : static_cast<std::int32_t>(rng->NextFromProbs(
+                             probs_value.row(r),
+                             static_cast<std::size_t>(probs_value.cols()))));
+  }
+  nn::Var picked = tape.PickPerRow(
+      logp, std::vector<int>(head.choices.begin(), head.choices.end()));
+  head.log_prob = rows == 1 ? picked : tape.Sum(picked);
+  head.entropy = tape.Scale(tape.Sum(tape.Mul(probs, logp)),
+                            -1.0f / static_cast<float>(rows));
+  return head;
+}
+
+struct HeadOutcome {
+  std::vector<std::int32_t> choices;
+  std::uint32_t log_prob_bits = 0;
+  std::uint32_t entropy_bits = 0;
+  nn::Tensor grad;  // of a loss mixing log_prob and entropy
+};
+
+// Runs `head_fn` on a fresh tape, sampling with a fixed seed when `forced`
+// is empty, and back-propagates a loss mixing its two outputs.
+HeadOutcome RunHead(decltype(&Categorical) head_fn, nn::ParamStore& store,
+                    nn::Parameter* logits,
+                    std::span<const std::int32_t> forced) {
+  nn::Tape tape;
+  support::Rng rng(18);
+  const CategoricalHead head = head_fn(
+      tape, tape.Param(logits), forced.empty() ? &rng : nullptr, forced);
+  store.ZeroGrads();
+  tape.Backward(tape.Add(tape.Scale(head.log_prob, 0.7f),
+                         tape.Scale(head.entropy, -0.3f)));
+  return HeadOutcome{
+      head.choices,
+      std::bit_cast<std::uint32_t>(tape.value(head.log_prob).at(0, 0)),
+      std::bit_cast<std::uint32_t>(tape.value(head.entropy).at(0, 0)),
+      logits->grad};
+}
+
+TEST(Categorical, MatchesTheInlineSequenceBitForBit) {
+  for (const auto& [rows, cols] : {std::pair{37, 24}, std::pair{1, 5}}) {
+    nn::ParamStore store;
+    nn::Parameter* logits = store.Create("logits", rows, cols);
+    support::Rng init_rng(17);
+    nn::UniformInit(logits->value, -3.0f, 3.0f, init_rng);
+    const HeadOutcome sampled = RunHead(Categorical, store, logits, {});
+    for (std::span<const std::int32_t> forced :
+         {std::span<const std::int32_t>{}, std::span(sampled.choices)}) {
+      const HeadOutcome head = RunHead(Categorical, store, logits, forced);
+      const HeadOutcome oracle =
+          RunHead(InlineSequence, store, logits, forced);
+      SCOPED_TRACE(::testing::Message() << rows << "x" << cols
+                                        << (forced.empty() ? " sampled"
+                                                           : " forced"));
+      EXPECT_EQ(head.choices, oracle.choices);
+      EXPECT_EQ(head.log_prob_bits, oracle.log_prob_bits);
+      EXPECT_EQ(head.entropy_bits, oracle.entropy_bits);
+      ASSERT_EQ(head.grad.size(), oracle.grad.size());
+      EXPECT_EQ(std::memcmp(head.grad.data(), oracle.grad.data(),
+                            static_cast<std::size_t>(head.grad.size()) *
+                                sizeof(float)),
+                0);
+    }
+  }
+}
+
+// Re-scored decisions can come from a checkpoint (--resume), so a stored
+// decision of the wrong length or with an out-of-range device must be
+// rejected, never read past.
+TEST(Categorical, RejectsAForcedDecisionOfTheWrongLength) {
+  auto graph = SmallGraph();
+  const auto cluster = sim::MakeDefaultCluster();
+  const auto dims = SmallDims();
+  partition::MetisOptions metis;
+  metis.num_parts = dims.num_groups;
+  std::vector<std::unique_ptr<PolicyAgent>> agents;
+  agents.push_back(MakeEagleAgent(graph, cluster, dims, 13));
+  agents.push_back(MakeFixedGrouperAgent(
+      graph, cluster, partition::MetisPartition(graph, metis),
+      PlacerKind::kGcn, AttentionVariant::kBefore, dims, 13, "gcn"));
+  agents.push_back(MakePostAgent(graph, cluster, dims.num_groups, 13));
+
+  support::Rng rng(14);
+  for (auto& agent : agents) {
+    const Sample sample = agent->SampleDecision(rng);
+    Sample halved = sample;
+    halved.group_devices.resize(sample.group_devices.size() / 2);
+    Sample out_of_range = sample;
+    out_of_range.group_devices.back() = cluster.num_devices();
+    for (const Sample* bad : {&halved, &out_of_range}) {
+      nn::Tape tape;
+      EXPECT_THROW(agent->ScoreDecision(tape, *bad), std::logic_error)
+          << agent->name();
+    }
+  }
+
+  // Neither or both of rng / forced is a misuse too.
+  nn::Tape tape;
+  nn::Var logits = tape.Input(nn::Tensor(2, 3));
+  const std::vector<std::int32_t> choices{0, 1};
+  EXPECT_THROW(Categorical(tape, logits, nullptr, {}), std::logic_error);
+  EXPECT_THROW(Categorical(tape, logits, &rng, choices), std::logic_error);
+}
+
 TEST(GrouperFfn, SampleAndScoreConsistent) {
   auto graph = SmallGraph();
   nn::ParamStore store;
@@ -75,12 +196,12 @@ TEST(GrouperFfn, SampleAndScoreConsistent) {
 
   support::Rng rng(4);
   nn::Tape tape1;
-  const auto sampled = grouper.Run(tape1, tape1.Input(features), &rng, nullptr);
-  EXPECT_EQ(static_cast<int>(sampled.grouping.size()), graph.num_ops());
+  const auto sampled = grouper.Run(tape1, tape1.Input(features), &rng, {});
+  EXPECT_EQ(static_cast<int>(sampled.choices.size()), graph.num_ops());
 
   nn::Tape tape2;
   const auto scored =
-      grouper.Run(tape2, tape2.Input(features), nullptr, &sampled.grouping);
+      grouper.Run(tape2, tape2.Input(features), nullptr, sampled.choices);
   EXPECT_FLOAT_EQ(tape1.value(sampled.log_prob).at(0, 0),
                   tape2.value(scored.log_prob).at(0, 0));
   // Entropy of a k-way categorical is at most log k.
@@ -98,9 +219,9 @@ TEST(BridgeRnn, OutputShapeAndGradientPathToGrouper) {
   const auto features = MakeOpFeatures(graph, graph::FeatureMode::kReconstructed);
   support::Rng rng(6);
   nn::Tape tape;
-  const auto sampled = grouper.Run(tape, tape.Input(features), &rng, nullptr);
+  const auto sampled = grouper.Run(tape, tape.Input(features), &rng, {});
   nn::Var conditioning =
-      bridge.Apply(tape, grouper, sampled.softmax, sampled.grouping);
+      bridge.Apply(tape, grouper, sampled.probs, sampled.choices);
   EXPECT_EQ(tape.value(conditioning).rows(), 6);
   EXPECT_EQ(tape.value(conditioning).cols(), 4);
   // The EAGLE link: a loss on the bridge output reaches grouper params.
@@ -123,7 +244,7 @@ TEST_P(PlacerVariants, RolloutAndScoringConsistent) {
 
   support::Rng rng(9);
   nn::Tape tape1;
-  const auto rollout = placer.Run(tape1, tape1.Input(embeds), &rng, nullptr);
+  const auto rollout = placer.Run(tape1, tape1.Input(embeds), &rng, {});
   ASSERT_EQ(rollout.devices.size(), 7u);
   for (auto d : rollout.devices) {
     EXPECT_GE(d, 0);
@@ -131,7 +252,7 @@ TEST_P(PlacerVariants, RolloutAndScoringConsistent) {
   }
   nn::Tape tape2;
   const auto scored =
-      placer.Run(tape2, tape2.Input(embeds), nullptr, &rollout.devices);
+      placer.Run(tape2, tape2.Input(embeds), nullptr, rollout.devices);
   EXPECT_FLOAT_EQ(tape1.value(rollout.log_prob).at(0, 0),
                   tape2.value(scored.log_prob).at(0, 0));
   EXPECT_EQ(scored.devices, rollout.devices);
@@ -152,12 +273,11 @@ TEST(GcnPlacer, RolloutShapes) {
   support::Rng rng(12);
   nn::Tape tape;
   const auto rollout = placer.Run(tape, tape.Input(embeds), tape.Input(adj),
-                                  &rng, nullptr);
+                                  &rng, {});
   EXPECT_EQ(rollout.devices.size(), 6u);
   nn::Tape tape2;
   const auto scored = placer.Run(tape2, tape2.Input(embeds),
-                                 tape2.Input(adj), nullptr,
-                                 &rollout.devices);
+                                 tape2.Input(adj), nullptr, rollout.devices);
   EXPECT_FLOAT_EQ(tape.value(rollout.log_prob).at(0, 0),
                   tape2.value(scored.log_prob).at(0, 0));
 }
@@ -187,9 +307,8 @@ TEST(Agents, SampleScoreLogpConsistency) {
     const auto sample = agent->SampleDecision(rng);
     nn::Tape tape;
     const auto score = agent->ScoreDecision(tape, sample);
-    EXPECT_NEAR(sample.logp,
-                static_cast<double>(tape.value(score.logp).at(0, 0)),
-                1e-3)
+    EXPECT_EQ(sample.logp,
+              static_cast<double>(tape.value(score.logp).at(0, 0)))
         << agent->name();
     // Entropy finite and non-negative.
     EXPECT_GE(tape.value(score.entropy).at(0, 0), 0.0f) << agent->name();

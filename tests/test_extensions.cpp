@@ -1,76 +1,13 @@
-// Tests for the extension components: recursive-bisection partitioner and
-// the Placeto-style incremental agent.
+// Tests for the extension component: the Placeto-style incremental agent.
 #include <gtest/gtest.h>
 
 #include "core/placeto_agent.h"
 #include "models/synthetic.h"
-#include "partition/bisection.h"
 #include "models/zoo.h"
 #include "partition/metis_like.h"
 
 namespace eagle {
 namespace {
-
-TEST(Bisection, ValidAndBalanced) {
-  support::Rng rng(1);
-  models::RandomDagConfig config;
-  config.layers = 12;
-  config.width = 8;
-  auto g = models::BuildRandomDag(config, rng);
-  const auto wg = partition::BuildWeightedGraph(g);
-  partition::BisectionOptions options;
-  options.num_parts = 8;
-  const auto part = partition::BisectionPartitionWeighted(wg, options);
-  const auto metrics = partition::ComputeMetrics(wg, part, 8);
-  EXPECT_EQ(metrics.num_nonempty, 8);
-  EXPECT_LE(metrics.balance, 1.6);  // recursive tolerance compounds
-}
-
-TEST(Bisection, BetterThanRandomCut) {
-  auto g = models::BuildParallelChains(4, 16);
-  const auto wg = partition::BuildWeightedGraph(g);
-  partition::BisectionOptions options;
-  options.num_parts = 4;
-  const auto part = partition::BisectionPartitionWeighted(wg, options);
-  support::Rng rng(2);
-  partition::Partitioning random_part(part.size());
-  for (auto& p : random_part) {
-    p = static_cast<std::int32_t>(rng.NextBelow(4));
-  }
-  EXPECT_LT(partition::CutWeight(wg, part),
-            partition::CutWeight(wg, random_part));
-}
-
-TEST(Bisection, NonPowerOfTwoParts) {
-  auto g = models::BuildChain(30);
-  partition::BisectionOptions options;
-  options.num_parts = 5;
-  const auto part = partition::BisectionPartition(g, options);
-  const auto wg = partition::BuildWeightedGraph(g);
-  partition::ValidatePartitioning(wg, part, 5);
-  const auto metrics = partition::ComputeMetrics(wg, part, 5);
-  EXPECT_EQ(metrics.num_nonempty, 5);
-}
-
-TEST(Bisection, SingleVertexAndPart) {
-  auto g = models::BuildChain(1);  // input + one op
-  // Drop to a single-vertex case by partitioning into 1 part anyway.
-  partition::BisectionOptions options;
-  options.num_parts = 1;
-  const auto part = partition::BisectionPartition(g, options);
-  ASSERT_EQ(part.size(), 2u);
-  EXPECT_EQ(part[0], 0);
-  EXPECT_EQ(part[1], 0);
-}
-
-TEST(Bisection, Deterministic) {
-  auto g = models::BuildParallelChains(3, 10);
-  partition::BisectionOptions options;
-  options.num_parts = 6;
-  options.seed = 11;
-  EXPECT_EQ(partition::BisectionPartition(g, options),
-            partition::BisectionPartition(g, options));
-}
 
 TEST(Placeto, ImprovesOnParallelChains) {
   auto g = models::BuildParallelChains(4, 8, 1 << 18, 2e10);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/categorical.h"
 #include "core/policy.h"
 #include "models/synthetic.h"
 #include "rl/cross_entropy.h"
@@ -29,36 +30,21 @@ class StubAgent : public core::PolicyAgent {
 
   core::Sample SampleDecision(support::Rng& rng) override {
     nn::Tape tape;
-    nn::Var probs = tape.Softmax(tape.Param(logits_));
+    core::CategoricalHead head =
+        core::Categorical(tape, tape.Param(logits_), &rng, {});
     core::Sample sample;
-    sample.grouping.resize(static_cast<std::size_t>(graph_->num_ops()));
-    sample.group_devices.resize(static_cast<std::size_t>(graph_->num_ops()));
-    std::vector<int> picks(static_cast<std::size_t>(graph_->num_ops()));
     for (int i = 0; i < graph_->num_ops(); ++i) {
-      sample.grouping[static_cast<std::size_t>(i)] = i;  // one op per group
-      const auto d = static_cast<int>(rng.NextFromProbs(
-          tape.value(probs).row(i),
-          static_cast<std::size_t>(cluster_->num_devices())));
-      sample.group_devices[static_cast<std::size_t>(i)] = d;
-      picks[static_cast<std::size_t>(i)] = d;
+      sample.grouping.push_back(i);  // one op per group
     }
-    nn::Var logp = tape.Sum(
-        tape.PickPerRow(tape.LogSoftmax(tape.Param(logits_)), picks));
-    sample.logp = tape.value(logp).at(0, 0);
+    sample.group_devices = std::move(head.choices);
+    sample.logp = tape.value(head.log_prob).at(0, 0);
     return sample;
   }
 
   Score ScoreDecision(nn::Tape& tape, const core::Sample& sample) override {
-    std::vector<int> picks(sample.group_devices.begin(),
-                           sample.group_devices.end());
-    nn::Var logsm = tape.LogSoftmax(tape.Param(logits_));
-    nn::Var probs = tape.Softmax(tape.Param(logits_));
-    Score score;
-    score.logp = tape.Sum(tape.PickPerRow(logsm, picks));
-    score.entropy = tape.Scale(
-        tape.Sum(tape.Mul(probs, logsm)),
-        -1.0f / static_cast<float>(graph_->num_ops()));
-    return score;
+    core::CategoricalHead head = core::Categorical(
+        tape, tape.Param(logits_), nullptr, sample.group_devices);
+    return Score{head.log_prob, head.entropy};
   }
 
   sim::Placement ToPlacement(const core::Sample& sample) const override {

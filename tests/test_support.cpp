@@ -82,24 +82,6 @@ TEST(Rng, GaussianMoments) {
   EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
-TEST(Rng, CategoricalRespectsWeights) {
-  Rng rng(12);
-  std::vector<double> w{1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 8000; ++i) counts[rng.NextCategorical(w)]++;
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.4);
-}
-
-TEST(Rng, CategoricalAllZeroUniform) {
-  Rng rng(13);
-  std::vector<double> w{0.0, 0.0};
-  int ones = 0;
-  for (int i = 0; i < 2000; ++i) ones += rng.NextCategorical(w) == 1;
-  EXPECT_GT(ones, 700);
-  EXPECT_LT(ones, 1300);
-}
-
 TEST(Rng, NextFromProbs) {
   Rng rng(14);
   const float probs[3] = {0.0f, 1.0f, 0.0f};
