@@ -4,7 +4,10 @@
 #      iteration-order rules — see docs/STATIC_ANALYSIS.md),
 #   2. header self-containment (every header compiles on its own),
 #   3. the tier-1 test suite in an EAGLE_AUDIT build, where the
-#      simulator re-verifies every schedule it produces,
+#      simulator re-verifies every schedule it produces, then two
+#      audited 100k-op graph_fuzz e2e runs (default and 2node8
+#      clusters), whose simulator runs the auditor replays against the
+#      sort-based memory sweep,
 #   4. clang-tidy over compile_commands.json, when installed.
 # Usage: scripts/run_static_analysis.sh [build-dir]
 set -euo pipefail
@@ -40,6 +43,11 @@ echo HEADERS_SELF_CONTAINED
 echo "=== audited test suite ==="
 (cd "$BUILD" && ctest --output-on-failure -j "$(nproc)")
 echo AUDITED_TESTS_CLEAN
+
+echo "=== audited 100k-op e2e runs ==="
+"$BUILD/tools/graph_fuzz" --mode=e2e --ops=100000 --seed=7
+"$BUILD/tools/graph_fuzz" --mode=e2e --ops=100000 --seed=7 --cluster=2node8
+echo AUDITED_E2E_CLEAN
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "=== clang-tidy ==="

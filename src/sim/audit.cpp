@@ -114,10 +114,15 @@ AuditReport AuditSchedule(const StepResult& result,
   }
   for (int d = 0; d < num_devices; ++d) {
     auto& ops = per_device[static_cast<std::size_t>(d)];
+    // A zero-length op that starts with a longer one ran first, so ties
+    // on start order by end.
     std::sort(ops.begin(), ops.end(),
               [](const ScheduledOp* a, const ScheduledOp* b) {
                 if (a->start_seconds != b->start_seconds) {
                   return a->start_seconds < b->start_seconds;
+                }
+                if (a->end_seconds != b->end_seconds) {
+                  return a->end_seconds < b->end_seconds;
                 }
                 return a->op < b->op;
               });
@@ -219,6 +224,9 @@ AuditReport AuditSchedule(const StepResult& result,
               [](const ScheduledTransfer* a, const ScheduledTransfer* b) {
                 if (a->start_seconds != b->start_seconds) {
                   return a->start_seconds < b->start_seconds;
+                }
+                if (a->end_seconds != b->end_seconds) {
+                  return a->end_seconds < b->end_seconds;
                 }
                 return a->producer < b->producer;
               });

@@ -1,19 +1,6 @@
 #include "sim/cost_model.h"
 
-#include <algorithm>
-
 namespace eagle::sim {
-
-double CostModel::ComputeSeconds(const graph::OpDef& op,
-                                 DeviceId device) const {
-  const DeviceSpec& spec = cluster_->device(device);
-  const double compute = op.flops / (spec.gflops * 1e9);
-  // Each op reads its inputs and writes its output; approximate moved
-  // bytes by the output size (inputs are accounted by their producers).
-  const double bandwidth = static_cast<double>(op.output_bytes()) /
-                           (spec.mem_bw_gbps * 1e9);
-  return spec.launch_overhead_us * 1e-6 + std::max(compute, bandwidth);
-}
 
 double CostModel::TransferSeconds(DeviceId src, DeviceId dst,
                                   std::int64_t bytes) const {

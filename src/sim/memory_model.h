@@ -6,6 +6,11 @@
 // training graph (whose backward ops consume forward activations late)
 // naturally holds all forward activations at the backward frontier, which
 // is exactly what makes GNMT-batch-256 / BERT-Base blow past a 12 GB card.
+//
+// Peak rule: an interval [start, end) holds its bytes at every time t with
+// start <= t < end (zero-length intervals hold nothing), and a device's
+// activation peak is the largest such sum over t. Equivalently, at one
+// timestamp every free lands before every allocation.
 #pragma once
 
 #include <cstdint>
@@ -19,21 +24,11 @@ struct LiveInterval {
   std::int64_t bytes = 0;
 };
 
-// One endpoint of a live interval in the sweep-line scan.
-struct MemEvent {
-  double time = 0.0;
-  std::int64_t delta = 0;
-};
-
-// Peak of the sum of overlapping intervals (classic sweep line).
+// Peak of the sum of overlapping intervals: a sort-based sweep line over
+// (time, ±bytes) events. The simulator computes the same peak without a
+// sort (simulator.cpp); this is the reference form the frozen simulator
+// (sim/naive_ref.h) and the schedule auditor (sim/audit.h) replay.
 std::int64_t PeakLiveBytes(std::vector<LiveInterval> intervals);
-
-// Allocation-free variant for the simulator hot path: reads `intervals`
-// without consuming it and sweeps inside the caller-provided scratch
-// buffer (cleared on entry, capacity retained), so a warmed-up
-// SimWorkspace re-runs with zero heap traffic.
-std::int64_t PeakLiveBytes(const std::vector<LiveInterval>& intervals,
-                           std::vector<MemEvent>& scratch);
 
 struct MemoryModelOptions {
   // Allocator fragmentation + cuDNN workspace multiplier on activations.

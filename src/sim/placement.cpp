@@ -1,6 +1,6 @@
 #include "sim/placement.h"
 
-#include <map>
+#include <cstdint>
 #include <sstream>
 
 #include "support/check.h"
@@ -60,28 +60,45 @@ void Placement::Normalize(const graph::OpGraph& graph,
     EAGLE_CHECK_MSG(d >= 0 && d < cluster.num_devices(),
                     "device id " << d << " out of range");
   }
-  // Colocation leaders: the first op seen in each group decides.
-  std::map<std::int32_t, DeviceId> leader;
-  for (graph::OpId i = 0; i < graph.num_ops(); ++i) {
-    const auto& op = graph.op(i);
-    if (op.cpu_only) devices_[static_cast<std::size_t>(i)] = cpu;
-    if (op.colocation_group >= 0) {
-      auto [it, inserted] = leader.emplace(
-          op.colocation_group, devices_[static_cast<std::size_t>(i)]);
-      if (!inserted) devices_[static_cast<std::size_t>(i)] = it->second;
+  // A colocation group goes to its first op's device, or to the CPU when
+  // any member is cpu_only. Groups get dense numbers in first-seen order
+  // from an open-addressing table (Fibonacci hash, linear probing) sized
+  // once per call — imported ids range up to 2^31-1, so they cannot index
+  // a table themselves. `group_of` holds each op's dense number, -1 for
+  // none.
+  const std::vector<graph::OpDef>& ops = graph.ops();
+  int bits = 4;
+  while ((std::size_t{1} << bits) < 2 * ops.size()) ++bits;
+  struct Slot {
+    std::int32_t group = -1;
+    std::int32_t dense = 0;
+  };
+  std::vector<Slot> table(std::size_t{1} << bits);
+  std::vector<DeviceId> group_device;
+  std::vector<std::int32_t> group_of(ops.size(), -1);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const graph::OpDef& op = ops[i];
+    if (op.cpu_only) devices_[i] = cpu;
+    if (op.colocation_group < 0) continue;
+    std::size_t h = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(op.colocation_group) *
+         0x9E3779B97F4A7C15ULL) >>
+        (64 - bits));
+    while (table[h].group >= 0 && table[h].group != op.colocation_group) {
+      h = (h + 1) & (table.size() - 1);
     }
-  }
-  // A cpu_only op inside a colocation group drags the group to CPU.
-  for (graph::OpId i = 0; i < graph.num_ops(); ++i) {
-    const auto& op = graph.op(i);
-    if (op.colocation_group >= 0 && op.cpu_only) {
-      leader[op.colocation_group] = cpu;
+    Slot& slot = table[h];
+    if (slot.group < 0) {
+      slot = Slot{op.colocation_group,
+                  static_cast<std::int32_t>(group_device.size())};
+      group_device.push_back(devices_[i]);
     }
+    if (op.cpu_only) group_device[static_cast<std::size_t>(slot.dense)] = cpu;
+    group_of[i] = slot.dense;
   }
-  for (graph::OpId i = 0; i < graph.num_ops(); ++i) {
-    const auto& op = graph.op(i);
-    if (op.colocation_group >= 0) {
-      devices_[static_cast<std::size_t>(i)] = leader[op.colocation_group];
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (group_of[i] >= 0) {
+      devices_[i] = group_device[static_cast<std::size_t>(group_of[i])];
     }
   }
 }

@@ -2,10 +2,11 @@
 //
 // One discrete-event run used to allocate a dozen vectors, two hash maps,
 // and a priority_queue per device — every single call. A SimWorkspace
-// keeps all of that storage alive between runs and replaces the hash maps
-// with flat arrays indexed by `op * num_devices + device`, stamped with a
-// per-run epoch counter so "reset" is bumping one integer instead of
-// clearing O(ops × devices) entries. After the first run on a given graph
+// keeps all of that storage alive between runs. Per-op scheduling state
+// is stamped with a per-run epoch counter, so "reset" is bumping one
+// integer instead of clearing O(ops) entries. Nothing in it is indexed by
+// (op, device): transfer dedup is op-local and memory is swept per
+// device-local pick (simulator.cpp). After the first run on a given graph
 // shape the simulator performs no heap allocation at all (beyond the
 // caller-visible StepResult).
 //
@@ -24,7 +25,6 @@
 
 #include "graph/op_graph.h"
 #include "sim/device.h"
-#include "sim/memory_model.h"
 
 namespace eagle::sim {
 
@@ -47,8 +47,8 @@ struct ReadyOp {
 };
 
 struct SimWorkspace {
-  // A flat (op × device) entry is live only when its stamp equals `epoch`;
-  // everything else is logically reset. Prepare() bumps the epoch.
+  // A per-op entry is live only when its stamp equals `epoch`; everything
+  // else is logically reset. Prepare() bumps the epoch.
   std::uint32_t epoch = 0;
 
   // Per-op scheduling state.
@@ -56,7 +56,6 @@ struct SimWorkspace {
   std::vector<double> ready_time;
   std::vector<std::uint32_t> pending_epoch;
   std::vector<int> pending_inputs;
-  std::vector<double> finish_time;
 
   // Per-device / per-channel availability.
   std::vector<double> device_free;
@@ -66,67 +65,78 @@ struct SimWorkspace {
   // survive across runs; priority_queue would own — and free — them.
   std::vector<std::vector<ReadyOp>> heaps;
 
-  // Transfer dedup, exact key (producer, dst device, bytes): the primary
-  // slot holds the first byte size shipped producer→dst this run; further
-  // distinct sizes chain through the overflow pool via per-slot `next`
-  // links, so a lookup walks only the sizes parked on *this* slot. (The
-  // previous flat overflow vector was scanned end to end on every
-  // mismatch, which made a producer feeding many distinct-size consumers
-  // on one device O(out-edges × total-overflow) per run.)
-  std::vector<std::uint32_t> transfer_epoch;   // op × device
-  std::vector<std::int64_t> transfer_bytes;    // op × device
-  std::vector<double> transfer_arrival;        // op × device
-  // Head of the slot's overflow chain as index+1 into transfer_overflow
-  // (0 = empty). Only meaningful while transfer_epoch[slot] == epoch, and
-  // reset when the slot is stamped, so it needs no per-run clearing.
-  std::vector<std::uint32_t> transfer_overflow_head;  // op × device
-  struct TransferOverflow {
+  // Transfer dedup, exact key (producer, dst device, bytes). Every send of
+  // an op's output happens while that op's out-edges are resolved, so the
+  // cache only has to live for one op: `sends` holds the current op's
+  // sends, chained per destination device from `device_scratch`.
+  struct Send {
     std::int64_t bytes;
     double arrival;
-    std::uint32_t next;  // index+1 of the next entry on this slot; 0 = end
+    std::uint32_t next;  // index+1 of the previous send to this device
+    DeviceId device;
   };
-  std::vector<TransferOverflow> transfer_overflow;
+  std::vector<Send> sends;
 
-  // Liveness accounting: (producer, device) -> index into
-  // intervals[device], plus the interval storage itself and the event
-  // scratch PeakLiveBytes sweeps over.
-  std::vector<std::uint32_t> live_epoch;  // op × device
-  std::vector<std::uint32_t> live_index;  // op × device
-  std::vector<std::vector<LiveInterval>> intervals;
-  std::vector<MemEvent> event_scratch;
+  // A tensor copied to a remote device: live from its first arrival until
+  // its last consumer there finishes (`free_slot`, a pick slot).
+  struct RemoteCopy {
+    std::int64_t bytes;
+    double arrival;
+    std::uint32_t free_slot;
+    DeviceId device;
+    graph::OpId producer;
+  };
+  std::vector<RemoteCopy> copies;  // in the producers' pick order
+
+  // Per-device scratch for the op being resolved: its send chain and its
+  // copy on that device, both as index+1 (0 = none). Cleared per op.
+  struct DeviceScratch {
+    std::uint32_t send_head = 0;
+    std::uint32_t copy = 0;
+  };
+  std::vector<DeviceScratch> device_scratch;
+
+  // Pick-indexed memory sweep. Device d's picks take the device-major
+  // slots [slot_end[d-1], slot_end[d]) in pick order; while the run is
+  // scheduling, slot_end[d] is the next free slot of device d.
+  struct PickSlot {
+    double finish;
+    std::int64_t arrived;  // copies arriving after the previous slot's
+                           // finish and strictly before this one's
+    std::int64_t delta;    // allocations minus frees at this finish time
+  };
+  std::vector<PickSlot> picks;
+  std::vector<std::uint32_t> pick_slot;  // per op
+  std::vector<graph::OpId> pick_order;   // ops in pick sequence
+  std::vector<std::uint32_t> slot_end;   // per device
 
   // Sizes storage for (num_ops, num_devices, num_channels) and starts a
-  // fresh run epoch. O(devices + channels) when the shape is unchanged.
+  // fresh run epoch. O(devices + channels) when the op count is unchanged.
   void Prepare(int num_ops, int num_devices, int num_channels) {
     const std::size_t ops = static_cast<std::size_t>(num_ops);
-    const std::size_t flat = ops * static_cast<std::size_t>(num_devices);
-    if (ready_epoch.size() != ops || live_epoch.size() != flat) {
+    const std::size_t devices = static_cast<std::size_t>(num_devices);
+    if (ready_epoch.size() != ops) {
       ready_epoch.assign(ops, 0);
       ready_time.resize(ops);
       pending_epoch.assign(ops, 0);
       pending_inputs.resize(ops);
-      finish_time.resize(ops);
-      transfer_epoch.assign(flat, 0);
-      transfer_bytes.resize(flat);
-      transfer_arrival.resize(flat);
-      transfer_overflow_head.resize(flat);
-      live_epoch.assign(flat, 0);
-      live_index.resize(flat);
+      picks.resize(ops);
+      pick_slot.resize(ops);
+      pick_order.resize(ops);
       epoch = 0;
     }
-    device_free.assign(static_cast<std::size_t>(num_devices), 0.0);
+    device_free.assign(devices, 0.0);
     link_free.assign(static_cast<std::size_t>(num_channels), 0.0);
-    heaps.resize(static_cast<std::size_t>(num_devices));
+    heaps.resize(devices);
     for (auto& h : heaps) h.clear();
-    intervals.resize(static_cast<std::size_t>(num_devices));
-    for (auto& v : intervals) v.clear();
-    transfer_overflow.clear();
+    device_scratch.assign(devices, DeviceScratch{});
+    slot_end.assign(devices, 0);
+    sends.clear();
+    copies.clear();
     if (++epoch == 0) {
       // 2^32 runs wrapped the stamp; restamp everything once and move on.
       std::fill(ready_epoch.begin(), ready_epoch.end(), 0u);
       std::fill(pending_epoch.begin(), pending_epoch.end(), 0u);
-      std::fill(transfer_epoch.begin(), transfer_epoch.end(), 0u);
-      std::fill(live_epoch.begin(), live_epoch.end(), 0u);
       epoch = 1;
     }
   }

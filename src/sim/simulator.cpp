@@ -67,16 +67,81 @@ ExecutionSimulator::ExecutionSimulator(const graph::OpGraph& graph,
   const support::Status cluster_status = cluster.Validate();
   EAGLE_CHECK_MSG(cluster_status.ok(),
                   "invalid cluster spec: " << cluster_status.ToString());
-  // Downstream critical-path length (in ops) as static priority.
-  const std::vector<graph::OpId> topo = graph.TopologicalOrder();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const graph::OpId u = *it;
-    int best = 0;
-    for (auto ei : graph.out_edges(u)) {
-      const graph::OpId v = graph.edges()[static_cast<std::size_t>(ei)].dst;
-      best = std::max(best, critical_priority_[static_cast<std::size_t>(v)] + 1);
+  const std::size_t num_ops = static_cast<std::size_t>(graph.num_ops());
+  // CSR out-edges by a counting sort over the edge list. Edge ids grow in
+  // insertion order, which is the order out_edges() lists them in, so
+  // each op's CSR row keeps the graph's order.
+  const std::vector<graph::Edge>& edges = graph.edges();
+  out_begin_.assign(num_ops + 1, 0);
+  in_degree_.assign(num_ops, 0);
+  for (const graph::Edge& e : edges) {
+    ++out_begin_[static_cast<std::size_t>(e.src) + 1];
+    ++in_degree_[static_cast<std::size_t>(e.dst)];
+  }
+  for (std::size_t u = 0; u < num_ops; ++u) out_begin_[u + 1] += out_begin_[u];
+  out_edges_.resize(edges.size());
+  std::vector<std::size_t> next(out_begin_.begin(), out_begin_.end() - 1);
+  for (const graph::Edge& e : edges) {
+    out_edges_[next[static_cast<std::size_t>(e.src)]++] =
+        OutEdge{e.dst, e.bytes};
+  }
+
+  // ComputeSeconds reads a device's gflops, mem_bw_gbps and
+  // launch_overhead_us only, so one row per distinct triple holds the
+  // exact values a per-device table would.
+  std::vector<const DeviceSpec*> specs;  // one per row
+  for (DeviceId d = 0; d < cluster.num_devices(); ++d) {
+    const DeviceSpec& spec = cluster.device(d);
+    const auto row = std::find_if(
+        specs.begin(), specs.end(), [&spec](const DeviceSpec* seen) {
+          return seen->gflops == spec.gflops &&
+                 seen->mem_bw_gbps == spec.mem_bw_gbps &&
+                 seen->launch_overhead_us == spec.launch_overhead_us;
+        });
+    spec_of_device_.push_back(static_cast<int>(row - specs.begin()));
+    if (row == specs.end()) specs.push_back(&spec);
+  }
+  output_bytes_.resize(num_ops);
+  param_bytes_.resize(num_ops);
+  compute_seconds_.resize(specs.size() * num_ops);
+  const std::vector<graph::OpDef>& ops = graph.ops();
+  for (std::size_t u = 0; u < num_ops; ++u) {
+    output_bytes_[u] = ops[u].output_bytes();
+    param_bytes_[u] = ops[u].param_bytes;
+  }
+  for (std::size_t row = 0; row < specs.size(); ++row) {
+    for (std::size_t u = 0; u < num_ops; ++u) {
+      compute_seconds_[row * num_ops + u] = CostModel::ComputeSeconds(
+          ops[u].flops, output_bytes_[u], *specs[row]);
     }
-    critical_priority_[static_cast<std::size_t>(u)] = best;
+  }
+
+  // Downstream critical-path length (in ops) as static priority, filled
+  // in reverse topological order (Kahn's algorithm over the CSR rows).
+  std::vector<graph::OpId> order;
+  order.reserve(num_ops);
+  std::vector<int> pending(in_degree_);
+  for (graph::OpId u = 0; u < graph.num_ops(); ++u) {
+    if (pending[static_cast<std::size_t>(u)] == 0) order.push_back(u);
+  }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const auto u = static_cast<std::size_t>(order[i]);
+    for (std::size_t k = out_begin_[u]; k < out_begin_[u + 1]; ++k) {
+      if (--pending[static_cast<std::size_t>(out_edges_[k].dst)] == 0) {
+        order.push_back(out_edges_[k].dst);
+      }
+    }
+  }
+  EAGLE_CHECK_MSG(order.size() == num_ops, "graph has a cycle");
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const auto u = static_cast<std::size_t>(*it);
+    int best = 0;
+    for (std::size_t k = out_begin_[u]; k < out_begin_[u + 1]; ++k) {
+      best = std::max(
+          best,
+          critical_priority_[static_cast<std::size_t>(out_edges_[k].dst)] + 1);
+    }
+    critical_priority_[u] = best;
   }
 }
 
@@ -117,10 +182,11 @@ void ExecutionSimulator::PrimeWorkspaceEpochForTest(std::uint32_t epoch) const {
 StepResult ExecutionSimulator::RunInternal(const Placement& placement,
                                            const FaultDraw* faults,
                                            bool record_schedule) const {
-  const graph::OpGraph& g = *graph_;
-  const int num_ops = g.num_ops();
+  const int num_ops = graph_->num_ops();
   const int num_devices = cluster_->num_devices();
   EAGLE_CHECK(placement.num_ops() == num_ops);
+  const std::vector<DeviceId>& device_of = placement.devices();
+  const bool track_memory = options_.track_memory;
   const auto compute_scale = [faults](DeviceId d) {
     return faults == nullptr
                ? 1.0
@@ -139,8 +205,8 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
   result.device_param_bytes.assign(static_cast<std::size_t>(num_devices), 0);
 
   // All per-run scratch lives in a pooled workspace (sim_workspace.h):
-  // flat epoch-stamped arrays instead of hash maps, recycled heap vectors
-  // instead of priority_queues. Zero heap traffic once warm.
+  // epoch-stamped per-op arrays, recycled heap vectors instead of
+  // priority_queues, op-local dedup lists. Zero heap traffic once warm.
   auto lease = workspaces_.Acquire();
   SimWorkspace& ws = *lease;
   ws.Prepare(num_ops, num_devices, cluster_->num_link_channels());
@@ -166,47 +232,35 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
   };
   // Pending-input counters start at in-degree, materialized on first
   // decrement; ops with no inputs never get here (seeded below).
-  const auto decrement_pending = [&ws, epoch, &g](graph::OpId v) {
+  const auto decrement_pending = [this, &ws, epoch](graph::OpId v) {
     const auto i = static_cast<std::size_t>(v);
     if (ws.pending_epoch[i] != epoch) {
       ws.pending_epoch[i] = epoch;
-      ws.pending_inputs[i] = static_cast<int>(g.in_edges(v).size());
+      ws.pending_inputs[i] = in_degree_[i];
     }
     return --ws.pending_inputs[i];
   };
 
   int scheduled = 0;
   for (graph::OpId i = 0; i < num_ops; ++i) {
-    if (g.in_edges(i).empty()) {
-      push_ready(placement.device(i),
+    if (in_degree_[static_cast<std::size_t>(i)] == 0) {
+      push_ready(device_of[static_cast<std::size_t>(i)],
                  ReadyOp{0.0, critical_priority_[static_cast<std::size_t>(i)],
                          i});
     }
   }
-
-  // Activation liveness per device: tensor intervals collected as we go.
-  // The last use time of each op's output on each device is finalized
-  // lazily — the interval extends as consumers get scheduled. The
-  // (producer, device) -> interval-index map is the flat epoch-stamped
-  // live_epoch/live_index pair in the workspace.
-  auto touch = [&](graph::OpId producer, DeviceId device, double start,
-                   double end, std::int64_t bytes) {
-    if (!options_.track_memory || bytes <= 0) return;
-    const std::size_t slot =
-        static_cast<std::size_t>(producer) *
-            static_cast<std::size_t>(num_devices) +
-        static_cast<std::size_t>(device);
-    auto& ivs = ws.intervals[static_cast<std::size_t>(device)];
-    if (ws.live_epoch[slot] != epoch) {
-      ws.live_epoch[slot] = epoch;
-      ws.live_index[slot] = static_cast<std::uint32_t>(ivs.size());
-      ivs.push_back(LiveInterval{start, end, bytes});
-    } else {
-      auto& iv = ivs[ws.live_index[slot]];
-      iv.start = std::min(iv.start, start);
-      iv.end = std::max(iv.end, end);
+  if (track_memory) {
+    // Device-major pick slots: slot_end[d] starts at device d's first slot.
+    for (const DeviceId d : device_of) {
+      ++ws.slot_end[static_cast<std::size_t>(d)];
     }
-  };
+    std::uint32_t first = 0;
+    for (std::uint32_t& slot : ws.slot_end) {
+      const std::uint32_t count = slot;
+      slot = first;
+      first += count;
+    }
+  }
 
   while (scheduled < num_ops) {
     // Pick the (device, op) pair with the earliest feasible start.
@@ -231,60 +285,51 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
                                                   << " unscheduled");
     auto& h = ws.heaps[static_cast<std::size_t>(best_dev)];
     const graph::OpId u = h.front().op;
+    const auto ui = static_cast<std::size_t>(u);
     std::pop_heap(h.begin(), h.end(), cmp);
     h.pop_back();
-    ++scheduled;
 
     const double start = best_start;
+    const auto spec = static_cast<std::size_t>(
+        spec_of_device_[static_cast<std::size_t>(best_dev)]);
     const double compute =
-        cost_model_.ComputeSeconds(g.op(u), best_dev) * compute_scale(best_dev);
+        compute_seconds_[spec * static_cast<std::size_t>(num_ops) + ui] *
+        compute_scale(best_dev);
     const double finish = start + compute;
-    ws.finish_time[static_cast<std::size_t>(u)] = finish;
     ws.device_free[static_cast<std::size_t>(best_dev)] = finish;
     result.device_busy_seconds[static_cast<std::size_t>(best_dev)] += compute;
     if (record_schedule) {
       result.schedule.push_back(ScheduledOp{u, best_dev, start, finish});
     }
-
-    // Output tensor materializes on the producing device.
-    touch(u, best_dev, finish, finish, g.op(u).output_bytes());
+    if (track_memory) {
+      const std::uint32_t slot =
+          ws.slot_end[static_cast<std::size_t>(best_dev)]++;
+      ws.picks[slot] = SimWorkspace::PickSlot{finish, 0, 0};
+      ws.pick_slot[ui] = slot;
+      ws.pick_order[static_cast<std::size_t>(scheduled)] = u;
+    }
+    ++scheduled;
 
     // Resolve out-edges: local hand-off or (deduped) transfer. Dedup is
-    // keyed on the exact (producer, dst device, bytes) triple: the flat
-    // slot caches the first byte size shipped producer→dst; a second
-    // distinct size — legitimate when one op feeds consumers tensors of
-    // different widths — goes through the overflow list rather than being
-    // silently merged (the old 32-bit byte-size hash could collide and
-    // drop a real transfer).
-    for (auto ei : g.out_edges(u)) {
-      const graph::Edge& e = g.edges()[static_cast<std::size_t>(ei)];
-      const DeviceId dst_dev = placement.device(e.dst);
+    // keyed on the exact (producer, dst device, bytes) triple: a second
+    // distinct size to one device — legitimate when one op feeds
+    // consumers tensors of different widths — is its own send rather
+    // than being silently merged (the old 32-bit byte-size hash could
+    // collide and drop a real transfer). All of u's sends happen in this
+    // loop, so the lookup walks only u's earlier sends to that device.
+    for (std::size_t k = out_begin_[ui]; k < out_begin_[ui + 1]; ++k) {
+      const OutEdge& e = out_edges_[k];
+      const DeviceId dst_dev = device_of[static_cast<std::size_t>(e.dst)];
       double arrival = finish;
       if (dst_dev != best_dev) {
-        const std::size_t slot =
-            static_cast<std::size_t>(u) *
-                static_cast<std::size_t>(num_devices) +
-            static_cast<std::size_t>(dst_dev);
-        const double* cached = nullptr;
-        if (ws.transfer_epoch[slot] == epoch) {
-          if (ws.transfer_bytes[slot] == e.bytes) {
-            cached = &ws.transfer_arrival[slot];
-          } else {
-            // Walk only this slot's chain; other slots' overflow entries
-            // are unreachable from here.
-            for (std::uint32_t idx = ws.transfer_overflow_head[slot];
-                 idx != 0;) {
-              const auto& o = ws.transfer_overflow[idx - 1];
-              if (o.bytes == e.bytes) {
-                cached = &o.arrival;
-                break;
-              }
-              idx = o.next;
-            }
-          }
+        SimWorkspace::DeviceScratch& dst =
+            ws.device_scratch[static_cast<std::size_t>(dst_dev)];
+        std::uint32_t hit = dst.send_head;
+        while (hit != 0 && ws.sends[hit - 1].bytes != e.bytes) {
+          hit = ws.sends[hit - 1].next;
         }
-        if (cached != nullptr) {
-          arrival = *cached;
+        if (hit != 0) {
+          arrival = ws.sends[hit - 1].arrival;
         } else {
           auto& lf = ws.link_free[static_cast<std::size_t>(
               cluster_->link_channel(best_dev, dst_dev))];
@@ -294,17 +339,9 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
               link_scale(best_dev, dst_dev);
           arrival = xfer_start + xfer;
           lf = arrival;
-          if (ws.transfer_epoch[slot] != epoch) {
-            ws.transfer_epoch[slot] = epoch;
-            ws.transfer_bytes[slot] = e.bytes;
-            ws.transfer_arrival[slot] = arrival;
-            ws.transfer_overflow_head[slot] = 0;
-          } else {
-            ws.transfer_overflow.push_back(
-                {e.bytes, arrival, ws.transfer_overflow_head[slot]});
-            ws.transfer_overflow_head[slot] =
-                static_cast<std::uint32_t>(ws.transfer_overflow.size());
-          }
+          ws.sends.push_back(
+              SimWorkspace::Send{e.bytes, arrival, dst.send_head, dst_dev});
+          dst.send_head = static_cast<std::uint32_t>(ws.sends.size());
           result.transfer_seconds_total += xfer;
           result.transfer_bytes_total += e.bytes;
           result.num_transfers++;
@@ -312,9 +349,19 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
             result.transfers.push_back(ScheduledTransfer{
                 u, best_dev, dst_dev, e.bytes, xfer_start, arrival});
           }
-          // The received copy lives on the destination until consumed;
-          // the end is extended below as consumers schedule.
-          touch(u, dst_dev, arrival, arrival, e.bytes);
+          // The received copy lives on the destination from its first
+          // arrival (its size is the first non-empty send's) until its
+          // last consumer there finishes — set in the pass below.
+          if (track_memory && e.bytes > 0) {
+            if (dst.copy == 0) {
+              ws.copies.push_back(
+                  SimWorkspace::RemoteCopy{e.bytes, arrival, 0, dst_dev, u});
+              dst.copy = static_cast<std::uint32_t>(ws.copies.size());
+            } else {
+              double& first = ws.copies[dst.copy - 1].arrival;
+              first = std::min(first, arrival);
+            }
+          }
         }
       }
       const double dst_ready = raise_ready(e.dst, arrival);
@@ -325,35 +372,106 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
                            e.dst});
       }
     }
-    result.step_seconds = std::max(result.step_seconds, finish);
-
-    // Extend the liveness of every input tensor to this op's finish.
-    if (options_.track_memory) {
-      for (auto ei : g.in_edges(u)) {
-        const graph::Edge& e = g.edges()[static_cast<std::size_t>(ei)];
-        touch(e.src, best_dev, start, finish,
-              placement.device(e.src) == best_dev ? g.op(e.src).output_bytes()
-                                                  : e.bytes);
-      }
+    for (const SimWorkspace::Send& send : ws.sends) {
+      ws.device_scratch[static_cast<std::size_t>(send.device)] = {};
     }
+    ws.sends.clear();
+    result.step_seconds = std::max(result.step_seconds, finish);
   }
 
   // Memory accounting: params resident for the whole step + activation
   // sweep with allocator overhead.
-  if (options_.track_memory) {
-    for (graph::OpId i = 0; i < num_ops; ++i) {
-      result.device_param_bytes[static_cast<std::size_t>(placement.device(i))] +=
-          g.op(i).param_bytes;
+  if (track_memory) {
+    for (std::size_t i = 0; i < static_cast<std::size_t>(num_ops); ++i) {
+      result.device_param_bytes[static_cast<std::size_t>(device_of[i])] +=
+          param_bytes_[i];
     }
+    // Interval ends, one pass over the out-edges in pick order: u's output
+    // is held on its own device from u's pick until its last local
+    // consumer's (a tensor with no local consumer is zero-length), and
+    // each remote copy until its last consumer on that device that reads
+    // a non-empty edge. A device's finish times never decrease along its
+    // slots, so "last" is the largest slot.
+    std::size_t next_copy = 0;
+    for (const graph::OpId u : ws.pick_order) {
+      const auto ui = static_cast<std::size_t>(u);
+      const DeviceId du = device_of[ui];
+      const std::size_t first_copy = next_copy;
+      for (; next_copy < ws.copies.size() &&
+             ws.copies[next_copy].producer == u;
+           ++next_copy) {
+        const SimWorkspace::RemoteCopy& copy = ws.copies[next_copy];
+        ws.device_scratch[static_cast<std::size_t>(copy.device)].copy =
+            static_cast<std::uint32_t>(next_copy + 1);
+      }
+      std::uint32_t local_free = ws.pick_slot[ui];
+      for (std::size_t k = out_begin_[ui]; k < out_begin_[ui + 1]; ++k) {
+        const OutEdge& e = out_edges_[k];
+        const DeviceId dv = device_of[static_cast<std::size_t>(e.dst)];
+        const std::uint32_t consumer =
+            ws.pick_slot[static_cast<std::size_t>(e.dst)];
+        if (dv == du) {
+          local_free = std::max(local_free, consumer);
+        } else if (e.bytes > 0) {
+          // A non-empty send to dv made u's copy there (set just above).
+          const std::uint32_t copy =
+              ws.device_scratch[static_cast<std::size_t>(dv)].copy;
+          std::uint32_t& free_slot = ws.copies[copy - 1].free_slot;
+          free_slot = std::max(free_slot, consumer);
+        }
+      }
+      if (output_bytes_[ui] > 0) {
+        ws.picks[ws.pick_slot[ui]].delta += output_bytes_[ui];
+        ws.picks[local_free].delta -= output_bytes_[ui];
+      }
+      // A copy is allocated at its arrival: in the slot whose finish equals
+      // it, or else before the first slot finishing later (binary search
+      // over the device's non-decreasing finish times).
+      for (std::size_t c = first_copy; c < next_copy; ++c) {
+        const SimWorkspace::RemoteCopy& copy = ws.copies[c];
+        const auto d = static_cast<std::size_t>(copy.device);
+        const auto last = ws.picks.begin() + ws.slot_end[d];
+        const auto at = std::lower_bound(
+            ws.picks.begin() + (d == 0 ? 0 : ws.slot_end[d - 1]), last,
+            copy.arrival, [](const SimWorkspace::PickSlot& p, double t) {
+              return p.finish < t;
+            });
+        EAGLE_DCHECK(at != last);  // the copy's consumers finish after it
+        if (at->finish == copy.arrival) {
+          at->delta += copy.bytes;
+        } else {
+          at->arrived += copy.bytes;
+        }
+        ws.picks[copy.free_slot].delta -= copy.bytes;
+      }
+    }
+    // The sweep. Within one timestamp frees only lower the int64 total and
+    // allocations only raise it, so the peak is the total after all of a
+    // timestamp's events, whatever their order: it is taken at the end of
+    // each run of equal finish times, and after each batch of arrivals
+    // between two finish times (arrivals only raise the total).
     for (DeviceId d = 0; d < num_devices; ++d) {
-      const std::int64_t activation_peak = PeakLiveBytes(
-          ws.intervals[static_cast<std::size_t>(d)], ws.event_scratch);
+      const auto di = static_cast<std::size_t>(d);
+      const std::size_t end = ws.slot_end[di];
+      std::int64_t live = 0;
+      std::int64_t activation_peak = 0;
+      for (std::size_t s = di == 0 ? 0 : ws.slot_end[di - 1]; s < end; ++s) {
+        const SimWorkspace::PickSlot& pick = ws.picks[s];
+        if (pick.arrived != 0) {
+          live += pick.arrived;
+          activation_peak = std::max(activation_peak, live);
+        }
+        live += pick.delta;
+        if (s + 1 == end || ws.picks[s + 1].finish != pick.finish) {
+          activation_peak = std::max(activation_peak, live);
+        }
+      }
       const std::int64_t peak =
-          result.device_param_bytes[static_cast<std::size_t>(d)] +
+          result.device_param_bytes[di] +
           static_cast<std::int64_t>(
               static_cast<double>(activation_peak) *
               options_.memory.activation_overhead);
-      result.device_peak_bytes[static_cast<std::size_t>(d)] = peak;
+      result.device_peak_bytes[di] = peak;
       if (peak > cluster_->device(d).memory_bytes && !result.oom) {
         result.oom = true;
         result.oom_device = d;
@@ -371,15 +489,15 @@ double ExecutionSimulator::ParamTransferSeconds(
   const DeviceId cpu = cluster_->FirstCpu();
   double total = 0.0;
   for (graph::OpId i = 0; i < graph_->num_ops(); ++i) {
-    const auto& op = graph_->op(i);
-    if (op.param_bytes > 0) {
+    const std::int64_t param_bytes = param_bytes_[static_cast<std::size_t>(i)];
+    if (param_bytes > 0) {
       double scale = 1.0;
       if (faults != nullptr && placement.device(i) != cpu) {
         scale = faults->link_scale[static_cast<std::size_t>(
             cluster_->link_channel(cpu, placement.device(i)))];
       }
       total += scale * cost_model_.TransferSeconds(cpu, placement.device(i),
-                                                   op.param_bytes);
+                                                   param_bytes);
     }
   }
   return total;

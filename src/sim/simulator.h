@@ -119,6 +119,24 @@ class ExecutionSimulator {
   CostModel cost_model_;
   SimulatorOptions options_;
   std::vector<int> critical_priority_;  // longer downstream path == higher
+
+  // Flat per-op tables, built once so Run() reads no OpDef and no nested
+  // edge list: out-edges in CSR form (op u's edges are
+  // out_edges_[out_begin_[u], out_begin_[u + 1]), in graph order).
+  struct OutEdge {
+    graph::OpId dst;
+    std::int64_t bytes;
+  };
+  std::vector<std::size_t> out_begin_;
+  std::vector<OutEdge> out_edges_;
+  std::vector<int> in_degree_;
+  std::vector<std::int64_t> output_bytes_;
+  std::vector<std::int64_t> param_bytes_;
+  // CostModel::ComputeSeconds per (device spec, op), spec-major. Devices
+  // that agree on every field it reads share one spec row, so the table
+  // is num_specs × num_ops rather than num_devices × num_ops.
+  std::vector<int> spec_of_device_;
+  std::vector<double> compute_seconds_;
   // Run() is const and concurrent (EvalService workers share one
   // simulator), so per-run scratch is leased rather than a plain member.
   // After warm-up every lease hits the free list and runs allocation-free.

@@ -1,8 +1,11 @@
 #include "support/args.h"
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace eagle::support {
 
@@ -49,35 +52,34 @@ ArgParser& ArgParser::AddString(const std::string& name, const std::string& v,
   return *this;
 }
 
-void ArgParser::SetFromString(Flag& flag, const std::string& name,
-                              const std::string& value) {
-  try {
-    switch (flag.kind) {
-      case Kind::kInt:
-        flag.int_value = std::stoll(value);
-        break;
-      case Kind::kDouble:
-        flag.double_value = std::stod(value);
-        break;
-      case Kind::kBool:
-        if (value == "true" || value == "1") {
-          flag.bool_value = true;
-        } else if (value == "false" || value == "0") {
-          flag.bool_value = false;
-        } else {
-          throw std::invalid_argument("bad bool");
-        }
-        break;
-      case Kind::kString:
-        flag.string_value = value;
-        break;
-    }
-  } catch (const std::exception&) {
-    throw std::invalid_argument("invalid value '" + value + "' for --" + name);
+namespace {
+
+// Prints "<program>: <message>" on one line and exits 2, the status the
+// graph and cluster importers use for unusable input.
+[[noreturn]] void ExitUsageError(const char* argv0,
+                                 const std::string& message) {
+  std::string program = argv0 != nullptr ? argv0 : "";
+  if (const auto slash = program.rfind('/'); slash != std::string::npos) {
+    program.erase(0, slash + 1);
   }
+  std::fprintf(stderr, "%s: %s\n", program.c_str(), message.c_str());
+  std::exit(2);
 }
 
+// True when all of `text` is one number of type T. std::from_chars stops
+// at the first character it cannot use, so a trailing "x" in "4x" shows
+// as an unconsumed tail instead of being dropped.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, *out);
+  return error == std::errc() && end == last;
+}
+
+}  // namespace
+
 bool ArgParser::Parse(int argc, char** argv) {
+  const char* program = argc > 0 ? argv[0] : nullptr;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -98,7 +100,8 @@ bool ArgParser::Parse(int argc, char** argv) {
     }
     auto it = flags_.find(name);
     if (it == flags_.end()) {
-      throw std::invalid_argument("unknown flag --" + name + "\n" + Usage());
+      ExitUsageError(program,
+                     "unknown flag --" + name + " (--help lists flags)");
     }
     Flag& flag = it->second;
     if (!has_value) {
@@ -107,11 +110,30 @@ bool ArgParser::Parse(int argc, char** argv) {
         continue;
       }
       if (i + 1 >= argc) {
-        throw std::invalid_argument("flag --" + name + " expects a value");
+        ExitUsageError(program, "flag --" + name + " expects a value");
       }
       value = argv[++i];
     }
-    SetFromString(flag, name, value);
+    bool ok = true;
+    switch (flag.kind) {
+      case Kind::kInt:
+        ok = ParseWhole(value, &flag.int_value);
+        break;
+      case Kind::kDouble:
+        ok = ParseWhole(value, &flag.double_value);
+        break;
+      case Kind::kBool:
+        flag.bool_value = value == "true" || value == "1";
+        ok = flag.bool_value || value == "false" || value == "0";
+        break;
+      case Kind::kString:
+        flag.string_value = value;
+        break;
+    }
+    if (!ok) {
+      ExitUsageError(program,
+                     "invalid value '" + value + "' for --" + name);
+    }
   }
   return true;
 }

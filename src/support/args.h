@@ -1,8 +1,9 @@
 // Tiny CLI flag parser used by benches and examples.
 //
 // Flags are of the form --name=value or --name value; bare --name sets a
-// boolean flag to true. Unrecognized flags raise an error listing the
-// registered flags, so typos in bench invocations fail loudly.
+// boolean flag to true. A command line the parser cannot take exits the
+// program with status 2 and a one-line diagnostic, so typos in bench
+// invocations fail loudly.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,10 @@ class ArgParser {
                        const std::string& help);
 
   // Parses argv. On --help prints usage and returns false (caller should
-  // exit 0). Throws std::invalid_argument on unknown flags / bad values.
+  // exit 0). An unknown flag, a missing value, or a value that is not
+  // wholly of the flag's type ("abc" or "4x" for an int) prints one line
+  // to stderr, e.g. "bench_faults: invalid value 'abc' for --threads",
+  // and exits with status 2.
   bool Parse(int argc, char** argv);
 
   std::int64_t GetInt(const std::string& name) const;
@@ -53,8 +57,6 @@ class ArgParser {
   };
 
   const Flag& Find(const std::string& name, Kind kind) const;
-  void SetFromString(Flag& flag, const std::string& name,
-                     const std::string& value);
 
   std::string description_;
   std::map<std::string, Flag> flags_;

@@ -101,6 +101,46 @@ TEST(AuditClean, TightMemoryClusterStaysConsistent) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+TEST(AuditClean, ZeroLengthOpSharingAStartTime) {
+  // With no launch overhead, an op with no flops and no output runs in
+  // zero time. `a` outranks `b` (it has a successor), so at the instant
+  // `src` finishes the device runs a over [t, t], then the lower-numbered
+  // b over [t, t + d]: two ops starting together without overlapping.
+  HierarchicalClusterOptions options;
+  options.num_nodes = 1;
+  options.gpu_launch_overhead_us = 0.0;
+  const ClusterSpec cluster = MakeHierarchicalCluster(options);
+  graph::OpGraph g;
+  const auto add = [&g](const char* name, double flops,
+                        graph::TensorShape shape) {
+    graph::OpDef op;
+    op.name = name;
+    op.type = graph::OpType::kMatMul;
+    op.flops = flops;
+    op.output_shape = std::move(shape);
+    return g.AddOp(op);
+  };
+  const graph::OpId src = add("src", 1e6, graph::TensorShape{16});
+  const graph::OpId b = add("b", 1e6, graph::TensorShape{16});
+  const graph::OpId a = add("a", 0.0, graph::TensorShape{0});
+  const graph::OpId c = add("c", 1e6, graph::TensorShape{16});
+  g.AddEdge(src, b);
+  g.AddEdge(src, a);
+  g.AddEdge(a, c);
+  const Placement placement =
+      Placement::AllOnDevice(g, cluster, cluster.Gpus().front());
+  const StepResult result =
+      ExecutionSimulator(g, cluster, RecordingOptions()).Run(placement);
+  ASSERT_EQ(result.schedule.size(), 4u);
+  ASSERT_EQ(result.schedule[1].op, a);
+  ASSERT_EQ(result.schedule[2].op, b);
+  EXPECT_EQ(result.schedule[1].start_seconds,
+            result.schedule[2].start_seconds);
+  const AuditReport report =
+      AuditSchedule(result, g, cluster, placement, RecordingOptions());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 TEST(AuditBroken, TimeRegression) {
   Audited a = RunBenchmark(models::Benchmark::kInceptionV3);
   ScheduledOp& victim = a.result.schedule[a.result.schedule.size() / 2];

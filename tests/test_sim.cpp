@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -145,6 +146,54 @@ TEST(Placement, CpuOnlyDragsColocationGroup) {
   placement.Normalize(g, cluster);
   EXPECT_EQ(placement.device(0), cluster.FirstCpu());
   EXPECT_EQ(placement.device(1), cluster.FirstCpu());
+}
+
+TEST(Placement, NormalizeHandlesImportedGroupIds) {
+  // Imported colocation ids are arbitrary non-negative int32s, not
+  // 0..k-1: draw them from a few hundred values spread up to 2^31-1 so
+  // groups collide in the dense-id table, and check every op against the
+  // rule stated directly: a group follows its first op's device, or the
+  // CPU when any member is cpu_only.
+  const auto cluster = MakeDefaultCluster();
+  support::Rng rng(29);
+  std::vector<std::int32_t> ids;
+  for (int k = 0; k < 300; ++k) {
+    ids.push_back(k < 2 ? std::numeric_limits<std::int32_t>::max() - k
+                        : static_cast<std::int32_t>(rng.NextBelow(1u << 31)));
+  }
+  OpGraph g;
+  for (int i = 0; i < 3000; ++i) {
+    OpDef op;
+    op.name = "op" + std::to_string(i);
+    op.output_shape = TensorShape{4};
+    op.cpu_only = rng.NextBelow(50) == 0;
+    if (rng.NextBelow(3) != 0) {
+      op.colocation_group = ids[rng.NextBelow(ids.size())];
+    }
+    g.AddOp(op);
+  }
+  Placement placement(g, RandomDevices(g, cluster, rng));
+  const std::vector<DeviceId> raw = placement.devices();
+  placement.Normalize(g, cluster);
+  for (graph::OpId i = 0; i < g.num_ops(); ++i) {
+    const OpDef& op = g.op(i);
+    DeviceId want = op.cpu_only ? cluster.FirstCpu()
+                                : raw[static_cast<std::size_t>(i)];
+    if (op.colocation_group >= 0) {
+      bool first = true;
+      for (graph::OpId j = 0; j < g.num_ops(); ++j) {
+        const OpDef& other = g.op(j);
+        if (other.colocation_group != op.colocation_group) continue;
+        if (first) {
+          want = other.cpu_only ? cluster.FirstCpu()
+                                : raw[static_cast<std::size_t>(j)];
+          first = false;
+        }
+        if (other.cpu_only) want = cluster.FirstCpu();
+      }
+    }
+    ASSERT_EQ(placement.device(i), want) << "op " << i;
+  }
 }
 
 TEST(Placement, FromGroupsExpandsAndNormalizes) {
@@ -451,6 +500,92 @@ TEST(Simulator, SharedNicDedupMatchesFrozenReference) {
   }
 }
 
+// A CPU and three GPUs on one default link tier; every op pays
+// `overhead_us` of launch overhead and every transfer as much latency.
+ClusterSpec TieCluster(double overhead_us) {
+  ClusterSpec cluster;
+  for (int d = 0; d < 4; ++d) {
+    DeviceSpec spec;
+    spec.name = d == 0 ? "/cpu:0" : "/gpu:" + std::to_string(d - 1);
+    spec.kind = d == 0 ? DeviceKind::kCPU : DeviceKind::kGPU;
+    spec.gflops = d == 0 ? 100.0 : 1000.0;
+    spec.mem_bw_gbps = d == 0 ? 50.0 : 500.0;
+    spec.launch_overhead_us = overhead_us;
+    spec.memory_bytes = 1LL << 40;
+    cluster.AddDevice(spec);
+  }
+  cluster.SetDefaultLink(LinkSpec{10.0, overhead_us});
+  return cluster;
+}
+
+// A random DAG full of timestamp ties: ops with zero flops or an empty
+// output (both, with no launch overhead, run in zero time), and edges
+// that carry 0 bytes (with no latency, sent in zero time), a size
+// repeated across consumers, or a distinct size.
+OpGraph TieHeavyGraph(support::Rng& rng) {
+  OpGraph g;
+  const int num_ops = 8 + static_cast<int>(rng.NextBelow(40));
+  for (int i = 0; i < num_ops; ++i) {
+    OpDef op;
+    op.name = "op" + std::to_string(i);
+    op.type = OpType::kMatMul;
+    op.flops = rng.NextBelow(3) == 0 ? 0.0 : 1e5 * (1 + rng.NextBelow(4));
+    op.output_shape = rng.NextBelow(3) == 0
+                          ? TensorShape{0}
+                          : TensorShape{64 * (1 + rng.NextInt(0, 3))};
+    g.AddOp(op);
+    if (i == 0) continue;
+    const int fanin = 1 + static_cast<int>(rng.NextBelow(3));
+    std::vector<graph::OpId> producers;
+    for (int f = 0; f < fanin; ++f) {
+      const auto p = static_cast<graph::OpId>(
+          rng.NextBelow(static_cast<std::uint64_t>(i)));
+      if (std::find(producers.begin(), producers.end(), p) !=
+          producers.end()) {
+        continue;
+      }
+      producers.push_back(p);
+      switch (rng.NextBelow(4)) {
+        case 0: g.AddEdge(p, i, 0); break;
+        case 1: g.AddEdge(p, i); break;  // the producer's output size
+        case 2: g.AddEdge(p, i, 512); break;
+        default: g.AddEdge(p, i, 4 * rng.NextInt(1, 1 << 12)); break;
+      }
+    }
+  }
+  return g;
+}
+
+TEST(Simulator, TieHeavyGraphsMatchFrozenReference) {
+  // The sweep takes the running peak only after the last pick of each
+  // run of equal finish times, because a zero-time pick late in the run
+  // can free what an earlier pick of the run allocated. These graphs
+  // produce such runs (and transfer arrivals that coincide with a finish
+  // time) by the hundred; every placement must match the sort-based
+  // reference exactly.
+  SimulatorOptions options;
+  options.record_schedule = true;
+  support::Rng rng(71);
+  int placements = 0;
+  for (const double overhead : {0.0, 2.0}) {
+    SCOPED_TRACE(overhead);
+    const ClusterSpec cluster = TieCluster(overhead);
+    for (int graph = 0; graph < 120; ++graph) {
+      const OpGraph g = TieHeavyGraph(rng);
+      const ExecutionSimulator simulator(g, cluster, options);
+      for (int round = 0; round < 5; ++round, ++placements) {
+        Placement placement(g, RandomDevices(g, cluster, rng));
+        placement.Normalize(g, cluster);
+        ExpectStepResultsIdentical(
+            simulator.Run(placement),
+            naive::RunReference(g, cluster, options, placement, nullptr,
+                                /*record_schedule=*/true));
+      }
+    }
+  }
+  EXPECT_EQ(placements, 1200);
+}
+
 TEST(Simulator, MatchesFrozenReferenceUnderFaults) {
   const auto cluster = MakeDefaultCluster();
   const OpGraph g =
@@ -611,23 +746,33 @@ TEST(SimWorkspace, PrepareHandlesShapeChanges) {
   SimWorkspace ws;
   ws.Prepare(4, 2, 8);
   EXPECT_EQ(ws.epoch, 1u);
+  // A run leaves per-device scratch behind; the next one starts clean.
+  ws.copies.push_back({});
+  ws.sends.push_back({});
+  ws.device_scratch[1] = {3, 1};
   ws.Prepare(4, 2, 8);
   EXPECT_EQ(ws.epoch, 2u);
-  // More devices: the flat op×device arrays regrow and epochs restart, so
-  // no stale stamp from the old shape can alias a live slot.
+  EXPECT_TRUE(ws.copies.empty());
+  EXPECT_TRUE(ws.sends.empty());
+  EXPECT_EQ(ws.device_scratch[1].send_head, 0u);
+  EXPECT_EQ(ws.device_scratch[1].copy, 0u);
+  // More devices: the per-device state regrows, but no per-op stamp is
+  // keyed by device, so the epoch keeps counting.
   ws.Prepare(4, 3, 18);
-  EXPECT_EQ(ws.epoch, 1u);
-  EXPECT_EQ(ws.live_epoch.size(), 12u);
-  EXPECT_EQ(ws.transfer_overflow_head.size(), 12u);
+  EXPECT_EQ(ws.epoch, 3u);
   EXPECT_EQ(ws.heaps.size(), 3u);
-  // Back to the smaller shape: same reset.
-  ws.Prepare(4, 2, 8);
-  EXPECT_EQ(ws.epoch, 1u);
-  EXPECT_EQ(ws.live_epoch.size(), 8u);
-  // Op-count change alone also reshapes.
+  EXPECT_EQ(ws.device_scratch.size(), 3u);
+  EXPECT_EQ(ws.slot_end.size(), 3u);
+  EXPECT_EQ(ws.link_free.size(), 18u);
+  EXPECT_EQ(ws.picks.size(), 4u);
+  // An op-count change regrows the per-op arrays and restarts the epoch,
+  // so no stale stamp can alias a live entry.
   ws.Prepare(6, 2, 8);
   EXPECT_EQ(ws.epoch, 1u);
   EXPECT_EQ(ws.ready_epoch.size(), 6u);
+  EXPECT_EQ(ws.pick_slot.size(), 6u);
+  EXPECT_EQ(ws.picks.size(), 6u);
+  EXPECT_EQ(ws.heaps.size(), 2u);
 }
 
 TEST(ClusterSpec, ValidateRejectsDegenerateSpecs) {
@@ -668,18 +813,6 @@ TEST(ClusterSpec, SimulatorRefusesInvalidCluster) {
   op.output_shape = TensorShape{16};
   g.AddOp(op);
   EXPECT_THROW(ExecutionSimulator(g, bad), std::logic_error);
-}
-
-TEST(MemoryModel, InPlaceOverloadMatchesAndReusesScratch) {
-  const std::vector<LiveInterval> intervals{
-      {0.0, 2.0, 100}, {1.0, 3.0, 50}, {2.5, 4.0, 75}, {0.5, 0.5, 999}};
-  std::vector<MemEvent> scratch;
-  EXPECT_EQ(PeakLiveBytes(intervals, scratch), PeakLiveBytes(intervals));
-  const auto* data = scratch.data();
-  const auto capacity = scratch.capacity();
-  EXPECT_EQ(PeakLiveBytes(intervals, scratch), 150);
-  EXPECT_EQ(scratch.data(), data);  // no reallocation on reuse
-  EXPECT_EQ(scratch.capacity(), capacity);
 }
 
 TEST(Measurement, ProtocolCostAccounting) {

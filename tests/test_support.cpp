@@ -264,19 +264,42 @@ TEST(Args, ParsesAllTypes) {
   EXPECT_EQ(args.positional()[0], "extra");
 }
 
-TEST(Args, UnknownFlagThrows) {
+TEST(Args, UnknownFlagExitsWithCode2) {
   ArgParser args;
-  const char* argv[] = {"prog", "--nope"};
-  EXPECT_THROW(args.Parse(2, const_cast<char**>(argv)),
-               std::invalid_argument);
+  const char* argv[] = {"/path/to/prog", "--nope"};
+  EXPECT_EXIT(args.Parse(2, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "^prog: unknown flag --nope");
 }
 
-TEST(Args, BadValueThrows) {
+TEST(Args, BadValueExitsWithCode2) {
   ArgParser args;
   args.AddInt("n", 1, "n");
   const char* argv[] = {"prog", "--n=abc"};
-  EXPECT_THROW(args.Parse(2, const_cast<char**>(argv)),
-               std::invalid_argument);
+  EXPECT_EXIT(args.Parse(2, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2),
+              "^prog: invalid value 'abc' for --n\n$");
+}
+
+TEST(Args, TrailingGarbageExitsWithCode2) {
+  // std::stoll read "4x" as 4; a value must be wholly of the flag's type.
+  for (const char* value : {"--threads=4x", "--threads=4 ", "--lr=0.5s",
+                            "--threads=", "--full=yes"}) {
+    SCOPED_TRACE(value);
+    ArgParser args;
+    args.AddInt("threads", 1, "threads");
+    args.AddDouble("lr", 0.01, "lr");
+    args.AddBool("full", false, "full");
+    const char* argv[] = {"prog", value};
+    EXPECT_EXIT(args.Parse(2, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2), "^prog: invalid value '");
+  }
+  ArgParser args;
+  args.AddInt("threads", 1, "threads");
+  args.AddDouble("lr", 0.01, "lr");
+  const char* argv[] = {"prog", "--threads=-4", "--lr", "1e-3"};
+  ASSERT_TRUE(args.Parse(4, const_cast<char**>(argv)));
+  EXPECT_EQ(args.GetInt("threads"), -4);
+  EXPECT_DOUBLE_EQ(args.GetDouble("lr"), 1e-3);
 }
 
 TEST(Args, DefaultsPreserved) {
