@@ -169,7 +169,16 @@ struct BenchContext {
   models::Benchmark benchmark;
   graph::OpGraph graph;
   sim::ClusterSpec cluster;
+  core::EnvironmentOptions env_options;
+  // Serves direct evaluations. TrainOnBenchmark replaces it with a fresh
+  // environment for every training run, which stays here afterwards so
+  // callers can read that run's fault counters.
   std::unique_ptr<core::PlacementEnvironment> env;
+
+  void ResetEnvironment() {
+    env = std::make_unique<core::PlacementEnvironment>(graph, cluster,
+                                                       env_options);
+  }
 };
 
 // When `config` is given its fault profile is installed into the
@@ -183,10 +192,8 @@ inline BenchContext MakeContext(models::Benchmark benchmark,
   context.graph = models::BuildBenchmark(benchmark);
   context.cluster =
       config != nullptr ? config->cluster : sim::MakeDefaultCluster();
-  core::EnvironmentOptions env_options;
-  if (config != nullptr) env_options.faults = config->faults;
-  context.env = std::make_unique<core::PlacementEnvironment>(
-      context.graph, context.cluster, env_options);
+  if (config != nullptr) context.env_options.faults = config->faults;
+  context.ResetEnvironment();
   return context;
 }
 
@@ -254,10 +261,10 @@ inline void AppendSnapshotJson(std::ostringstream& os,
   os << "}";
 }
 
-inline rl::TrainResult TrainOnBenchmark(
-    core::PolicyAgent& agent, BenchContext& context, rl::Algorithm algorithm,
-    const BenchConfig& config,
-    const rl::ProgressCallback& on_progress = nullptr) {
+inline rl::TrainResult TrainOnBenchmark(core::PolicyAgent& agent,
+                                        BenchContext& context,
+                                        rl::Algorithm algorithm,
+                                        const BenchConfig& config) {
   namespace json = support::json;
   namespace telemetry = support::telemetry;
   support::Stopwatch stopwatch;
@@ -269,6 +276,10 @@ inline rl::TrainResult TrainOnBenchmark(
         agent.name() + "_" + rl::AlgorithmName(algorithm);
     options.resume = config.resume;
   }
+  // A fresh environment per run: its fault stream and counters belong to
+  // this run alone, so the run's checkpoint restores exactly them and a
+  // resumed run replays the uninterrupted one.
+  context.ResetEnvironment();
   core::EvalService service(*context.env, config.threads);
   options.evaluator = &service;
 
@@ -312,7 +323,7 @@ inline rl::TrainResult TrainOnBenchmark(
     };
   }
 
-  auto result = rl::TrainAgent(agent, *context.env, options, on_progress);
+  auto result = rl::TrainAgent(agent, *context.env, options);
 
   if (telemetry::Enabled() && run_start_snap != nullptr) {
     const support::metrics::Snapshot delta =

@@ -35,7 +35,11 @@ inline void RunCurves(const std::string& figure_name,
   for (const auto& spec : agents) {
     auto context = MakeContext(benchmark, &config);
     auto agent = spec.make(context, config);
-    const auto on_progress = [&](const rl::HistoryPoint& point) {
+    const auto result =
+        TrainOnBenchmark(*agent, context, spec.algorithm, config);
+    // From the full history, so a resumed run charts the samples trained
+    // before the resume too.
+    for (const rl::HistoryPoint& point : result.history) {
       if (std::isfinite(point.per_step_seconds)) {
         sample_points.push_back(
             {point.virtual_hours, point.per_step_seconds, spec.name});
@@ -44,9 +48,7 @@ inline void RunCurves(const std::string& figure_name,
         best_points.push_back(
             {point.virtual_hours, point.best_so_far_seconds, spec.name});
       }
-    };
-    const auto result = TrainOnBenchmark(*agent, context, spec.algorithm,
-                                         config, on_progress);
+    }
     table.AddRow({spec.name, FormatResult(result),
                   support::Table::Num(result.best_found_at_hours, 2),
                   std::to_string(result.invalid_samples),

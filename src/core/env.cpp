@@ -1,9 +1,7 @@
 #include "core/env.h"
 
 #include <algorithm>
-#include <istream>
 #include <limits>
-#include <ostream>
 
 #include "sim/cost_model.h"
 #include "support/check.h"
@@ -46,17 +44,6 @@ EnvMetrics& Metrics() {
 // Invalid placements are charged this multiple of the serialized
 // single-fastest-device per-step lower bound.
 constexpr double kPenaltyFactor = 10.0;
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-template <typename T>
-void ReadPod(std::istream& in, T& value) {
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  EAGLE_CHECK_MSG(in, "truncated environment state");
-}
 
 }  // namespace
 
@@ -231,33 +218,22 @@ double PlacementEnvironment::backoff_seconds_total() const {
   return backoff_seconds_total_;
 }
 
-void PlacementEnvironment::SerializeState(std::ostream& out) const {
+void PlacementEnvironment::SaveState(support::ByteWriter& out) const {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  const auto rng_state = fault_rng_.state();
-  for (std::uint64_t s : rng_state) WritePod(out, s);
-  WritePod(out, cache_hits_);
-  WritePod(out, evaluations_);
-  WritePod(out, attempts_);
-  WritePod(out, transient_failures_);
-  WritePod(out, timeouts_);
-  WritePod(out, retries_);
-  WritePod(out, exhausted_evaluations_);
-  WritePod(out, backoff_seconds_total_);
+  out.Put(fault_rng_.state(), cache_hits_, evaluations_, attempts_,
+          transient_failures_, timeouts_, retries_, exhausted_evaluations_,
+          backoff_seconds_total_);
 }
 
-void PlacementEnvironment::DeserializeState(std::istream& in) {
+void PlacementEnvironment::LoadState(support::ByteReader& in) {
   std::lock_guard<std::mutex> lock(state_mutex_);
-  std::array<std::uint64_t, 4> rng_state{};
-  for (auto& s : rng_state) ReadPod(in, s);
-  fault_rng_.set_state(rng_state);
-  ReadPod(in, cache_hits_);
-  ReadPod(in, evaluations_);
-  ReadPod(in, attempts_);
-  ReadPod(in, transient_failures_);
-  ReadPod(in, timeouts_);
-  ReadPod(in, retries_);
-  ReadPod(in, exhausted_evaluations_);
-  ReadPod(in, backoff_seconds_total_);
+  fault_rng_.set_state(in.Get<std::array<std::uint64_t, 4>>());
+  for (int* counter : {&cache_hits_, &evaluations_, &attempts_,
+                       &transient_failures_, &timeouts_, &retries_,
+                       &exhausted_evaluations_}) {
+    *counter = in.Get<int>();
+  }
+  backoff_seconds_total_ = in.Get<double>();
 }
 
 }  // namespace eagle::core

@@ -36,7 +36,6 @@
 // streams in the same order.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 
@@ -98,9 +97,11 @@ class PlacementEnvironment : public Environment {
                              EvalTicket& ticket, support::Rng* rng) const;
   void CommitEvaluation(const EvalTicket& ticket, const EvalOutcome& outcome);
 
-  // Fault stream + robustness counters, for checkpoint/resume.
-  void SerializeState(std::ostream& out) const override;
-  void DeserializeState(std::istream& in) override;
+  // Fault stream + robustness counters, for checkpoint/resume. Layout
+  // (native endian): u64 rng[4] | i32 cache_hits, evaluations, attempts,
+  // transient_failures, timeouts, retries, exhausted | f64 backoff.
+  void SaveState(support::ByteWriter& out) const override;
+  void LoadState(support::ByteReader& in) override;
 
   const graph::OpGraph& graph() const { return *graph_; }
   const sim::ClusterSpec& cluster() const { return *cluster_; }

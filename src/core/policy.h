@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "graph/grouped_graph.h"
@@ -24,6 +23,7 @@
 #include "nn/tape.h"
 #include "sim/measurement.h"
 #include "sim/placement.h"
+#include "support/byte_io.h"
 #include "support/rng.h"
 
 namespace eagle::core {
@@ -86,8 +86,8 @@ class Environment {
   // Mutable environment state (fault stream, counters) captured into /
   // restored from training checkpoints so a resumed run replays
   // bit-compatibly. Stateless environments can keep the no-op default.
-  virtual void SerializeState(std::ostream& out) const { (void)out; }
-  virtual void DeserializeState(std::istream& in) { (void)in; }
+  virtual void SaveState(support::ByteWriter& out) const { (void)out; }
+  virtual void LoadState(support::ByteReader& in) { (void)in; }
 };
 
 // Batch evaluation abstraction implemented by core::EvalService: the

@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
 
 namespace eagle::graph {
 
@@ -331,19 +330,6 @@ const Status& JsonRecord::Fail(ErrorCode code, std::string_view detail) {
 
 const Status& JsonRecord::Wrap(const Status& inner) {
   return Fail(inner.code(), ": " + inner.message());
-}
-
-Status ReadAll(std::istream& in, std::string* text) {
-  // Peek first: `buffer << in.rdbuf()` sets failbit on `buffer` both for
-  // an empty input and for a failed read (and leaves `in` untouched), so
-  // only the peek, which sets badbit on `in`, tells the two apart.
-  std::ostringstream buffer;
-  const bool empty = in.peek() == std::char_traits<char>::eof();
-  if (in.bad() || (!empty && !(buffer << in.rdbuf()))) {
-    return Status::Error(ErrorCode::kIo, "read error");
-  }
-  *text = std::move(buffer).str();
-  return Status::Ok();
 }
 
 }  // namespace eagle::graph

@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/byte_io.h"
 #include "support/json.h"
 #include "support/status.h"
 
@@ -225,10 +226,6 @@ auto NoThrow(const std::string& source, Parse&& parse) -> decltype(parse()) {
   }
 }
 
-// Reads all of `in` into *text; kIo "read error" when reading fails. An
-// empty input is no error.
-support::Status ReadAll(std::istream& in, std::string* text);
-
 // Imports the file at `path`, which names every diagnostic: kIo "cannot
 // open <kind> file" when it cannot be opened. A ".json" path is read
 // whole and handed to parse_json; any other path is streamed to
@@ -248,7 +245,7 @@ auto ImportFile(const std::string& path, const char* kind,
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
   if (!is_json) return NoThrow(path, [&] { return parse_text(in); });
   std::string text;
-  support::Status status = ReadAll(in, &text);
+  support::Status status = support::ReadAll(in, &text);
   if (!status.ok()) return status.At(path);
   return NoThrow(path, [&] { return parse_json(text); });
 }

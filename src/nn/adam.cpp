@@ -1,11 +1,9 @@
 #include "nn/adam.h"
 
 #include <cmath>
-#include <istream>
-#include <ostream>
+#include <string>
 
 #include "nn/float_mode.h"
-#include "support/check.h"
 #include "support/metrics.h"
 
 namespace eagle::nn {
@@ -52,67 +50,41 @@ double Adam::Step() {
   return norm;
 }
 
-void Adam::SaveState(std::ostream& out) const {
-  out.write(reinterpret_cast<const char*>(&t_), sizeof(t_));
+void Adam::SaveState(support::ByteWriter& out) const {
+  out.Put(t_);
   const auto& params = store_->params();
-  const auto count = static_cast<std::uint32_t>(params.size());
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  out.Put(static_cast<std::uint32_t>(params.size()));
   for (std::size_t idx = 0; idx < params.size(); ++idx) {
-    const auto& p = params[idx];
-    const auto name_len = static_cast<std::uint32_t>(p->name.size());
-    out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    out.write(p->name.data(), name_len);
-    const std::uint8_t has_slot =
-        idx < slots_.size() && !slots_[idx].m.empty() ? 1 : 0;
-    out.write(reinterpret_cast<const char*>(&has_slot), sizeof(has_slot));
-    if (has_slot != 0) {
-      const Slot& slot = slots_[idx];
-      const auto n = static_cast<std::streamsize>(p->value.size() *
-                                                  sizeof(float));
-      out.write(reinterpret_cast<const char*>(slot.m.data()), n);
-      out.write(reinterpret_cast<const char*>(slot.v.data()), n);
+    const Parameter& p = *params[idx];
+    out.PutName(p.name);
+    const bool has_slot = idx < slots_.size() && !slots_[idx].m.empty();
+    out.Put(static_cast<std::uint8_t>(has_slot));
+    if (has_slot) {
+      const auto n = static_cast<std::size_t>(p.value.size()) * sizeof(float);
+      out.Write(slots_[idx].m.data(), n);
+      out.Write(slots_[idx].v.data(), n);
     }
   }
 }
 
-void Adam::LoadState(std::istream& in) {
-  in.read(reinterpret_cast<char*>(&t_), sizeof(t_));
-  std::uint32_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  EAGLE_CHECK_MSG(in, "truncated optimizer state");
+void Adam::LoadState(support::ByteReader& in) {
+  t_ = in.Get<std::int64_t>();
   const auto& params = store_->params();
+  // Smallest entry: name length and slot flag.
+  in.ExpectCount(params.size(), 5, "optimizer slots");
   slots_.assign(params.size(), Slot{});
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t name_len = 0;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    EAGLE_CHECK_MSG(in && name_len < (1u << 16), "corrupt optimizer state");
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
-    std::uint8_t has_slot = 0;
-    in.read(reinterpret_cast<char*>(&has_slot), sizeof(has_slot));
-    EAGLE_CHECK_MSG(in, "truncated optimizer state");
-    std::size_t idx = params.size();
-    for (std::size_t j = 0; j < params.size(); ++j) {
-      if (params[j]->name == name) {
-        idx = j;
-        break;
-      }
+  for (std::size_t idx = 0; idx < params.size(); ++idx) {
+    const Parameter& p = *params[idx];
+    const std::size_t name_at = in.offset();
+    if (in.Name() != p.name) {
+      in.Fail(name_at, "expected optimizer slot for '" + p.name + "'");
     }
-    EAGLE_CHECK_MSG(idx < params.size(),
-                    "optimizer state for unknown parameter " << name);
-    Parameter* p = params[idx].get();
-    if (has_slot == 0) {
-      slots_[idx] = Slot{};
-      continue;
+    if (in.Get<std::uint8_t>() == 0) continue;
+    const auto n = static_cast<std::size_t>(p.value.size()) * sizeof(float);
+    for (Tensor* moment : {&slots_[idx].m, &slots_[idx].v}) {
+      *moment = Tensor(p.value.rows(), p.value.cols());
+      in.Read(moment->data(), n);
     }
-    Slot& slot = slots_[idx];
-    slot.m = Tensor(p->value.rows(), p->value.cols());
-    slot.v = Tensor(p->value.rows(), p->value.cols());
-    const auto n =
-        static_cast<std::streamsize>(p->value.size() * sizeof(float));
-    in.read(reinterpret_cast<char*>(slot.m.data()), n);
-    in.read(reinterpret_cast<char*>(slot.v.data()), n);
-    EAGLE_CHECK_MSG(in, "truncated optimizer state");
   }
 }
 

@@ -4,10 +4,10 @@
 // 1.0 (§IV-C) — those are the defaults here.
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "nn/layers.h"
+#include "support/byte_io.h"
 
 namespace eagle::nn {
 
@@ -31,11 +31,14 @@ class Adam {
   const AdamOptions& options() const { return options_; }
   void set_lr(double lr) { options_.lr = lr; }
 
-  // Serializes / restores the step count and per-parameter moment slots
-  // (matched by parameter name) so training checkpoints resume
-  // bit-compatibly. The store must contain the same parameters.
-  void SaveState(std::ostream& out) const;
-  void LoadState(std::istream& in);
+  // The step count and per-parameter moment slots, so training
+  // checkpoints resume bit-compatibly. Layout (native endian):
+  //   i64 step | u32 count | per param, in store order:
+  //     u32 name_len | name bytes | u8 has_slot | [f32 m… | f32 v…]
+  // A section that does not list exactly the store's parameters, in
+  // order, fails `in` with kSyntax.
+  void SaveState(support::ByteWriter& out) const;
+  void LoadState(support::ByteReader& in);
 
  private:
   struct Slot {

@@ -1,86 +1,45 @@
 #include "nn/serialize.h"
 
-#include <cstring>
-#include <fstream>
-#include <vector>
-
-#include "support/atomic_file.h"
-#include "support/check.h"
-#include "support/log.h"
+#include <string_view>
 
 namespace eagle::nn {
 
 namespace {
-constexpr char kMagic[8] = {'E', 'A', 'G', 'L', 'N', 'N', '1', '\0'};
+constexpr std::string_view kMagic("EAGLNN1\0", 8);
 }
 
-void SaveParams(const ParamStore& store, std::ostream& out) {
-  out.write(kMagic, sizeof(kMagic));
-  const auto count = static_cast<std::uint32_t>(store.params().size());
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+void SaveParams(const ParamStore& store, support::ByteWriter& out) {
+  out.Write(kMagic.data(), kMagic.size());
+  out.Put(static_cast<std::uint32_t>(store.params().size()));
   for (const auto& p : store.params()) {
-    const auto name_len = static_cast<std::uint32_t>(p->name.size());
-    out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    out.write(p->name.data(), name_len);
-    const std::int32_t rows = p->value.rows();
-    const std::int32_t cols = p->value.cols();
-    out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-    out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-    out.write(reinterpret_cast<const char*>(p->value.data()),
-              static_cast<std::streamsize>(p->value.size() * sizeof(float)));
+    out.PutName(p->name);
+    out.Put(static_cast<std::int32_t>(p->value.rows()),
+            static_cast<std::int32_t>(p->value.cols()));
+    out.Write(p->value.data(),
+              static_cast<std::size_t>(p->value.size()) * sizeof(float));
   }
 }
 
-bool SaveParams(const ParamStore& store, const std::string& path) {
-  // Write-temp-then-rename (support::WriteFileAtomic): the trainer
-  // overwrites its best-parameters file every time a new best placement
-  // is found, and a crash mid-write must never corrupt the previous one.
-  return support::WriteFileAtomic(path, [&store](std::ostream& out) {
-    SaveParams(store, out);
-    return static_cast<bool>(out);
-  });
-}
-
-int LoadParams(ParamStore& store, std::istream& in) {
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  EAGLE_CHECK_MSG(in && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
-                  "bad checkpoint magic");
-  std::uint32_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  int restored = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t name_len = 0;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    EAGLE_CHECK_MSG(in && name_len < (1u << 16), "corrupt checkpoint");
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
-    std::int32_t rows = 0, cols = 0;
-    in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-    in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-    EAGLE_CHECK_MSG(in && rows >= 0 && cols >= 0, "corrupt checkpoint");
-    std::vector<float> data(static_cast<std::size_t>(rows) *
-                            static_cast<std::size_t>(cols));
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(float)));
-    EAGLE_CHECK_MSG(in, "truncated checkpoint");
-    Parameter* p = store.Find(name);
-    if (p == nullptr) {
-      EAGLE_LOG(Warn) << "checkpoint param " << name << " not in store";
-      continue;
+void LoadParams(ParamStore& store, support::ByteReader& in) {
+  in.Expect(kMagic, "parameter section magic");
+  // Smallest entry: name length, rows and cols.
+  in.ExpectCount(store.params().size(), 12, "parameters");
+  for (const auto& p : store.params()) {
+    const std::size_t name_at = in.offset();
+    if (in.Name() != p->name) {
+      in.Fail(name_at, "expected parameter '" + p->name + "'");
     }
-    EAGLE_CHECK_MSG(p->value.rows() == rows && p->value.cols() == cols,
-                    "shape mismatch for " << name);
-    p->value = Tensor::FromData(rows, cols, std::move(data));
-    ++restored;
+    const std::size_t shape_at = in.offset();
+    const auto rows = in.Get<std::int32_t>();
+    const auto cols = in.Get<std::int32_t>();
+    if (rows != p->value.rows() || cols != p->value.cols()) {
+      in.Fail(shape_at, "parameter '" + p->name + "' is " +
+                            std::to_string(rows) + "x" + std::to_string(cols) +
+                            ", expected " + p->value.ShapeString());
+    }
+    in.Read(p->value.data(),
+            static_cast<std::size_t>(p->value.size()) * sizeof(float));
   }
-  return restored;
-}
-
-int LoadParams(ParamStore& store, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EAGLE_CHECK_MSG(in, "cannot open checkpoint " << path);
-  return LoadParams(store, in);
 }
 
 }  // namespace eagle::nn

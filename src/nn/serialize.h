@@ -1,27 +1,23 @@
-// Parameter checkpointing: binary save/load of a ParamStore by name.
+// Parameter section of the checkpoint codec (support/byte_io.h).
 //
-// Format (little endian):
+// Layout (native endian):
 //   magic "EAGLNN1\0" | u32 count | per param:
 //     u32 name_len | name bytes | i32 rows | i32 cols | f32 data…
+//
+// Sections are strict: one restores only into a store holding exactly
+// the parameters it lists, with the same names, in store order, with the
+// same shapes.
 #pragma once
 
-#include <iosfwd>
-#include <string>
-
 #include "nn/layers.h"
+#include "support/byte_io.h"
 
 namespace eagle::nn {
 
-bool SaveParams(const ParamStore& store, const std::string& path);
+void SaveParams(const ParamStore& store, support::ByteWriter& out);
 
-// Loads values into existing parameters matched by name (shape must
-// match). Returns the number of parameters restored; throws on corrupt
-// files or shape mismatches.
-int LoadParams(ParamStore& store, const std::string& path);
-
-// Stream variants, used to embed a parameter section inside composite
-// files (the trainer's crash-safe checkpoints).
-void SaveParams(const ParamStore& store, std::ostream& out);
-int LoadParams(ParamStore& store, std::istream& in);
+// Restores the section into `store`; a section that does not match it
+// fails `in` with kSyntax.
+void LoadParams(ParamStore& store, support::ByteReader& in);
 
 }  // namespace eagle::nn

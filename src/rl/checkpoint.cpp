@@ -1,134 +1,119 @@
 #include "rl/checkpoint.h"
 
-#include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "nn/serialize.h"
 #include "support/atomic_file.h"
-#include "support/check.h"
-#include "support/log.h"
 
 namespace eagle::rl {
 
 namespace {
+
+using support::ByteReader;
+using support::ByteWriter;
 
 // Version 2 added Sample::eval_stream (the per-sample evaluation RNG
 // stream number used by the parallel evaluation path). Writers emit v2;
 // the reader still accepts v1 checkpoints, defaulting eval_stream to 0.
 // The version digit in the magic comes from kCheckpointFormatVersion
 // (checkpoint.h) so the tag can never drift from the format constant.
-constexpr char kMagicV1[8] = {
-    'E', 'A', 'G', 'L', 'C', 'K', 'P',
-    static_cast<char>('0' + kCheckpointFormatVersion - 1)};
-constexpr char kMagicV2[8] = {
-    'E', 'A', 'G', 'L', 'C', 'K', 'P',
-    static_cast<char>('0' + kCheckpointFormatVersion)};
-constexpr char kEndMarker[8] = {'E', 'A', 'G', 'L', 'C', 'K', 'P', 'E'};
+std::string Magic(int version) {
+  return "EAGLCKP" + std::string(1, static_cast<char>('0' + version));
+}
+constexpr std::string_view kEndMarker("EAGLCKPE", 8);
 
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+void WriteI32Vector(ByteWriter& out, const std::vector<std::int32_t>& v) {
+  out.Put(static_cast<std::uint32_t>(v.size()));
+  out.Write(v.data(), v.size() * sizeof(std::int32_t));
 }
 
-template <typename T>
-void ReadPod(std::istream& in, T& value) {
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  EAGLE_CHECK_MSG(in, "truncated checkpoint");
-}
-
-void WriteI32Vector(std::ostream& out, const std::vector<std::int32_t>& v) {
-  WritePod(out, static_cast<std::uint32_t>(v.size()));
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(std::int32_t)));
-}
-
-std::vector<std::int32_t> ReadI32Vector(std::istream& in) {
-  std::uint32_t count = 0;
-  ReadPod(in, count);
-  EAGLE_CHECK_MSG(count < (1u << 28), "corrupt checkpoint vector size");
-  std::vector<std::int32_t> v(count);
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(v.size() * sizeof(std::int32_t)));
-  EAGLE_CHECK_MSG(in, "truncated checkpoint");
+std::vector<std::int32_t> ReadI32Vector(ByteReader& in) {
+  std::vector<std::int32_t> v(in.Count(sizeof(std::int32_t)));
+  in.Read(v.data(), v.size() * sizeof(std::int32_t));
   return v;
 }
 
-void WriteSample(std::ostream& out, const core::Sample& sample) {
-  WriteI32Vector(out, sample.grouping);
-  WriteI32Vector(out, sample.group_devices);
-  WritePod(out, sample.logp);
-  WritePod(out, static_cast<std::int32_t>(sample.num_decisions));
-  WritePod(out, sample.eval_stream);
-  WritePod(out, static_cast<std::uint8_t>(sample.valid ? 1 : 0));
-  WritePod(out, sample.per_step_seconds);
-  WritePod(out, sample.reward);
-  WritePod(out, sample.advantage);
-}
-
-core::Sample ReadSample(std::istream& in, int version) {
-  core::Sample sample;
-  sample.grouping = ReadI32Vector(in);
-  sample.group_devices = ReadI32Vector(in);
-  ReadPod(in, sample.logp);
-  std::int32_t num_decisions = 0;
-  ReadPod(in, num_decisions);
-  sample.num_decisions = num_decisions;
-  if (version >= 2) ReadPod(in, sample.eval_stream);
-  std::uint8_t valid = 0;
-  ReadPod(in, valid);
-  sample.valid = valid != 0;
-  ReadPod(in, sample.per_step_seconds);
-  ReadPod(in, sample.reward);
-  ReadPod(in, sample.advantage);
-  return sample;
-}
-
-void WriteResult(std::ostream& out, const TrainResult& result) {
-  WritePod(out, static_cast<std::uint8_t>(result.found_valid ? 1 : 0));
-  WritePod(out, result.best_per_step_seconds);
-  WritePod(out, result.best_found_at_hours);
-  WritePod(out, result.total_virtual_hours);
-  WritePod(out, static_cast<std::int32_t>(result.invalid_samples));
-  WritePod(out, static_cast<std::int32_t>(result.total_samples));
-  WriteI32Vector(out, result.best_placement.devices());
-  WritePod(out, static_cast<std::uint32_t>(result.history.size()));
-  for (const HistoryPoint& point : result.history) {
-    WritePod(out, static_cast<std::int32_t>(point.sample_index));
-    WritePod(out, point.virtual_hours);
-    WritePod(out, point.per_step_seconds);
-    WritePod(out, point.best_so_far_seconds);
+void WriteSamples(ByteWriter& out, const std::vector<core::Sample>& samples) {
+  out.Put(static_cast<std::uint32_t>(samples.size()));
+  for (const core::Sample& sample : samples) {
+    WriteI32Vector(out, sample.grouping);
+    WriteI32Vector(out, sample.group_devices);
+    out.Put(sample.logp, static_cast<std::int32_t>(sample.num_decisions),
+            sample.eval_stream, static_cast<std::uint8_t>(sample.valid),
+            sample.per_step_seconds, sample.reward, sample.advantage);
   }
 }
 
-TrainResult ReadResult(std::istream& in) {
+std::vector<core::Sample> ReadSamples(ByteReader& in, int version) {
+  // Smallest v1 sample: two empty vectors and the fixed-width fields.
+  std::vector<core::Sample> samples(in.Count(45));
+  for (core::Sample& sample : samples) {
+    sample.grouping = ReadI32Vector(in);
+    sample.group_devices = ReadI32Vector(in);
+    sample.logp = in.Get<double>();
+    sample.num_decisions = in.Get<std::int32_t>();
+    if (version >= 2) sample.eval_stream = in.Get<std::uint64_t>();
+    sample.valid = in.Get<std::uint8_t>() != 0;
+    sample.per_step_seconds = in.Get<double>();
+    sample.reward = in.Get<double>();
+    sample.advantage = in.Get<double>();
+  }
+  return samples;
+}
+
+void WriteResult(ByteWriter& out, const TrainResult& result) {
+  out.Put(static_cast<std::uint8_t>(result.found_valid),
+          result.best_per_step_seconds, result.best_found_at_hours,
+          result.total_virtual_hours,
+          static_cast<std::int32_t>(result.invalid_samples),
+          static_cast<std::int32_t>(result.total_samples));
+  WriteI32Vector(out, result.best_placement.devices());
+  out.Put(static_cast<std::uint32_t>(result.history.size()));
+  for (const HistoryPoint& point : result.history) {
+    out.Put(static_cast<std::int32_t>(point.sample_index),
+            point.virtual_hours, point.per_step_seconds,
+            point.best_so_far_seconds);
+  }
+}
+
+TrainResult ReadResult(ByteReader& in) {
   TrainResult result;
-  std::uint8_t found_valid = 0;
-  ReadPod(in, found_valid);
-  result.found_valid = found_valid != 0;
-  ReadPod(in, result.best_per_step_seconds);
-  ReadPod(in, result.best_found_at_hours);
-  ReadPod(in, result.total_virtual_hours);
-  std::int32_t invalid_samples = 0, total_samples = 0;
-  ReadPod(in, invalid_samples);
-  ReadPod(in, total_samples);
-  result.invalid_samples = invalid_samples;
-  result.total_samples = total_samples;
+  result.found_valid = in.Get<std::uint8_t>() != 0;
+  result.best_per_step_seconds = in.Get<double>();
+  result.best_found_at_hours = in.Get<double>();
+  result.total_virtual_hours = in.Get<double>();
+  result.invalid_samples = in.Get<std::int32_t>();
+  result.total_samples = in.Get<std::int32_t>();
   result.best_placement = sim::Placement::FromRaw(ReadI32Vector(in));
-  std::uint32_t history_size = 0;
-  ReadPod(in, history_size);
-  EAGLE_CHECK_MSG(history_size < (1u << 28), "corrupt checkpoint history");
-  result.history.reserve(history_size);
-  for (std::uint32_t i = 0; i < history_size; ++i) {
-    HistoryPoint point;
-    std::int32_t sample_index = 0;
-    ReadPod(in, sample_index);
-    point.sample_index = sample_index;
-    ReadPod(in, point.virtual_hours);
-    ReadPod(in, point.per_step_seconds);
-    ReadPod(in, point.best_so_far_seconds);
-    result.history.push_back(point);
+  // Each point: an i32 index and three doubles.
+  result.history.resize(in.Count(28));
+  for (HistoryPoint& point : result.history) {
+    point.sample_index = in.Get<std::int32_t>();
+    point.virtual_hours = in.Get<double>();
+    point.per_step_seconds = in.Get<double>();
+    point.best_so_far_seconds = in.Get<double>();
   }
   return result;
+}
+
+// The environment and critic sections: a u64-length blob holding the
+// target's own state, empty when there is no target.
+template <typename Target>
+void WriteState(ByteWriter& out, const Target* target) {
+  ByteWriter state;
+  if (target != nullptr) target->SaveState(state);
+  out.PutBlob(state.bytes());
+}
+
+template <typename Target>
+void ReadState(ByteReader& in, Target* target) {
+  ByteReader state = in.Blob();
+  if (target != nullptr && state.ok() && !state.at_end()) {
+    target->LoadState(state);
+    state.ExpectEnd();
+  }
+  in.Adopt(state);
 }
 
 }  // namespace
@@ -139,92 +124,63 @@ std::string CheckpointFilePath(const std::string& dir,
 }
 
 bool SaveCheckpoint(const std::string& path, const nn::ParamStore& params,
-                    const nn::Adam& optimizer, const CheckpointData& data) {
+                    const nn::Adam& optimizer,
+                    const core::Environment* environment,
+                    const ValueBaseline* critic, const CheckpointData& data) {
+  ByteWriter out;
+  const std::string magic = Magic(kCheckpointFormatVersion);
+  out.Write(magic.data(), magic.size());
+  nn::SaveParams(params, out);
+  optimizer.SaveState(out);
+  out.Put(data.rng_state, data.baseline_value,
+          static_cast<std::uint8_t>(data.baseline_initialized));
+  WriteResult(out, data.result);
+  WriteSamples(out, data.pool);
+  WriteSamples(out, data.batch);
+  out.Put(static_cast<std::int32_t>(data.since_ce));
+  WriteState(out, environment);
+  WriteState(out, critic);
+  out.Write(kEndMarker.data(), kEndMarker.size());
   // The temp-file-then-rename dance lives in WriteFileAtomic: a crash at
   // any instant leaves the previous good checkpoint loadable.
-  return support::WriteFileAtomic(path, [&](std::ostream& out) {
-    out.write(kMagicV2, sizeof(kMagicV2));
-    nn::SaveParams(params, out);
-    optimizer.SaveState(out);
-    for (std::uint64_t s : data.rng_state) WritePod(out, s);
-    WritePod(out, data.baseline_value);
-    WritePod(out, static_cast<std::uint8_t>(data.baseline_initialized));
-    WriteResult(out, data.result);
-    WritePod(out, static_cast<std::uint32_t>(data.pool.size()));
-    for (const core::Sample& sample : data.pool) WriteSample(out, sample);
-    WritePod(out, static_cast<std::uint32_t>(data.batch.size()));
-    for (const core::Sample& sample : data.batch) WriteSample(out, sample);
-    WritePod(out, static_cast<std::int32_t>(data.since_ce));
-    WritePod(out, static_cast<std::uint64_t>(data.env_state.size()));
-    out.write(data.env_state.data(),
-              static_cast<std::streamsize>(data.env_state.size()));
-    WritePod(out, static_cast<std::uint64_t>(data.critic_state.size()));
-    out.write(data.critic_state.data(),
-              static_cast<std::streamsize>(data.critic_state.size()));
-    out.write(kEndMarker, sizeof(kEndMarker));
-    return static_cast<bool>(out);
+  return support::WriteFileAtomic(path, [&out](std::ostream& file) {
+    file.write(out.bytes().data(),
+               static_cast<std::streamsize>(out.bytes().size()));
+    return static_cast<bool>(file);
   });
 }
 
-bool LoadCheckpoint(const std::string& path, nn::ParamStore& params,
-                    nn::Adam& optimizer, CheckpointData* data) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  EAGLE_CHECK_MSG(in, "bad checkpoint magic in " << path);
-  int version = 0;
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-    version = kCheckpointFormatVersion;
-  } else if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-    version = kCheckpointFormatVersion - 1;
-  }
-  EAGLE_CHECK_MSG(version != 0, "bad checkpoint magic in " << path);
+support::Status LoadCheckpoint(const std::string& path,
+                               nn::ParamStore& params, nn::Adam& optimizer,
+                               core::Environment* environment,
+                               ValueBaseline* critic, CheckpointData* data) {
+  std::ifstream file(path, std::ios::binary);
+  std::string bytes;
+  support::Status status =
+      file ? support::ReadAll(file, &bytes)
+           : support::Status::Error(support::ErrorCode::kIo,
+                                    "cannot open checkpoint");
+  if (!status.ok()) return status.At(path);
+
+  ByteReader in(bytes, path);
+  int version = kCheckpointFormatVersion;
+  const std::string_view magic = in.Bytes(Magic(version).size());
+  if (magic == Magic(version - 1)) --version;
+  if (magic != Magic(version)) in.Fail(0, "bad checkpoint magic");
   nn::LoadParams(params, in);
   optimizer.LoadState(in);
-  for (auto& s : data->rng_state) ReadPod(in, s);
-  ReadPod(in, data->baseline_value);
-  std::uint8_t baseline_initialized = 0;
-  ReadPod(in, baseline_initialized);
-  data->baseline_initialized = baseline_initialized != 0;
+  data->rng_state = in.Get<std::array<std::uint64_t, 4>>();
+  data->baseline_value = in.Get<double>();
+  data->baseline_initialized = in.Get<std::uint8_t>() != 0;
   data->result = ReadResult(in);
-  std::uint32_t pool_size = 0;
-  ReadPod(in, pool_size);
-  EAGLE_CHECK_MSG(pool_size < (1u << 28), "corrupt checkpoint pool");
-  data->pool.clear();
-  data->pool.reserve(pool_size);
-  for (std::uint32_t i = 0; i < pool_size; ++i) {
-    data->pool.push_back(ReadSample(in, version));
-  }
-  std::uint32_t batch_size = 0;
-  ReadPod(in, batch_size);
-  EAGLE_CHECK_MSG(batch_size < (1u << 28), "corrupt checkpoint batch");
-  data->batch.clear();
-  data->batch.reserve(batch_size);
-  for (std::uint32_t i = 0; i < batch_size; ++i) {
-    data->batch.push_back(ReadSample(in, version));
-  }
-  std::int32_t since_ce = 0;
-  ReadPod(in, since_ce);
-  data->since_ce = since_ce;
-  std::uint64_t env_state_size = 0;
-  ReadPod(in, env_state_size);
-  EAGLE_CHECK_MSG(env_state_size < (1ull << 32), "corrupt checkpoint");
-  data->env_state.resize(env_state_size);
-  in.read(data->env_state.data(),
-          static_cast<std::streamsize>(env_state_size));
-  std::uint64_t critic_state_size = 0;
-  ReadPod(in, critic_state_size);
-  EAGLE_CHECK_MSG(critic_state_size < (1ull << 32), "corrupt checkpoint");
-  data->critic_state.resize(critic_state_size);
-  in.read(data->critic_state.data(),
-          static_cast<std::streamsize>(critic_state_size));
-  char end_marker[8];
-  in.read(end_marker, sizeof(end_marker));
-  EAGLE_CHECK_MSG(
-      in && std::memcmp(end_marker, kEndMarker, sizeof(kEndMarker)) == 0,
-      "incomplete checkpoint " << path);
-  return true;
+  data->pool = ReadSamples(in, version);
+  data->batch = ReadSamples(in, version);
+  data->since_ce = in.Get<std::int32_t>();
+  ReadState(in, environment);
+  ReadState(in, critic);
+  in.Expect(kEndMarker, "end marker");
+  in.ExpectEnd();
+  return in.status();
 }
 
 }  // namespace eagle::rl

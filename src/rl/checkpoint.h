@@ -1,12 +1,14 @@
 // Crash-safe checkpointing for the RL training loop.
 //
 // A checkpoint captures everything TrainAgent needs to resume a run
-// bit-compatibly after a crash or kill: agent parameters (nn/serialize
-// format), Adam moment slots, the EMA baseline, the trainer's RNG state,
-// the virtual clock and full progress history, the CE elite pool, and an
-// opaque environment-state blob (Environment::SerializeState — the fault
-// stream and robustness counters for PlacementEnvironment).
+// bit-compatibly after a crash or kill: agent parameters, Adam moment
+// slots, the EMA baseline, the trainer's RNG state, the virtual clock and
+// full progress history, the CE elite pool and in-flight minibatch, the
+// environment's state (Environment::SaveState — the fault stream and
+// robustness counters for PlacementEnvironment) and the critic's.
 //
+// Every section goes through the one codec in support/byte_io.h; the
+// byte layout is tabulated in docs/AGENTS.md ("Crash-safe checkpoints").
 // Files are written atomically (support::WriteFileAtomic): the
 // checkpoint is serialized to `<path>.tmp` and renamed over `<path>`
 // only once complete, so a crash mid-write can never corrupt the
@@ -25,6 +27,7 @@
 #include "core/policy.h"
 #include "nn/adam.h"
 #include "rl/trainer.h"
+#include "support/status.h"
 
 namespace eagle::rl {
 
@@ -43,19 +46,28 @@ struct CheckpointData {
   std::vector<core::Sample> pool;              // CE elite pool (PPO+CE)
   std::vector<core::Sample> batch;             // in-flight minibatch
   int since_ce = 0;
-  std::string env_state;                       // Environment::SerializeState
-  std::string critic_state;                    // ValueBaseline (optional)
 };
 
-// Serializes params + optimizer + data to `path` via atomic rename.
-// Returns false (after logging) on I/O failure.
+// Serializes params, optimizer, the environment's and the critic's state
+// (null: an empty section) and data to `path` via atomic rename. Returns
+// false (after logging) on I/O failure.
 bool SaveCheckpoint(const std::string& path, const nn::ParamStore& params,
-                    const nn::Adam& optimizer, const CheckpointData& data);
+                    const nn::Adam& optimizer,
+                    const core::Environment* environment,
+                    const ValueBaseline* critic, const CheckpointData& data);
 
-// Restores a checkpoint written by SaveCheckpoint. Returns false if the
-// file does not exist; throws on corrupt or mismatched contents.
-bool LoadCheckpoint(const std::string& path, nn::ParamStore& params,
-                    nn::Adam& optimizer, CheckpointData* data);
+// Restores a checkpoint written by SaveCheckpoint into params, optimizer,
+// environment, critic and *data. An empty environment or critic section,
+// or a null target, is skipped. Every failure names `path` and a byte
+// offset: kIo when the file cannot be opened or read, kResourceLimit when
+// a count or length exceeds the bytes left, kSyntax for anything else
+// (bad magic, truncation, a bad end marker, or a section that does not
+// match the targets). A failed load may leave the targets partly
+// overwritten.
+support::Status LoadCheckpoint(const std::string& path,
+                               nn::ParamStore& params, nn::Adam& optimizer,
+                               core::Environment* environment,
+                               ValueBaseline* critic, CheckpointData* data);
 
 // The checkpoint file TrainAgent uses for `options.checkpoint_dir`.
 std::string CheckpointFilePath(const std::string& dir,

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <memory>
-#include <sstream>
+#include <stdexcept>
 
-#include "nn/serialize.h"
 #include "rl/checkpoint.h"
 #include "support/check.h"
 #include "support/log.h"
@@ -53,49 +53,37 @@ TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
   const auto save_snapshot = [&]() {
     if (snapshot_path.empty()) return;
     EAGLE_SPAN("train.checkpoint");
-    CheckpointData data;
-    data.result = result;
-    data.rng_state = rng.state();
-    data.baseline_value = baseline.value();
-    data.baseline_initialized = baseline.initialized();
-    data.pool = pool;
-    data.batch = batch;
-    data.since_ce = since_ce;
-    std::ostringstream env_blob;
-    environment.SerializeState(env_blob);
-    data.env_state = env_blob.str();
-    if (critic != nullptr) {
-      std::ostringstream critic_blob;
-      critic->SaveState(critic_blob);
-      data.critic_state = critic_blob.str();
-    }
-    if (SaveCheckpoint(snapshot_path, agent.params(), optimizer, data)) {
+    const CheckpointData data{.result = result,
+                              .rng_state = rng.state(),
+                              .baseline_value = baseline.value(),
+                              .baseline_initialized = baseline.initialized(),
+                              .pool = pool,
+                              .batch = batch,
+                              .since_ce = since_ce};
+    if (SaveCheckpoint(snapshot_path, agent.params(), optimizer,
+                       &environment, critic.get(), data)) {
       last_snapshot_sample = result.total_samples;
     }
   };
   if (options.resume && !snapshot_path.empty()) {
-    CheckpointData data;
-    if (LoadCheckpoint(snapshot_path, agent.params(), optimizer, &data)) {
+    if (!std::filesystem::exists(snapshot_path)) {
+      EAGLE_LOG(Info) << agent.name() << ": no checkpoint at "
+                      << snapshot_path << ", starting fresh";
+    } else {
+      CheckpointData data;
+      const support::Status status =
+          LoadCheckpoint(snapshot_path, agent.params(), optimizer,
+                         &environment, critic.get(), &data);
+      if (!status.ok()) throw std::runtime_error(status.ToString());
       rng.set_state(data.rng_state);
       baseline.set_state(data.baseline_value, data.baseline_initialized);
       result = std::move(data.result);
       pool = std::move(data.pool);
       batch = std::move(data.batch);
       since_ce = data.since_ce;
-      if (!data.env_state.empty()) {
-        std::istringstream env_blob(data.env_state);
-        environment.DeserializeState(env_blob);
-      }
-      if (critic != nullptr && !data.critic_state.empty()) {
-        std::istringstream critic_blob(data.critic_state);
-        critic->LoadState(critic_blob);
-      }
       last_snapshot_sample = result.total_samples;
       EAGLE_LOG(Info) << agent.name() << ": resumed from " << snapshot_path
                       << " at sample " << result.total_samples;
-    } else {
-      EAGLE_LOG(Info) << agent.name() << ": no checkpoint at "
-                      << snapshot_path << ", starting fresh";
     }
   }
 
@@ -180,9 +168,6 @@ TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
         result.best_per_step_seconds = eval.true_per_step_seconds;
         result.best_placement = placements[i];
         result.best_found_at_hours = result.total_virtual_hours;
-        if (!options.checkpoint_path.empty()) {
-          nn::SaveParams(agent.params(), options.checkpoint_path);
-        }
       }
 
       HistoryPoint point;

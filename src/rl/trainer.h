@@ -18,7 +18,6 @@
 #pragma once
 
 #include <functional>
-#include <iosfwd>
 #include <limits>
 #include <string>
 #include <vector>
@@ -77,9 +76,6 @@ struct TrainerOptions {
   // The sample that crosses the budget is the last one counted; samples
   // dispatched after it in the same round are evaluated but discarded.
   double max_virtual_hours = 0.0;
-  // When set, the agent's parameters are checkpointed here every time a
-  // new best placement is found (resumable with nn::LoadParams).
-  std::string checkpoint_path;
   // Crash-safe training checkpoints (rl/checkpoint.h): when
   // checkpoint_dir is set, the full trainer state (agent parameters,
   // optimizer slots, EMA baseline, RNG, virtual clock, history, CE pool,
@@ -89,6 +85,8 @@ struct TrainerOptions {
   // once more when the run ends. With resume=true, TrainAgent first
   // restores the latest checkpoint and continues the run bit-compatibly:
   // a killed-and-resumed run reproduces the uninterrupted one exactly.
+  // No checkpoint file means a fresh start; a file that fails to load
+  // fails the run with std::runtime_error carrying the loader's Status.
   std::string checkpoint_dir;
   std::string checkpoint_name = "trainer";
   int checkpoint_interval = 50;

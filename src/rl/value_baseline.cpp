@@ -65,12 +65,12 @@ double ValueBaseline::Update(const std::vector<core::Sample>& batch) {
   return first_mse;
 }
 
-void ValueBaseline::SaveState(std::ostream& out) const {
+void ValueBaseline::SaveState(support::ByteWriter& out) const {
   nn::SaveParams(store_, out);
   optimizer_.SaveState(out);
 }
 
-void ValueBaseline::LoadState(std::istream& in) {
+void ValueBaseline::LoadState(support::ByteReader& in) {
   nn::LoadParams(store_, in);
   optimizer_.LoadState(in);
 }

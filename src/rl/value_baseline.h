@@ -11,7 +11,6 @@
 // the EMA baseline, which is exactly the paper's observation.
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "core/policy.h"
@@ -40,10 +39,11 @@ class ValueBaseline {
 
   int num_devices() const { return num_devices_; }
 
-  // Critic parameters + optimizer slots, embedded in training
-  // checkpoints so resumed runs continue bit-compatibly.
-  void SaveState(std::ostream& out) const;
-  void LoadState(std::istream& in);
+  // Critic parameters + optimizer slots (a parameter section, then an
+  // Adam section), embedded in training checkpoints so resumed runs
+  // continue bit-compatibly.
+  void SaveState(support::ByteWriter& out) const;
+  void LoadState(support::ByteReader& in);
 
  private:
   nn::Tensor Featurize(const core::Sample& sample) const;

@@ -1,8 +1,8 @@
 // Crash-safe file writes: serialize into `<path>.tmp`, rename over
 // `<path>` only once the stream is complete. A process killed mid-write
 // can leave a stale temp file behind but never a truncated `<path>` —
-// the guarantee the trainer's checkpoints (rl/checkpoint.cpp) and
-// best-parameter snapshots (nn::SaveParams) both rely on.
+// the guarantee the trainer's checkpoints (rl/checkpoint.cpp) and the
+// artifacts the benches and tools write rely on.
 #pragma once
 
 #include <functional>

@@ -3,7 +3,10 @@
 // table/figure is generated through.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "bench/bench_common.h"
+#include "nn/serialize.h"
 
 namespace eagle::bench {
 namespace {
@@ -89,6 +92,60 @@ TEST(BenchTrainerOptions, PaperHyperparameters) {
   EXPECT_DOUBLE_EQ(options.adam.clip_norm, 1.0);
   EXPECT_EQ(options.total_samples, 300);
   EXPECT_EQ(options.seed, 9u);
+}
+
+// Benches train several agents on one context. Each run must restore
+// only its own environment state on --resume: two runs checkpointed at 10
+// samples and resumed to 20 in a fresh context end exactly where two
+// uninterrupted 20-sample runs do, fault stream included.
+TEST(BenchTraining, ResumedRunsMatchUninterruptedOnes) {
+  const std::string dir = ::testing::TempDir() + "/eagle_bench_resume";
+  std::filesystem::remove_all(dir);
+  BenchConfig config;
+  config.cluster = sim::MakeDefaultCluster();
+  config.faults = sim::FaultProfileFromString("0.2");
+  struct Run {
+    rl::TrainResult result;
+    std::string params;
+  };
+  // Post with PPO, then Post with PPO+CE, on one context.
+  const auto train_both = [&config](int samples) {
+    config.samples = samples;
+    auto context = MakeContext(models::Benchmark::kInceptionV3, &config);
+    std::vector<Run> runs;
+    for (auto algorithm : {rl::Algorithm::kPpo, rl::Algorithm::kPpoCe}) {
+      auto agent = core::MakePostAgent(context.graph, context.cluster,
+                                       /*num_groups=*/16, config.seed);
+      Run run;
+      run.result = TrainOnBenchmark(*agent, context, algorithm, config);
+      support::ByteWriter params;
+      nn::SaveParams(agent->params(), params);
+      run.params = params.bytes();
+      runs.push_back(std::move(run));
+    }
+    return runs;
+  };
+  const std::vector<Run> reference = train_both(20);
+  config.checkpoint_dir = dir;
+  train_both(10);
+  config.resume = true;
+  const std::vector<Run> resumed = train_both(20);
+
+  for (std::size_t r = 0; r < reference.size(); ++r) {
+    const rl::TrainResult& want = reference[r].result;
+    const rl::TrainResult& got = resumed[r].result;
+    EXPECT_EQ(resumed[r].params, reference[r].params) << "run " << r;
+    EXPECT_EQ(got.invalid_samples, want.invalid_samples) << "run " << r;
+    ASSERT_EQ(got.history.size(), want.history.size());
+    for (std::size_t i = 0; i < want.history.size(); ++i) {
+      EXPECT_EQ(got.history[i].virtual_hours, want.history[i].virtual_hours)
+          << "run " << r << " sample " << i;
+      EXPECT_EQ(got.history[i].per_step_seconds,
+                want.history[i].per_step_seconds)
+          << "run " << r << " sample " << i;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,16 +1,20 @@
 // Crash-safe training checkpoints: atomic snapshot files, full-state
-// round-trips, and the kill-and-resume guarantee (a checkpointed, killed
-// and resumed run reproduces the uninterrupted run bit-compatibly).
+// round-trips, the kill-and-resume guarantee (a checkpointed, killed and
+// resumed run reproduces the uninterrupted run bit-compatibly), and the
+// loader's contract on damaged files: every truncation, bit flip and
+// inflated field comes back as a support::Status, never an exception.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "core/eagle_agent.h"
 #include "core/env.h"
+#include "core/expert_policies.h"
 #include "models/synthetic.h"
 #include "nn/serialize.h"
 #include "rl/checkpoint.h"
@@ -63,9 +67,21 @@ std::string FreshDir(const std::string& name) {
 }
 
 std::string ParamBlob(core::PolicyAgent& agent) {
-  std::ostringstream blob;
+  support::ByteWriter blob;
   nn::SaveParams(agent.params(), blob);
-  return blob.str();
+  return blob.bytes();
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes;
+  EXPECT_TRUE(support::ReadAll(in, &bytes).ok());
+  return bytes;
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(Checkpoint, KillAndResumeMatchesUninterrupted) {
@@ -184,17 +200,32 @@ TEST(Checkpoint, DataRoundTrip) {
   data.pool = {sample};
   data.batch = {sample, sample};
   data.since_ce = 3;
-  data.env_state = "opaque environment blob";
+  core::PlacementEnvironment env(fix.graph, fix.cluster, fix.EnvOptions());
+  for (int i = 0; i < 3; ++i) {
+    env.Evaluate(core::SingleGpuPlacement(fix.graph, fix.cluster), nullptr);
+  }
+  core::Sample critic_sample;
+  critic_sample.group_devices = {1, 3};
+  critic_sample.reward = -0.5;
+  ValueBaseline critic(fix.cluster.num_devices());
+  critic.Update({critic_sample});
 
   const std::string dir = FreshDir("eagle_ckpt_roundtrip");
   const std::string path = CheckpointFilePath(dir, "trainer");
-  ASSERT_TRUE(SaveCheckpoint(path, agent->params(), optimizer, data));
+  ASSERT_TRUE(
+      SaveCheckpoint(path, agent->params(), optimizer, &env, &critic, data));
 
   auto restored_agent = fix.Agent(99);  // different init, same shapes
   nn::Adam restored_optimizer(restored_agent->params());
+  core::PlacementEnvironment restored_env(fix.graph, fix.cluster,
+                                          fix.EnvOptions());
+  ValueBaseline restored_critic(fix.cluster.num_devices(),
+                                ValueBaselineOptions{.seed = 12});
   CheckpointData restored;
-  ASSERT_TRUE(LoadCheckpoint(path, restored_agent->params(),
-                             restored_optimizer, &restored));
+  const support::Status status =
+      LoadCheckpoint(path, restored_agent->params(), restored_optimizer,
+                     &restored_env, &restored_critic, &restored);
+  ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(ParamBlob(*restored_agent), ParamBlob(*agent));
   EXPECT_EQ(restored.result.total_samples, 7);
   EXPECT_EQ(restored.result.invalid_samples, 3);
@@ -219,8 +250,13 @@ TEST(Checkpoint, DataRoundTrip) {
   ASSERT_EQ(restored.batch.size(), 2u);
   EXPECT_DOUBLE_EQ(restored.batch[1].per_step_seconds, 0.9);
   EXPECT_EQ(restored.since_ce, 3);
-  EXPECT_EQ(restored.env_state, "opaque environment blob");
-  EXPECT_TRUE(restored.critic_state.empty());
+  EXPECT_EQ(restored_env.evaluations(), 3);
+  EXPECT_EQ(restored_env.cache_hits(), env.cache_hits());
+  EXPECT_EQ(restored_env.attempts(), env.attempts());
+  EXPECT_DOUBLE_EQ(restored_env.backoff_seconds_total(),
+                   env.backoff_seconds_total());
+  EXPECT_EQ(restored_critic.Predict(critic_sample),
+            critic.Predict(critic_sample));
   std::filesystem::remove_all(dir);
 }
 
@@ -237,7 +273,8 @@ TEST(Checkpoint, V1MagicStillLoads) {
 
   const std::string dir = FreshDir("eagle_ckpt_v1");
   const std::string path = CheckpointFilePath(dir, "trainer");
-  ASSERT_TRUE(SaveCheckpoint(path, agent->params(), optimizer, data));
+  ASSERT_TRUE(SaveCheckpoint(path, agent->params(), optimizer, nullptr,
+                             nullptr, data));
   {
     std::fstream io(path,
                     std::ios::binary | std::ios::in | std::ios::out);
@@ -245,7 +282,9 @@ TEST(Checkpoint, V1MagicStillLoads) {
     io.put('1');  // "EAGLCKP2" -> "EAGLCKP1"
   }
   CheckpointData restored;
-  ASSERT_TRUE(LoadCheckpoint(path, agent->params(), optimizer, &restored));
+  ASSERT_TRUE(LoadCheckpoint(path, agent->params(), optimizer, nullptr,
+                             nullptr, &restored)
+                  .ok());
   EXPECT_EQ(restored.result.total_samples, 12);
   EXPECT_EQ(restored.rng_state, data.rng_state);
   std::filesystem::remove_all(dir);
@@ -264,24 +303,29 @@ TEST(Checkpoint, SampleEvalStreamRoundTrips) {
 
   const std::string dir = FreshDir("eagle_ckpt_stream");
   const std::string path = CheckpointFilePath(dir, "trainer");
-  ASSERT_TRUE(SaveCheckpoint(path, agent->params(), optimizer, data));
+  ASSERT_TRUE(SaveCheckpoint(path, agent->params(), optimizer, nullptr,
+                             nullptr, data));
   CheckpointData restored;
-  ASSERT_TRUE(LoadCheckpoint(path, agent->params(), optimizer, &restored));
+  ASSERT_TRUE(LoadCheckpoint(path, agent->params(), optimizer, nullptr,
+                             nullptr, &restored)
+                  .ok());
   ASSERT_EQ(restored.pool.size(), 1u);
   EXPECT_EQ(restored.pool[0].eval_stream, 0x0123456789abcdefULL);
   std::filesystem::remove_all(dir);
 }
 
-TEST(Checkpoint, LoadMissingReturnsFalse) {
+TEST(Checkpoint, LoadMissingIsIoError) {
   Fixture fix;
   auto agent = fix.Agent(2);
   nn::Adam optimizer(agent->params());
   CheckpointData data;
-  EXPECT_FALSE(LoadCheckpoint(::testing::TempDir() + "/eagle_no_such.ckpt",
-                              agent->params(), optimizer, &data));
+  const std::string path = ::testing::TempDir() + "/eagle_no_such.ckpt";
+  const support::Status status = LoadCheckpoint(
+      path, agent->params(), optimizer, nullptr, nullptr, &data);
+  EXPECT_EQ(status.ToString(), path + ": [io] cannot open checkpoint");
 }
 
-TEST(Checkpoint, CorruptOrTruncatedFileThrows) {
+TEST(Checkpoint, CorruptOrTruncatedFileFailsWithStatus) {
   Fixture fix;
   auto agent = fix.Agent(3);
   nn::Adam optimizer(agent->params());
@@ -289,33 +333,218 @@ TEST(Checkpoint, CorruptOrTruncatedFileThrows) {
   std::filesystem::create_directories(dir);
 
   const std::string garbage = dir + "/garbage.ckpt";
-  {
-    std::ofstream out(garbage, std::ios::binary);
-    out << "this is not a checkpoint";
-  }
+  WriteBytes(garbage, "this is not a checkpoint");
   CheckpointData data;
-  EXPECT_THROW(LoadCheckpoint(garbage, agent->params(), optimizer, &data),
-               std::logic_error);
+  EXPECT_EQ(LoadCheckpoint(garbage, agent->params(), optimizer, nullptr,
+                           nullptr, &data)
+                .ToString(),
+            garbage + ": [syntax] byte 0: bad checkpoint magic");
 
-  // A good checkpoint cut short mid-file must be rejected, never
-  // half-applied silently.
+  // A good checkpoint cut short mid-file must be rejected.
   const std::string path = CheckpointFilePath(dir, "trainer");
   CheckpointData full;
   full.result.total_samples = 5;
-  ASSERT_TRUE(SaveCheckpoint(path, agent->params(), optimizer, full));
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream contents;
-  contents << in.rdbuf();
-  in.close();
-  const std::string bytes = contents.str();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() / 2));
+  ASSERT_TRUE(SaveCheckpoint(path, agent->params(), optimizer, nullptr,
+                             nullptr, full));
+  const std::string bytes = ReadBytes(path);
+  WriteBytes(path, bytes.substr(0, bytes.size() / 2));
+  const support::Status status = LoadCheckpoint(
+      path, agent->params(), optimizer, nullptr, nullptr, &data);
+  EXPECT_EQ(status.code(), support::ErrorCode::kSyntax);
+  EXPECT_NE(status.message().find("truncated"), std::string::npos)
+      << status.ToString();
+
+  // Resuming from it fails the run with the loader's message.
+  auto options = fix.Options(20);
+  options.checkpoint_dir = dir;
+  options.resume = true;
+  core::PlacementEnvironment env(fix.graph, fix.cluster, fix.EnvOptions());
+  try {
+    TrainAgent(*agent, env, options);
+    ADD_FAILURE() << "resuming from a truncated checkpoint succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), status.ToString());
   }
-  EXPECT_THROW(LoadCheckpoint(path, agent->params(), optimizer, &data),
-               std::logic_error);
   std::filesystem::remove_all(dir);
+}
+
+// A small checkpoint with every section filled: two parameters with Adam
+// slots, history, pool and batch samples, and the environment and critic
+// blobs, each restored through its own decoder.
+struct SmallCheckpoint {
+  Fixture fix;
+  nn::ParamStore params;
+  nn::Adam optimizer{params};
+  core::PlacementEnvironment env{fix.graph, fix.cluster, fix.EnvOptions()};
+  ValueBaseline critic{2, ValueBaselineOptions{.hidden = 2}};
+  std::string path = ::testing::TempDir() + "/eagle_small.ckpt";
+
+  SmallCheckpoint() {
+    for (const auto& [name, rows] : {std::pair{"grouper/w", 2},
+                                     std::pair{"placer/b", 1}}) {
+      nn::Parameter* p = params.Create(name, rows, 3);
+      p->value.Fill(0.25f);
+      p->grad.Fill(0.5f);
+    }
+    optimizer.Step();
+    env.Evaluate(core::SingleGpuPlacement(fix.graph, fix.cluster), nullptr);
+    core::Sample sample;
+    sample.grouping = {0, 1};
+    sample.group_devices = {1, 0};
+    sample.reward = -0.5;
+    critic.Update({sample});
+    CheckpointData data;
+    data.result.best_placement = sim::Placement::FromRaw({0, 1, 1});
+    data.result.history.resize(3);
+    data.pool = {sample, sample};
+    data.batch = {sample};
+    EXPECT_TRUE(SaveCheckpoint(path, params, optimizer, &env, &critic, data));
+  }
+  ~SmallCheckpoint() { std::filesystem::remove(path); }
+
+  support::Status Load(const std::string& bytes) {
+    WriteBytes(path, bytes);
+    CheckpointData data;
+    return LoadCheckpoint(path, params, optimizer, &env, &critic, &data);
+  }
+};
+
+// Where a well-formed v2 checkpoint keeps its counts and lengths (u32
+// counts and name lengths, u64 blob lengths) and its parameter-name
+// bytes, found by walking the layout tabulated in docs/AGENTS.md.
+struct Fields {
+  std::set<std::size_t> lengths;
+  std::set<std::size_t> name_bytes;
+};
+
+Fields WalkCheckpoint(const std::string& bytes) {
+  Fields fields;
+  support::ByteReader in(bytes, "walk");
+  const auto count = [&](std::size_t min_bytes) {
+    fields.lengths.insert(in.offset());
+    return in.Count(min_bytes);
+  };
+  const auto name = [&] {
+    fields.lengths.insert(in.offset());
+    const std::size_t at = in.offset() + 4;
+    const std::size_t size = in.Name().size();
+    for (std::size_t i = 0; i < size; ++i) fields.name_bytes.insert(at + i);
+  };
+  // A parameter section and the Adam section after it.
+  const auto params = [&] {
+    in.Bytes(8);
+    std::vector<std::size_t> sizes(count(12));
+    for (std::size_t& size : sizes) {
+      name();
+      size = sizeof(float) * static_cast<std::size_t>(in.Get<std::int32_t>());
+      size *= static_cast<std::size_t>(in.Get<std::int32_t>());
+      in.Bytes(size);
+    }
+    in.Get<std::int64_t>();
+    count(5);
+    for (std::size_t size : sizes) {
+      name();
+      if (in.Get<std::uint8_t>() != 0) in.Bytes(2 * size);
+    }
+  };
+  const auto i32_vector = [&] { in.Bytes(4 * count(4)); };
+  const auto samples = [&] {
+    for (std::uint32_t n = count(45); n > 0; --n) {
+      i32_vector();
+      i32_vector();
+      in.Bytes(45);  // logp through advantage
+    }
+  };
+  const auto blob_length = [&] {
+    fields.lengths.insert(in.offset());
+    return in.Get<std::uint64_t>();
+  };
+  in.Bytes(8);  // magic
+  params();
+  in.Bytes(32 + 8 + 1);         // RNG state, EMA baseline
+  in.Bytes(1 + 3 * 8 + 2 * 4);  // result scalars
+  i32_vector();                 // best placement
+  in.Bytes(28 * count(28));     // history
+  samples();                    // pool
+  samples();                    // batch
+  in.Bytes(4);                  // since_ce
+  in.Bytes(blob_length());      // environment
+  blob_length();                // critic
+  params();
+  in.Bytes(8);  // end marker
+  EXPECT_TRUE(in.ok() && in.at_end()) << in.status().ToString();
+  return fields;
+}
+
+std::size_t ByteOffset(const support::Status& status) {
+  EXPECT_EQ(status.message().rfind("byte ", 0), 0u) << status.ToString();
+  return std::stoull(status.message().substr(5));
+}
+
+TEST(Checkpoint, EveryCorruptionFailsWithStatus) {
+  SmallCheckpoint small;
+  const std::string good = ReadBytes(small.path);
+  ASSERT_TRUE(small.Load(good).ok());
+  const Fields fields = WalkCheckpoint(good);
+  ASSERT_EQ(fields.lengths.size(), 28u);
+
+  int exceptions = 0;
+  // Every failure names the file and a byte offset inside it.
+  const auto load = [&](const std::string& bytes) {
+    support::Status status;
+    try {
+      status = small.Load(bytes);
+    } catch (const std::exception& e) {
+      ++exceptions;
+      ADD_FAILURE() << "load threw: " << e.what();
+    }
+    if (!status.ok()) {
+      EXPECT_EQ(status.file(), small.path);
+      EXPECT_LE(ByteOffset(status), bytes.size()) << status.ToString();
+    }
+    return status;
+  };
+
+  for (std::size_t size = 0; size < good.size(); ++size) {
+    EXPECT_FALSE(load(good.substr(0, size)).ok()) << "truncated to " << size;
+  }
+  for (std::size_t at = 0; at < good.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bytes = good;
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+      const support::Status status = load(bytes);
+      if (fields.name_bytes.count(at) != 0) {
+        EXPECT_EQ(status.code(), support::ErrorCode::kSyntax)
+            << "name byte " << at << " bit " << bit;
+      }
+    }
+  }
+  for (std::size_t at = 0; at + 4 <= good.size(); ++at) {
+    std::string bytes = good;
+    std::memset(&bytes[at], 0xFF, 4);
+    const support::Status status = load(bytes);
+    if (fields.lengths.count(at) != 0) {
+      EXPECT_EQ(status.code(), support::ErrorCode::kResourceLimit)
+          << status.ToString();
+      EXPECT_EQ(ByteOffset(status), at) << status.ToString();
+    }
+  }
+  EXPECT_EQ(exceptions, 0);
+}
+
+TEST(Checkpoint, HugeShapeIsRejectedWithoutAllocating) {
+  SmallCheckpoint small;
+  std::string bytes = ReadBytes(small.path);
+  // Checkpoint magic (8), parameter magic (8), count (4), name length (4)
+  // and "grouper/w" (9): the first parameter's rows sit at byte 33.
+  const std::int32_t shape[2] = {1 << 30, 1 << 20};
+  std::memcpy(&bytes[33], shape, sizeof(shape));
+  support::Status status;
+  EXPECT_NO_THROW(status = small.Load(bytes));
+  EXPECT_EQ(status.ToString(),
+            small.path +
+                ": [syntax] byte 33: parameter 'grouper/w' is "
+                "1073741824x1048576, expected 2x3");
 }
 
 }  // namespace

@@ -1,14 +1,7 @@
-// Tests for link contention channels (shared PCIe root complex) and
-// trainer checkpointing.
+// Tests for link contention channels (shared PCIe root complex).
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
-#include "core/eagle_agent.h"
-#include "core/env.h"
 #include "models/synthetic.h"
-#include "nn/serialize.h"
-#include "rl/trainer.h"
 #include "sim/simulator.h"
 
 namespace eagle {
@@ -69,28 +62,6 @@ TEST(LinkChannels, SharedBusSlowsConcurrentHostTransfers) {
       sim::ExecutionSimulator(g, shared).Run(p2).step_seconds;
 
   EXPECT_GT(t_shared, t_independent * 2.0);
-}
-
-TEST(Checkpoint, TrainerWritesOnImprovement) {
-  const std::string path = ::testing::TempDir() + "/eagle_ckpt.bin";
-  std::remove(path.c_str());
-  auto graph = models::BuildParallelChains(2, 6, 1 << 14, 1e9);
-  const auto cluster = sim::MakeDefaultCluster();
-  core::PlacementEnvironment env(graph, cluster);
-  core::AgentDims dims;
-  dims.num_groups = 8;
-  dims.placer_hidden = 16;
-  auto agent = core::MakeEagleAgent(graph, cluster, dims, 4);
-  rl::TrainerOptions options;
-  options.total_samples = 20;
-  options.checkpoint_path = path;
-  const auto result = rl::TrainAgent(*agent, env, options);
-  ASSERT_TRUE(result.found_valid);
-
-  // The checkpoint restores into an identically-shaped agent.
-  auto restored = core::MakeEagleAgent(graph, cluster, dims, 999);
-  EXPECT_GT(nn::LoadParams(restored->params(), path), 0);
-  std::remove(path.c_str());
 }
 
 }  // namespace

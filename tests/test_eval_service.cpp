@@ -62,9 +62,9 @@ struct Fixture {
 };
 
 std::string ParamBlob(PolicyAgent& agent) {
-  std::ostringstream blob;
+  support::ByteWriter blob;
   nn::SaveParams(agent.params(), blob);
-  return blob.str();
+  return blob.bytes();
 }
 
 struct RunOutput {

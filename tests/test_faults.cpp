@@ -390,10 +390,13 @@ TEST(EnvironmentFaults, StateRoundTripContinuesFaultStream) {
   // environment, three more — the fault stream must continue exactly.
   core::PlacementEnvironment first(graph, cluster, options);
   for (int i = 0; i < 2; ++i) first.Evaluate(placement, nullptr);
-  std::stringstream blob;
-  first.SerializeState(blob);
+  support::ByteWriter blob;
+  first.SaveState(blob);
   core::PlacementEnvironment resumed(graph, cluster, options);
-  resumed.DeserializeState(blob);
+  support::ByteReader in(blob.bytes(), "env");
+  resumed.LoadState(in);
+  ASSERT_TRUE(in.ok()) << in.status().ToString();
+  EXPECT_TRUE(in.at_end());
   EXPECT_EQ(resumed.attempts(), first.attempts());
   EXPECT_EQ(resumed.transient_failures(), first.transient_failures());
   for (int i = 0; i < 3; ++i) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "nn/adam.h"
 #include "nn/layers.h"
@@ -204,41 +203,63 @@ TEST(Adam, ClipBoundsUpdates) {
 }
 
 TEST(Serialize, RoundTrip) {
-  const std::string path = ::testing::TempDir() + "/eagle_params.bin";
   ParamStore store;
   support::Rng rng(10);
   Parameter* w = store.Create("w", 3, 4);
   Parameter* b = store.Create("b", 1, 4);
   XavierInit(w->value, rng);
   XavierInit(b->value, rng);
-  ASSERT_TRUE(SaveParams(store, path));
+  support::ByteWriter out;
+  SaveParams(store, out);
 
   ParamStore restored;
   restored.Create("w", 3, 4);
   restored.Create("b", 1, 4);
-  EXPECT_EQ(LoadParams(restored, path), 2);
+  support::ByteReader in(out.bytes(), "params");
+  LoadParams(restored, in);
+  ASSERT_TRUE(in.ok()) << in.status().ToString();
+  EXPECT_TRUE(in.at_end());
   for (int r = 0; r < 3; ++r)
     for (int c = 0; c < 4; ++c)
       EXPECT_FLOAT_EQ(restored.Find("w")->value.at(r, c),
                       w->value.at(r, c));
-  std::remove(path.c_str());
 }
 
 TEST(Serialize, ShapeMismatchRejected) {
-  const std::string path = ::testing::TempDir() + "/eagle_params2.bin";
   ParamStore store;
   store.Create("w", 2, 2);
-  ASSERT_TRUE(SaveParams(store, path));
+  support::ByteWriter out;
+  SaveParams(store, out);
   ParamStore other;
   other.Create("w", 3, 3);
-  EXPECT_THROW(LoadParams(other, path), std::logic_error);
-  std::remove(path.c_str());
+  support::ByteReader in(out.bytes(), "params");
+  LoadParams(other, in);
+  // magic (8) + count (4) + name length (4) + "w": rows sits at byte 17.
+  EXPECT_EQ(in.status().ToString(),
+            "params: [syntax] byte 17: parameter 'w' is 2x2, expected 3x3");
 }
 
-TEST(Serialize, MissingFileThrows) {
+TEST(Serialize, SectionMustListTheStoreInOrder) {
   ParamStore store;
-  EXPECT_THROW(LoadParams(store, "/nonexistent/params.bin"),
-               std::logic_error);
+  store.Create("w", 1, 1);
+  store.Create("b", 1, 1);
+  support::ByteWriter out;
+  SaveParams(store, out);
+
+  ParamStore swapped;
+  swapped.Create("b", 1, 1);
+  swapped.Create("w", 1, 1);
+  support::ByteReader in(out.bytes(), "params");
+  LoadParams(swapped, in);
+  EXPECT_EQ(in.status().ToString(),
+            "params: [syntax] byte 12: expected parameter 'b'");
+
+  ParamStore fewer;
+  fewer.Create("w", 1, 1);
+  support::ByteReader short_in(out.bytes(), "params");
+  LoadParams(fewer, short_in);
+  EXPECT_EQ(short_in.status().ToString(),
+            "params: [syntax] byte 8: expected 1 parameters");
 }
 
 }  // namespace

@@ -439,9 +439,9 @@ RunOutput RunTraining(const Fixture& fix, int threads, int total_samples,
     EXPECT_EQ(lines, rounds.size());
   }
 
-  std::ostringstream params;
+  support::ByteWriter params;
   nn::SaveParams(agent->params(), params);
-  out.params = params.str();
+  out.params = params.bytes();
   out.checkpoint = ReadFileBytes(rl::CheckpointFilePath(dir, "run"));
   out.cache_hits = env.cache_hits();
   out.attempts = env.attempts();

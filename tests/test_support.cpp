@@ -13,6 +13,7 @@
 
 #include "support/args.h"
 #include "support/atomic_file.h"
+#include "support/byte_io.h"
 #include "support/inplace_function.h"
 #include "support/resource_pool.h"
 #include "support/retry.h"
@@ -212,6 +213,55 @@ TEST(ThreadPool, WaitRethrowsTaskException) {
 
 TEST(ThreadPool, HardwareThreadsPositive) {
   EXPECT_GE(ThreadPool::HardwareThreads(), 1);
+}
+
+TEST(ByteIo, RoundTripsEveryFieldShape) {
+  ByteWriter out;
+  out.Put(std::int32_t{-7}, 2.5);
+  out.PutName("w");
+  out.PutBlob("blob");
+  ByteReader in(out.bytes(), "mem");
+  EXPECT_EQ(in.Get<std::int32_t>(), -7);
+  EXPECT_EQ(in.Get<double>(), 2.5);
+  EXPECT_EQ(in.Name(), "w");
+  ByteReader blob = in.Blob();
+  EXPECT_EQ(blob.offset(), 25u);  // blobs keep the outer offsets
+  EXPECT_EQ(blob.Bytes(4), "blob");
+  EXPECT_TRUE(blob.at_end());
+  in.Adopt(blob);
+  in.ExpectEnd();
+  EXPECT_TRUE(in.ok()) << in.status().ToString();
+  EXPECT_TRUE(in.at_end());
+}
+
+TEST(ByteIo, FirstFailureWinsAndLaterReadsAreZero) {
+  ByteWriter out;
+  out.Put(std::uint32_t{0xFFFFFFFF}, std::uint16_t{1});
+  ByteReader in(out.bytes(), "f.bin");
+  EXPECT_EQ(in.Count(1), 0u);
+  EXPECT_EQ(in.status().ToString(),
+            "f.bin: [resource-limit] byte 0: size 4294967295 exceeds the 2 "
+            "bytes left");
+  EXPECT_EQ(in.Get<std::uint16_t>(), 0);  // failed: nothing is read
+  EXPECT_EQ(in.offset(), 4u);
+  in.Fail(4, "ignored");
+  EXPECT_EQ(in.status().code(), ErrorCode::kResourceLimit);
+
+  ByteReader truncated(out.bytes(), "f.bin");
+  truncated.Get<std::uint32_t>();
+  EXPECT_EQ(truncated.Get<double>(), 0.0);
+  EXPECT_EQ(truncated.status().ToString(),
+            "f.bin: [syntax] byte 4: truncated: 8 bytes needed, 2 left");
+
+  ByteWriter blob;
+  blob.PutBlob("abc");
+  ByteReader outer(blob.bytes(), "f.bin");
+  ByteReader inner = outer.Blob();
+  inner.Get<std::uint16_t>();
+  inner.ExpectEnd();
+  outer.Adopt(inner);
+  EXPECT_EQ(outer.status().ToString(),
+            "f.bin: [syntax] byte 10: 1 bytes unread");
 }
 
 TEST(AtomicFile, WritesContent) {
