@@ -21,7 +21,7 @@ namespace {
 struct Variant {
   const char* name;
   bool bridge;
-  graph::FeatureMode features;
+  core::FeatureMode features;
   core::AttentionVariant attention;
 };
 
@@ -52,15 +52,15 @@ int main(int argc, char** argv) {
   BenchConfig config = bench::ReadCommonFlags(args);
 
   const Variant variants[] = {
-      {"full EAGLE", true, graph::FeatureMode::kReconstructed,
+      {"full EAGLE", true, core::FeatureMode::kReconstructed,
        core::AttentionVariant::kBefore},
-      {"- bridge RNN", false, graph::FeatureMode::kReconstructed,
+      {"- bridge RNN", false, core::FeatureMode::kReconstructed,
        core::AttentionVariant::kBefore},
-      {"- reconstruction", true, graph::FeatureMode::kRaw,
+      {"- reconstruction", true, core::FeatureMode::kRaw,
        core::AttentionVariant::kBefore},
-      {"- attention-before", true, graph::FeatureMode::kReconstructed,
+      {"- attention-before", true, core::FeatureMode::kReconstructed,
        core::AttentionVariant::kAfter},
-      {"none (HP+PPO)", false, graph::FeatureMode::kRaw,
+      {"none (HP+PPO)", false, core::FeatureMode::kRaw,
        core::AttentionVariant::kAfter},
   };
 

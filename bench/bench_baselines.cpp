@@ -27,17 +27,8 @@ int main(int argc, char** argv) {
       auto context = bench::MakeContext(benchmark, &config);
       auto agent = core::MakeEagleAgent(context.graph, context.cluster,
                                         config.dims(), config.seed);
-      auto options = bench::PaperTrainerOptions(rl::Algorithm::kPpo,
-                                                config.samples, config.seed);
-      options.baseline = baseline;
-      options.num_devices = context.cluster.num_devices();
-      support::Stopwatch stopwatch;
-      const auto result = rl::TrainAgent(*agent, *context.env, options);
-      EAGLE_LOG(Info)
-          << models::BenchmarkName(benchmark) << " / "
-          << (baseline == rl::BaselineKind::kEma ? "EMA" : "value-net")
-          << ": best " << bench::FormatResult(result) << ", wall "
-          << support::Table::Num(stopwatch.ElapsedSeconds(), 1) << " s";
+      const auto result = bench::TrainOnBenchmark(
+          *agent, context, rl::Algorithm::kPpo, config, baseline);
       row.push_back(bench::FormatResult(result));
     }
     table.AddRow(std::move(row));

@@ -27,7 +27,6 @@
 #include "core/eval_service.h"
 #include "core/expert_policies.h"
 #include "core/policy.h"
-#include "core/post_agent.h"
 #include "models/zoo.h"
 #include "partition/fluid.h"
 #include "partition/metis_like.h"
@@ -261,19 +260,28 @@ inline void AppendSnapshotJson(std::ostringstream& os,
   os << "}";
 }
 
-inline rl::TrainResult TrainOnBenchmark(core::PolicyAgent& agent,
-                                        BenchContext& context,
-                                        rl::Algorithm algorithm,
-                                        const BenchConfig& config) {
+// Trains `agent` on the context's benchmark under the bench's flags
+// (samples, seed, threads, faults, checkpoints, telemetry). `baseline`
+// picks the advantage baseline: the paper's EMA, or the A2C-style critic
+// the baselines bench compares it with.
+inline rl::TrainResult TrainOnBenchmark(
+    core::PolicyAgent& agent, BenchContext& context, rl::Algorithm algorithm,
+    const BenchConfig& config,
+    rl::BaselineKind baseline = rl::BaselineKind::kEma) {
   namespace json = support::json;
   namespace telemetry = support::telemetry;
   support::Stopwatch stopwatch;
+  const bool critic = baseline == rl::BaselineKind::kValueNetwork;
   auto options = PaperTrainerOptions(algorithm, config.samples, config.seed);
+  options.baseline = baseline;
+  options.num_devices = context.cluster.num_devices();
   if (!config.checkpoint_dir.empty()) {
     options.checkpoint_dir = config.checkpoint_dir;
+    // A critic run snapshots its own file: it never resumes an EMA run's.
     options.checkpoint_name =
         std::string(models::BenchmarkName(context.benchmark)) + "_" +
-        agent.name() + "_" + rl::AlgorithmName(algorithm);
+        agent.name() + "_" + rl::AlgorithmName(algorithm) +
+        (critic ? "_critic" : "");
     options.resume = config.resume;
   }
   // A fresh environment per run: its fault stream and counters belong to
@@ -344,7 +352,7 @@ inline rl::TrainResult TrainOnBenchmark(core::PolicyAgent& agent,
   }
   EAGLE_LOG(Info) << models::BenchmarkName(context.benchmark) << " / "
                   << agent.name() << " / " << rl::AlgorithmName(algorithm)
-                  << ": best "
+                  << (critic ? " (critic)" : "") << ": best "
                   << (result.found_valid
                           ? support::Table::Num(result.best_per_step_seconds)
                           : "OOM")

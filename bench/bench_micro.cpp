@@ -182,8 +182,7 @@ SimRow RunSimCaseOnGraph(const std::string& label,
                          const graph::OpGraph& graph,
                          const sim::ClusterSpec& cluster, int repeats,
                          double target_seconds) {
-  const sim::SimulatorOptions options;
-  sim::ExecutionSimulator simulator(graph, cluster, options);
+  sim::ExecutionSimulator simulator(graph, cluster);
   // The frozen reference gets the same constructor-cached priorities the
   // historical simulator had, outside the timed region.
   const std::vector<int> priorities = sim::naive::CriticalPriorities(graph);
@@ -209,8 +208,7 @@ SimRow RunSimCaseOnGraph(const std::string& label,
       [&](long long iters) {
         for (long long i = 0; i < iters; ++i) {
           volatile double sink =
-              sim::naive::RunReference(graph, cluster, options, priorities,
-                                       placement)
+              sim::naive::RunReference(graph, cluster, priorities, placement)
                   .step_seconds;
           (void)sink;
         }

@@ -10,10 +10,12 @@
 #   5. a telemetry smoke run: a tiny bench_fig5 training run with
 #      --telemetry-out / --profile-out must produce JSONL that
 #      tools/metrics_report parses and a Chrome trace containing
-#      trainer-phase spans (see docs/OBSERVABILITY.md); its training
-#      checkpoints and those of a tiny bench_table2 run must match the
-#      sha256 sums pinned below, so every agent's training output is
-#      pinned, not only the two the end-to-end smoke trains,
+#      trainer-phase spans (see docs/OBSERVABILITY.md), and a tiny
+#      bench_baselines run must write one checkpoint and one run_start
+#      line per advantage baseline (EMA and critic); the fig5 run's
+#      training checkpoints and those of a tiny bench_table2 run must
+#      match the sha256 sums pinned below, so every agent's training
+#      output is pinned, not only the two the end-to-end smoke trains,
 #   6. a resume smoke: both benches rerun with --resume into the pinned
 #      checkpoint directory, so every pinned checkpoint loads through the
 #      checkpoint codec (support/byte_io.h); each run resumes at its last
@@ -84,6 +86,17 @@ grep -q '"name":"eval\.' "$SMOKE/profile.json"
 "$BUILD/tools/metrics_report" --in="$SMOKE/run.jsonl" --csv="$SMOKE/report_"
 test -s "$SMOKE/report_runs.csv"
 test -s "$SMOKE/report_phases.csv"
+# bench_baselines trains through bench::TrainOnBenchmark like the other
+# benches, so it honours --checkpoint-dir and --telemetry-out. Its
+# checkpoints go to their own directory, away from the pinned ones.
+"$BUILD/bench/bench_baselines" --models=inception_v3 --samples=20 \
+  --threads=2 --checkpoint-dir="$SMOKE/baselines_ck" \
+  --telemetry-out="$SMOKE/baselines.jsonl" >/dev/null
+ckpts=$(find "$SMOKE/baselines_ck" -name '*.ckpt' 2>/dev/null | wc -l || true)
+starts=$(grep -c '"event":"run_start"' "$SMOKE/baselines.jsonl" || true)
+test "$ckpts" -eq 2 && test "$starts" -eq 2 ||
+  { echo "bench_baselines: $ckpts checkpoints, $starts run_start lines," \
+      "want 2 of each"; exit 1; }
 echo TELEMETRY_SMOKE_CLEAN
 
 echo "=== training checkpoint pins ==="

@@ -1,5 +1,8 @@
 #include "core/eagle_agent.h"
 
+#include <algorithm>
+
+#include "partition/metis_like.h"
 #include "support/check.h"
 
 namespace eagle::core {
@@ -10,22 +13,24 @@ HierarchicalAgent::HierarchicalAgent(const graph::OpGraph& graph,
     : graph_(&graph), cluster_(&cluster), config_(std::move(config)) {
   support::Rng rng(config_.seed);
   const int k = config_.dims.num_groups;
-  const bool adjacency_in_embedding = config_.placer == PlacerKind::kSeq2Seq;
-  const int embed_dim = graph::GroupEmbeddingDim(k, adjacency_in_embedding);
+  // The GCN placer reads the group adjacency as Â instead.
+  const bool adjacency_in_embedding = config_.placer != PlacerKind::kGcn;
+  const int embed_dim = GroupEmbeddingDim(k, adjacency_in_embedding);
   const int bridge_dim =
       config_.use_bridge ? config_.dims.bridge_hidden : 0;
 
   if (config_.grouper == GrouperKind::kLearned) {
-    grouper_ = GrouperFFN(store_, graph::OpFeatureDim(),
+    grouper_ = GrouperFFN(store_, OpFeatureDim(),
                           config_.dims.grouper_hidden, k, rng);
     if (config_.use_bridge) {
       bridge_ = BridgeRnn(store_, config_.dims.grouper_hidden,
                           config_.dims.bridge_hidden, rng);
     }
+    op_features_ = MakeOpFeatures(graph, config_.features);
+    locality_prior_ = MakeLocalityPrior(graph, k);
+    grouper_weight_ =
+        static_cast<double>(k) / std::max(1, graph.num_ops());
   } else {
-    EAGLE_CHECK_MSG(static_cast<int>(config_.fixed_grouping.size()) ==
-                        graph.num_ops(),
-                    "fixed grouping does not cover the graph");
     EAGLE_CHECK_MSG(!config_.use_bridge,
                     "bridge RNN requires a learned grouper");
     fixed_embeddings_ = MakeGroupEmbeddings(
@@ -38,25 +43,24 @@ HierarchicalAgent::HierarchicalAgent(const graph::OpGraph& graph,
 
   const int placer_input_dim = embed_dim + bridge_dim;
   const int num_devices = cluster.num_devices();
-  if (config_.placer == PlacerKind::kSeq2Seq) {
-    seq_placer_ = Seq2SeqPlacer(
-        store_, placer_input_dim, config_.dims.placer_hidden,
-        config_.dims.attn_dim, config_.dims.device_embed_dim, num_devices,
-        config_.attention, rng);
-  } else {
-    gcn_placer_ = GcnPlacer(store_, placer_input_dim,
-                            config_.dims.placer_hidden, num_devices, rng);
+  switch (config_.placer) {
+    case PlacerKind::kSeq2Seq:
+      seq_placer_ = Seq2SeqPlacer(
+          store_, placer_input_dim, config_.dims.placer_hidden,
+          config_.dims.attn_dim, config_.dims.device_embed_dim, num_devices,
+          config_.attention, rng);
+      break;
+    case PlacerKind::kGcn:
+      gcn_placer_ = GcnPlacer(store_, placer_input_dim,
+                              config_.dims.placer_hidden, num_devices, rng);
+      break;
+    case PlacerKind::kFfn:
+      ffn_l1_ = nn::Linear(store_, "post/l1", placer_input_dim,
+                           config_.dims.placer_hidden, rng);
+      ffn_l2_ = nn::Linear(store_, "post/l2", config_.dims.placer_hidden,
+                           num_devices, rng);
+      break;
   }
-
-  op_features_ = MakeOpFeatures(graph, config_.features);
-  if (config_.grouper == GrouperKind::kLearned &&
-      config_.grouper_locality_prior) {
-    locality_prior_ = MakeLocalityPrior(graph, k);
-  }
-  grouper_weight_ =
-      config_.grouper_logp_weight >= 0.0
-          ? config_.grouper_logp_weight
-          : static_cast<double>(k) / std::max(1, graph.num_ops());
 }
 
 HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
@@ -64,55 +68,56 @@ HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
     std::span<const std::int32_t> forced_grouping,
     std::span<const std::int32_t> forced_devices) {
   const int k = config_.dims.num_groups;
+  const bool learned = config_.grouper == GrouperKind::kLearned;
   PolicyOutput out;
 
   nn::Var group_embeddings;
-  nn::Var grouper_logp;
-  nn::Var grouper_entropy;
-  bool has_grouper_terms = false;
-
-  if (config_.grouper == GrouperKind::kLearned) {
-    nn::Var features = tape.Input(op_features_);
-    auto grouped = grouper_.Run(
-        tape, features, rng, forced_grouping,
-        locality_prior_.empty() ? nullptr : &locality_prior_);
+  CategoricalHead grouped;
+  if (learned) {
+    grouped = grouper_.Run(tape, tape.Input(op_features_), rng,
+                           forced_grouping, &locality_prior_);
     out.grouping = std::move(grouped.choices);
-    grouper_logp = grouped.log_prob;
-    grouper_entropy = grouped.entropy;
-    has_grouper_terms = true;
-
-    nn::Tensor embeds = MakeGroupEmbeddings(
+    group_embeddings = tape.Input(MakeGroupEmbeddings(
         *graph_, out.grouping, k, config_.features,
-        /*include_adjacency=*/config_.placer == PlacerKind::kSeq2Seq);
-    group_embeddings = tape.Input(std::move(embeds));
+        /*include_adjacency=*/config_.placer != PlacerKind::kGcn));
     if (config_.use_bridge) {
       nn::Var conditioning =
           bridge_.Apply(tape, grouper_, grouped.probs, out.grouping);
       group_embeddings = tape.ConcatCols(group_embeddings, conditioning);
     }
   } else {
-    out.grouping = config_.fixed_grouping;
     group_embeddings = tape.Input(fixed_embeddings_);
   }
 
   PlacerRollout rollout;
-  if (config_.placer == PlacerKind::kSeq2Seq) {
-    rollout = seq_placer_.Run(tape, group_embeddings, rng, forced_devices);
-  } else {
-    nn::Var adjacency = tape.Input(
-        config_.grouper == GrouperKind::kFixed
-            ? fixed_adjacency_
-            : MakeGroupAdjacency(*graph_, out.grouping, k));
-    rollout = gcn_placer_.Run(tape, group_embeddings, adjacency, rng,
-                              forced_devices);
+  switch (config_.placer) {
+    case PlacerKind::kSeq2Seq:
+      rollout = seq_placer_.Run(tape, group_embeddings, rng, forced_devices);
+      break;
+    case PlacerKind::kGcn: {
+      nn::Var adjacency =
+          tape.Input(learned ? MakeGroupAdjacency(*graph_, out.grouping, k)
+                             : fixed_adjacency_);
+      rollout = gcn_placer_.Run(tape, group_embeddings, adjacency, rng,
+                                forced_devices);
+      break;
+    }
+    case PlacerKind::kFfn: {
+      nn::Var logits = ffn_l2_.Apply(
+          tape, tape.Tanh(ffn_l1_.Apply(tape, group_embeddings)));  // k×D
+      CategoricalHead head = Categorical(tape, logits, rng, forced_devices);
+      rollout = PlacerRollout{std::move(head.choices), head.log_prob,
+                              head.entropy};
+      break;
+    }
   }
-  out.devices = rollout.devices;
+  out.devices = std::move(rollout.devices);
 
-  if (has_grouper_terms) {
+  if (learned) {
     out.logp = tape.Add(
         rollout.log_prob,
-        tape.Scale(grouper_logp, static_cast<float>(grouper_weight_)));
-    out.entropy = tape.Add(rollout.entropy, grouper_entropy);
+        tape.Scale(grouped.log_prob, static_cast<float>(grouper_weight_)));
+    out.entropy = tape.Add(rollout.entropy, grouped.entropy);
   } else {
     out.logp = rollout.log_prob;
     out.entropy = rollout.entropy;
@@ -124,15 +129,16 @@ Sample HierarchicalAgent::SampleDecision(support::Rng& rng) {
   nn::Tape tape;
   PolicyOutput out = RunPolicy(tape, &rng, {}, {});
   Sample sample;
-  sample.grouping = std::move(out.grouping);
   sample.group_devices = std::move(out.devices);
   sample.logp = static_cast<double>(tape.value(out.logp).at(0, 0));
-  sample.num_decisions = static_cast<int>(sample.group_devices.size()) +
-                         (config_.grouper == GrouperKind::kLearned
-                              ? config_.dims.num_groups  // grouper term is
-                                                         // scaled to ~k
-                                                         // decisions
-                              : 0);
+  sample.num_decisions = static_cast<int>(sample.group_devices.size());
+  if (config_.grouper == GrouperKind::kLearned) {
+    sample.grouping = std::move(out.grouping);
+    // The grouper term is scaled to ~k decisions.
+    sample.num_decisions += config_.dims.num_groups;
+  } else {
+    sample.grouping = config_.fixed_grouping;
+  }
   return sample;
 }
 
@@ -158,7 +164,7 @@ std::unique_ptr<HierarchicalAgent> MakeEagleAgent(
   config.placer = PlacerKind::kSeq2Seq;
   config.attention = AttentionVariant::kBefore;
   config.use_bridge = true;
-  config.features = graph::FeatureMode::kReconstructed;
+  config.features = FeatureMode::kReconstructed;
   config.seed = seed;
   return std::make_unique<HierarchicalAgent>(graph, cluster,
                                              std::move(config));
@@ -174,7 +180,7 @@ std::unique_ptr<HierarchicalAgent> MakeHierarchicalPlanner(
   config.placer = PlacerKind::kSeq2Seq;
   config.attention = AttentionVariant::kAfter;
   config.use_bridge = false;
-  config.features = graph::FeatureMode::kRaw;
+  config.features = FeatureMode::kRaw;
   config.seed = seed;
   return std::make_unique<HierarchicalAgent>(graph, cluster,
                                              std::move(config));
@@ -192,7 +198,26 @@ std::unique_ptr<HierarchicalAgent> MakeFixedGrouperAgent(
   config.placer = placer;
   config.attention = attention;
   config.use_bridge = false;
-  config.features = graph::FeatureMode::kReconstructed;
+  config.features = FeatureMode::kReconstructed;
+  config.seed = seed;
+  return std::make_unique<HierarchicalAgent>(graph, cluster,
+                                             std::move(config));
+}
+
+std::unique_ptr<HierarchicalAgent> MakePostAgent(
+    const graph::OpGraph& graph, const sim::ClusterSpec& cluster,
+    int num_groups, std::uint64_t seed) {
+  partition::MetisOptions metis;
+  metis.num_parts = num_groups;
+  metis.seed = seed;
+  HierarchicalAgentConfig config;
+  config.display_name = "Post";
+  config.dims.num_groups = num_groups;
+  config.grouper = GrouperKind::kFixed;
+  config.fixed_grouping = partition::MetisPartition(graph, metis);
+  config.placer = PlacerKind::kFfn;
+  config.use_bridge = false;
+  config.features = FeatureMode::kRaw;
   config.seed = seed;
   return std::make_unique<HierarchicalAgent>(graph, cluster,
                                              std::move(config));

@@ -7,16 +7,18 @@
 //                          with attention-after, raw HP-style features
 //                          (our reproduction of Mirhoseini et al. [5]);
 //   fixed-grouper agents — METIS / fluid-communities / any precomputed
-//                          grouping with a trainable placer (Tables I–II).
+//                          grouping with a trainable placer (Tables I–II);
+//   Post                 — (Gao et al., NeurIPS 2018) a fixed METIS
+//                          grouping with the per-group FFN placer.
 //
 // The joint decision log-probability is
 //   log π = log π_placer + w_g · log π_grouper,
-// with w_g defaulting to num_groups/num_ops: the grouper term is a sum of
-// thousands of per-op categoricals whose raw magnitude would swamp the
-// placer term and blow up PPO importance ratios; scaling it to the same
-// order as the placer term (≈ one categorical per group) keeps the joint
-// ratio meaningful. The same weight is used at sampling and scoring time,
-// so the PPO ratio is exact for the reweighted objective.
+// with w_g = num_groups/num_ops: the grouper term is a sum of thousands of
+// per-op categoricals whose raw magnitude would swamp the placer term and
+// blow up PPO importance ratios; scaling it to the same order as the
+// placer term (≈ one categorical per group) keeps the joint ratio
+// meaningful. The same weight is used at sampling and scoring time, so
+// the PPO ratio is exact for the reweighted objective.
 #pragma once
 
 #include <memory>
@@ -29,12 +31,17 @@
 #include "core/policy.h"
 #include "core/run_config.h"
 #include "core/seq2seq_placer.h"
+#include "nn/layers.h"
 #include "sim/device.h"
 
 namespace eagle::core {
 
 enum class GrouperKind { kLearned, kFixed };
-enum class PlacerKind { kSeq2Seq, kGcn };
+// kFfn is Post's policy: a two-layer tanh FFN applied to every group's
+// embedding independently, one device categorical per group. Simple, so
+// it trains stably (Post's strength on BERT), but it cannot model
+// inter-group placement dependencies (its local optimum on GNMT).
+enum class PlacerKind { kSeq2Seq, kGcn, kFfn };
 
 struct HierarchicalAgentConfig {
   std::string display_name = "EAGLE";
@@ -44,13 +51,7 @@ struct HierarchicalAgentConfig {
   PlacerKind placer = PlacerKind::kSeq2Seq;
   AttentionVariant attention = AttentionVariant::kBefore;
   bool use_bridge = true;
-  // Additive topological-banding prior on the grouper logits (see
-  // GrouperFFN::Logits). On for both learned-grouper agents: it is a
-  // grouper-input design, not an EAGLE-vs-HP differentiator.
-  bool grouper_locality_prior = true;
-  graph::FeatureMode features = graph::FeatureMode::kReconstructed;
-  // <0: auto (num_groups / num_ops).
-  double grouper_logp_weight = -1.0;
+  FeatureMode features = FeatureMode::kReconstructed;
   std::uint64_t seed = 1;
 };
 
@@ -70,7 +71,7 @@ class HierarchicalAgent : public PolicyAgent {
 
  private:
   struct PolicyOutput {
-    graph::Grouping grouping;
+    graph::Grouping grouping;  // the learned grouper's; empty when fixed
     std::vector<std::int32_t> devices;
     nn::Var logp;
     nn::Var entropy;
@@ -88,9 +89,13 @@ class HierarchicalAgent : public PolicyAgent {
   BridgeRnn bridge_;
   Seq2SeqPlacer seq_placer_;
   GcnPlacer gcn_placer_;
+  nn::Linear ffn_l1_;
+  nn::Linear ffn_l2_;
+  // Learned grouper only: its input and the additive topological-banding
+  // prior on its logits (GrouperFFN::Logits).
   nn::Tensor op_features_;
   nn::Tensor locality_prior_;
-  // Cached embeddings for the fixed-grouper case.
+  // Fixed grouper only: the embeddings and, for the GCN placer, Â.
   nn::Tensor fixed_embeddings_;
   nn::Tensor fixed_adjacency_;
   double grouper_weight_ = 0.0;
@@ -110,5 +115,13 @@ std::unique_ptr<HierarchicalAgent> MakeFixedGrouperAgent(
     const graph::OpGraph& graph, const sim::ClusterSpec& cluster,
     graph::Grouping grouping, PlacerKind placer, AttentionVariant attention,
     const AgentDims& dims, std::uint64_t seed, const std::string& name);
+
+// Post: `num_groups` METIS groups with the FFN placer over raw features.
+// Post's published grouping is a coarse, manually-defined one; 16 METIS
+// groups stand in for it (finer groupings would give Post more
+// flexibility than the original had).
+std::unique_ptr<HierarchicalAgent> MakePostAgent(
+    const graph::OpGraph& graph, const sim::ClusterSpec& cluster,
+    int num_groups = 16, std::uint64_t seed = 1);
 
 }  // namespace eagle::core

@@ -4,7 +4,7 @@
 #pragma once
 
 #include "core/categorical.h"
-#include "graph/grouped_graph.h"
+#include "graph/op_graph.h"
 #include "nn/layers.h"
 #include "support/rng.h"
 

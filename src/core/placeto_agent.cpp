@@ -21,7 +21,7 @@ PlacetoAgent::PlacetoAgent(const graph::OpGraph& graph,
   metis.seed = options_.seed;
   grouping_ = partition::MetisPartition(graph, metis);
   embeddings_ = MakeGroupEmbeddings(graph, grouping_, options_.num_groups,
-                                    graph::FeatureMode::kReconstructed,
+                                    FeatureMode::kReconstructed,
                                     /*include_adjacency=*/true);
   support::Rng rng(options_.seed);
   const int state_dim =

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/group_embedding.h"
-#include "graph/grouped_graph.h"
 #include "nn/adam.h"
 #include "nn/layers.h"
 #include "sim/simulator.h"

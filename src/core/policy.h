@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/grouped_graph.h"
+#include "graph/op_graph.h"
 #include "nn/layers.h"
 #include "nn/tape.h"
 #include "sim/measurement.h"

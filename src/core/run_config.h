@@ -6,11 +6,13 @@
 // restore paper-scale agent dimensions.
 #pragma once
 
-#include <cstdint>
-
-#include "graph/features.h"
-
 namespace eagle::core {
+
+// State-vector encoding; see core/group_embedding.h.
+enum class FeatureMode {
+  kRaw,            // Hierarchical-Planner style: raw counts and byte sums
+  kReconstructed,  // EAGLE style: log-scaled volumes, normalized adjacency
+};
 
 enum class AttentionVariant {
   kBefore,  // context fed INTO the decoder LSTM (EAGLE's choice, Fig. 4a)

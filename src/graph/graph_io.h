@@ -7,7 +7,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "graph/grouped_graph.h"
 #include "graph/op_graph.h"
 
 namespace eagle::graph {

@@ -190,4 +190,17 @@ std::string OpGraph::StatsString() const {
   return os.str();
 }
 
+void ValidateGrouping(const OpGraph& graph, const Grouping& grouping,
+                      int num_groups) {
+  EAGLE_CHECK_MSG(static_cast<int>(grouping.size()) == graph.num_ops(),
+                  "grouping size " << grouping.size() << " != num ops "
+                                   << graph.num_ops());
+  EAGLE_CHECK(num_groups > 0);
+  for (std::size_t i = 0; i < grouping.size(); ++i) {
+    EAGLE_CHECK_MSG(grouping[i] >= 0 && grouping[i] < num_groups,
+                    "op " << i << " assigned to invalid group "
+                          << grouping[i]);
+  }
+}
+
 }  // namespace eagle::graph

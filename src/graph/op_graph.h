@@ -85,4 +85,14 @@ class OpGraph {
   std::unordered_map<std::string, OpId> by_name_;
 };
 
+// An op → group assignment: grouping[op] ∈ [0, num_groups). The
+// hierarchical agents (§III-A) place groups, never single ops; groups may
+// be empty.
+using Grouping = std::vector<std::int32_t>;
+
+// Throws std::logic_error unless `grouping` covers every op of `graph` and
+// names only groups in [0, num_groups).
+void ValidateGrouping(const OpGraph& graph, const Grouping& grouping,
+                      int num_groups);
+
 }  // namespace eagle::graph

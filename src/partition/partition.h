@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/grouped_graph.h"
 #include "graph/op_graph.h"
 
 namespace eagle::partition {

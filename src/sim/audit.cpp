@@ -57,8 +57,7 @@ std::string AuditReport::ToString() const {
 AuditReport AuditSchedule(const StepResult& result,
                           const graph::OpGraph& graph,
                           const ClusterSpec& cluster,
-                          const Placement& placement,
-                          const SimulatorOptions& options) {
+                          const Placement& placement) {
   AuditReport report;
   Reporter add(&report);
   const int num_ops = graph.num_ops();
@@ -297,9 +296,8 @@ AuditReport AuditSchedule(const StepResult& result,
   // recorded timeline and require the reported per-device bytes to match
   // exactly (the replay mirrors the simulator's touch sequence
   // bit-for-bit, so any mismatch is a leak or double-count).
-  if (!options.track_memory ||
-      result.device_peak_bytes.size() !=
-          static_cast<std::size_t>(num_devices)) {
+  if (result.device_peak_bytes.size() !=
+      static_cast<std::size_t>(num_devices)) {
     return report;
   }
   std::vector<std::vector<LiveInterval>> intervals(
@@ -362,7 +360,7 @@ AuditReport AuditSchedule(const StepResult& result,
     const std::int64_t peak =
         params + static_cast<std::int64_t>(
                      static_cast<double>(activation_peak) *
-                     options.memory.activation_overhead);
+                     kActivationOverhead);
     const std::int64_t reported =
         result.device_peak_bytes[static_cast<std::size_t>(d)];
     if (reported != peak) {

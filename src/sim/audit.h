@@ -48,12 +48,9 @@ struct AuditReport {
 // Audits `result` (which must carry a recorded schedule — run the
 // simulator with SimulatorOptions::record_schedule) against `graph`,
 // `cluster` and the normalized `placement` it was produced from.
-// `options` gates the memory checks (skipped when track_memory is off,
-// matching what the simulator accounted).
 AuditReport AuditSchedule(const StepResult& result,
                           const graph::OpGraph& graph,
                           const ClusterSpec& cluster,
-                          const Placement& placement,
-                          const SimulatorOptions& options);
+                          const Placement& placement);
 
 }  // namespace eagle::sim

@@ -30,9 +30,8 @@ struct LiveInterval {
 // (sim/naive_ref.h) and the schedule auditor (sim/audit.h) replay.
 std::int64_t PeakLiveBytes(std::vector<LiveInterval> intervals);
 
-struct MemoryModelOptions {
-  // Allocator fragmentation + cuDNN workspace multiplier on activations.
-  double activation_overhead = 1.25;
-};
+// Allocator fragmentation + cuDNN workspace multiplier on activations: a
+// device's peak is its resident params + this × its activation peak.
+inline constexpr double kActivationOverhead = 1.25;
 
 }  // namespace eagle::sim

@@ -49,15 +49,13 @@ std::vector<int> CriticalPriorities(const graph::OpGraph& g) {
 }
 
 StepResult RunReference(const graph::OpGraph& g, const ClusterSpec& cluster,
-                        const SimulatorOptions& options,
                         const Placement& placement, const FaultDraw* faults,
                         bool record_schedule) {
-  return RunReference(g, cluster, options, CriticalPriorities(g), placement,
-                      faults, record_schedule);
+  return RunReference(g, cluster, CriticalPriorities(g), placement, faults,
+                      record_schedule);
 }
 
 StepResult RunReference(const graph::OpGraph& g, const ClusterSpec& cluster,
-                        const SimulatorOptions& options,
                         const std::vector<int>& critical_priority,
                         const Placement& placement, const FaultDraw* faults,
                         bool record_schedule) {
@@ -128,7 +126,7 @@ StepResult RunReference(const graph::OpGraph& g, const ClusterSpec& cluster,
   std::unordered_map<std::uint64_t, std::size_t> live_slot;
   auto touch = [&](graph::OpId producer, DeviceId device, double start,
                    double end, std::int64_t bytes) {
-    if (!options.track_memory || bytes <= 0) return;
+    if (bytes <= 0) return;
     const std::uint64_t key = (static_cast<std::uint64_t>(producer) << 8) |
                               static_cast<std::uint64_t>(device);
     auto it = live_slot.find(key);
@@ -222,34 +220,29 @@ StepResult RunReference(const graph::OpGraph& g, const ClusterSpec& cluster,
     }
     result.step_seconds = std::max(result.step_seconds, finish);
 
-    if (options.track_memory) {
-      for (auto ei : g.in_edges(u)) {
-        const graph::Edge& e = g.edges()[static_cast<std::size_t>(ei)];
-        touch(e.src, best_dev, start, finish,
-              placement.device(e.src) == best_dev ? g.op(e.src).output_bytes()
-                                                  : e.bytes);
-      }
+    for (auto ei : g.in_edges(u)) {
+      const graph::Edge& e = g.edges()[static_cast<std::size_t>(ei)];
+      touch(e.src, best_dev, start, finish,
+            placement.device(e.src) == best_dev ? g.op(e.src).output_bytes()
+                                                : e.bytes);
     }
   }
 
-  if (options.track_memory) {
-    for (graph::OpId i = 0; i < num_ops; ++i) {
-      result
-          .device_param_bytes[static_cast<std::size_t>(placement.device(i))] +=
-          g.op(i).param_bytes;
-    }
-    for (DeviceId d = 0; d < num_devices; ++d) {
-      const std::int64_t activation_peak =
-          PeakLiveBytes(std::move(intervals[static_cast<std::size_t>(d)]));
-      const std::int64_t peak =
-          result.device_param_bytes[static_cast<std::size_t>(d)] +
-          static_cast<std::int64_t>(static_cast<double>(activation_peak) *
-                                    options.memory.activation_overhead);
-      result.device_peak_bytes[static_cast<std::size_t>(d)] = peak;
-      if (peak > cluster.device(d).memory_bytes && !result.oom) {
-        result.oom = true;
-        result.oom_device = d;
-      }
+  for (graph::OpId i = 0; i < num_ops; ++i) {
+    result.device_param_bytes[static_cast<std::size_t>(placement.device(i))] +=
+        g.op(i).param_bytes;
+  }
+  for (DeviceId d = 0; d < num_devices; ++d) {
+    const std::int64_t activation_peak =
+        PeakLiveBytes(std::move(intervals[static_cast<std::size_t>(d)]));
+    const std::int64_t peak =
+        result.device_param_bytes[static_cast<std::size_t>(d)] +
+        static_cast<std::int64_t>(static_cast<double>(activation_peak) *
+                                  kActivationOverhead);
+    result.device_peak_bytes[static_cast<std::size_t>(d)] = peak;
+    if (peak > cluster.device(d).memory_bytes && !result.oom) {
+      result.oom = true;
+      result.oom_device = d;
     }
   }
   return result;

@@ -37,7 +37,6 @@ std::vector<int> CriticalPriorities(const graph::OpGraph& graph);
 // computed it before the workspace refactor.
 StepResult RunReference(const graph::OpGraph& graph,
                         const ClusterSpec& cluster,
-                        const SimulatorOptions& options,
                         const std::vector<int>& critical_priority,
                         const Placement& placement,
                         const FaultDraw* faults = nullptr,
@@ -46,7 +45,6 @@ StepResult RunReference(const graph::OpGraph& graph,
 // Convenience overload recomputing the priorities per call.
 StepResult RunReference(const graph::OpGraph& graph,
                         const ClusterSpec& cluster,
-                        const SimulatorOptions& options,
                         const Placement& placement,
                         const FaultDraw* faults = nullptr,
                         bool record_schedule = false);

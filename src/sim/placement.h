@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/grouped_graph.h"
 #include "graph/op_graph.h"
 #include "sim/device.h"
 

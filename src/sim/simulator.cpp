@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "sim/audit.h"
+#include "sim/memory_model.h"
 #include "support/check.h"
 #include "support/metrics.h"
 
@@ -155,7 +156,7 @@ StepResult ExecutionSimulator::Run(const Placement& placement,
   {
     EAGLE_SPAN("sim.audit");
     const AuditReport audit =
-        AuditSchedule(result, *graph_, *cluster_, placement, options_);
+        AuditSchedule(result, *graph_, *cluster_, placement);
     EAGLE_CHECK_MSG(audit.ok(), "schedule audit failed:\n" << audit.ToString());
   }
   if (!options_.record_schedule) {
@@ -186,7 +187,6 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
   const int num_devices = cluster_->num_devices();
   EAGLE_CHECK(placement.num_ops() == num_ops);
   const std::vector<DeviceId>& device_of = placement.devices();
-  const bool track_memory = options_.track_memory;
   const auto compute_scale = [faults](DeviceId d) {
     return faults == nullptr
                ? 1.0
@@ -249,17 +249,15 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
                          i});
     }
   }
-  if (track_memory) {
-    // Device-major pick slots: slot_end[d] starts at device d's first slot.
-    for (const DeviceId d : device_of) {
-      ++ws.slot_end[static_cast<std::size_t>(d)];
-    }
-    std::uint32_t first = 0;
-    for (std::uint32_t& slot : ws.slot_end) {
-      const std::uint32_t count = slot;
-      slot = first;
-      first += count;
-    }
+  // Device-major pick slots: slot_end[d] starts at device d's first slot.
+  for (const DeviceId d : device_of) {
+    ++ws.slot_end[static_cast<std::size_t>(d)];
+  }
+  std::uint32_t first = 0;
+  for (std::uint32_t& slot : ws.slot_end) {
+    const std::uint32_t count = slot;
+    slot = first;
+    first += count;
   }
 
   while (scheduled < num_ops) {
@@ -301,13 +299,11 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
     if (record_schedule) {
       result.schedule.push_back(ScheduledOp{u, best_dev, start, finish});
     }
-    if (track_memory) {
-      const std::uint32_t slot =
-          ws.slot_end[static_cast<std::size_t>(best_dev)]++;
-      ws.picks[slot] = SimWorkspace::PickSlot{finish, 0, 0};
-      ws.pick_slot[ui] = slot;
-      ws.pick_order[static_cast<std::size_t>(scheduled)] = u;
-    }
+    const std::uint32_t slot =
+        ws.slot_end[static_cast<std::size_t>(best_dev)]++;
+    ws.picks[slot] = SimWorkspace::PickSlot{finish, 0, 0};
+    ws.pick_slot[ui] = slot;
+    ws.pick_order[static_cast<std::size_t>(scheduled)] = u;
     ++scheduled;
 
     // Resolve out-edges: local hand-off or (deduped) transfer. Dedup is
@@ -352,7 +348,7 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
           // The received copy lives on the destination from its first
           // arrival (its size is the first non-empty send's) until its
           // last consumer there finishes — set in the pass below.
-          if (track_memory && e.bytes > 0) {
+          if (e.bytes > 0) {
             if (dst.copy == 0) {
               ws.copies.push_back(
                   SimWorkspace::RemoteCopy{e.bytes, arrival, 0, dst_dev, u});
@@ -381,101 +377,98 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
 
   // Memory accounting: params resident for the whole step + activation
   // sweep with allocator overhead.
-  if (track_memory) {
-    for (std::size_t i = 0; i < static_cast<std::size_t>(num_ops); ++i) {
-      result.device_param_bytes[static_cast<std::size_t>(device_of[i])] +=
-          param_bytes_[i];
+  for (std::size_t i = 0; i < static_cast<std::size_t>(num_ops); ++i) {
+    result.device_param_bytes[static_cast<std::size_t>(device_of[i])] +=
+        param_bytes_[i];
+  }
+  // Interval ends, one pass over the out-edges in pick order: u's output
+  // is held on its own device from u's pick until its last local
+  // consumer's (a tensor with no local consumer is zero-length), and
+  // each remote copy until its last consumer on that device that reads
+  // a non-empty edge. A device's finish times never decrease along its
+  // slots, so "last" is the largest slot.
+  std::size_t next_copy = 0;
+  for (const graph::OpId u : ws.pick_order) {
+    const auto ui = static_cast<std::size_t>(u);
+    const DeviceId du = device_of[ui];
+    const std::size_t first_copy = next_copy;
+    for (; next_copy < ws.copies.size() &&
+           ws.copies[next_copy].producer == u;
+         ++next_copy) {
+      const SimWorkspace::RemoteCopy& copy = ws.copies[next_copy];
+      ws.device_scratch[static_cast<std::size_t>(copy.device)].copy =
+          static_cast<std::uint32_t>(next_copy + 1);
     }
-    // Interval ends, one pass over the out-edges in pick order: u's output
-    // is held on its own device from u's pick until its last local
-    // consumer's (a tensor with no local consumer is zero-length), and
-    // each remote copy until its last consumer on that device that reads
-    // a non-empty edge. A device's finish times never decrease along its
-    // slots, so "last" is the largest slot.
-    std::size_t next_copy = 0;
-    for (const graph::OpId u : ws.pick_order) {
-      const auto ui = static_cast<std::size_t>(u);
-      const DeviceId du = device_of[ui];
-      const std::size_t first_copy = next_copy;
-      for (; next_copy < ws.copies.size() &&
-             ws.copies[next_copy].producer == u;
-           ++next_copy) {
-        const SimWorkspace::RemoteCopy& copy = ws.copies[next_copy];
-        ws.device_scratch[static_cast<std::size_t>(copy.device)].copy =
-            static_cast<std::uint32_t>(next_copy + 1);
-      }
-      std::uint32_t local_free = ws.pick_slot[ui];
-      for (std::size_t k = out_begin_[ui]; k < out_begin_[ui + 1]; ++k) {
-        const OutEdge& e = out_edges_[k];
-        const DeviceId dv = device_of[static_cast<std::size_t>(e.dst)];
-        const std::uint32_t consumer =
-            ws.pick_slot[static_cast<std::size_t>(e.dst)];
-        if (dv == du) {
-          local_free = std::max(local_free, consumer);
-        } else if (e.bytes > 0) {
-          // A non-empty send to dv made u's copy there (set just above).
-          const std::uint32_t copy =
-              ws.device_scratch[static_cast<std::size_t>(dv)].copy;
-          std::uint32_t& free_slot = ws.copies[copy - 1].free_slot;
-          free_slot = std::max(free_slot, consumer);
-        }
-      }
-      if (output_bytes_[ui] > 0) {
-        ws.picks[ws.pick_slot[ui]].delta += output_bytes_[ui];
-        ws.picks[local_free].delta -= output_bytes_[ui];
-      }
-      // A copy is allocated at its arrival: in the slot whose finish equals
-      // it, or else before the first slot finishing later (binary search
-      // over the device's non-decreasing finish times).
-      for (std::size_t c = first_copy; c < next_copy; ++c) {
-        const SimWorkspace::RemoteCopy& copy = ws.copies[c];
-        const auto d = static_cast<std::size_t>(copy.device);
-        const auto last = ws.picks.begin() + ws.slot_end[d];
-        const auto at = std::lower_bound(
-            ws.picks.begin() + (d == 0 ? 0 : ws.slot_end[d - 1]), last,
-            copy.arrival, [](const SimWorkspace::PickSlot& p, double t) {
-              return p.finish < t;
-            });
-        EAGLE_DCHECK(at != last);  // the copy's consumers finish after it
-        if (at->finish == copy.arrival) {
-          at->delta += copy.bytes;
-        } else {
-          at->arrived += copy.bytes;
-        }
-        ws.picks[copy.free_slot].delta -= copy.bytes;
+    std::uint32_t local_free = ws.pick_slot[ui];
+    for (std::size_t k = out_begin_[ui]; k < out_begin_[ui + 1]; ++k) {
+      const OutEdge& e = out_edges_[k];
+      const DeviceId dv = device_of[static_cast<std::size_t>(e.dst)];
+      const std::uint32_t consumer =
+          ws.pick_slot[static_cast<std::size_t>(e.dst)];
+      if (dv == du) {
+        local_free = std::max(local_free, consumer);
+      } else if (e.bytes > 0) {
+        // A non-empty send to dv made u's copy there (set just above).
+        const std::uint32_t copy =
+            ws.device_scratch[static_cast<std::size_t>(dv)].copy;
+        std::uint32_t& free_slot = ws.copies[copy - 1].free_slot;
+        free_slot = std::max(free_slot, consumer);
       }
     }
-    // The sweep. Within one timestamp frees only lower the int64 total and
-    // allocations only raise it, so the peak is the total after all of a
-    // timestamp's events, whatever their order: it is taken at the end of
-    // each run of equal finish times, and after each batch of arrivals
-    // between two finish times (arrivals only raise the total).
-    for (DeviceId d = 0; d < num_devices; ++d) {
-      const auto di = static_cast<std::size_t>(d);
-      const std::size_t end = ws.slot_end[di];
-      std::int64_t live = 0;
-      std::int64_t activation_peak = 0;
-      for (std::size_t s = di == 0 ? 0 : ws.slot_end[di - 1]; s < end; ++s) {
-        const SimWorkspace::PickSlot& pick = ws.picks[s];
-        if (pick.arrived != 0) {
-          live += pick.arrived;
-          activation_peak = std::max(activation_peak, live);
-        }
-        live += pick.delta;
-        if (s + 1 == end || ws.picks[s + 1].finish != pick.finish) {
-          activation_peak = std::max(activation_peak, live);
-        }
+    if (output_bytes_[ui] > 0) {
+      ws.picks[ws.pick_slot[ui]].delta += output_bytes_[ui];
+      ws.picks[local_free].delta -= output_bytes_[ui];
+    }
+    // A copy is allocated at its arrival: in the slot whose finish equals
+    // it, or else before the first slot finishing later (binary search
+    // over the device's non-decreasing finish times).
+    for (std::size_t c = first_copy; c < next_copy; ++c) {
+      const SimWorkspace::RemoteCopy& copy = ws.copies[c];
+      const auto d = static_cast<std::size_t>(copy.device);
+      const auto last = ws.picks.begin() + ws.slot_end[d];
+      const auto at = std::lower_bound(
+          ws.picks.begin() + (d == 0 ? 0 : ws.slot_end[d - 1]), last,
+          copy.arrival, [](const SimWorkspace::PickSlot& p, double t) {
+            return p.finish < t;
+          });
+      EAGLE_DCHECK(at != last);  // the copy's consumers finish after it
+      if (at->finish == copy.arrival) {
+        at->delta += copy.bytes;
+      } else {
+        at->arrived += copy.bytes;
       }
-      const std::int64_t peak =
-          result.device_param_bytes[di] +
-          static_cast<std::int64_t>(
-              static_cast<double>(activation_peak) *
-              options_.memory.activation_overhead);
-      result.device_peak_bytes[di] = peak;
-      if (peak > cluster_->device(d).memory_bytes && !result.oom) {
-        result.oom = true;
-        result.oom_device = d;
+      ws.picks[copy.free_slot].delta -= copy.bytes;
+    }
+  }
+  // The sweep. Within one timestamp frees only lower the int64 total and
+  // allocations only raise it, so the peak is the total after all of a
+  // timestamp's events, whatever their order: it is taken at the end of
+  // each run of equal finish times, and after each batch of arrivals
+  // between two finish times (arrivals only raise the total).
+  for (DeviceId d = 0; d < num_devices; ++d) {
+    const auto di = static_cast<std::size_t>(d);
+    const std::size_t end = ws.slot_end[di];
+    std::int64_t live = 0;
+    std::int64_t activation_peak = 0;
+    for (std::size_t s = di == 0 ? 0 : ws.slot_end[di - 1]; s < end; ++s) {
+      const SimWorkspace::PickSlot& pick = ws.picks[s];
+      if (pick.arrived != 0) {
+        live += pick.arrived;
+        activation_peak = std::max(activation_peak, live);
       }
+      live += pick.delta;
+      if (s + 1 == end || ws.picks[s + 1].finish != pick.finish) {
+        activation_peak = std::max(activation_peak, live);
+      }
+    }
+    const std::int64_t peak =
+        result.device_param_bytes[di] +
+        static_cast<std::int64_t>(static_cast<double>(activation_peak) *
+                                  kActivationOverhead);
+    result.device_peak_bytes[di] = peak;
+    if (peak > cluster_->device(d).memory_bytes && !result.oom) {
+      result.oom = true;
+      result.oom_device = d;
     }
   }
   Metrics().runs->Increment();

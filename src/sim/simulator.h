@@ -25,7 +25,6 @@
 #include "sim/cost_model.h"
 #include "sim/device.h"
 #include "sim/fault.h"
-#include "sim/memory_model.h"
 #include "sim/placement.h"
 #include "sim/sim_workspace.h"
 #include "support/resource_pool.h"
@@ -68,10 +67,6 @@ struct StepResult {
 };
 
 struct SimulatorOptions {
-  MemoryModelOptions memory;
-  // When false, memory accounting (and OOM detection) is skipped — used by
-  // throughput microbenches.
-  bool track_memory = true;
   // Record the full op/transfer timeline (for trace export and the
   // critical-path analyzer). Off by default: it allocates per op.
   bool record_schedule = false;

@@ -1,24 +1,15 @@
 #include "sim/trace.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 
 #include "support/check.h"
+#include "support/json.h"
 
 namespace eagle::sim {
-
-namespace {
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-}  // namespace
 
 std::string ToChromeTrace(const StepResult& result,
                           const graph::OpGraph& graph,
@@ -33,8 +24,8 @@ std::string ToChromeTrace(const StepResult& result,
                   int pid, int tid, double start, double end) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"" << JsonEscape(name) << "\",\"cat\":\"" << category
-       << "\",\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
+    os << "{\"name\":\"" << support::json::Escape(name) << "\",\"cat\":\""
+       << category << "\",\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
        << ",\"ts\":" << start * 1e6 << ",\"dur\":" << (end - start) * 1e6
        << "}";
   };
@@ -43,8 +34,8 @@ std::string ToChromeTrace(const StepResult& result,
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << d
-       << ",\"args\":{\"name\":\"" << JsonEscape(cluster.device(d).name)
-       << "\"}}";
+       << ",\"args\":{\"name\":\""
+       << support::json::Escape(cluster.device(d).name) << "\"}}";
   }
   for (const auto& op : result.schedule) {
     emit(graph.op(op.op).name, "compute", 0, op.device, op.start_seconds,
@@ -70,11 +61,13 @@ CriticalPathReport AnalyzeCriticalPath(const StepResult& result,
 
   std::unordered_map<graph::OpId, const ScheduledOp*> by_op;
   for (const auto& op : result.schedule) by_op[op.op] = &op;
-  // Transfer arrival per (producer, dst device).
-  std::unordered_map<std::uint64_t, const ScheduledTransfer*> by_transfer;
+  // Transfers under the simulator's dedup key: one send per (producer,
+  // dst device, bytes).
+  std::map<std::tuple<graph::OpId, DeviceId, std::int64_t>,
+           const ScheduledTransfer*>
+      by_transfer;
   for (const auto& t : result.transfers) {
-    by_transfer[(static_cast<std::uint64_t>(t.producer) << 8) |
-                static_cast<std::uint64_t>(t.dst)] = &t;
+    by_transfer[{t.producer, t.dst, t.bytes}] = &t;
   }
 
   // Start from the op that finishes last.
@@ -92,15 +85,14 @@ CriticalPathReport AnalyzeCriticalPath(const StepResult& result,
     double gating_ready = 0.0;
     const ScheduledTransfer* gating_transfer = nullptr;
     for (auto ei : graph.in_edges(current->op)) {
-      const graph::OpId src = graph.edges()[static_cast<std::size_t>(ei)].src;
-      auto it = by_op.find(src);
+      const graph::Edge& edge = graph.edges()[static_cast<std::size_t>(ei)];
+      auto it = by_op.find(edge.src);
       if (it == by_op.end()) continue;
       double ready = it->second->end_seconds;
       const ScheduledTransfer* transfer = nullptr;
       if (it->second->device != current->device) {
-        auto tit = by_transfer.find(
-            (static_cast<std::uint64_t>(src) << 8) |
-            static_cast<std::uint64_t>(current->device));
+        auto tit =
+            by_transfer.find({edge.src, current->device, edge.bytes});
         if (tit != by_transfer.end()) {
           transfer = tit->second;
           ready = transfer->end_seconds;

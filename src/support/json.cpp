@@ -1,10 +1,12 @@
 #include "support/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 namespace eagle::support::json {
 
@@ -151,6 +153,24 @@ class Parser {
           case 'n': value.string_ += '\n'; break;
           case 'r': value.string_ += '\r'; break;
           case 't': value.string_ += '\t'; break;
+          case 'u': {
+            // Only \u0000–\u007F, the range Escape writes.
+            const std::string hex = text_.substr(pos_, 4);
+            const bool is_hex =
+                hex.size() == 4 &&
+                std::all_of(hex.begin(), hex.end(), [](char h) {
+                  return std::isxdigit(static_cast<unsigned char>(h)) != 0;
+                });
+            const unsigned long code =
+                is_hex ? std::stoul(hex, nullptr, 16) : 0x80;
+            if (code > 0x7F) {
+              Fail("unsupported escape sequence");
+              return Value();
+            }
+            pos_ += 4;
+            value.string_ += static_cast<char>(code);
+            break;
+          }
           default:
             Fail("unsupported escape sequence");
             return Value();

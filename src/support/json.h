@@ -2,10 +2,11 @@
 // telemetry JSONL, bench history exports, Chrome traces) and the escape /
 // number helpers the writers share.
 //
-// Scope is deliberately small — standard JSON minus \uXXXX escapes (the
-// repo never emits them): null/true/false, doubles, strings, arrays,
-// objects. Object fields are stored in a sorted std::map so consumers
-// iterate deterministically.
+// Scope is deliberately small — standard JSON with \uXXXX escapes limited
+// to \u0000–\u007F (Escape writes \u00XX for control bytes; every other
+// byte passes through raw, so any string round-trips): null/true/false,
+// doubles, strings, arrays, objects. Object fields are stored in a sorted
+// std::map so consumers iterate deterministically.
 #pragma once
 
 #include <map>

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "support/atomic_file.h"
+#include "support/json.h"
 #include "support/stopwatch.h"
 
 namespace eagle::support::metrics {
@@ -36,16 +37,6 @@ std::atomic<bool> g_profiling{false};
 // Span-buffer cap: at ~64 bytes a record this bounds the profiler to a
 // few hundred MB even on week-long runs; overflow is counted, not grown.
 constexpr std::size_t kMaxSpans = 1u << 21;
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -247,8 +238,8 @@ std::string SpansToChromeTrace(const std::vector<SpanRecord>& spans) {
     const std::size_t dot = span.name.find('.');
     const std::string category =
         dot == std::string::npos ? span.name : span.name.substr(0, dot);
-    os << ",{\"name\":\"" << JsonEscape(span.name) << "\",\"cat\":\""
-       << JsonEscape(category) << "\",\"ph\":\"X\",\"pid\":0,\"tid\":"
+    os << ",{\"name\":\"" << json::Escape(span.name) << "\",\"cat\":\""
+       << json::Escape(category) << "\",\"ph\":\"X\",\"pid\":0,\"tid\":"
        << span.thread_tag << ",\"ts\":" << span.start_seconds * 1e6
        << ",\"dur\":" << span.duration_seconds * 1e6 << "}";
   }

@@ -6,8 +6,8 @@
 
 #include "core/eagle_agent.h"
 #include "core/env.h"
+#include "core/group_embedding.h"
 #include "core/grouper_ffn.h"
-#include "core/post_agent.h"
 #include "models/synthetic.h"
 #include "partition/metis_like.h"
 #include "rl/trainer.h"
@@ -58,24 +58,28 @@ TEST(LocalityPrior, ProducesContiguousInitialGroups) {
   // With the prior and an untrained FFN, sampled groupings should have a
   // far smaller cut than without the prior.
   auto graph = TestGraph();
-  const auto cluster = sim::MakeDefaultCluster();
   const auto wg = partition::BuildWeightedGraph(graph);
+  const auto dims = TinyDims();
+  nn::ParamStore store;
+  support::Rng init_rng(5);
+  const GrouperFFN grouper(store, OpFeatureDim(), dims.grouper_hidden,
+                           dims.num_groups, init_rng);
+  const nn::Tensor features =
+      MakeOpFeatures(graph, FeatureMode::kReconstructed);
+  const nn::Tensor prior = MakeLocalityPrior(graph, dims.num_groups);
 
-  auto sample_cut = [&](bool prior_on) {
-    HierarchicalAgentConfig config;
-    config.dims = TinyDims();
-    config.grouper_locality_prior = prior_on;
-    config.seed = 5;
-    HierarchicalAgent agent(graph, cluster, std::move(config));
+  auto sample_cut = [&](const nn::Tensor* locality_prior) {
     support::Rng rng(6);
     std::int64_t total = 0;
     for (int i = 0; i < 5; ++i) {
-      const auto sample = agent.SampleDecision(rng);
-      total += partition::CutWeight(wg, sample.grouping);
+      nn::Tape tape;
+      const auto grouped =
+          grouper.Run(tape, tape.Input(features), &rng, {}, locality_prior);
+      total += partition::CutWeight(wg, grouped.choices);
     }
     return total;
   };
-  EXPECT_LT(sample_cut(true), sample_cut(false));
+  EXPECT_LT(sample_cut(&prior), sample_cut(nullptr));
 }
 
 TEST(Agents, SamplingDeterministicPerSeed) {

@@ -61,8 +61,7 @@ Audited RunBenchmark(models::Benchmark benchmark) {
 }
 
 AuditReport Audit(const Audited& a) {
-  return AuditSchedule(a.result, a.graph, a.cluster, a.placement,
-                       RecordingOptions());
+  return AuditSchedule(a.result, a.graph, a.cluster, a.placement);
 }
 
 TEST(AuditClean, InceptionV3) {
@@ -97,7 +96,7 @@ TEST(AuditClean, TightMemoryClusterStaysConsistent) {
   ExecutionSimulator sim(graph, cluster, RecordingOptions());
   const StepResult result = sim.Run(placement);
   const AuditReport report =
-      AuditSchedule(result, graph, cluster, placement, RecordingOptions());
+      AuditSchedule(result, graph, cluster, placement);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
@@ -137,7 +136,7 @@ TEST(AuditClean, ZeroLengthOpSharingAStartTime) {
   EXPECT_EQ(result.schedule[1].start_seconds,
             result.schedule[2].start_seconds);
   const AuditReport report =
-      AuditSchedule(result, g, cluster, placement, RecordingOptions());
+      AuditSchedule(result, g, cluster, placement);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 

@@ -13,7 +13,6 @@
 #include "core/gcn_placer.h"
 #include "core/grouper_ffn.h"
 #include "core/policy.h"
-#include "core/post_agent.h"
 #include "core/seq2seq_placer.h"
 #include "models/bert.h"
 #include "models/gnmt.h"
@@ -191,8 +190,8 @@ TEST(GrouperFfn, SampleAndScoreConsistent) {
   auto graph = SmallGraph();
   nn::ParamStore store;
   support::Rng init_rng(3);
-  GrouperFFN grouper(store, graph::OpFeatureDim(), 8, 6, init_rng);
-  const auto features = MakeOpFeatures(graph, graph::FeatureMode::kReconstructed);
+  GrouperFFN grouper(store, OpFeatureDim(), 8, 6, init_rng);
+  const auto features = MakeOpFeatures(graph, FeatureMode::kReconstructed);
 
   support::Rng rng(4);
   nn::Tape tape1;
@@ -214,9 +213,9 @@ TEST(BridgeRnn, OutputShapeAndGradientPathToGrouper) {
   auto graph = SmallGraph();
   nn::ParamStore store;
   support::Rng init_rng(5);
-  GrouperFFN grouper(store, graph::OpFeatureDim(), 8, 6, init_rng);
+  GrouperFFN grouper(store, OpFeatureDim(), 8, 6, init_rng);
   BridgeRnn bridge(store, 8, 4, init_rng);
-  const auto features = MakeOpFeatures(graph, graph::FeatureMode::kReconstructed);
+  const auto features = MakeOpFeatures(graph, FeatureMode::kReconstructed);
   support::Rng rng(6);
   nn::Tape tape;
   const auto sampled = grouper.Run(tape, tape.Input(features), &rng, {});

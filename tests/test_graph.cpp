@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 
-#include "graph/features.h"
+#include "core/group_embedding.h"
 #include "graph/graph_io.h"
-#include "graph/grouped_graph.h"
 #include "graph/ingest.h"
 #include "graph/op_graph.h"
 #include "support/status.h"
@@ -136,86 +137,91 @@ TEST(OpGraph, Aggregates) {
   EXPECT_EQ(stats.critical_path, 3);
 }
 
-TEST(GroupedGraph, AggregatesAndTraffic) {
+// The agents' state vectors (core/group_embedding.h), checked on the
+// hand-countable diamond.
+TEST(StateVectors, AggregatesAndTraffic) {
   OpGraph g = Diamond();
-  // a,b in group 0; c,d in group 1.
-  GroupedGraph grouped(g, {0, 0, 1, 1}, 2);
-  EXPECT_EQ(grouped.group(0).num_ops, 2);
-  EXPECT_EQ(grouped.group(1).num_ops, 2);
-  EXPECT_EQ(grouped.group(1).param_bytes, 64);
+  // a,b in group 0; c,d in group 1. Raw mode keeps the sums readable.
+  const auto emb = core::MakeGroupEmbeddings(g, {0, 0, 1, 1}, 2,
+                                             core::FeatureMode::kRaw, true);
+  EXPECT_EQ(emb.at(0, kNumOpTypes), 2.0f);  // ops per group
+  EXPECT_EQ(emb.at(1, kNumOpTypes), 2.0f);
+  EXPECT_EQ(emb.at(1, kNumOpTypes + 3), static_cast<float>(64 / 1e8));
   // Cross edges: a->c (64 bytes) and b->d (64 bytes).
-  EXPECT_EQ(grouped.TrafficBetween(0, 1), 128);
-  EXPECT_EQ(grouped.TrafficBetween(1, 0), 0);
-  EXPECT_EQ(grouped.CutBytes(), 128);
+  EXPECT_EQ(emb.at(0, kNumOpTypes + 5 + 1), static_cast<float>(128 / 1e8));
 }
 
-TEST(GroupedGraph, InvalidGroupingRejected) {
+TEST(StateVectors, InvalidGroupingRejected) {
   OpGraph g = Diamond();
-  EXPECT_THROW(GroupedGraph(g, {0, 0, 1}, 2), std::logic_error);
-  EXPECT_THROW(GroupedGraph(g, {0, 0, 1, 5}, 2), std::logic_error);
-}
-
-TEST(GroupedGraph, EmptyGroupsAllowed) {
-  OpGraph g = Diamond();
-  GroupedGraph grouped(g, {0, 0, 0, 0}, 3);
-  EXPECT_EQ(grouped.group(1).num_ops, 0);
-  EXPECT_EQ(grouped.CutBytes(), 0);
-}
-
-TEST(Features, OpFeatureDims) {
-  OpGraph g = Diamond();
-  const auto raw = BuildOpFeatures(g, FeatureMode::kRaw);
-  EXPECT_EQ(static_cast<int>(raw.size()), 4 * OpFeatureDim());
-  // One-hot type set for op 0 (Placeholder).
-  EXPECT_FLOAT_EQ(raw[static_cast<std::size_t>(
-                      static_cast<int>(OpType::kPlaceholder))],
-                  1.0f);
-}
-
-TEST(Features, ReconstructedIsBounded) {
-  OpGraph g = Diamond();
-  for (auto v : BuildOpFeatures(g, FeatureMode::kReconstructed)) {
-    EXPECT_LE(std::abs(v), 10.0f);
+  for (const Grouping& bad : {Grouping{0, 0, 1}, Grouping{0, 0, 1, 5}}) {
+    EXPECT_THROW(core::MakeGroupEmbeddings(g, bad, 2,
+                                           core::FeatureMode::kRaw, true),
+                 std::logic_error);
+    EXPECT_THROW(core::MakeGroupAdjacency(g, bad, 2), std::logic_error);
   }
 }
 
-TEST(Features, PositionalDimsDistinguishIdenticalOps) {
+TEST(StateVectors, EmptyGroupsAllowed) {
+  OpGraph g = Diamond();
+  const auto emb = core::MakeGroupEmbeddings(g, {0, 0, 0, 0}, 3,
+                                             core::FeatureMode::kRaw, true);
+  EXPECT_EQ(emb.at(1, kNumOpTypes), 0.0f);
+  // No edge crosses a group boundary.
+  for (int group = 0; group < 3; ++group) {
+    for (int h = 0; h < 3; ++h) {
+      EXPECT_EQ(emb.at(group, kNumOpTypes + 5 + h), 0.0f);
+    }
+  }
+}
+
+TEST(StateVectors, OpFeatureDims) {
+  OpGraph g = Diamond();
+  const auto raw = core::MakeOpFeatures(g, core::FeatureMode::kRaw);
+  EXPECT_EQ(raw.rows(), 4);
+  EXPECT_EQ(raw.cols(), core::OpFeatureDim());
+  // One-hot type set for op 0 (Placeholder).
+  EXPECT_FLOAT_EQ(raw.at(0, static_cast<int>(OpType::kPlaceholder)), 1.0f);
+}
+
+TEST(StateVectors, ReconstructedIsBounded) {
+  OpGraph g = Diamond();
+  const auto f = core::MakeOpFeatures(g, core::FeatureMode::kReconstructed);
+  for (std::int64_t i = 0; i < f.size(); ++i) {
+    EXPECT_LE(std::abs(f.data()[i]), 10.0f);
+  }
+}
+
+TEST(StateVectors, PositionalDimsDistinguishIdenticalOps) {
   // Two MatMuls with identical type/shape must still differ in features
   // via topological rank/depth — the property learned groupers need.
   OpGraph g = Diamond();
-  const auto f = BuildOpFeatures(g, FeatureMode::kReconstructed);
-  const int dim = OpFeatureDim();
-  const float* op_a = f.data();                    // source
-  const float* op_d = f.data() + 3 * dim;          // sink
-  // rank(a)=0, rank(d)=1; depth(a)=0, depth(d)=max.
-  EXPECT_FLOAT_EQ(op_a[kNumOpTypes + 6], 0.0f);
-  EXPECT_FLOAT_EQ(op_d[kNumOpTypes + 6], 1.0f);
-  EXPECT_FLOAT_EQ(op_a[kNumOpTypes + 7], 0.0f);
-  EXPECT_FLOAT_EQ(op_d[kNumOpTypes + 7], 1.0f);
+  const auto f = core::MakeOpFeatures(g, core::FeatureMode::kReconstructed);
+  // rank(a)=0, rank(d)=1; depth(a)=0, depth(d)=max (a is the source, d
+  // the sink).
+  EXPECT_FLOAT_EQ(f.at(0, kNumOpTypes + 6), 0.0f);
+  EXPECT_FLOAT_EQ(f.at(3, kNumOpTypes + 6), 1.0f);
+  EXPECT_FLOAT_EQ(f.at(0, kNumOpTypes + 7), 0.0f);
+  EXPECT_FLOAT_EQ(f.at(3, kNumOpTypes + 7), 1.0f);
   // b and c share type/shape but differ from d positionally.
-  const float* op_b = f.data() + 1 * dim;
-  EXPECT_NE(op_b[kNumOpTypes + 6], op_d[kNumOpTypes + 6]);
+  EXPECT_NE(f.at(1, kNumOpTypes + 6), f.at(3, kNumOpTypes + 6));
 }
 
-TEST(Features, GroupEmbeddingAdjacencyNormalized) {
+TEST(StateVectors, GroupEmbeddingAdjacencyNormalized) {
   OpGraph g = Diamond();
-  GroupedGraph grouped(g, {0, 0, 1, 1}, 2);
-  const auto emb =
-      BuildGroupEmbeddings(grouped, FeatureMode::kReconstructed, true);
-  const int dim = GroupEmbeddingDim(2, true);
+  const auto emb = core::MakeGroupEmbeddings(
+      g, {0, 0, 1, 1}, 2, core::FeatureMode::kReconstructed, true);
+  EXPECT_EQ(emb.cols(), core::GroupEmbeddingDim(2, true));
   // Adjacency share row sums to 1 for groups with traffic.
-  const float* adj0 = emb.data() + kNumOpTypes + 5;
-  EXPECT_NEAR(adj0[0] + adj0[1], 1.0f, 1e-5f);
-  (void)dim;
+  EXPECT_NEAR(emb.at(0, kNumOpTypes + 5) + emb.at(0, kNumOpTypes + 6), 1.0f,
+              1e-5f);
 }
 
-TEST(Features, NormalizedAdjacencySymmetricRows) {
+TEST(StateVectors, NormalizedAdjacencySymmetricRows) {
   OpGraph g = Diamond();
-  GroupedGraph grouped(g, {0, 0, 1, 1}, 2);
-  const auto adj = BuildNormalizedGroupAdjacency(grouped);
+  const auto adj = core::MakeGroupAdjacency(g, {0, 0, 1, 1}, 2);
   // Â is symmetric for symmetric connectivity.
-  EXPECT_FLOAT_EQ(adj[1], adj[2]);
-  EXPECT_GT(adj[0], 0.0f);  // self loops present
+  EXPECT_FLOAT_EQ(adj.at(0, 1), adj.at(1, 0));
+  EXPECT_GT(adj.at(0, 0), 0.0f);  // self loops present
 }
 
 TEST(GraphIo, DotContainsNodes) {
@@ -247,6 +253,22 @@ TEST(GraphIo, TextRoundTrip) {
   EXPECT_EQ(loaded.op(2).layer, "mid");
   EXPECT_EQ(loaded.op(3).param_bytes, 64);
   EXPECT_EQ(loaded.edges()[0].bytes, g.edges()[0].bytes);
+}
+
+// The .eg importer accepts control bytes in names; ToJson escapes them
+// as \u00XX, and FromJson must read them back.
+TEST(GraphIo, ControlBytesInNamesRoundTripThroughJson) {
+  const std::string name = std::string("a") + '\x01' + "b";
+  const support::StatusOr<OpGraph> parsed = ParseTextGraph(
+      "op " + name + " MatMul 4x4 flops=100 params=0\n"
+      "op c MatMul 4x4 flops=100 params=0\n"
+      "edge " + name + " c\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::string json = ToJson(parsed.value());
+  const support::StatusOr<OpGraph> reread = FromJson(json);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  EXPECT_EQ(reread.value().op(0).name, name);
+  EXPECT_EQ(ToJson(reread.value()), json);
 }
 
 TEST(GraphIo, LoadsCheckedInFixture) {

@@ -8,7 +8,6 @@
 #include "core/eagle_agent.h"
 #include "core/env.h"
 #include "core/expert_policies.h"
-#include "core/post_agent.h"
 #include "models/synthetic.h"
 #include "models/zoo.h"
 #include "rl/trainer.h"

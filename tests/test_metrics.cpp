@@ -259,6 +259,27 @@ TEST(Json, NumRoundTripsAndMapsNonFiniteToNull) {
   EXPECT_EQ(round.string_value(), "a\"b\\c\n");
 }
 
+// Escape writes \u00XX for control bytes and passes every other byte
+// through, so Parse must read back any string, byte for byte.
+TEST(Json, EveryByteRoundTripsThroughEscapeAndParse) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string s = std::string("x") + static_cast<char>(b) + "y";
+    std::string error;
+    const Value parsed = Value::Parse("\"" + Escape(s) + "\"", &error);
+    ASSERT_TRUE(parsed.is_string()) << "byte " << b << ": " << error;
+    EXPECT_EQ(parsed.string_value(), s) << "byte " << b;
+    all += static_cast<char>(b);
+  }
+  EXPECT_EQ(Value::Parse("\"" + Escape(all) + "\"").string_value(), all);
+  // Escapes beyond the range Escape writes stay unsupported.
+  for (const char* bad : {"\"\\u0080\"", "\"\\u00g1\"", "\"\\u12\""}) {
+    std::string error;
+    EXPECT_TRUE(Value::Parse(bad, &error).is_null()) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace eagle::support::json
 

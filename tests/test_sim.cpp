@@ -369,21 +369,6 @@ TEST(Simulator, OomDetected) {
   EXPECT_FALSE(on_cpu.oom);
 }
 
-TEST(Simulator, MemoryTrackingCanBeDisabled) {
-  OpGraph g;
-  OpDef big;
-  big.name = "big";
-  big.type = OpType::kVariable;
-  big.output_shape = TensorShape{1};
-  big.param_bytes = 64LL << 30;
-  g.AddOp(big);
-  const auto cluster = TwoGpuCluster();
-  SimulatorOptions options;
-  options.track_memory = false;
-  ExecutionSimulator simulator(g, cluster, options);
-  EXPECT_FALSE(simulator.Run(Placement::AllOnDevice(g, cluster, 1)).oom);
-}
-
 // Exact StepResult equality (doubles compared with ==, not tolerance):
 // the workspace simulator must reproduce the frozen reference bit for
 // bit, since both fold the same costs in the same order.
@@ -443,7 +428,7 @@ TEST(Simulator, MatchesFrozenReferenceOnModelZoo) {
         placement.Normalize(g, cluster);
         ExpectStepResultsIdentical(
             simulator.Run(placement),
-            naive::RunReference(g, cluster, options, placement, nullptr,
+            naive::RunReference(g, cluster, placement, nullptr,
                                 /*record_schedule=*/true));
       }
     }
@@ -491,7 +476,7 @@ TEST(Simulator, SharedNicDedupMatchesFrozenReference) {
     placement.Normalize(g, cluster);
     ExpectStepResultsIdentical(
         simulator.Run(placement),
-        naive::RunReference(g, cluster, options, placement, nullptr,
+        naive::RunReference(g, cluster, placement, nullptr,
                             /*record_schedule=*/true));
     // Bounce one consumer to a random GPU (usually across the IB tier).
     const auto victim =
@@ -578,7 +563,7 @@ TEST(Simulator, TieHeavyGraphsMatchFrozenReference) {
         placement.Normalize(g, cluster);
         ExpectStepResultsIdentical(
             simulator.Run(placement),
-            naive::RunReference(g, cluster, options, placement, nullptr,
+            naive::RunReference(g, cluster, placement, nullptr,
                                 /*record_schedule=*/true));
       }
     }
@@ -607,7 +592,7 @@ TEST(Simulator, MatchesFrozenReferenceUnderFaults) {
   placement.Normalize(g, cluster);
   ExpectStepResultsIdentical(
       simulator.Run(placement, &faults),
-      naive::RunReference(g, cluster, options, placement, &faults,
+      naive::RunReference(g, cluster, placement, &faults,
                           /*record_schedule=*/true));
 }
 
@@ -638,9 +623,7 @@ TEST(Simulator, TransferDedupKeysOnExactBytes) {
   g.AddEdge(0, 1, kSmall);
   g.AddEdge(0, 2, kLarge);
   const auto cluster = TwoGpuCluster();
-  SimulatorOptions options;
-  options.track_memory = false;  // the 2.8 GB tensor is not the point
-  ExecutionSimulator simulator(g, cluster, options);
+  ExecutionSimulator simulator(g, cluster);
   std::vector<DeviceId> devices{1, 2, 2};
   Placement placement(g, devices);
   placement.Normalize(g, cluster);
@@ -650,7 +633,7 @@ TEST(Simulator, TransferDedupKeysOnExactBytes) {
   EXPECT_EQ(result.transfer_bytes_total, kSmall + kLarge);
 
   // The frozen reference still has the collision: it merges the pair.
-  const auto stale = naive::RunReference(g, cluster, options, placement);
+  const auto stale = naive::RunReference(g, cluster, placement);
   EXPECT_EQ(stale.num_transfers, 1);
 
   // Identical sizes still dedup to a single send.
@@ -666,7 +649,7 @@ TEST(Simulator, TransferDedupKeysOnExactBytes) {
   }
   g2.AddEdge(0, 1, kSmall);
   g2.AddEdge(0, 2, kSmall);
-  ExecutionSimulator simulator2(g2, cluster, options);
+  ExecutionSimulator simulator2(g2, cluster);
   Placement placement2(g2, devices);
   placement2.Normalize(g2, cluster);
   const auto deduped = simulator2.Run(placement2);
@@ -715,7 +698,7 @@ TEST(Simulator, TransferDedupManyDistinctSizesPerSlot) {
   EXPECT_EQ(result.num_transfers, kConsumers - kConsumers / 3);
   EXPECT_EQ(result.transfer_bytes_total, distinct_bytes);
   ExpectStepResultsIdentical(
-      result, naive::RunReference(g, cluster, options, placement, nullptr,
+      result, naive::RunReference(g, cluster, placement, nullptr,
                                   /*record_schedule=*/true));
 }
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "models/synthetic.h"
 #include "sim/trace.h"
+#include "support/json.h"
 
 namespace eagle::sim {
 namespace {
@@ -84,6 +89,23 @@ TEST(Trace, ChromeJsonWellFormedish) {
   }
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
+}
+
+TEST(Trace, ChromeJsonEscapesControlBytes) {
+  graph::OpGraph graph;
+  graph::OpDef op;
+  op.name = std::string("a") + '\x01' + "b";
+  graph.AddOp(op);
+  const auto cluster = MakeDefaultCluster();
+  const auto result = RunRecorded(
+      graph, cluster, Placement::AllOnDevice(graph, cluster, 1));
+  const std::string json = ToChromeTrace(result, graph, cluster);
+  for (const char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+  }
+  std::string error;
+  EXPECT_TRUE(support::json::Value::Parse(json, &error).is_object())
+      << error;
 }
 
 TEST(Trace, ChromeJsonRequiresRecording) {
@@ -169,6 +191,89 @@ TEST(CriticalPath, HandBuiltScheduleAttributesExactComponents) {
   const std::string text = report.ToString(graph);
   EXPECT_NE(text.find("2 ops"), std::string::npos);
   EXPECT_NE(text.find("sink op C"), std::string::npos);
+}
+
+graph::OpId AddOp(graph::OpGraph& graph, const std::string& name,
+                  double flops) {
+  graph::OpDef op;
+  op.name = name;
+  op.type = graph::OpType::kMatMul;
+  op.flops = flops;
+  op.output_shape = graph::TensorShape{16};
+  return graph.AddOp(op);
+}
+
+const ScheduledTransfer& FindTransfer(const StepResult& result,
+                                      graph::OpId producer,
+                                      std::int64_t bytes) {
+  for (const auto& t : result.transfers) {
+    if (t.producer == producer && t.bytes == bytes) return t;
+  }
+  ADD_FAILURE() << "no transfer of " << bytes << " bytes from op "
+                << producer;
+  static const ScheduledTransfer kNone;
+  return kNone;
+}
+
+// Cluster files allow up to 512 devices, so a device id is not a byte:
+// with 258 devices, (op 0 → device 257) and (op 1 → device 1) are two
+// different transfers, and the on-path one must be attributed.
+TEST(CriticalPath, DeviceIdsAboveAByteKeepTheirOwnTransfer) {
+  ClusterSpec cluster;
+  for (int d = 0; d < 258; ++d) {
+    DeviceSpec device;
+    device.name = "/device:" + std::to_string(d);
+    device.kind = d == 0 ? DeviceKind::kCPU : DeviceKind::kGPU;
+    device.memory_bytes = 16LL << 30;
+    cluster.AddDevice(device);
+  }
+  cluster.SetDefaultLink(LinkSpec{});
+  graph::OpGraph graph;
+  const graph::OpId a = AddOp(graph, "a", 1e6);
+  const graph::OpId b = AddOp(graph, "b", 1e6);
+  const graph::OpId c = AddOp(graph, "c", 1e11);  // finishes last
+  const graph::OpId d = AddOp(graph, "d", 1e6);
+  graph.AddEdge(a, c, 4 << 10);
+  graph.AddEdge(b, d, 64 << 20);
+  Placement placement(graph, {0, 2, 257, 1});
+  placement.Normalize(graph, cluster);
+  const auto result = RunRecorded(graph, cluster, placement);
+
+  const auto report = AnalyzeCriticalPath(result, graph);
+  EXPECT_EQ(report.path, (std::vector<graph::OpId>{c, a}));
+  const ScheduledTransfer& on_path = FindTransfer(result, a, 4 << 10);
+  EXPECT_EQ(report.transfer_seconds,
+            on_path.end_seconds - on_path.start_seconds);
+}
+
+// The simulator sends one tensor per distinct byte size to a device, so
+// one producer can have two transfers to one device. Here the first one
+// sent (4 KiB, to x) gates the critical path s ← x ← p; the 64 MiB one
+// (to y) is off it.
+TEST(CriticalPath, TwoSizesToOneDeviceAttributeTheGatingSend) {
+  const auto cluster = MakeDefaultCluster();
+  graph::OpGraph graph;
+  const graph::OpId p = AddOp(graph, "p", 1e6);
+  const graph::OpId x = AddOp(graph, "x", 5e10);  // outlasts the 64 MiB
+  const graph::OpId y = AddOp(graph, "y", 1e6);
+  const graph::OpId s = AddOp(graph, "s", 1e6);
+  graph.AddEdge(p, x, 4 << 10);
+  graph.AddEdge(p, y, 64 << 20);
+  graph.AddEdge(x, s);
+  Placement placement(graph, {1, 2, 2, 2});
+  placement.Normalize(graph, cluster);
+  const auto result = RunRecorded(graph, cluster, placement);
+  ASSERT_EQ(result.transfers.size(), 2u);
+  ASSERT_EQ(result.transfers.front().bytes, 4 << 10);  // recorded first
+
+  const auto report = AnalyzeCriticalPath(result, graph);
+  EXPECT_EQ(report.path, (std::vector<graph::OpId>{s, x, p}));
+  const ScheduledTransfer& on_path = FindTransfer(result, p, 4 << 10);
+  EXPECT_EQ(report.transfer_seconds,
+            on_path.end_seconds - on_path.start_seconds);
+  EXPECT_NEAR(report.compute_seconds + report.transfer_seconds +
+                  report.queue_seconds,
+              result.step_seconds, 1e-12);
 }
 
 TEST(CriticalPath, EmptyScheduleHandled) {
