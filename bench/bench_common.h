@@ -15,9 +15,12 @@
 #pragma once
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -331,7 +334,17 @@ inline rl::TrainResult TrainOnBenchmark(
     };
   }
 
-  auto result = rl::TrainAgent(agent, *context.env, options);
+  // A --resume checkpoint that does not load is bad input, like a
+  // malformed graph or cluster spec: one line with the loader's Status
+  // (file, code, byte offset) and exit 2. That load failure is the
+  // std::runtime_error rl::TrainAgent throws (rl/trainer.h).
+  rl::TrainResult result;
+  try {
+    result = rl::TrainAgent(agent, *context.env, options);
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    std::exit(2);
+  }
 
   if (telemetry::Enabled() && run_start_snap != nullptr) {
     const support::metrics::Snapshot delta =

@@ -112,8 +112,8 @@ echo "=== training checkpoint pins ==="
 "$BUILD/bench/bench_table2" --models=inception_v3 --samples=20 \
   --checkpoint-dir="$SMOKE/ck" | tee "$SMOKE/table2.out"
 CKPT_SHA256=(
-  "695811d3791027f3cef9a22eaccd71a11be6b7fb09f45c4343d34c6799f5df83 Inception-V3_EAGLE_PPO.ckpt"
-  "1de8e1482f6561596ea08f56de45aa3f1f6412359318ae0c83a992ba9b1c7d64 Inception-V3_Hierarchical Planner_REINFORCE.ckpt"
+  "04f74fdb4e94a0567773d45f99f9e5036a37cfba191f44b1a082ca2be387ab40 Inception-V3_EAGLE_PPO.ckpt"
+  "c2a46d83098c5323d0d3d3b7c5df65b792a0cd8c791d180f70cee3ff562ae031 Inception-V3_Hierarchical Planner_REINFORCE.ckpt"
   "e8d43e7783abf652b6902b1a1a1194e7a5f67476ad4685675fd4029664a4808e Inception-V3_Post_PPO+CE.ckpt"
   "6af531b89497ad7f6778569af562c0589bf1cfa309de35f1dc3f640aecb2f46a Inception-V3_placer:before_PPO.ckpt"
   "cc6b3e1e4946abdee74d48de5dae282a0a789c47a214e6b1b9ffe9741933784a Inception-V3_placer:after_PPO.ckpt"

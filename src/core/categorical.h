@@ -5,6 +5,11 @@
 // mean entropy the RL losses read. Sampling and scoring run the same
 // sequence, so a sample re-scored under unchanged parameters reproduces
 // its log-probability bit for bit (the invariant PPO's ratio relies on).
+//
+// The head has two halves. The distribution (log-softmax, softmax, mean
+// entropy) depends on the logits alone, so every decision drawn or scored
+// under the same logits can share one; the decision (draws or forced
+// choices, summed log-prob) is per sample. Categorical() composes them.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +21,13 @@
 
 namespace eagle::core {
 
+// The sample-invariant half.
+struct CategoricalDistribution {
+  nn::Var log_probs;  // rows × classes log-softmax
+  nn::Var probs;      // rows × classes softmax
+  nn::Var entropy;    // 1×1: mean per-row policy entropy
+};
+
 struct CategoricalHead {
   std::vector<std::int32_t> choices;  // one per row
   nn::Var log_prob;  // 1×1: Σ_rows log p(choice_row)
@@ -23,10 +35,21 @@ struct CategoricalHead {
   nn::Var probs;     // rows × classes softmax
 };
 
-// Samples one choice per row of `logits` (rng set, `forced` empty) or
-// scores `forced`, one choice per row (rng null). Throws std::logic_error
-// unless exactly one of the two is set and `forced` matches the row count,
-// or when a forced choice is outside [0, classes).
+CategoricalDistribution MakeCategoricalDistribution(nn::Tape& tape,
+                                                    nn::Var logits);
+
+// The per-decision half: samples one choice per row of `dist.probs` (rng
+// set, `forced` empty) or scores `forced`, one choice per row (rng null),
+// and sums their log-probs; `entropy` and `probs` are the distribution's.
+// Throws std::logic_error unless exactly one of the two is set and
+// `forced` matches the row count, or when a forced choice is outside
+// [0, classes).
+CategoricalHead DecideCategorical(nn::Tape& tape,
+                                  const CategoricalDistribution& dist,
+                                  support::Rng* rng,
+                                  std::span<const std::int32_t> forced);
+
+// Both halves on `logits`; see DecideCategorical for rng / forced.
 CategoricalHead Categorical(nn::Tape& tape, nn::Var logits, support::Rng* rng,
                             std::span<const std::int32_t> forced);
 

@@ -1,11 +1,24 @@
 #include "core/eagle_agent.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "partition/metis_like.h"
 #include "support/check.h"
+#include "support/metrics.h"
 
 namespace eagle::core {
+
+namespace {
+
+// Telemetry observer: full grouper forwards. Never read back.
+support::metrics::Counter* GrouperForwards() {
+  static support::metrics::Counter* const counter =
+      support::metrics::GetCounter("agent.grouper_forwards");
+  return counter;
+}
+
+}  // namespace
 
 HierarchicalAgent::HierarchicalAgent(const graph::OpGraph& graph,
                                      const sim::ClusterSpec& cluster,
@@ -20,8 +33,12 @@ HierarchicalAgent::HierarchicalAgent(const graph::OpGraph& graph,
       config_.use_bridge ? config_.dims.bridge_hidden : 0;
 
   if (config_.grouper == GrouperKind::kLearned) {
+    const std::size_t first_param = store_.params().size();
     grouper_ = GrouperFFN(store_, OpFeatureDim(),
                           config_.dims.grouper_hidden, k, rng);
+    for (std::size_t i = first_param; i < store_.params().size(); ++i) {
+      grouper_params_.push_back(store_.params()[i].get());
+    }
     if (config_.use_bridge) {
       bridge_ = BridgeRnn(store_, config_.dims.grouper_hidden,
                           config_.dims.bridge_hidden, rng);
@@ -63,8 +80,54 @@ HierarchicalAgent::HierarchicalAgent(const graph::OpGraph& graph,
   }
 }
 
+CategoricalDistribution HierarchicalAgent::GrouperForward(
+    nn::Tape& tape) const {
+  GrouperForwards()->Increment();
+  return MakeCategoricalDistribution(
+      tape, grouper_.Logits(tape, tape.Input(op_features_), &locality_prior_));
+}
+
+CategoricalDistribution HierarchicalAgent::SamplingDistribution(
+    nn::Tape& tape) {
+  bool hit = !cached_params_.empty();
+  std::size_t offset = 0;
+  for (const nn::Parameter* p : grouper_params_) {
+    const auto n = static_cast<std::size_t>(p->value.size());
+    hit = hit && std::memcmp(p->value.data(), cached_params_.data() + offset,
+                             n * sizeof(float)) == 0;
+    offset += n;
+  }
+  if (!hit) {
+    nn::Tape forward;
+    const CategoricalDistribution dist = GrouperForward(forward);
+    cached_log_probs_ = forward.value(dist.log_probs);
+    cached_probs_ = forward.value(dist.probs);
+    cached_entropy_ = forward.value(dist.entropy);
+    cached_params_.clear();
+    for (const nn::Parameter* p : grouper_params_) {
+      cached_params_.insert(cached_params_.end(), p->value.data(),
+                            p->value.data() + p->value.size());
+    }
+  }
+  // Sampling never back-propagates, so constant inputs stand in for the
+  // forward's nodes.
+  return CategoricalDistribution{tape.Input(cached_log_probs_),
+                                 tape.Input(cached_probs_),
+                                 tape.Input(cached_entropy_)};
+}
+
+CategoricalDistribution HierarchicalAgent::ScoringDistribution(
+    nn::Tape& tape) const {
+  if (const std::vector<nn::Var>* memo = tape.FindMemo(this)) {
+    return CategoricalDistribution{(*memo)[0], (*memo)[1], (*memo)[2]};
+  }
+  const CategoricalDistribution dist = GrouperForward(tape);
+  tape.Memoize(this, {dist.log_probs, dist.probs, dist.entropy});
+  return dist;
+}
+
 HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
-    nn::Tape& tape, support::Rng* rng,
+    nn::Tape& tape, const CategoricalDistribution& grouper, support::Rng* rng,
     std::span<const std::int32_t> forced_grouping,
     std::span<const std::int32_t> forced_devices) {
   const int k = config_.dims.num_groups;
@@ -74,8 +137,7 @@ HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
   nn::Var group_embeddings;
   CategoricalHead grouped;
   if (learned) {
-    grouped = grouper_.Run(tape, tape.Input(op_features_), rng,
-                           forced_grouping, &locality_prior_);
+    grouped = DecideCategorical(tape, grouper, rng, forced_grouping);
     out.grouping = std::move(grouped.choices);
     group_embeddings = tape.Input(MakeGroupEmbeddings(
         *graph_, out.grouping, k, config_.features,
@@ -127,12 +189,16 @@ HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
 
 Sample HierarchicalAgent::SampleDecision(support::Rng& rng) {
   nn::Tape tape;
-  PolicyOutput out = RunPolicy(tape, &rng, {}, {});
+  const bool learned = config_.grouper == GrouperKind::kLearned;
+  PolicyOutput out = RunPolicy(
+      tape,
+      learned ? SamplingDistribution(tape) : CategoricalDistribution{},
+      &rng, {}, {});
   Sample sample;
   sample.group_devices = std::move(out.devices);
   sample.logp = static_cast<double>(tape.value(out.logp).at(0, 0));
   sample.num_decisions = static_cast<int>(sample.group_devices.size());
-  if (config_.grouper == GrouperKind::kLearned) {
+  if (learned) {
     sample.grouping = std::move(out.grouping);
     // The grouper term is scaled to ~k decisions.
     sample.num_decisions += config_.dims.num_groups;
@@ -144,8 +210,11 @@ Sample HierarchicalAgent::SampleDecision(support::Rng& rng) {
 
 HierarchicalAgent::Score HierarchicalAgent::ScoreDecision(
     nn::Tape& tape, const Sample& sample) {
-  PolicyOutput out =
-      RunPolicy(tape, nullptr, sample.grouping, sample.group_devices);
+  PolicyOutput out = RunPolicy(
+      tape,
+      config_.grouper == GrouperKind::kLearned ? ScoringDistribution(tape)
+                                               : CategoricalDistribution{},
+      nullptr, sample.grouping, sample.group_devices);
   return Score{out.logp, out.entropy};
 }
 

@@ -19,12 +19,23 @@
 // placer term (≈ one categorical per group) keeps the joint ratio
 // meaningful. The same weight is used at sampling and scoring time, so
 // the PPO ratio is exact for the reweighted objective.
+//
+// The learned grouper's distribution (logits, log-softmax, softmax,
+// entropy over every op) depends on the parameters alone, so it runs once
+// per parameter state rather than once per decision. Scoring builds it on
+// the first ScoreDecision of a tape and later scores on that tape reuse
+// it (nn::Tape::FindMemo). Sampling keeps its values from the last
+// sampling forward and reuses them while the grouper's parameter bytes
+// are unchanged. The metrics counter "agent.grouper_forwards" counts the
+// forwards that do run.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/bridge_rnn.h"
+#include "core/categorical.h"
 #include "core/gcn_placer.h"
 #include "core/group_embedding.h"
 #include "core/grouper_ffn.h"
@@ -77,9 +88,21 @@ class HierarchicalAgent : public PolicyAgent {
     nn::Var entropy;
   };
   // Samples (rng set, forced spans empty) or scores a stored decision.
-  PolicyOutput RunPolicy(nn::Tape& tape, support::Rng* rng,
+  // `grouper` is the learned grouper's distribution on `tape`; unused
+  // when the grouper is fixed.
+  PolicyOutput RunPolicy(nn::Tape& tape, const CategoricalDistribution& grouper,
+                         support::Rng* rng,
                          std::span<const std::int32_t> forced_grouping,
                          std::span<const std::int32_t> forced_devices);
+  // The learned grouper's full forward on `tape`.
+  CategoricalDistribution GrouperForward(nn::Tape& tape) const;
+  // The grouper distribution a sample draws from: the cached values as
+  // tape inputs, after a forward that refills the cache when the grouper
+  // parameters' bytes differ from those it was computed under.
+  CategoricalDistribution SamplingDistribution(nn::Tape& tape);
+  // The grouper distribution a score reads: built by the first score on
+  // `tape`, shared by every later one.
+  CategoricalDistribution ScoringDistribution(nn::Tape& tape) const;
 
   const graph::OpGraph* graph_;
   const sim::ClusterSpec* cluster_;
@@ -95,6 +118,15 @@ class HierarchicalAgent : public PolicyAgent {
   // prior on its logits (GrouperFFN::Logits).
   nn::Tensor op_features_;
   nn::Tensor locality_prior_;
+  // Learned grouper only: its parameters, and the sampling cache — the
+  // distribution's values from the last sampling forward plus a copy of
+  // those parameters' values at that forward, compared byte for byte
+  // (empty until the first sample).
+  std::vector<const nn::Parameter*> grouper_params_;
+  std::vector<float> cached_params_;
+  nn::Tensor cached_log_probs_;
+  nn::Tensor cached_probs_;
+  nn::Tensor cached_entropy_;
   // Fixed grouper only: the embeddings and, for the GCN placer, Â.
   nn::Tensor fixed_embeddings_;
   nn::Tensor fixed_adjacency_;

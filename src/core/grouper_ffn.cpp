@@ -22,14 +22,6 @@ nn::Var GrouperFFN::Logits(nn::Tape& tape, nn::Var op_features,
   return logits;
 }
 
-CategoricalHead GrouperFFN::Run(nn::Tape& tape, nn::Var op_features,
-                                support::Rng* rng,
-                                std::span<const std::int32_t> forced,
-                                const nn::Tensor* locality_prior) const {
-  return Categorical(tape, Logits(tape, op_features, locality_prior), rng,
-                     forced);
-}
-
 nn::Tensor MakeLocalityPrior(const graph::OpGraph& graph, int num_groups) {
   // Graph-definition order (op id) is the locality coordinate: builders —
   // like TF GraphDefs — emit ops layer by layer, so adjacent ids are

@@ -1,9 +1,9 @@
 // The learned grouper: a two-layer feed-forward network mapping per-op
 // feature vectors to group logits (§III-B; paper: 64 hidden units, 256
-// groups). Sampling a grouping draws one categorical per operation.
+// groups). A grouping is one categorical draw per operation from its
+// logits (core::Categorical).
 #pragma once
 
-#include "core/categorical.h"
 #include "graph/op_graph.h"
 #include "nn/layers.h"
 #include "support/rng.h"
@@ -26,13 +26,6 @@ class GrouperFFN {
   // the paper reports for Hierarchical Planner on BERT).
   nn::Var Logits(nn::Tape& tape, nn::Var op_features,
                  const nn::Tensor* locality_prior = nullptr) const;
-
-  // Samples a grouping (rng set) or scores a forced one; see Categorical.
-  // The head's `probs` is the num_ops × k soft assignment the bridge RNN
-  // reads.
-  CategoricalHead Run(nn::Tape& tape, nn::Var op_features, support::Rng* rng,
-                      std::span<const std::int32_t> forced,
-                      const nn::Tensor* locality_prior = nullptr) const;
 
   // Second-layer weights (hidden × num_groups); each column is a group's
   // parameter signature — the bridge RNN's per-group input (§III, "an

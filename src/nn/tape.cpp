@@ -12,6 +12,7 @@ void Tape::Reset() {
   // order (vector::clear would destroy front-to-back).
   while (!nodes_.empty()) nodes_.pop_back();
   param_cache_.clear();
+  memo_.clear();
 }
 
 Tape::Node& Tape::node(Var v) {
@@ -52,6 +53,18 @@ Var Tape::Param(Parameter* parameter) {
   node(v).bound = parameter;
   param_cache_.emplace_back(parameter, v);
   return v;
+}
+
+const std::vector<Var>* Tape::FindMemo(const void* key) const {
+  for (const auto& [owner, vars] : memo_) {
+    if (owner == key) return &vars;
+  }
+  return nullptr;
+}
+
+void Tape::Memoize(const void* key, std::vector<Var> vars) {
+  EAGLE_CHECK_MSG(FindMemo(key) == nullptr, "memo key already set");
+  memo_.emplace_back(key, std::move(vars));
 }
 
 const Tensor& Tape::value(Var v) const { return node(v).value; }

@@ -50,6 +50,16 @@ class Tape {
   // 256 times).
   Var Param(Parameter* parameter);
 
+  // Per-tape memo of Vars a caller builds once and reuses for the rest of
+  // the tape's life (a sample-invariant prefix shared by every decision
+  // scored on one tape). Keyed by an address the caller owns; FindMemo
+  // returns null for an absent key, and its pointer is valid until the
+  // next Memoize or Reset. Like Param(), an entry holds the values of its
+  // first use on this tape. A new tape and Reset() start empty, so no
+  // entry names another tape's nodes.
+  const std::vector<Var>* FindMemo(const void* key) const;
+  void Memoize(const void* key, std::vector<Var> vars);
+
   const Tensor& value(Var v) const;
   const Tensor& grad(Var v) const;  // valid after Backward
 
@@ -107,6 +117,7 @@ class Tape {
   FlushDenormalsScope float_mode_;
   std::vector<Node> nodes_;
   std::vector<std::pair<Parameter*, Var>> param_cache_;
+  std::vector<std::pair<const void*, std::vector<Var>>> memo_;
 };
 
 }  // namespace eagle::nn

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/categorical.h"
 #include "core/eagle_agent.h"
 #include "core/env.h"
 #include "core/group_embedding.h"
@@ -73,8 +74,9 @@ TEST(LocalityPrior, ProducesContiguousInitialGroups) {
     std::int64_t total = 0;
     for (int i = 0; i < 5; ++i) {
       nn::Tape tape;
-      const auto grouped =
-          grouper.Run(tape, tape.Input(features), &rng, {}, locality_prior);
+      const auto grouped = Categorical(
+          tape, grouper.Logits(tape, tape.Input(features), locality_prior),
+          &rng, {});
       total += partition::CutWeight(wg, grouped.choices);
     }
     return total;

@@ -247,5 +247,37 @@ TEST(Autograd, ResetInvalidatesNodes) {
   EXPECT_THROW(tape.value(v), std::logic_error);
 }
 
+// The memo lives and dies with its tape's nodes: empty on a new tape and
+// after Reset(), and private to the tape it was set on.
+TEST(Autograd, MemoIsPerTape) {
+  const int owner = 0;
+  const int other = 0;
+  Tape first;
+  EXPECT_EQ(first.FindMemo(&owner), nullptr);
+  Var a = first.Input(Tensor(1, 1, 1.0f));
+  first.Memoize(&owner, {a});
+  EXPECT_THROW(first.Memoize(&owner, {a}), std::logic_error);
+
+  Tape second;
+  EXPECT_EQ(second.FindMemo(&owner), nullptr);
+  second.Input(Tensor(1, 1, 2.0f));
+  Var b = second.Input(Tensor(1, 1, 3.0f));
+  second.Memoize(&owner, {b, b});
+
+  const std::vector<Var>* in_first = first.FindMemo(&owner);
+  const std::vector<Var>* in_second = second.FindMemo(&owner);
+  ASSERT_NE(in_first, nullptr);
+  ASSERT_NE(in_second, nullptr);
+  ASSERT_EQ(in_first->size(), 1u);
+  EXPECT_EQ(first.value((*in_first)[0]).at(0, 0), 1.0f);
+  ASSERT_EQ(in_second->size(), 2u);
+  EXPECT_EQ(second.value((*in_second)[1]).at(0, 0), 3.0f);
+  EXPECT_EQ(first.FindMemo(&other), nullptr);
+
+  first.Reset();
+  EXPECT_EQ(first.FindMemo(&owner), nullptr);
+  EXPECT_NE(second.FindMemo(&owner), nullptr);
+}
+
 }  // namespace
 }  // namespace eagle::nn

@@ -203,5 +203,33 @@ TEST(BenchTraining, ResumedCriticRunMatchesUninterruptedOne) {
   std::filesystem::remove_all(dir);
 }
 
+// A --resume checkpoint that does not load ends the bench with one line
+// naming the file, the error code and the byte offset, and exit code 2.
+TEST(BenchTrainingDeathTest, DamagedCheckpointExitsTwo) {
+  const std::string dir = ::testing::TempDir() + "/eagle_bench_damaged";
+  std::filesystem::remove_all(dir);
+  BenchConfig config;
+  config.cluster = sim::MakeDefaultCluster();
+  config.samples = 10;
+  config.checkpoint_dir = dir;
+  const auto train = [&config]() {
+    auto context = MakeContext(models::Benchmark::kInceptionV3, &config);
+    auto agent = core::MakePostAgent(context.graph, context.cluster,
+                                     /*num_groups=*/16, config.seed);
+    TrainOnBenchmark(*agent, context, rl::Algorithm::kPpo, config);
+  };
+  train();
+  const std::string path =
+      rl::CheckpointFilePath(dir, "Inception-V3_Post_PPO");
+  const auto size = std::filesystem::file_size(path);
+  ASSERT_GT(size, 0u);
+  std::filesystem::resize_file(path, size / 2);
+
+  config.resume = true;
+  EXPECT_EXIT(train(), ::testing::ExitedWithCode(2),
+              "Inception-V3_Post_PPO\\.ckpt: \\[syntax\\] byte [0-9]+: ");
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace eagle::bench

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -20,6 +21,8 @@
 #include "models/synthetic.h"
 #include "models/zoo.h"
 #include "partition/metis_like.h"
+#include "rl/trainer.h"
+#include "support/metrics.h"
 
 namespace eagle::core {
 namespace {
@@ -149,16 +152,19 @@ TEST(Categorical, MatchesTheInlineSequenceBitForBit) {
 }
 
 // Re-scored decisions can come from a checkpoint (--resume), so a stored
-// decision of the wrong length or with an out-of-range device must be
-// rejected, never read past.
+// decision of the wrong length or with an out-of-range device or group
+// must be rejected, never read past: scored alone, and scored as the
+// second decision on a tape whose first built the learned grouper's
+// shared distribution.
 TEST(Categorical, RejectsAForcedDecisionOfTheWrongLength) {
   auto graph = SmallGraph();
   const auto cluster = sim::MakeDefaultCluster();
   const auto dims = SmallDims();
   partition::MetisOptions metis;
   metis.num_parts = dims.num_groups;
-  std::vector<std::unique_ptr<PolicyAgent>> agents;
+  std::vector<std::unique_ptr<HierarchicalAgent>> agents;
   agents.push_back(MakeEagleAgent(graph, cluster, dims, 13));
+  agents.push_back(MakeHierarchicalPlanner(graph, cluster, dims, 13));
   agents.push_back(MakeFixedGrouperAgent(
       graph, cluster, partition::MetisPartition(graph, metis),
       PlacerKind::kGcn, AttentionVariant::kBefore, dims, 13, "gcn"));
@@ -167,13 +173,22 @@ TEST(Categorical, RejectsAForcedDecisionOfTheWrongLength) {
   support::Rng rng(14);
   for (auto& agent : agents) {
     const Sample sample = agent->SampleDecision(rng);
-    Sample halved = sample;
-    halved.group_devices.resize(sample.group_devices.size() / 2);
-    Sample out_of_range = sample;
-    out_of_range.group_devices.back() = cluster.num_devices();
-    for (const Sample* bad : {&halved, &out_of_range}) {
-      nn::Tape tape;
-      EXPECT_THROW(agent->ScoreDecision(tape, *bad), std::logic_error)
+    std::vector<Sample> bad(2, sample);
+    bad[0].group_devices.resize(sample.group_devices.size() / 2);
+    bad[1].group_devices.back() = cluster.num_devices();
+    if (agent->config().grouper == GrouperKind::kLearned) {
+      bad.push_back(sample);
+      bad.back().grouping.resize(sample.grouping.size() / 2);
+      bad.push_back(sample);
+      bad.back().grouping.back() = dims.num_groups;
+    }
+    for (const Sample& stored : bad) {
+      nn::Tape alone;
+      EXPECT_THROW(agent->ScoreDecision(alone, stored), std::logic_error)
+          << agent->name();
+      nn::Tape shared;
+      agent->ScoreDecision(shared, sample);
+      EXPECT_THROW(agent->ScoreDecision(shared, stored), std::logic_error)
           << agent->name();
     }
   }
@@ -195,12 +210,14 @@ TEST(GrouperFfn, SampleAndScoreConsistent) {
 
   support::Rng rng(4);
   nn::Tape tape1;
-  const auto sampled = grouper.Run(tape1, tape1.Input(features), &rng, {});
+  const auto sampled = Categorical(
+      tape1, grouper.Logits(tape1, tape1.Input(features)), &rng, {});
   EXPECT_EQ(static_cast<int>(sampled.choices.size()), graph.num_ops());
 
   nn::Tape tape2;
   const auto scored =
-      grouper.Run(tape2, tape2.Input(features), nullptr, sampled.choices);
+      Categorical(tape2, grouper.Logits(tape2, tape2.Input(features)),
+                  nullptr, sampled.choices);
   EXPECT_FLOAT_EQ(tape1.value(sampled.log_prob).at(0, 0),
                   tape2.value(scored.log_prob).at(0, 0));
   // Entropy of a k-way categorical is at most log k.
@@ -218,7 +235,8 @@ TEST(BridgeRnn, OutputShapeAndGradientPathToGrouper) {
   const auto features = MakeOpFeatures(graph, FeatureMode::kReconstructed);
   support::Rng rng(6);
   nn::Tape tape;
-  const auto sampled = grouper.Run(tape, tape.Input(features), &rng, {});
+  const auto sampled = Categorical(
+      tape, grouper.Logits(tape, tape.Input(features)), &rng, {});
   nn::Var conditioning =
       bridge.Apply(tape, grouper, sampled.probs, sampled.choices);
   EXPECT_EQ(tape.value(conditioning).rows(), 6);
@@ -312,6 +330,148 @@ TEST(Agents, SampleScoreLogpConsistency) {
     // Entropy finite and non-negative.
     EXPECT_GE(tape.value(score.entropy).at(0, 0), 0.0f) << agent->name();
   }
+}
+
+std::uint32_t Bits(const nn::Tape& tape, nn::Var v) {
+  return std::bit_cast<std::uint32_t>(tape.value(v).at(0, 0));
+}
+
+std::int64_t GrouperForwards() {
+  return support::metrics::GetCounter("agent.grouper_forwards")->value();
+}
+
+// The learned groupers score every decision on one tape against one
+// shared distribution. Each decision's log-prob and entropy stay bit for
+// bit those of scoring it alone on a fresh tape; only the order in which
+// the parameter gradients are summed changes.
+TEST(Agents, ScoresOnOneTapeMatchScoresAlone) {
+  auto graph = SmallGraph();
+  const auto cluster = sim::MakeDefaultCluster();
+  const auto dims = SmallDims();
+  std::vector<std::unique_ptr<HierarchicalAgent>> agents;
+  agents.push_back(MakeEagleAgent(graph, cluster, dims, 13));
+  agents.push_back(MakeHierarchicalPlanner(graph, cluster, dims, 13));
+  for (auto& agent : agents) {
+    SCOPED_TRACE(agent->name());
+    support::Rng rng(21);
+    std::vector<Sample> samples;
+    for (int i = 0; i < 10; ++i) samples.push_back(agent->SampleDecision(rng));
+    // Per-sample weights, as advantages give them.
+    const auto loss = [](nn::Tape& tape, const PolicyAgent::Score& score,
+                         int i) {
+      return tape.Add(tape.Scale(score.logp, 0.1f * static_cast<float>(i - 4)),
+                      tape.Scale(score.entropy, -0.01f));
+    };
+    nn::ParamStore& store = agent->params();
+
+    store.ZeroGrads();
+    std::vector<std::uint32_t> logp_bits;
+    std::vector<std::uint32_t> entropy_bits;
+    std::int64_t forwards = GrouperForwards();
+    for (int i = 0; i < 10; ++i) {
+      nn::Tape tape;
+      const auto score =
+          agent->ScoreDecision(tape, samples[static_cast<std::size_t>(i)]);
+      logp_bits.push_back(Bits(tape, score.logp));
+      entropy_bits.push_back(Bits(tape, score.entropy));
+      tape.Backward(loss(tape, score, i));
+    }
+    EXPECT_EQ(GrouperForwards() - forwards, 10);
+    std::vector<nn::Tensor> summed;
+    for (const auto& p : store.params()) summed.push_back(p->grad);
+
+    store.ZeroGrads();
+    forwards = GrouperForwards();
+    nn::Tape tape;
+    nn::Var total;
+    for (int i = 0; i < 10; ++i) {
+      const auto s = static_cast<std::size_t>(i);
+      const auto score = agent->ScoreDecision(tape, samples[s]);
+      EXPECT_EQ(Bits(tape, score.logp), logp_bits[s]) << "sample " << i;
+      EXPECT_EQ(Bits(tape, score.entropy), entropy_bits[s]) << "sample " << i;
+      const nn::Var term = loss(tape, score, i);
+      total = i == 0 ? term : tape.Add(total, term);
+    }
+    EXPECT_EQ(GrouperForwards() - forwards, 1);
+    tape.Backward(total);
+
+    for (std::size_t p = 0; p < summed.size(); ++p) {
+      const nn::Tensor& want = summed[p];
+      const nn::Tensor& got = store.params()[p]->grad;
+      ASSERT_EQ(got.size(), want.size()) << store.params()[p]->name;
+      float max_abs = 0.0f;
+      for (std::int64_t j = 0; j < want.size(); ++j) {
+        max_abs = std::max(max_abs, std::fabs(want.data()[j]));
+      }
+      for (std::int64_t j = 0; j < want.size(); ++j) {
+        ASSERT_NEAR(got.data()[j], want.data()[j], 1e-5f * max_abs)
+            << store.params()[p]->name << " entry " << j;
+      }
+    }
+  }
+}
+
+// Sampling reuses the grouper distribution of its last forward while the
+// grouper parameters' bytes are unchanged. After a write to any one of
+// them, an agent with a filled cache samples exactly as a fresh agent
+// with the same parameters does.
+TEST(Agents, SamplingCacheFollowsGrouperParameterWrites) {
+  auto graph = SmallGraph();
+  const auto cluster = sim::MakeDefaultCluster();
+  const auto dims = SmallDims();
+  using Factory = std::unique_ptr<HierarchicalAgent> (*)(
+      const graph::OpGraph&, const sim::ClusterSpec&, const AgentDims&,
+      std::uint64_t);
+  for (Factory make : {Factory{MakeEagleAgent},
+                       Factory{MakeHierarchicalPlanner}}) {
+    for (const char* name : {"grouper/l1/w", "grouper/l1/b", "grouper/l2/w",
+                             "grouper/l2/b"}) {
+      auto cached = make(graph, cluster, dims, 13);
+      auto fresh = make(graph, cluster, dims, 13);
+      SCOPED_TRACE(::testing::Message() << cached->name() << " " << name);
+      support::Rng warm(30);
+      cached->SampleDecision(warm);
+      // A cache hit runs no forward.
+      std::int64_t forwards = GrouperForwards();
+      cached->SampleDecision(warm);
+      EXPECT_EQ(GrouperForwards(), forwards);
+
+      for (auto* agent : {cached.get(), fresh.get()}) {
+        nn::Tensor& value = agent->params().Find(name)->value;
+        for (std::int64_t j = 0; j < value.size(); ++j) {
+          value.data()[j] += 0.25f;
+        }
+      }
+      forwards = GrouperForwards();
+      support::Rng rng_cached(31);
+      support::Rng rng_fresh(31);
+      const Sample a = cached->SampleDecision(rng_cached);
+      const Sample b = fresh->SampleDecision(rng_fresh);
+      EXPECT_EQ(GrouperForwards() - forwards, 2);
+      EXPECT_EQ(a.grouping, b.grouping);
+      EXPECT_EQ(a.group_devices, b.group_devices);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.logp),
+                std::bit_cast<std::uint64_t>(b.logp));
+    }
+  }
+}
+
+// One forward per parameter state: a 20-sample EAGLE run with PPO
+// (minibatch 10, 4 epochs) samples two rounds (one forward each) and
+// scores eight tapes (one forward each).
+TEST(Agents, GrouperForwardsPerTrainingRun) {
+  auto graph = SmallGraph();
+  const auto cluster = sim::MakeDefaultCluster();
+  auto agent = MakeEagleAgent(graph, cluster, SmallDims(), 13);
+  PlacementEnvironment env(graph, cluster);
+  rl::TrainerOptions options;
+  options.algorithm = rl::Algorithm::kPpo;
+  options.total_samples = 20;
+  options.minibatch_size = 10;
+  options.ppo.epochs = 4;
+  const std::int64_t forwards = GrouperForwards();
+  rl::TrainAgent(*agent, env, options);
+  EXPECT_EQ(GrouperForwards() - forwards, 10);
 }
 
 TEST(Agents, ToPlacementRespectsConstraints) {
