@@ -23,9 +23,11 @@
 //
 // GEMM rows tagged "placer" are the grouper/placer forward mat-mul
 // shapes the ≥3× acceptance target is defined over; untagged rows
-// (skinny logits projection, transposed backward variants) are coverage
-// for the trajectory — see the GemmCase comment for why the skinny
-// shape cannot reach 3× on this machine at all.
+// (skinny logits projection, transposed backward variants, and the
+// seq2seq decoder step's 1-row forward, dX and queued dW that a scoring
+// tape runs 240 times per weight) are coverage for the trajectory — see
+// the GemmCase comment for why the skinny shape cannot reach 3× on this
+// machine at all.
 //
 // Writes results/BENCH_kernels.json (override with --out=PATH) so future
 // PRs have a perf trajectory; --smoke shrinks shapes and repeats for the
@@ -93,7 +95,11 @@ BenchTiming MeasureMinOfRepeats(Fn&& fn, int repeats, double target_seconds) {
 }
 
 struct GemmCase {
-  const char* kernel;  // "gemm" | "gemm_ta" | "gemm_tb"
+  // "gemm" | "gemm_ta" (aᵀ·b; the optimized kernel reads the reduction
+  // rows by pointer, as Tape::Backward folds a weight's queued products) |
+  // "gemm_tb" (a·bᵀ; the optimized kernel folds from zero over bᵀ
+  // prepacked, as the tape passes it; the oracle and pre-PR kernels take b)
+  const char* kernel;
   int m, k, n;
   // True for the placer/grouper forward mat-mul shapes the ≥3× target is
   // defined over. The other rows are supplementary coverage: the skinny
@@ -115,20 +121,28 @@ struct GemmRow {
 GemmRow RunGemmCase(const GemmCase& shape, int repeats, double target_seconds) {
   support::Rng rng(11);
   // Operand shapes per kernel convention: gemm is a(m,k)·b(k,n);
-  // gemm_ta is aᵀ(k,m)·b(k,n) reducing over rows; gemm_tb is
+  // gemm_ta is aᵀ(k,m)·b(m,n) reducing over m rows; gemm_tb is
   // a(m,n)·bᵀ(k,n) producing (m,k).
-  const bool ta = std::string(shape.kernel) == "gemm_ta";
-  const bool tb = std::string(shape.kernel) == "gemm_tb";
-  nn::Tensor a = ta ? nn::Tensor(shape.k, shape.m)
+  const std::string kernel = shape.kernel;
+  const bool ta = kernel == "gemm_ta";
+  const bool tb = kernel == "gemm_tb";
+  nn::Tensor a = ta ? nn::Tensor(shape.m, shape.k)
                     : (tb ? nn::Tensor(shape.m, shape.n)
                           : nn::Tensor(shape.m, shape.k));
-  nn::Tensor b = tb ? nn::Tensor(shape.k, shape.n)
+  nn::Tensor b = ta ? nn::Tensor(shape.m, shape.n)
                     : nn::Tensor(shape.k, shape.n);
-  nn::Tensor out = tb ? nn::Tensor(shape.m, shape.k)
-                      : nn::Tensor(shape.m, shape.n);
+  nn::Tensor out = ta   ? nn::Tensor(shape.k, shape.n)
+                   : tb ? nn::Tensor(shape.m, shape.k)
+                        : nn::Tensor(shape.m, shape.n);
   nn::UniformInit(a, -1, 1, rng);
   nn::UniformInit(b, -1, 1, rng);
   out.Fill(0.0f);
+  const nn::Tensor bt = tb ? nn::Transposed(b) : nn::Tensor();
+  std::vector<const float*> a_rows, b_rows;
+  for (int r = 0; ta && r < shape.m; ++r) {
+    a_rows.push_back(a.row(r));
+    b_rows.push_back(b.row(r));
+  }
   // The pre-PR contender runs on the same values but in seed storage
   // (std::vector-backed, malloc alignment): the arena's 32-byte
   // alignment is part of this rewrite's win and must not be credited to
@@ -145,9 +159,16 @@ GemmRow RunGemmCase(const GemmCase& shape, int repeats, double target_seconds) {
   };
   // Interleave-by-section: all contenders run back to back on the same
   // operands, so machine-level drift cannot favor one side.
-  const BenchTiming opt =
-      measure(ta ? nn::GemmTransAAccum : tb ? nn::GemmTransBAccum
-                                            : nn::GemmAccum);
+  const BenchTiming opt = measure(
+      [&](const nn::Tensor& x, const nn::Tensor& y, nn::Tensor& o) {
+        if (ta) {
+          nn::GemmTransAAccumRows(a_rows, b_rows, o);
+        } else if (tb) {
+          nn::GemmAccumFromZero(x, bt, o);
+        } else {
+          nn::GemmAccum(x, y, o);
+        }
+      });
   const BenchTiming naive = measure(ta   ? nn::naive::GemmTransAAccum
                                     : tb ? nn::naive::GemmTransBAccum
                                          : nn::naive::GemmAccum);
@@ -341,7 +362,13 @@ int main(int argc, char** argv) {
                   {"gemm", 256, 256, 256, true},
                   {"gemm", 8, 256, 256, false},
                   {"gemm_ta", 128, 128, 128, false},
-                  {"gemm_tb", 128, 128, 128, false}};
+                  {"gemm_tb", 128, 128, 128, false},
+                  // One decoder step: 1×264 input (cell input + hidden)
+                  // against the 264×256 gate weights, its dX, and the dW
+                  // fold over the 240 steps one scoring tape queues.
+                  {"gemm", 1, 264, 256, false},
+                  {"gemm_tb", 1, 264, 256, false},
+                  {"gemm_ta", 240, 264, 256, false}};
   }
 
   std::vector<GemmRow> gemm;

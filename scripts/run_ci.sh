@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The one-command CI gate, chaining every check the repo ships:
 #   1. configure + build,
-#   2. the tier-1 test suite,
+#   2. the tier-1 test suite, then the kernel and autograd suites again in
+#      an -DEAGLE_SIMD=OFF build, so the portable GEMM panels are tested
+#      on hosts where every other build takes the AVX2 intrinsics path,
 #   3. a timed whole-tree eagle-lint v2 pass in JSON mode (cross-file
 #      rules LY01/ST01/LK01/HP02 included) that must finish inside the
 #      5 s tier-1 budget,
@@ -51,6 +53,14 @@ cmake --build "$BUILD" -j
 echo "=== tier-1 test suite ==="
 (cd "$BUILD" && ctest --output-on-failure -j "$(nproc)")
 echo TESTS_CLEAN
+
+echo "=== portable kernels (EAGLE_SIMD=OFF) ==="
+cmake -B "$BUILD-nosimd" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DEAGLE_SIMD=OFF
+cmake --build "$BUILD-nosimd" -j --target test_kernels test_autograd
+(cd "$BUILD-nosimd" &&
+  ctest --output-on-failure -R '^(test_kernels|test_autograd)$')
+echo PORTABLE_KERNELS_CLEAN
 
 echo "=== eagle-lint v2 (cross-file, timed) ==="
 # The two-phase linter must stay fast enough to live inside plain ctest:

@@ -8,8 +8,11 @@
 namespace eagle::nn {
 
 void Tape::Reset() {
-  // Newest-first so tensor buffers hit the arena freelists in LIFO
-  // order (vector::clear would destroy front-to-back).
+  // Transposed copies first, then the nodes newest-first, so tensor
+  // buffers hit the arena freelists in LIFO order (vector::clear would
+  // destroy nodes front-to-back).
+  rhs_.clear();
+  queued_.clear();
   while (!nodes_.empty()) nodes_.pop_back();
   param_cache_.clear();
   memo_.clear();
@@ -25,12 +28,49 @@ const Tape::Node& Tape::node(Var v) const {
   return nodes_[static_cast<std::size_t>(v.id)];
 }
 
-Tensor& Tape::GradRef(Var v) {
-  Node& n = node(v);
+Tensor& Tape::GradStorage(Node& n) {
   if (n.grad.empty() && !n.value.empty()) {
     n.grad = Tensor(n.value.rows(), n.value.cols());
   }
   return n.grad;
+}
+
+Tensor& Tape::GradRef(Var v) {
+  Node& n = node(v);
+  FlushQueued(n);
+  return GradStorage(n);
+}
+
+Tape::RightOperand& Tape::Rhs(Var b) {
+  Node& n = node(b);
+  if (n.rhs < 0) {
+    n.rhs = static_cast<std::int32_t>(rhs_.size());
+    rhs_.emplace_back();
+  }
+  return rhs_[static_cast<std::size_t>(n.rhs)];
+}
+
+// Folds B's queued dB += Aᵀ·G products into its grad: every element
+// folds the queued rows in queue order from the grad's current value,
+// which is exactly the sequence of folding in one product at a time.
+void Tape::FlushQueued(Node& b) {
+  if (b.rhs < 0) return;
+  RightOperand& rhs = rhs_[static_cast<std::size_t>(b.rhs)];
+  if (rhs.head < 0) return;
+  for (std::int32_t i = rhs.head; i >= 0;
+       i = queued_[static_cast<std::size_t>(i)].next) {
+    const QueuedProduct& q = queued_[static_cast<std::size_t>(i)];
+    const Tensor& a = value(Var{q.a});
+    const Tensor& g = node(Var{q.g}).grad;
+    for (int r = 0; r < a.rows(); ++r) {
+      a_rows_.push_back(a.row(r));
+      g_rows_.push_back(g.row(r));
+    }
+  }
+  GemmTransAAccumRows(a_rows_, g_rows_, GradStorage(b));
+  a_rows_.clear();
+  g_rows_.clear();
+  rhs.head = rhs.tail = -1;
 }
 
 Var Tape::Push(Tensor value, bool needs_grad, BackwardFn backward) {
@@ -78,10 +118,25 @@ Var Tape::MatMul(Var a, Var b) {
   const bool ng = node(a).needs_grad || node(b).needs_grad;
   Var result = Push(std::move(out), ng, {});
   if (ng) {
+    // dA = G·Bᵀ runs now, against B's transposed copy. dB += Aᵀ·G is
+    // queued on B and folded in one pass with B's other queued products
+    // (FlushQueued) before anything else reads or writes B's grad.
     node(result).backward = [this, a, b, result]() {
-      const Tensor& g = node(result).grad;
-      if (node(a).needs_grad) GemmTransBAccum(g, value(b), GradRef(a));
-      if (node(b).needs_grad) GemmTransAAccum(value(a), g, GradRef(b));
+      RightOperand& rhs = Rhs(b);
+      if (node(a).needs_grad) {
+        if (rhs.transposed.empty()) rhs.transposed = Transposed(value(b));
+        GemmAccumFromZero(node(result).grad, rhs.transposed, GradRef(a));
+      }
+      if (node(b).needs_grad) {
+        const auto i = static_cast<std::int32_t>(queued_.size());
+        queued_.push_back({a.id, result.id, -1});
+        if (rhs.tail < 0) {
+          rhs.head = i;
+        } else {
+          queued_[static_cast<std::size_t>(rhs.tail)].next = i;
+        }
+        rhs.tail = i;
+      }
     };
   }
   return result;
@@ -417,10 +472,7 @@ Var Tape::LogSoftmax(Var a) {
 }
 
 Var Tape::Transpose(Var a) {
-  const Tensor& av = value(a);
-  Tensor out(av.cols(), av.rows());
-  for (int r = 0; r < av.rows(); ++r)
-    for (int c = 0; c < av.cols(); ++c) out.at(c, r) = av.at(r, c);
+  Tensor out = Transposed(value(a));
   const bool ng = node(a).needs_grad;
   Var result = Push(std::move(out), ng, {});
   if (ng) {
@@ -621,8 +673,13 @@ void Tape::Backward(Var loss) {
   EAGLE_CHECK_MSG(ln.needs_grad, "loss does not depend on any parameter");
   GradRef(loss).at(0, 0) = 1.0f;
   for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
+    // Every contribution to this node's grad came from a newer node, so
+    // its queued products fold now: before its own backward reads the
+    // grad, or, for a Param leaf, before the flush below.
+    FlushQueued(*it);
     if (it->backward && !it->grad.empty()) it->backward();
   }
+  queued_.clear();
   // Flush leaf grads into their bound parameters.
   for (Node& n : nodes_) {
     if (n.bound != nullptr && !n.grad.empty()) {

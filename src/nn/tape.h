@@ -104,12 +104,38 @@ class Tape {
     BackwardFn backward;                 // may be empty for leaves
     Parameter* bound = nullptr;          // for Param leaves
     bool needs_grad = false;
+    // Index into rhs_ once backward has used this node as a MatMul's
+    // right operand, else -1. It fills the padding after needs_grad, so a
+    // node stays 128 bytes.
+    std::int32_t rhs = -1;
+  };
+  static_assert(sizeof(Node) <= 128, "a tape node should stay 128 bytes");
+
+  // Backward state of one MatMul right operand B: bᵀ for every dA = G·Bᵀ,
+  // built at B's first backward use and kept until Reset, and the FIFO of
+  // products whose dB += Aᵀ·G is not folded into B's grad yet.
+  struct RightOperand {
+    Tensor transposed;
+    std::int32_t head = -1;  // first queued product in queued_, or -1
+    std::int32_t tail = -1;
+  };
+  // One queued dB product: A's node, the MatMul output node whose grad is
+  // G, and the next product queued on the same B (-1 at the tail).
+  struct QueuedProduct {
+    std::int32_t a;
+    std::int32_t g;
+    std::int32_t next;
   };
 
   Var Push(Tensor value, bool needs_grad, BackwardFn backward);
   Node& node(Var v);
   const Node& node(Var v) const;
+  Tensor& GradStorage(Node& n);
+  // The grad an op's backward writes into; folds the node's queued
+  // products first, so contributions land in backward order.
   Tensor& GradRef(Var v);
+  RightOperand& Rhs(Var b);
+  void FlushQueued(Node& b);
 
   // First member: constructed before any node and destroyed after the
   // last, so every op, Backward, and whatever the caller runs while the
@@ -118,6 +144,12 @@ class Tape {
   std::vector<Node> nodes_;
   std::vector<std::pair<Parameter*, Var>> param_cache_;
   std::vector<std::pair<const void*, std::vector<Var>>> memo_;
+  // Declared after nodes_, so the transposed copies return to the arena
+  // before the nodes' buffers on destruction, as in Reset.
+  std::vector<RightOperand> rhs_;
+  std::vector<QueuedProduct> queued_;  // emptied by every Backward
+  std::vector<const float*> a_rows_;   // FlushQueued's row pointers
+  std::vector<const float*> g_rows_;
 };
 
 }  // namespace eagle::nn

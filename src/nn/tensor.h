@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,10 +72,20 @@ class Tensor {
 // out += a * b  (m×k times k×n). Accumulating form so backward passes can
 // reuse it.
 void GemmAccum(const Tensor& a, const Tensor& b, Tensor& out);
-// out += aᵀ * b.
-void GemmTransAAccum(const Tensor& a, const Tensor& b, Tensor& out);
-// out += a * bᵀ.
-void GemmTransBAccum(const Tensor& a, const Tensor& b, Tensor& out);
+// out += aᵀ * b with the reduction rows given by pointer: row t of a is
+// a_rows[t][0, out.rows()) and row t of b is b_rows[t][0, out.cols()), so
+// rows from separate tensors fold in one pass without a packing copy.
+// Each output element folds the rows in order, starting from out.
+void GemmTransAAccumRows(std::span<const float* const> a_rows,
+                         std::span<const float* const> b_rows, Tensor& out);
+// out += a * b (m×k times k×n), where each output element folds from zero
+// over k and is then added to out once. Given b = cᵀ, that is the
+// rounding of a dot-product a·cᵀ (naive::GemmTransBAccum(a, c, out)),
+// which is how the tape computes dA = G·Bᵀ from B's transposed copy.
+void GemmAccumFromZero(const Tensor& a, const Tensor& b, Tensor& out);
+
+// tᵀ as a new tensor.
+Tensor Transposed(const Tensor& t);
 
 // out = a * b (allocating convenience).
 Tensor MatMul(const Tensor& a, const Tensor& b);

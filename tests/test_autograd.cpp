@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "nn/layers.h"
+#include "nn/naive_ref.h"
 #include "nn/tape.h"
 #include "support/rng.h"
+#include "tests/lstm_chain_net.h"
 
 namespace eagle::nn {
 namespace {
@@ -277,6 +280,142 @@ TEST(Autograd, MemoIsPerTape) {
   first.Reset();
   EXPECT_EQ(first.FindMemo(&owner), nullptr);
   EXPECT_NE(second.FindMemo(&owner), nullptr);
+}
+
+// The pre-queue backward, replayed op by op in reverse tape order: every
+// contribution is written the moment its op runs, MatMul's through the
+// naive:: kernels (dA = G·Bᵀ from B itself, dB += Aᵀ·G per product), and
+// every other op with the tape's own arithmetic. Returns each node's grad.
+std::vector<Tensor> OracleGrads(chain::RecordingTape& t, Var loss) {
+  const Tape& tape = t.tape();
+  std::vector<Tensor> grads(static_cast<std::size_t>(tape.num_nodes()));
+  const auto grad = [&](Var v) -> Tensor& {
+    Tensor& g = grads[static_cast<std::size_t>(v.id)];
+    const Tensor& value = tape.value(v);
+    if (g.empty() && !value.empty()) g = Tensor(value.rows(), value.cols());
+    return g;
+  };
+  grad(loss).at(0, 0) = 1.0f;
+  const auto& ops = t.ops();
+  for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
+    const chain::RecordedOp& op = *it;
+    const Tensor& g = grads[static_cast<std::size_t>(op.out.id)];
+    if (g.empty()) continue;
+    const bool ng_a = t.needs_grad(op.a);
+    const bool ng_b = op.b.valid() && t.needs_grad(op.b);
+    const Tensor& av = tape.value(op.a);
+    switch (op.kind) {
+      case chain::OpKind::kMatMul:
+        if (ng_a) naive::GemmTransBAccum(g, tape.value(op.b), grad(op.a));
+        if (ng_b) naive::GemmTransAAccum(av, g, grad(op.b));
+        break;
+      case chain::OpKind::kAdd: {
+        const bool broadcast =
+            tape.value(op.b).rows() == 1 && av.rows() != 1;
+        if (ng_a) Axpy(1.0f, g, grad(op.a));
+        if (ng_b && broadcast) {
+          Tensor& gb = grad(op.b);
+          for (int r = 0; r < g.rows(); ++r)
+            for (int c = 0; c < g.cols(); ++c) gb.at(0, c) += g.at(r, c);
+        } else if (ng_b) {
+          Axpy(1.0f, g, grad(op.b));
+        }
+        break;
+      }
+      case chain::OpKind::kMul: {
+        const Tensor& bv = tape.value(op.b);
+        if (ng_a) {
+          float* ga = grad(op.a).data();
+          for (std::int64_t i = 0; i < g.size(); ++i)
+            ga[i] += g.data()[i] * bv.data()[i];
+        }
+        if (ng_b) {
+          float* gb = grad(op.b).data();
+          for (std::int64_t i = 0; i < g.size(); ++i)
+            gb[i] += g.data()[i] * av.data()[i];
+        }
+        break;
+      }
+      case chain::OpKind::kSigmoid:
+      case chain::OpKind::kTanh: {
+        const float* y = tape.value(op.out).data();
+        float* ga = grad(op.a).data();
+        for (std::int64_t i = 0; i < g.size(); ++i) {
+          ga[i] += op.kind == chain::OpKind::kSigmoid
+                       ? g.data()[i] * y[i] * (1.0f - y[i])
+                       : g.data()[i] * (1.0f - y[i] * y[i]);
+        }
+        break;
+      }
+      case chain::OpKind::kSliceCols: {
+        Tensor& ga = grad(op.a);
+        for (int r = 0; r < g.rows(); ++r)
+          for (int c = 0; c < g.cols(); ++c) ga.at(r, c + op.arg) += g.at(r, c);
+        break;
+      }
+      case chain::OpKind::kConcatCols: {
+        if (ng_a) {
+          Tensor& ga = grad(op.a);
+          for (int r = 0; r < ga.rows(); ++r)
+            for (int c = 0; c < ga.cols(); ++c) ga.at(r, c) += g.at(r, c);
+        }
+        if (ng_b) {
+          Tensor& gb = grad(op.b);
+          for (int r = 0; r < gb.rows(); ++r)
+            for (int c = 0; c < gb.cols(); ++c)
+              gb.at(r, c) += g.at(r, c + av.cols());
+        }
+        break;
+      }
+      case chain::OpKind::kRow: {
+        Tensor& ga = grad(op.a);
+        for (int c = 0; c < g.cols(); ++c) ga.at(op.arg, c) += g.at(0, c);
+        break;
+      }
+      case chain::OpKind::kSum: {
+        float* ga = grad(op.a).data();
+        for (std::int64_t i = 0; i < av.size(); ++i) ga[i] += g.at(0, 0);
+        break;
+      }
+    }
+  }
+  return grads;
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         (a.empty() || std::memcmp(a.data(), b.data(),
+                                   static_cast<std::size_t>(a.size()) *
+                                       sizeof(float)) == 0);
+}
+
+// Queued dB folds, transposed-B dA products and the three flush points
+// (another op's write, the operand's own backward, the Param flush) must
+// leave every gradient byte where the one-product-at-a-time backward puts
+// it.
+TEST(Autograd, QueuedMatMulBackwardMatchesPerProductOracle) {
+  chain::ChainNet net = chain::MakeChainNet(21);
+  Tape tape;
+  chain::RecordingTape t(tape);
+  Var loss = chain::BuildChain(t, net);
+  tape.Backward(loss);
+  const std::vector<Tensor> want = OracleGrads(t, loss);
+
+  int compared = 0;
+  for (int id = 0; id < tape.num_nodes(); ++id) {
+    const Tensor& got = tape.grad(Var{id});
+    EXPECT_TRUE(SameBytes(got, want[static_cast<std::size_t>(id)]))
+        << "node " << id << " grad differs from the oracle";
+    compared += got.empty() ? 0 : 1;
+  }
+  EXPECT_GT(compared, 9 * chain::kSteps);
+  for (Parameter* p : {&net.w, &net.bias, &net.w_enc}) {
+    // Param() hands back the parameter's existing node.
+    const Var leaf = tape.Param(p);
+    Tensor flushed(p->value.rows(), p->value.cols());
+    Axpy(1.0f, want[static_cast<std::size_t>(leaf.id)], flushed);
+    EXPECT_TRUE(SameBytes(p->grad, flushed)) << p->name;
+  }
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 // arena: the optimized kernels must match the scalar naive reference
 // (nn/naive_ref.h) bit-for-bit on every shape, NaN/Inf must propagate
 // through zero operands, and rebuilding a tape on recycled arena buffers
-// must reproduce gradients exactly.
+// must reproduce gradients exactly without allocating.
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -16,6 +18,27 @@
 #include "nn/naive_ref.h"
 #include "nn/tape.h"
 #include "nn/tensor.h"
+#include "tests/lstm_chain_net.h"
+
+// Counts this thread's global operator new calls, so a test can see heap
+// allocations outside the tensor arena (whose aligned blocks go through
+// the align_val_t overloads, counted by ArenaStats instead).
+namespace {
+thread_local std::size_t tl_heap_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++tl_heap_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++tl_heap_allocs;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace eagle::nn {
 namespace {
@@ -46,6 +69,22 @@ bool BitIdentical(const Tensor& a, const Tensor& b) {
 }
 
 using KernelFn = void (*)(const Tensor&, const Tensor&, Tensor&);
+
+// a·bᵀ as the tape computes it: a zero-started fold over bᵀ. The
+// reference, naive::GemmTransBAccum, takes b.
+void TapeTransB(const Tensor& a, const Tensor& b, Tensor& out) {
+  GemmAccumFromZero(a, Transposed(b), out);
+}
+
+// aᵀ·b through the row-pointer entry, one pointer per row of a and b.
+void TransAByRows(const Tensor& a, const Tensor& b, Tensor& out) {
+  std::vector<const float*> a_rows, b_rows;
+  for (int r = 0; r < a.rows(); ++r) {
+    a_rows.push_back(a.row(r));
+    b_rows.push_back(b.row(r));
+  }
+  GemmTransAAccumRows(a_rows, b_rows, out);
+}
 
 // Replaces every fifth entry with a subnormal of the same sign, the
 // operand mix a softmax that underflowed feeds into the backward GEMMs.
@@ -90,22 +129,74 @@ TEST(Kernels, GemmAccumBitIdenticalAcrossShapeGrid) {
                             ++seed);
 }
 
-TEST(Kernels, GemmTransAAccumBitIdenticalAcrossShapeGrid) {
-  std::uint32_t seed = 10001;
+TEST(Kernels, GemmTransAAccumRowsBitIdenticalAcrossShapeGrid) {
+  std::uint32_t seed = 40001;
   for (int m : kDims)
     for (int k : kDims)
       for (int n : kDims)
-        ExpectKernelMatches(GemmTransAAccum, naive::GemmTransAAccum, m, k, m,
-                            n, k, n, ++seed);
+        ExpectKernelMatches(TransAByRows, naive::GemmTransAAccum, m, k, m, n,
+                            k, n, ++seed);
 }
 
-TEST(Kernels, GemmTransBAccumBitIdenticalAcrossShapeGrid) {
+TEST(Kernels, GemmAccumFromZeroBitIdenticalAcrossShapeGrid) {
   std::uint32_t seed = 20001;
   for (int m : kDims)
     for (int k : kDims)
       for (int n : kDims)
-        ExpectKernelMatches(GemmTransBAccum, naive::GemmTransBAccum, m, n, k,
-                            n, m, k, ++seed);
+        ExpectKernelMatches(TapeTransB, naive::GemmTransBAccum, m, n, k, n,
+                            m, k, ++seed);
+}
+
+// Outputs of 1–3 rows run 64-column tiles, then the 16/8/narrow tails:
+// widths one past a tile, one and a half tiles, and two tiles plus a
+// sub-vector remainder, for every kernel.
+TEST(Kernels, GemvWidthsBitIdentical) {
+  std::uint32_t seed = 50001;
+  for (int rows = 1; rows <= 3; ++rows) {
+    for (int width : {65, 96, 130}) {
+      for (int red : {1, 2, 7, 33, 64}) {
+        ExpectKernelMatches(GemmAccum, naive::GemmAccum, rows, red, red,
+                            width, rows, width, ++seed);
+        ExpectKernelMatches(TransAByRows, naive::GemmTransAAccum, red, rows,
+                            red, width, rows, width, ++seed);
+        ExpectKernelMatches(TapeTransB, naive::GemmTransBAccum, rows, red,
+                            width, red, rows, width, ++seed);
+      }
+    }
+  }
+}
+
+// One decoder step of the seq2seq placer (264 = cell input + hidden,
+// 256 = four gates): the forward gates, dX against W, and dW folded over
+// the 240 steps a scoring tape queues on W, each step's rows in their own
+// tensors, against one naive call per step.
+TEST(Kernels, DecoderStepShapesBitIdentical) {
+  constexpr int kIn = 264;
+  constexpr int kGates = 256;
+  constexpr int kQueued = 240;
+  ExpectKernelMatches(GemmAccum, naive::GemmAccum, 1, kIn, kIn, kGates, 1,
+                      kGates, 60001);
+  ExpectKernelMatches(TapeTransB, naive::GemmTransBAccum, 1, kGates, kIn,
+                      kGates, 1, kIn, 60002);
+
+  std::vector<Tensor> xs, gs;
+  std::vector<const float*> x_rows, g_rows;
+  for (int t = 0; t < kQueued; ++t) {
+    xs.push_back(TestMatrix(1, kIn, 61000 + 2 * t));
+    gs.push_back(TestMatrix(1, kGates, 61001 + 2 * t));
+  }
+  for (int t = 0; t < kQueued; ++t) {
+    x_rows.push_back(xs[static_cast<std::size_t>(t)].row(0));
+    g_rows.push_back(gs[static_cast<std::size_t>(t)].row(0));
+  }
+  Tensor got = TestMatrix(kIn, kGates, 60003);
+  Tensor want = got;
+  GemmTransAAccumRows(x_rows, g_rows, got);
+  for (int t = 0; t < kQueued; ++t) {
+    naive::GemmTransAAccum(xs[static_cast<std::size_t>(t)],
+                           gs[static_cast<std::size_t>(t)], want);
+  }
+  EXPECT_TRUE(BitIdentical(got, want));
 }
 
 // The grouper head's shapes (5042 ops × 24 hidden × 24 groups), with
@@ -122,11 +213,11 @@ TEST(Kernels, GrouperShapeWithSubnormalsBitIdenticalInBothFloatModes) {
     // logits = h·W, dh = dlogits·Wᵀ, dW = hᵀ·dlogits.
     ExpectKernelMatches(GemmAccum, naive::GemmAccum, kOps, kHidden, kHidden,
                         kGroups, kOps, kGroups, 30001, /*subnormals=*/true);
-    ExpectKernelMatches(GemmTransBAccum, naive::GemmTransBAccum, kOps,
-                        kGroups, kHidden, kGroups, kOps, kHidden, 30011,
+    ExpectKernelMatches(TapeTransB, naive::GemmTransBAccum, kOps, kGroups,
+                        kHidden, kGroups, kOps, kHidden, 30011,
                         /*subnormals=*/true);
-    ExpectKernelMatches(GemmTransAAccum, naive::GemmTransAAccum, kOps,
-                        kHidden, kOps, kGroups, kHidden, kGroups, 30021,
+    ExpectKernelMatches(TransAByRows, naive::GemmTransAAccum, kOps, kHidden,
+                        kOps, kGroups, kHidden, kGroups, 30021,
                         /*subnormals=*/true);
   }
   EXPECT_FALSE(DenormalsFlushed());
@@ -155,7 +246,7 @@ TEST(Kernels, ZeroTimesNanPropagates) {
       Tensor a = Tensor::FromData(2, 1, {0.0f, 1.0f});
       Tensor b = Tensor::FromData(2, 1, {bad, 2.0f});
       Tensor out(1, 1);
-      GemmTransAAccum(a, b, out);
+      TransAByRows(a, b, out);
       EXPECT_TRUE(std::isnan(out.at(0, 0)));
       Tensor ref(1, 1);
       naive::GemmTransAAccum(a, b, ref);
@@ -165,11 +256,28 @@ TEST(Kernels, ZeroTimesNanPropagates) {
       Tensor a = Tensor::FromData(1, 2, {0.0f, 1.0f});
       Tensor b = Tensor::FromData(1, 2, {bad, 2.0f});
       Tensor out(1, 1);
-      GemmTransBAccum(a, b, out);
+      GemmAccumFromZero(a, Transposed(b), out);
       EXPECT_TRUE(std::isnan(out.at(0, 0)));
       Tensor ref(1, 1);
       naive::GemmTransBAccum(a, b, ref);
       EXPECT_TRUE(std::isnan(ref.at(0, 0)));
+    }
+    // The zero-started dX fold at a 1-row output 72 wide (one 64-column
+    // tile and an 8-column tail), with every output starting finite: the
+    // bad value enters through the zero entry of a, in the first step.
+    {
+      constexpr int kWidth = 72;
+      Tensor a = Tensor::FromData(1, 3, {0.0f, 1.0f, -1.0f});
+      Tensor b(kWidth, 3, 2.0f);
+      for (int j = 0; j < kWidth; ++j) b.at(j, 0) = bad;
+      Tensor out(1, kWidth, 1.0f);
+      GemmAccumFromZero(a, Transposed(b), out);
+      Tensor ref(1, kWidth, 1.0f);
+      naive::GemmTransBAccum(a, b, ref);
+      for (int j = 0; j < kWidth; ++j) {
+        EXPECT_TRUE(std::isnan(out.at(0, j))) << "column " << j;
+        EXPECT_TRUE(std::isnan(ref.at(0, j))) << "column " << j;
+      }
     }
   }
 }
@@ -218,6 +326,43 @@ TEST(Arena, TapeRebuildOnRecycledBuffersIsBitIdentical) {
   EXPECT_EQ(after.fresh_allocs, before.fresh_allocs)
       << "tape rebuild should not allocate";
   EXPECT_GT(after.pool_hits, before.pool_hits);
+
+  // The LSTM chain adds transposed right operands, queued dB products and
+  // their row pointers. A rebuild on the reset tape must find all of them
+  // in storage the first pass left behind: no fresh arena block, and no
+  // more heap allocations than a one-op tape's Backward makes.
+  chain::ChainNet net = chain::MakeChainNet(31);
+  Tape chain_tape;
+  chain::RecordingTape recorder(chain_tape);
+  const auto chain_pass = [&] {
+    chain_tape.Backward(chain::BuildChain(recorder, net));
+    chain_tape.Reset();
+    recorder.Clear();
+  };
+  chain_pass();
+  const auto c1_w = GradBytes(net.w.grad);
+  const auto c1_w_enc = GradBytes(net.w_enc.grad);
+  for (Parameter* p : {&net.w, &net.bias, &net.w_enc}) p->grad.Fill(0.0f);
+  const ArenaStats chain_before = ArenaStatsSnapshot();
+  const std::size_t chain_heap_before = tl_heap_allocs;
+  chain_pass();
+  const std::size_t chain_heap = tl_heap_allocs - chain_heap_before;
+  const ArenaStats chain_after = ArenaStatsSnapshot();
+  EXPECT_EQ(c1_w, GradBytes(net.w.grad));
+  EXPECT_EQ(c1_w_enc, GradBytes(net.w_enc.grad));
+  EXPECT_EQ(chain_after.fresh_allocs, chain_before.fresh_allocs)
+      << "chain rebuild should not allocate";
+
+  Parameter p{"p", TestMatrix(1, 1, 80), Tensor(1, 1)};
+  Tape one_op;
+  const auto one_op_pass = [&] {
+    one_op.Backward(one_op.Sum(one_op.Param(&p)));
+    one_op.Reset();
+  };
+  one_op_pass();
+  const std::size_t one_op_heap_before = tl_heap_allocs;
+  one_op_pass();
+  EXPECT_EQ(chain_heap, tl_heap_allocs - one_op_heap_before);
 }
 
 // 17 chained 1024×1024 Tanh nodes: a 72 MB tape, larger than the old

@@ -66,15 +66,17 @@ TEST(Gemm, TransposedVariantsConsistent) {
     for (int c = 0; c < 3; ++c) at.at(c, r) = a.at(r, c);
   Tensor expected = MatMul(at, b);
   Tensor got(3, 4);
-  GemmTransAAccum(a, b, got);
+  const float* a_rows[] = {a.row(0), a.row(1)};
+  const float* b_rows[] = {b.row(0), b.row(1)};
+  GemmTransAAccumRows(a_rows, b_rows, got);
   for (int r = 0; r < 3; ++r)
     for (int c = 0; c < 4; ++c)
       EXPECT_FLOAT_EQ(got.at(r, c), expected.at(r, c));
 
-  // a(2×3) · bᵀ where b is 4×3:
+  // a(2×3) · bᵀ where b is 4×3, as the tape computes it from bᵀ:
   Tensor b2 = Tensor::FromData(4, 3, {1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1});
   Tensor got2(2, 4);
-  GemmTransBAccum(a, b2, got2);
+  GemmAccumFromZero(a, Transposed(b2), got2);
   // Row 0 of a dotted with rows of b2.
   EXPECT_FLOAT_EQ(got2.at(0, 0), 1);
   EXPECT_FLOAT_EQ(got2.at(0, 1), 2);
