@@ -302,6 +302,10 @@ inline rl::TrainResult TrainOnBenchmark(
   const std::string agent_name = agent.name();
   const std::string algo_name = rl::AlgorithmName(algorithm);
   std::shared_ptr<support::metrics::Snapshot> run_start_snap;
+  // Where the previous run ended (empty before the first): run_start
+  // carries the deltas since, i.e. the graph import, partitioning and
+  // agent construction that set this run up.
+  static support::metrics::Snapshot last_run_end;
   if (telemetry::Enabled()) {
     run_start_snap = std::make_shared<support::metrics::Snapshot>(
         support::metrics::TakeSnapshot());
@@ -313,7 +317,10 @@ inline rl::TrainResult TrainOnBenchmark(
        << "\",\"samples\":" << options.total_samples
        << ",\"minibatch\":" << options.minibatch_size
        << ",\"threads\":" << service.num_threads()
-       << ",\"seed\":" << options.seed << "}";
+       << ",\"seed\":" << options.seed << ",\"setup\":{";
+    AppendSnapshotJson(os, run_start_snap->DeltaSince(last_run_end),
+                       /*full_histograms=*/false);
+    os << "}}";
     telemetry::WriteLine(os.str());
     options.on_round = [prev](const rl::RoundStats& stats) {
       support::metrics::Snapshot now = support::metrics::TakeSnapshot();
@@ -347,8 +354,9 @@ inline rl::TrainResult TrainOnBenchmark(
   }
 
   if (telemetry::Enabled() && run_start_snap != nullptr) {
+    last_run_end = support::metrics::TakeSnapshot();
     const support::metrics::Snapshot delta =
-        support::metrics::TakeSnapshot().DeltaSince(*run_start_snap);
+        last_run_end.DeltaSince(*run_start_snap);
     std::ostringstream os;
     os << "{\"event\":\"run_end\",\"model\":\"" << json::Escape(model_name)
        << "\",\"agent\":\"" << json::Escape(agent_name)

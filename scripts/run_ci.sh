@@ -29,7 +29,8 @@
 #      see docs/PERFORMANCE.md),
 #   8. an ingestion fuzz smoke: graph_fuzz built with ASan+UBSan mutates
 #      seeded .eg/.json corpora 10k/2k times against the hardened parser
-#      (any crash or uncaught throw fails here), corrupts the shipped
+#      and METIS-groups and simulates every mutant it accepts (any crash,
+#      uncaught throw or sanitizer report fails here), corrupts the shipped
 #      cluster-spec files 2k times each against the cluster importer,
 #      and runs a 100k-op generate→ingest→validate→group→simulate pass
 #      end to end — once on the default box and once on the 2node8
@@ -177,7 +178,8 @@ echo BENCH_SMOKE_CLEAN
 echo "=== ingestion fuzz smoke (ASan+UBSan) ==="
 # A dedicated sanitizer build of just the fuzz driver: the mutation loop
 # must never crash, throw, or trip a sanitizer — every corrupted input
-# comes back as a structured taxonomy error.
+# comes back as a structured taxonomy error, and every accepted one is
+# grouped and simulated without tripping one either.
 cmake -B "$BUILD-fuzz" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DEAGLE_SANITIZE=address
 cmake --build "$BUILD-fuzz" -j --target graph_fuzz

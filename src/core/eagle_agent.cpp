@@ -23,7 +23,10 @@ support::metrics::Counter* GrouperForwards() {
 HierarchicalAgent::HierarchicalAgent(const graph::OpGraph& graph,
                                      const sim::ClusterSpec& cluster,
                                      HierarchicalAgentConfig config)
-    : graph_(&graph), cluster_(&cluster), config_(std::move(config)) {
+    : graph_(&graph),
+      cluster_(&cluster),
+      plan_(sim::PlanNormalization(graph)),
+      config_(std::move(config)) {
   support::Rng rng(config_.seed);
   const int k = config_.dims.num_groups;
   // The GCN placer reads the group adjacency as Â instead.
@@ -219,7 +222,7 @@ HierarchicalAgent::Score HierarchicalAgent::ScoreDecision(
 }
 
 sim::Placement HierarchicalAgent::ToPlacement(const Sample& sample) const {
-  return sim::Placement::FromGroups(*graph_, *cluster_, sample.grouping,
+  return sim::Placement::FromGroups(plan_, *cluster_, sample.grouping,
                                     sample.group_devices);
 }
 

@@ -44,6 +44,7 @@
 #include "core/seq2seq_placer.h"
 #include "nn/layers.h"
 #include "sim/device.h"
+#include "sim/placement.h"
 
 namespace eagle::core {
 
@@ -106,6 +107,9 @@ class HierarchicalAgent : public PolicyAgent {
 
   const graph::OpGraph* graph_;
   const sim::ClusterSpec* cluster_;
+  // The graph's colocation and CPU pinning, worked out once: ToPlacement
+  // is the group gather plus one pass over it.
+  sim::NormalizationPlan plan_;
   HierarchicalAgentConfig config_;
   nn::ParamStore store_;
   GrouperFFN grouper_;

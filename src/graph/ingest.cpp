@@ -1,7 +1,6 @@
 #include "graph/ingest.h"
 
 #include <cstdint>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -9,6 +8,7 @@
 
 #include "graph/record_reader.h"
 #include "support/json.h"
+#include "support/metrics.h"
 
 namespace eagle::graph {
 
@@ -17,6 +17,56 @@ using support::Status;
 using support::StatusOr;
 
 namespace {
+
+// The (src, dst) pairs declared so far, for the duplicate-edge check: an
+// open-addressing set of packed 64-bit keys (Fibonacci hash, linear
+// probing, at most half full).
+class EdgePairSet {
+ public:
+  // False when the pair is already present.
+  bool Insert(OpId src, OpId dst) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    const std::uint64_t key = Pack(src, dst);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t slot = Home(key);; slot = (slot + 1) & mask) {
+      if (slots_[slot] == key) return false;
+      if (slots_[slot] == kEmpty) {
+        slots_[slot] = key;
+        ++size_;
+        return true;
+      }
+    }
+  }
+
+ private:
+  // Ids are non-negative int32s, so no pair packs to all ones.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  static std::uint64_t Pack(OpId src, OpId dst) {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32 |
+           static_cast<std::uint32_t>(dst);
+  }
+  std::size_t Home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >>
+                                    (64 - bits_));
+  }
+  void Grow() {
+    const std::vector<std::uint64_t> old = std::move(slots_);
+    bits_ = old.empty() ? 4 : bits_ + 1;
+    slots_.assign(std::size_t{1} << bits_, kEmpty);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint64_t key : old) {
+      if (key == kEmpty) continue;
+      std::size_t slot = Home(key);
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+      slots_[slot] = key;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;
+  int bits_ = 0;
+  std::size_t size_ = 0;
+};
 
 // The whole-graph checks once every op and edge is in: a cycle check,
 // then ValidateGraph. The cycle check is Kahn's algorithm with edge
@@ -102,14 +152,13 @@ Status CheckAddOp(OpGraph* graph, OpDef op, const IngestLimits& limits) {
 // Shared by both parsers once endpoints resolve to valid ids. `bytes`
 // is either >= 0 or the -1 producer-size sentinel (negative values from
 // the input must be rejected by the caller first).
-Status CheckAddEdge(OpGraph* graph, std::set<std::pair<OpId, OpId>>* pairs,
-                    OpId src, OpId dst, std::int64_t bytes,
-                    const IngestLimits& limits) {
+Status CheckAddEdge(OpGraph* graph, EdgePairSet* pairs, OpId src, OpId dst,
+                    std::int64_t bytes, const IngestLimits& limits) {
   if (src == dst) {
     return Status::Error(ErrorCode::kCycle,
                          "self edge on op " + Quote(graph->op(src).name));
   }
-  if (!pairs->insert({src, dst}).second) {
+  if (!pairs->Insert(src, dst)) {
     return Status::Error(ErrorCode::kDuplicateEdge,
                          "duplicate edge " + Quote(graph->op(src).name) +
                              " -> " + Quote(graph->op(dst).name));
@@ -126,7 +175,7 @@ Status CheckAddEdge(OpGraph* graph, std::set<std::pair<OpId, OpId>>* pairs,
 
 StatusOr<OpGraph> ParseText(std::istream& in, const IngestOptions& opts) {
   OpGraph graph;
-  std::set<std::pair<OpId, OpId>> pairs;
+  EdgePairSet pairs;
   std::vector<std::pair<int, int>> edge_sites;
   LineReader reader(in, opts.source_name);
   while (reader.Next()) {
@@ -139,7 +188,7 @@ StatusOr<OpGraph> ParseText(std::istream& in, const IngestOptions& opts) {
       }
       OpDef op;
       op.name = std::string(toks[1].text);
-      op.type = OpTypeFromName(std::string(toks[2].text));
+      op.type = OpTypeFromName(toks[2].text);
       if (op.type == OpType::kNumOpTypes) {
         return reader.Error(ErrorCode::kUnknownOp,
                             "unknown op type " + Quote(toks[2].text),
@@ -201,7 +250,7 @@ StatusOr<OpGraph> ParseText(std::istream& in, const IngestOptions& opts) {
       OpId ends[2] = {kInvalidOp, kInvalidOp};
       for (int k = 0; k < 2; ++k) {
         const Token& end = toks[1 + static_cast<std::size_t>(k)];
-        ends[k] = graph.FindOp(std::string(end.text));
+        ends[k] = graph.FindOp(end.text);
         if (ends[k] == kInvalidOp) {
           return reader.Error(ErrorCode::kDanglingRef,
                               "unknown op " + Quote(end.text), end);
@@ -288,7 +337,7 @@ StatusOr<OpGraph> ParseJson(const std::string& text,
     if (!status.ok()) return rec.Wrap(status);
   }
 
-  std::set<std::pair<OpId, OpId>> pairs;
+  EdgePairSet pairs;
   for (std::size_t i = 0; i < jedges->items().size(); ++i) {
     JsonRecord rec(jedges->items()[i], "edges", i, src_name);
     OpId ends[2] = {kInvalidOp, kInvalidOp};
@@ -324,17 +373,20 @@ StatusOr<OpGraph> ParseJson(const std::string& text,
 
 StatusOr<OpGraph> ParseTextGraph(const std::string& text,
                                  const IngestOptions& opts) {
+  EAGLE_SPAN("graph.import");
   std::istringstream in(text);
   return NoThrow(opts.source_name, [&] { return ParseText(in, opts); });
 }
 
 StatusOr<OpGraph> FromJson(const std::string& text,
                            const IngestOptions& opts) {
+  EAGLE_SPAN("graph.import");
   return NoThrow(opts.source_name, [&] { return ParseJson(text, opts); });
 }
 
 StatusOr<OpGraph> ImportGraphFile(const std::string& path,
                                   const IngestOptions& opts) {
+  EAGLE_SPAN("graph.import");
   IngestOptions file_opts = opts;
   file_opts.source_name = path;
   return ImportFile(

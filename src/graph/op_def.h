@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "graph/tensor_shape.h"
 
@@ -61,7 +62,7 @@ inline constexpr int kNumOpTypes = static_cast<int>(OpType::kNumOpTypes);
 const char* OpTypeName(OpType type);
 
 // Parses the name produced by OpTypeName; returns kNumOpTypes on failure.
-OpType OpTypeFromName(const std::string& name);
+OpType OpTypeFromName(std::string_view name);
 
 using OpId = std::int32_t;
 inline constexpr OpId kInvalidOp = -1;

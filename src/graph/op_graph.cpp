@@ -29,7 +29,7 @@ const char* OpTypeName(OpType type) {
   return kOpTypeNames[i];
 }
 
-OpType OpTypeFromName(const std::string& name) {
+OpType OpTypeFromName(std::string_view name) {
   for (int i = 0; i < kNumOpTypes; ++i) {
     if (name == kOpTypeNames[i]) return static_cast<OpType>(i);
   }
@@ -83,7 +83,7 @@ const std::vector<std::int32_t>& OpGraph::in_edges(OpId id) const {
   return in_edges_[static_cast<std::size_t>(id)];
 }
 
-OpId OpGraph::FindOp(const std::string& name) const {
+OpId OpGraph::FindOp(std::string_view name) const {
   auto it = by_name_.find(name);
   return it == by_name_.end() ? kInvalidOp : it->second;
 }

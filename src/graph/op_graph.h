@@ -5,8 +5,11 @@
 // size, but builders may override, e.g. for sliced tensors).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -43,7 +46,7 @@ class OpGraph {
   const std::vector<std::int32_t>& in_edges(OpId id) const;
 
   // Looks up an op id by name; kInvalidOp if absent.
-  OpId FindOp(const std::string& name) const;
+  OpId FindOp(std::string_view name) const;
 
   // Kahn topological order. Throws if the graph has a cycle.
   std::vector<OpId> TopologicalOrder() const;
@@ -82,7 +85,15 @@ class OpGraph {
   std::vector<Edge> edges_;
   std::vector<std::vector<std::int32_t>> out_edges_;
   std::vector<std::vector<std::int32_t>> in_edges_;
-  std::unordered_map<std::string, OpId> by_name_;
+  // Transparent hashing: FindOp looks a std::string_view up without
+  // building a string from it.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  std::unordered_map<std::string, OpId, NameHash, std::equal_to<>> by_name_;
 };
 
 // An op → group assignment: grouping[op] ∈ [0, num_groups). The

@@ -126,6 +126,7 @@ Status ValidateGraph(const OpGraph& graph, const IngestLimits& limits) {
     total_bytes += op_bytes;
   }
 
+  std::int64_t edge_bytes = 0;
   std::vector<std::pair<OpId, OpId>> pairs;
   pairs.reserve(static_cast<std::size_t>(graph.num_edges()));
   for (const Edge& e : graph.edges()) {
@@ -150,6 +151,17 @@ Status ValidateGraph(const OpGraph& graph, const IngestLimits& limits) {
                                graph.op(e.dst).name +
                                " carries negative bytes");
     }
+    // The partitioner and the simulator add edge bytes up unchecked.
+    if (edge_bytes > kInt64Max - e.bytes ||
+        edge_bytes + e.bytes > limits.max_total_bytes) {
+      return Status::Error(ErrorCode::kResourceLimit,
+                           "total edge bytes exceed the " +
+                               std::to_string(limits.max_total_bytes) +
+                               "-byte limit at edge '" +
+                               graph.op(e.src).name + "' -> '" +
+                               graph.op(e.dst).name + "'");
+    }
+    edge_bytes += e.bytes;
     pairs.emplace_back(e.src, e.dst);
   }
   std::sort(pairs.begin(), pairs.end());

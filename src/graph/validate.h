@@ -28,8 +28,9 @@ struct IngestLimits {
   // 8 leaves headroom without letting dim lists grow unbounded.
   int max_rank = 8;
   // Cap on the summed memory footprint (output + param + temp bytes over
-  // all ops): 4 TiB, far above any placeable graph on the simulated
-  // clusters but well inside int64.
+  // all ops), and separately on the bytes summed over all edges: 4 TiB,
+  // far above any placeable graph on the simulated clusters but well
+  // inside int64.
   std::int64_t max_total_bytes = std::int64_t{1} << 42;
 
   static IngestLimits Unlimited();
@@ -42,8 +43,8 @@ support::Status CheckedOpBytes(const OpDef& op, std::int64_t* out);
 
 // Full semantic check: names (non-empty, no whitespace — they must
 // survive the .eg text format), per-op byte arithmetic, non-negative
-// edge bytes, endpoint validity, duplicate (src,dst) pairs, acyclicity,
-// and the IngestLimits caps. Returns the first violation found, with
+// edge bytes and their overflow-checked sum, endpoint validity, duplicate
+// (src,dst) pairs, acyclicity, and the IngestLimits caps. Returns the first violation found, with
 // the op/edge spelled out in the message.
 support::Status ValidateGraph(const OpGraph& graph,
                               const IngestLimits& limits = {});

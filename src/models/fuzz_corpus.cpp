@@ -164,16 +164,28 @@ std::string MutateSerializedGraph(const std::string& text,
       out.erase(start, end - start);
       break;
     }
-    case 4: {  // inflate the digit run at/after pos (overflow probing)
+    case 4: {  // inflate the digit run at/after pos: past int64 (overflow
+               // probing), or to a huge in-range 2^62 or INT64_MAX that
+               // the parsers accept and only later arithmetic can trip on
+      const auto is_digit = [&out](std::size_t i) {
+        return i < out.size() && out[i] >= '0' && out[i] <= '9';
+      };
       std::size_t digit = pos;
-      while (digit < out.size() &&
-             (out[digit] < '0' || out[digit] > '9')) {
-        ++digit;
-      }
-      if (digit < out.size()) {
-        out.insert(digit, "99999999999999999999");
+      while (digit < out.size() && !is_digit(digit)) ++digit;
+      std::size_t end = digit;
+      while (is_digit(end)) ++end;
+      static const char* const kValues[] = {
+          "99999999999999999999",  // inserted: overflows any integer field
+          "4611686018427387904",   // 2^62, replaces the run
+          "9223372036854775807"};  // INT64_MAX, replaces the run
+      const std::uint64_t kind = rng.NextBelow(3);
+      if (digit == out.size()) {
+        out += std::string(" ") + kValues[kind];
+      } else if (kind != 0 &&
+                 out.compare(digit, end - digit, kValues[kind]) != 0) {
+        out.replace(digit, end - digit, kValues[kind]);
       } else {
-        out += " 99999999999999999999";
+        out.insert(digit, kValues[0]);
       }
       break;
     }

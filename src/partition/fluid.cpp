@@ -5,6 +5,7 @@
 
 #include "partition/fm_refine.h"
 #include "support/check.h"
+#include "support/metrics.h"
 
 namespace eagle::partition {
 
@@ -111,6 +112,7 @@ Partitioning FluidCommunitiesWeighted(const WeightedGraph& graph,
 
 Partitioning FluidCommunities(const graph::OpGraph& graph,
                               const FluidOptions& options) {
+  EAGLE_SPAN("partition.fluid");
   return FluidCommunitiesWeighted(BuildWeightedGraph(graph), options);
 }
 

@@ -7,6 +7,7 @@
 #include "partition/coarsen.h"
 #include "partition/fm_refine.h"
 #include "support/check.h"
+#include "support/metrics.h"
 
 namespace eagle::partition {
 
@@ -117,6 +118,7 @@ Partitioning MetisPartitionWeighted(const WeightedGraph& graph,
 
 Partitioning MetisPartition(const graph::OpGraph& graph,
                             const MetisOptions& options) {
+  EAGLE_SPAN("partition.metis");
   return MetisPartitionWeighted(BuildWeightedGraph(graph), options);
 }
 

@@ -1,7 +1,7 @@
 #include "partition/partition.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 #include "support/check.h"
 
@@ -14,24 +14,51 @@ std::int64_t WeightedGraph::total_vertex_weight() const {
 }
 
 WeightedGraph BuildWeightedGraph(const graph::OpGraph& graph) {
-  const int n = graph.num_ops();
-  // Merge parallel/bidirectional edges.
-  std::vector<std::map<std::int32_t, std::int64_t>> nbr(
-      static_cast<std::size_t>(n));
-  for (const auto& e : graph.edges()) {
-    nbr[static_cast<std::size_t>(e.src)][e.dst] += e.bytes;
-    nbr[static_cast<std::size_t>(e.dst)][e.src] += e.bytes;
+  const auto n = static_cast<std::size_t>(graph.num_ops());
+  const std::vector<graph::Edge>& edges = graph.edges();
+  // Counting sort of both directions of every edge into per-vertex rows.
+  std::vector<std::int32_t> row_start(n + 1, 0);
+  for (const auto& e : edges) {
+    ++row_start[static_cast<std::size_t>(e.src) + 1];
+    ++row_start[static_cast<std::size_t>(e.dst) + 1];
   }
+  for (std::size_t v = 0; v < n; ++v) row_start[v + 1] += row_start[v];
+  std::vector<std::pair<std::int32_t, std::int64_t>> entries(2 * edges.size());
+  std::vector<std::int32_t> fill(row_start.begin(), row_start.end() - 1);
+  for (const auto& e : edges) {
+    entries[static_cast<std::size_t>(fill[static_cast<std::size_t>(e.src)]++)] =
+        {e.dst, e.bytes};
+    entries[static_cast<std::size_t>(fill[static_cast<std::size_t>(e.dst)]++)] =
+        {e.src, e.bytes};
+  }
+  // Each row sorted by neighbor id with parallel/bidirectional edges merged
+  // is the row a per-vertex std::map would give: the sums are int64, so the
+  // order they are added in cannot change them.
   WeightedGraph wg;
-  wg.xadj.reserve(static_cast<std::size_t>(n) + 1);
+  wg.xadj.reserve(n + 1);
   wg.xadj.push_back(0);
-  wg.vwgt.assign(static_cast<std::size_t>(n), 1);
-  for (int v = 0; v < n; ++v) {
-    for (const auto& [u, w] : nbr[static_cast<std::size_t>(v)]) {
-      wg.adjncy.push_back(u);
-      // Zero-byte edges still express structure; floor at 1 so matching and
-      // min-cut see them.
-      wg.adjwgt.push_back(std::max<std::int64_t>(w, 1));
+  wg.vwgt.assign(n, 1);
+  wg.adjncy.reserve(entries.size());
+  wg.adjwgt.reserve(entries.size());
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto begin = entries.begin() + row_start[v];
+    const auto end = entries.begin() + row_start[v + 1];
+    std::sort(begin, end, [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    const std::size_t row = wg.adjncy.size();
+    for (auto it = begin; it != end; ++it) {
+      if (wg.adjncy.size() > row && wg.adjncy.back() == it->first) {
+        wg.adjwgt.back() += it->second;
+      } else {
+        wg.adjncy.push_back(it->first);
+        wg.adjwgt.push_back(it->second);
+      }
+    }
+    // Zero-byte edges still express structure; floor at 1 so matching and
+    // min-cut see them.
+    for (std::size_t i = row; i < wg.adjwgt.size(); ++i) {
+      wg.adjwgt[i] = std::max<std::int64_t>(wg.adjwgt[i], 1);
     }
     wg.xadj.push_back(static_cast<std::int32_t>(wg.adjncy.size()));
   }

@@ -25,13 +25,60 @@ Placement Placement::AllOnDevice(const graph::OpGraph& graph,
   return placement;
 }
 
+NormalizationPlan PlanNormalization(const graph::OpGraph& graph) {
+  // Group id → first op, in an open-addressing table (Fibonacci hash,
+  // linear probing) of 2·ops slots.
+  const std::vector<graph::OpDef>& ops = graph.ops();
+  int bits = 4;
+  while ((std::size_t{1} << bits) < 2 * ops.size()) ++bits;
+  struct Slot {
+    std::int32_t group = -1;
+    graph::OpId leader = 0;
+  };
+  std::vector<Slot> table(std::size_t{1} << bits);
+  std::vector<bool> group_on_cpu(ops.size(), false);  // by leader
+  NormalizationPlan plan;
+  plan.source.resize(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const graph::OpDef& op = ops[i];
+    graph::OpId leader = static_cast<graph::OpId>(i);
+    if (op.colocation_group >= 0) {
+      std::size_t h = static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(op.colocation_group) *
+           0x9E3779B97F4A7C15ULL) >>
+          (64 - bits));
+      while (table[h].group >= 0 && table[h].group != op.colocation_group) {
+        h = (h + 1) & (table.size() - 1);
+      }
+      if (table[h].group < 0) table[h] = Slot{op.colocation_group, leader};
+      leader = table[h].leader;
+    }
+    if (op.cpu_only) group_on_cpu[static_cast<std::size_t>(leader)] = true;
+    plan.source[i] = leader;
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (group_on_cpu[static_cast<std::size_t>(plan.source[i])]) {
+      plan.source[i] = NormalizationPlan::kOnCpu;
+    }
+  }
+  return plan;
+}
+
 Placement Placement::FromGroups(const graph::OpGraph& graph,
                                 const ClusterSpec& cluster,
                                 const graph::Grouping& grouping,
                                 const std::vector<DeviceId>& group_devices) {
-  EAGLE_CHECK_MSG(static_cast<int>(grouping.size()) == graph.num_ops(),
+  return FromGroups(PlanNormalization(graph), cluster, grouping,
+                    group_devices);
+}
+
+Placement Placement::FromGroups(const NormalizationPlan& plan,
+                                const ClusterSpec& cluster,
+                                const graph::Grouping& grouping,
+                                const std::vector<DeviceId>& group_devices) {
+  EAGLE_CHECK_MSG(grouping.size() == plan.source.size(),
                   "grouping covers " << grouping.size() << " ops, graph has "
-                                     << graph.num_ops());
+                                     << plan.source.size());
   Placement placement;
   placement.devices_.resize(grouping.size());
   for (std::size_t i = 0; i < grouping.size(); ++i) {
@@ -42,7 +89,7 @@ Placement Placement::FromGroups(const graph::OpGraph& graph,
                           << group_devices.size() << " groups have devices");
     placement.devices_[i] = group_devices[static_cast<std::size_t>(g)];
   }
-  placement.Normalize(graph, cluster);
+  placement.Normalize(plan, cluster);
   return placement;
 }
 
@@ -53,53 +100,25 @@ DeviceId Placement::device(graph::OpId op) const {
 
 void Placement::Normalize(const graph::OpGraph& graph,
                           const ClusterSpec& cluster) {
-  EAGLE_CHECK(static_cast<int>(devices_.size()) == graph.num_ops());
+  Normalize(PlanNormalization(graph), cluster);
+}
+
+void Placement::Normalize(const NormalizationPlan& plan,
+                          const ClusterSpec& cluster) {
+  EAGLE_CHECK(devices_.size() == plan.source.size());
   const DeviceId cpu = cluster.FirstCpu();
   EAGLE_CHECK_MSG(cpu >= 0, "cluster has no CPU device for pinned ops");
   for (auto& d : devices_) {
     EAGLE_CHECK_MSG(d >= 0 && d < cluster.num_devices(),
                     "device id " << d << " out of range");
   }
-  // A colocation group goes to its first op's device, or to the CPU when
-  // any member is cpu_only. Groups get dense numbers in first-seen order
-  // from an open-addressing table (Fibonacci hash, linear probing) sized
-  // once per call — imported ids range up to 2^31-1, so they cannot index
-  // a table themselves. `group_of` holds each op's dense number, -1 for
-  // none.
-  const std::vector<graph::OpDef>& ops = graph.ops();
-  int bits = 4;
-  while ((std::size_t{1} << bits) < 2 * ops.size()) ++bits;
-  struct Slot {
-    std::int32_t group = -1;
-    std::int32_t dense = 0;
-  };
-  std::vector<Slot> table(std::size_t{1} << bits);
-  std::vector<DeviceId> group_device;
-  std::vector<std::int32_t> group_of(ops.size(), -1);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const graph::OpDef& op = ops[i];
-    if (op.cpu_only) devices_[i] = cpu;
-    if (op.colocation_group < 0) continue;
-    std::size_t h = static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(op.colocation_group) *
-         0x9E3779B97F4A7C15ULL) >>
-        (64 - bits));
-    while (table[h].group >= 0 && table[h].group != op.colocation_group) {
-      h = (h + 1) & (table.size() - 1);
-    }
-    Slot& slot = table[h];
-    if (slot.group < 0) {
-      slot = Slot{op.colocation_group,
-                  static_cast<std::int32_t>(group_device.size())};
-      group_device.push_back(devices_[i]);
-    }
-    if (op.cpu_only) group_device[static_cast<std::size_t>(slot.dense)] = cpu;
-    group_of[i] = slot.dense;
-  }
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (group_of[i] >= 0) {
-      devices_[i] = group_device[static_cast<std::size_t>(group_of[i])];
-    }
+  // A source never comes after the op it serves, so it already holds its
+  // final device when read.
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    const graph::OpId source = plan.source[i];
+    devices_[i] = source == NormalizationPlan::kOnCpu
+                      ? cpu
+                      : devices_[static_cast<std::size_t>(source)];
   }
 }
 

@@ -15,6 +15,21 @@
 
 namespace eagle::sim {
 
+// What Normalize does to a graph's placements, worked out once per graph.
+// source[op] is the op whose device `op` takes — its colocation group's
+// first op, or itself when ungrouped — or kOnCpu when `op` or any member
+// of its group is cpu_only. A group's first op never comes after its
+// members, so one ascending pass applies the plan in place.
+struct NormalizationPlan {
+  static constexpr graph::OpId kOnCpu = -1;
+  std::vector<graph::OpId> source;
+};
+
+// One pass over the ops; each group's first op is found by group id
+// through a hash table (imported ids range up to 2^31-1, so they cannot
+// index a table themselves).
+NormalizationPlan PlanNormalization(const graph::OpGraph& graph);
+
 class Placement {
  public:
   Placement() = default;
@@ -32,6 +47,11 @@ class Placement {
                               const ClusterSpec& cluster,
                               const graph::Grouping& grouping,
                               const std::vector<DeviceId>& group_devices);
+  // The same against a plan the caller keeps for its graph.
+  static Placement FromGroups(const NormalizationPlan& plan,
+                              const ClusterSpec& cluster,
+                              const graph::Grouping& grouping,
+                              const std::vector<DeviceId>& group_devices);
 
   // Rebuilds a placement from a raw device vector without constraint
   // checks — for deserializing already-normalized placements from
@@ -46,8 +66,11 @@ class Placement {
   DeviceId device(graph::OpId op) const;
   const std::vector<DeviceId>& devices() const { return devices_; }
 
-  // Applies cpu-pinning and colocation constraints in place.
+  // Applies cpu-pinning and colocation constraints in place. Throws
+  // std::logic_error when a device id is out of range or the cluster has
+  // no CPU.
   void Normalize(const graph::OpGraph& graph, const ClusterSpec& cluster);
+  void Normalize(const NormalizationPlan& plan, const ClusterSpec& cluster);
 
   // Per-device op counts (after normalization) — used in reports.
   std::vector<int> OpsPerDevice(const ClusterSpec& cluster) const;

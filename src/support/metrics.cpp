@@ -206,13 +206,17 @@ std::vector<SpanRecord> SnapshotSpans() {
   return registry.spans;
 }
 
-ScopedSpan::ScopedSpan(const char* name)
-    : name_(name), start_seconds_(NowSeconds()) {}
+Histogram* SpanHistogram(const char* name) {
+  return GetHistogram(std::string("span.") + name);
+}
+
+ScopedSpan::ScopedSpan(const char* name, Histogram* histogram)
+    : name_(name), histogram_(histogram), start_seconds_(NowSeconds()) {}
 
 ScopedSpan::~ScopedSpan() {
   const double end = NowSeconds();
   const double duration = end - start_seconds_;
-  GetHistogram(std::string("span.") + name_)->Observe(duration);
+  histogram_->Observe(duration);
   if (!ProfilingEnabled()) return;
   bool dropped = false;
   {

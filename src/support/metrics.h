@@ -27,8 +27,9 @@
 // raw support::Stopwatch.
 //
 // Thread safety: every entry point is safe to call concurrently. Counter
-// increments are atomic; histogram/gauge updates and name lookups take a
-// registry mutex (cheap relative to the evaluations being measured).
+// and gauge updates are atomic; a histogram update takes that
+// histogram's mutex, and name lookups take the registry mutex (cheap
+// relative to the evaluations being measured).
 #pragma once
 
 #include <atomic>
@@ -156,11 +157,16 @@ void EnableProfiling(bool enabled);
 bool ProfilingEnabled();
 std::vector<SpanRecord> SnapshotSpans();
 
-// RAII phase timer. The histogram "span.<name>" is always observed; a
-// SpanRecord is kept only while profiling is enabled.
+// The histogram "span.<name>" a span observes.
+Histogram* SpanHistogram(const char* name);
+
+// RAII phase timer. `histogram` (SpanHistogram(name), resolved once by
+// the caller) is always observed, so a close neither allocates nor takes
+// the registry mutex; a SpanRecord is kept only while profiling is
+// enabled. Open spans through EAGLE_SPAN.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name);
+  ScopedSpan(const char* name, Histogram* histogram);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -168,6 +174,7 @@ class ScopedSpan {
 
  private:
   const char* name_;
+  Histogram* histogram_;
   double start_seconds_;
 };
 
@@ -184,9 +191,17 @@ bool WriteProfile(const std::string& path);
 
 // Phase-span convenience: EAGLE_SPAN("train.update") times the enclosing
 // scope into the histogram "span.train.update" (and the profile, when
-// enabled).
+// enabled). Each site resolves its histogram once, in a function-local
+// static, so — like every cached registry handle — it dangles after
+// ResetForTest() (see test_metrics' ordering note). The name must be a
+// string literal (`"" name` refuses anything else): a site's histogram
+// is fixed at its first call.
 #define EAGLE_SPAN_CONCAT_IMPL(a, b) a##b
 #define EAGLE_SPAN_CONCAT(a, b) EAGLE_SPAN_CONCAT_IMPL(a, b)
-#define EAGLE_SPAN(name)                  \
-  ::eagle::support::metrics::ScopedSpan \
-  EAGLE_SPAN_CONCAT(eagle_span_, __LINE__)(name)
+#define EAGLE_SPAN(name)                                               \
+  static ::eagle::support::metrics::Histogram* const EAGLE_SPAN_CONCAT( \
+      eagle_span_histogram_, __LINE__) =                               \
+      ::eagle::support::metrics::SpanHistogram("" name);               \
+  ::eagle::support::metrics::ScopedSpan EAGLE_SPAN_CONCAT(             \
+      eagle_span_, __LINE__)(                                          \
+      name, EAGLE_SPAN_CONCAT(eagle_span_histogram_, __LINE__))

@@ -375,6 +375,27 @@ TEST(ValidateGraph, EnforcesResourceLimits) {
   EXPECT_TRUE(graph::ValidateGraph(g, IngestLimits::Unlimited()).ok());
 }
 
+// Under Unlimited() the cap is INT64_MAX, so only the overflow guard
+// stops edge bytes whose sum leaves int64: 2^62 + 2^62 at the second edge.
+TEST(ValidateGraph, SummedEdgeBytesOverflowIsAResourceLimitWhenUnlimited) {
+  OpGraph g;
+  for (const char* name : {"a", "b", "c", "d"}) {
+    OpDef op;
+    op.name = name;
+    op.type = OpType::kAdd;
+    op.output_shape = TensorShape{4};
+    g.AddOp(std::move(op));
+  }
+  const std::int64_t two_to_62 = std::int64_t{1} << 62;
+  g.AddEdge(0, 2, two_to_62);
+  g.AddEdge(1, 2, two_to_62);
+  g.AddEdge(2, 3, two_to_62);
+  const Status status = graph::ValidateGraph(g, IngestLimits::Unlimited());
+  EXPECT_EQ(status.code(), ErrorCode::kResourceLimit);
+  EXPECT_NE(status.message().find("'b' -> 'c'"), std::string::npos)
+      << status.message();
+}
+
 TEST(ValidateGraph, CheckedOpBytesRejectsOverflowingShapes) {
   OpDef sane;
   sane.name = "a";

@@ -5,7 +5,9 @@
 // to a run with both off, at any thread count.
 //
 // Ordering note: hot-path code (env.cpp, eval_service.cpp, trainer.cpp)
-// caches registry pointers in function-local statics, and ResetForTest()
+// caches registry pointers in function-local statics, and so does every
+// EAGLE_SPAN site (tape.backward, adam.step, sim.audit, graph.import,
+// partition.*, eval.*, train.*, the benches' spans); ResetForTest()
 // dangles every handle taken before it. The unit tests below call
 // ResetForTest and therefore run BEFORE the training-based integration
 // tests; nothing resets the registry after training has started.
@@ -136,7 +138,7 @@ TEST(Metrics, ConcurrentUpdatesAreExactAndRaceFree) {
   ThreadPool pool(8);
   for (int t = 0; t < kTasks; ++t) {
     pool.Submit([t] {
-      ScopedSpan span("test.task");
+      EAGLE_SPAN("test.task");
       Counter* counter = GetCounter("test.concurrent");
       Histogram* hist = GetHistogram("test.concurrent_latency");
       Gauge* gauge = GetGauge("test.concurrent_gauge");

@@ -8,9 +8,12 @@
 //   fuzz      load a valid serialized graph, then repeatedly corrupt a
 //             copy (models::MutateSerializedGraph) and feed it to the
 //             hardened parser, histogramming the error-taxonomy codes.
-//             Any crash/throw — instead of a structured error — is the
-//             bug this tool exists to catch; run it under the ASan/
-//             UBSan build (scripts/run_ci.sh does):
+//             Every mutant the parser accepts then goes through the e2e
+//             mode's METIS-group → simulate step (on --cluster), so what
+//             consumes a graph sees the accepted mutants too. Any crash/
+//             throw — instead of a structured error — is the bug this
+//             tool exists to catch; run it under the ASan/UBSan build
+//             (scripts/run_ci.sh does):
 //               $ ./graph_fuzz --mode=fuzz --in=g.eg --iters=10000
 //   e2e       generate → serialize → re-ingest → validate → METIS-group
 //             → simulate one training step, end to end, at stress scale:
@@ -20,7 +23,7 @@
 //               $ ./graph_fuzz --mode=cluster-fuzz --in=clusters/2node8.ec
 //
 // Exit codes: 0 success, 2 structured ingestion failure (e2e/fuzz
-// input) or an e2e cluster without a GPU to place on, matching the
+// input) or an e2e/fuzz cluster without a GPU to place on, matching the
 // friendly-diagnostic convention of the other tools.
 #include <cstdio>
 #include <fstream>
@@ -65,6 +68,17 @@ std::string Serialize(const graph::OpGraph& graph, bool json) {
   std::ostringstream os;
   graph::SaveText(graph, os);
   return os.str();
+}
+
+// The e2e step after ingestion: a METIS-balanced placement over the
+// cluster's GPUs, simulated for one training step.
+sim::StepResult GroupAndSimulate(const graph::OpGraph& graph,
+                                 const sim::ClusterSpec& cluster,
+                                 std::uint64_t seed) {
+  const sim::Placement placement =
+      core::MetisBalancedPlacement(graph, cluster, seed);
+  sim::ExecutionSimulator simulator(graph, cluster);
+  return simulator.Run(placement);
 }
 
 // Mutation fuzz of one importer: `parse` maps a corrupted copy of the
@@ -125,10 +139,7 @@ int RunE2e(int ops, std::uint64_t seed, bool json,
   std::printf("ingested + validated in %.2f s\n",
               stopwatch.ElapsedSeconds());
 
-  const sim::Placement placement =
-      core::MetisBalancedPlacement(graph, cluster, seed);
-  sim::ExecutionSimulator simulator(graph, cluster);
-  const auto result = simulator.Run(placement);
+  const sim::StepResult result = GroupAndSimulate(graph, cluster, seed);
   std::printf("METIS-balanced placement, simulated step: %s (total %.2f s)\n",
               result.ToString(cluster).c_str(), stopwatch.ElapsedSeconds());
   return 0;
@@ -150,7 +161,7 @@ int main(int argc, char** argv) {
   args.AddString("format", "",
                  "eg | json (default: from the file suffix, else eg)");
   args.AddString("cluster", "",
-                 "cluster topology for e2e: default, 2node8, mixed or a "
+                 "cluster topology for e2e/fuzz: default, 2node8, mixed or a "
                  ".ec/.json spec file");
   if (!args.Parse(argc, argv)) return 0;
 
@@ -181,7 +192,7 @@ int main(int argc, char** argv) {
                 graph.num_ops(), graph.num_edges());
     return 0;
   }
-  if (mode == "fuzz" || mode == "cluster-fuzz") {
+  if (mode == "cluster-fuzz") {
     const std::string in_path = args.GetString("in");
     if (in_path.empty()) {
       std::fprintf(stderr, "graph_fuzz: --mode=%s needs --in\n",
@@ -189,35 +200,55 @@ int main(int argc, char** argv) {
       return 2;
     }
     const bool json = is_json(in_path);
-    const bool cluster = mode == "cluster-fuzz";
-    return RunFuzz(in_path, cluster ? "cluster mutants" : "mutants",
-                   json ? "json" : (cluster ? "ec" : "eg"),
+    return RunFuzz(in_path, "cluster mutants", json ? "json" : "ec",
                    static_cast<int>(args.GetInt("iters")), seed,
                    [&](const std::string& mutant) -> support::Status {
-                     if (cluster) {
-                       return json ? sim::ClusterFromJson(mutant).status()
-                                   : sim::ParseTextCluster(mutant).status();
-                     }
-                     return json ? graph::FromJson(mutant).status()
-                                 : graph::ParseTextGraph(mutant).status();
+                     return json ? sim::ClusterFromJson(mutant).status()
+                                 : sim::ParseTextCluster(mutant).status();
                    });
   }
-  if (mode == "e2e") {
-    support::StatusOr<sim::ClusterSpec> resolved =
-        sim::ResolveCluster(args.GetString("cluster"));
-    if (!resolved.ok()) {
-      std::fprintf(stderr, "graph_fuzz: %s\n",
-                   resolved.status().ToString().c_str());
-      return 2;
-    }
-    if (resolved.value().Gpus().empty()) {
-      std::fprintf(stderr,
-                   "graph_fuzz: --mode=e2e places on GPUs and the cluster "
-                   "has none\n");
-      return 2;
-    }
-    return RunE2e(ops, seed, is_json(""), resolved.value());
+  if (mode != "fuzz" && mode != "e2e") {
+    std::fprintf(stderr, "graph_fuzz: unknown --mode=%s\n", mode.c_str());
+    return 2;
   }
-  std::fprintf(stderr, "graph_fuzz: unknown --mode=%s\n", mode.c_str());
-  return 2;
+  // Both remaining modes group and simulate on the cluster's GPUs.
+  support::StatusOr<sim::ClusterSpec> resolved =
+      sim::ResolveCluster(args.GetString("cluster"));
+  if (!resolved.ok()) {
+    std::fprintf(stderr, "graph_fuzz: %s\n",
+                 resolved.status().ToString().c_str());
+    return 2;
+  }
+  const sim::ClusterSpec& cluster = resolved.value();
+  if (cluster.Gpus().empty()) {
+    std::fprintf(stderr,
+                 "graph_fuzz: --mode=%s places on GPUs and the cluster "
+                 "has none\n",
+                 mode.c_str());
+    return 2;
+  }
+  if (mode == "e2e") return RunE2e(ops, seed, is_json(""), cluster);
+  const std::string in_path = args.GetString("in");
+  if (in_path.empty()) {
+    std::fprintf(stderr, "graph_fuzz: --mode=fuzz needs --in\n");
+    return 2;
+  }
+  const bool json = is_json(in_path);
+  int simulated = 0;
+  const int status = RunFuzz(
+      in_path, "mutants", json ? "json" : "eg",
+      static_cast<int>(args.GetInt("iters")), seed,
+      [&](const std::string& mutant) -> support::Status {
+        support::StatusOr<graph::OpGraph> parsed =
+            json ? graph::FromJson(mutant) : graph::ParseTextGraph(mutant);
+        if (parsed.ok()) {
+          GroupAndSimulate(parsed.value(), cluster, seed);
+          ++simulated;
+        }
+        return parsed.status();
+      });
+  if (status == 0) {
+    std::printf("  grouped and simulated %d accepted mutants\n", simulated);
+  }
+  return status;
 }
