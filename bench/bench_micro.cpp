@@ -1,7 +1,7 @@
 // Hot-path microbenchmarks: the optimized kernels raced against their
 // frozen naive references, in one binary, with min-of-repeats timing.
 //
-// Two sections, matching the two hot loops of a training round:
+// Three sections, matching the hot loops of a training round:
 //   - GEMM at placer shapes: optimized (nn::GemmAccum & friends) vs the
 //     bit-identity oracle (nn::naive::*) vs the seed-commit kernels
 //     verbatim (bench::prepr::*, zero-skip and contraction included —
@@ -11,7 +11,9 @@
 //   - simulator steps/sec on the paper graphs (ExecutionSimulator with
 //     its pooled SimWorkspace vs sim::naive::RunReference, which is the
 //     pre-workspace implementation verbatim, i.e. also the pre-PR
-//     baseline).
+//     baseline);
+//   - tanh per element: libm's std::tanh against nn::TanhInPlace, the
+//     fdlibm port every tape op runs (the same bytes; nn/tanh.h).
 //
 // Optimized and oracle are bit-identical by construction
 // (tests/test_kernels.cpp, tests/test_sim.cpp prove it), so the ratios
@@ -33,6 +35,7 @@
 // PRs have a perf trajectory; --smoke shrinks shapes and repeats for the
 // CI wiring in scripts/run_ci.sh.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <sstream>
@@ -44,6 +47,7 @@
 #include "models/zoo.h"
 #include "nn/layers.h"
 #include "nn/naive_ref.h"
+#include "nn/tanh.h"
 #include "nn/tensor.h"
 #include "sim/measurement.h"
 #include "sim/naive_ref.h"
@@ -255,8 +259,53 @@ SimRow RunSimCase(models::Benchmark benchmark,
                            repeats, target_seconds);
 }
 
+struct TanhRow {
+  int elements = 0;
+  double libm_ns = 0.0;  // per element
+  double port_ns = 0.0;
+  double speedup = 0.0;
+};
+
+// One pass over `elements` values spread over [-4, 4], where the LSTM
+// gates and attention pre-activations live: libm writes out[i] =
+// std::tanh(in[i]), the port copies in to out and runs in place.
+TanhRow RunTanhCase(int elements, int repeats, double target_seconds) {
+  std::vector<float> in(static_cast<std::size_t>(elements));
+  support::Rng rng(5);
+  for (float& x : in) x = 8.0f * rng.NextFloat() - 4.0f;
+  std::vector<float> out(in.size());
+  const BenchTiming libm = MeasureMinOfRepeats(
+      [&](long long iters) {
+        for (long long i = 0; i < iters; ++i) {
+          for (std::size_t j = 0; j < in.size(); ++j) {
+            out[j] = std::tanh(in[j]);
+          }
+          volatile float sink = out[0];
+          (void)sink;
+        }
+      },
+      repeats, target_seconds);
+  const BenchTiming port = MeasureMinOfRepeats(
+      [&](long long iters) {
+        for (long long i = 0; i < iters; ++i) {
+          std::copy(in.begin(), in.end(), out.begin());
+          nn::TanhInPlace(out);
+          volatile float sink = out[0];
+          (void)sink;
+        }
+      },
+      repeats, target_seconds);
+  TanhRow row;
+  row.elements = elements;
+  row.libm_ns = libm.seconds_per_call * 1e9 / elements;
+  row.port_ns = port.seconds_per_call * 1e9 / elements;
+  row.speedup = libm.seconds_per_call / port.seconds_per_call;
+  return row;
+}
+
 std::string RenderJson(const std::vector<GemmRow>& gemm,
-                       const std::vector<SimRow>& sims, bool smoke,
+                       const std::vector<SimRow>& sims,
+                       const TanhRow& tanh_row, bool smoke,
                        int repeats) {
   std::ostringstream os;
   os << "{\n";
@@ -297,6 +346,10 @@ std::string RenderJson(const std::vector<GemmRow>& gemm,
        << (i + 1 < sims.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
+  os << "  \"tanh\": {\"elements\": " << tanh_row.elements
+     << ", \"libm_ns_per_element\": " << support::json::Num(tanh_row.libm_ns)
+     << ", \"port_ns_per_element\": " << support::json::Num(tanh_row.port_ns)
+     << ", \"speedup\": " << support::json::Num(tanh_row.speedup) << "},\n";
   double placer_min = 0.0, all_min = 0.0, sim_min = 0.0;
   for (const auto& r : gemm) {
     all_min = all_min == 0.0 ? r.speedup_vs_prepr
@@ -402,7 +455,13 @@ int main(int argc, char** argv) {
               << " steps/s, speedup " << r.speedup << "x\n";
   }
 
-  const std::string json = RenderJson(gemm, sims, smoke, repeats);
+  const TanhRow tanh_row =
+      RunTanhCase(smoke ? 256 : 4096, repeats, target_seconds);
+  std::cout << "tanh " << tanh_row.elements << " elements: libm "
+            << tanh_row.libm_ns << " ns, port " << tanh_row.port_ns
+            << " ns per element, speedup " << tanh_row.speedup << "x\n";
+
+  const std::string json = RenderJson(gemm, sims, tanh_row, smoke, repeats);
   const std::string out = args.GetString("out");
   if (!out.empty()) {
     if (!support::WriteFileAtomic(

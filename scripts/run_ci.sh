@@ -123,11 +123,11 @@ echo "=== training checkpoint pins ==="
 "$BUILD/bench/bench_table2" --models=inception_v3 --samples=20 \
   --checkpoint-dir="$SMOKE/ck" | tee "$SMOKE/table2.out"
 CKPT_SHA256=(
-  "04f74fdb4e94a0567773d45f99f9e5036a37cfba191f44b1a082ca2be387ab40 Inception-V3_EAGLE_PPO.ckpt"
-  "c2a46d83098c5323d0d3d3b7c5df65b792a0cd8c791d180f70cee3ff562ae031 Inception-V3_Hierarchical Planner_REINFORCE.ckpt"
-  "e8d43e7783abf652b6902b1a1a1194e7a5f67476ad4685675fd4029664a4808e Inception-V3_Post_PPO+CE.ckpt"
-  "6af531b89497ad7f6778569af562c0589bf1cfa309de35f1dc3f640aecb2f46a Inception-V3_placer:before_PPO.ckpt"
-  "cc6b3e1e4946abdee74d48de5dae282a0a789c47a214e6b1b9ffe9741933784a Inception-V3_placer:after_PPO.ckpt"
+  "b45db4b6c4a496f281f9f1d0105e90fd163ebe030562342d4cfc78eb708b2884 Inception-V3_EAGLE_PPO.ckpt"
+  "274df5ce456e0830db1abcab195fbbea97995c55c0ecf7e456a0d6413d9cdc74 Inception-V3_Hierarchical Planner_REINFORCE.ckpt"
+  "e37811f80428c4e294737c1b308e20bbdb637ecfbfa3294996f00d686dfa9807 Inception-V3_Post_PPO+CE.ckpt"
+  "d1cf1ab0425dbd63653a657f0c3c1354721832eb6e61a8a48316a3502504d6be Inception-V3_placer:before_PPO.ckpt"
+  "933c45dee9b6889e5792f0e2f7c72eae430bc80104b6b547624598f78c8cc3a3 Inception-V3_placer:after_PPO.ckpt"
   "bd59c2a55cce027936ddbfbbf4eb1c99fc2e6cfd56a61f58a26c4090f7069315 Inception-V3_placer:gcn_PPO.ckpt"
 )
 check_checkpoint_pins() {

@@ -12,6 +12,8 @@
 // sampled (discrete, high-variance) grouping.
 #pragma once
 
+#include <span>
+
 #include "core/grouper_ffn.h"
 #include "nn/layers.h"
 
@@ -23,13 +25,17 @@ class BridgeRnn {
   BridgeRnn(nn::ParamStore& store, int grouper_hidden, int bridge_hidden,
             support::Rng& rng);
 
-  // Returns num_groups × bridge_hidden conditioning states.
-  // `grouper_softmax` is the grouper's num_ops × k soft assignment (a tape
-  // Var, so gradients reach the grouper), `grouping` the sampled discrete
-  // assignment used for the count statistics.
+  // Returns the conditioning states of B groupings (sample lanes) at once,
+  // (num_groups·B) × bridge_hidden with row g·B + b holding lane b's group
+  // g: the placer encoder's layout. `grouper_softmax` is the grouper's
+  // num_ops × k soft assignment (a tape Var, so gradients reach the
+  // grouper); `groupings` are the sampled discrete assignments the count
+  // statistics read. The signatures and masses are the same for every
+  // lane and are built once; each lane's states are bit for bit those of
+  // running its grouping alone (B = 1).
   nn::Var Apply(nn::Tape& tape, const GrouperFFN& grouper,
                 nn::Var grouper_softmax,
-                const graph::Grouping& grouping) const;
+                std::span<const graph::Grouping> groupings) const;
 
   int hidden() const { return cell_.hidden(); }
 

@@ -12,6 +12,21 @@ nn::Var MeanEntropy(nn::Tape& tape, nn::Var log_probs, nn::Var probs) {
                     -1.0f / static_cast<float>(tape.value(probs).rows()));
 }
 
+// One choice per row of `probs`: a draw each (rng set) or `forced`.
+std::vector<std::int32_t> Choose(const nn::Tensor& probs, support::Rng* rng,
+                                 std::span<const std::int32_t> forced) {
+  EAGLE_CHECK_MSG((rng != nullptr) != !forced.empty(),
+                  "pass exactly one of rng / forced choices");
+  if (rng == nullptr) return {forced.begin(), forced.end()};
+  std::vector<std::int32_t> choices(static_cast<std::size_t>(probs.rows()));
+  for (int r = 0; r < probs.rows(); ++r) {
+    choices[static_cast<std::size_t>(r)] =
+        static_cast<std::int32_t>(rng->NextFromProbs(
+            probs.row(r), static_cast<std::size_t>(probs.cols())));
+  }
+  return choices;
+}
+
 }  // namespace
 
 CategoricalDistribution MakeCategoricalDistribution(nn::Tape& tape,
@@ -27,23 +42,10 @@ CategoricalHead DecideCategorical(nn::Tape& tape,
                                   const CategoricalDistribution& dist,
                                   support::Rng* rng,
                                   std::span<const std::int32_t> forced) {
-  EAGLE_CHECK_MSG((rng != nullptr) != !forced.empty(),
-                  "pass exactly one of rng / forced choices");
   CategoricalHead head;
   head.probs = dist.probs;
   head.entropy = dist.entropy;
-  if (rng == nullptr) {
-    head.choices.assign(forced.begin(), forced.end());
-  } else {
-    const nn::Tensor& probs_value = tape.value(dist.probs);
-    head.choices.resize(static_cast<std::size_t>(probs_value.rows()));
-    for (int r = 0; r < probs_value.rows(); ++r) {
-      head.choices[static_cast<std::size_t>(r)] =
-          static_cast<std::int32_t>(rng->NextFromProbs(
-              probs_value.row(r),
-              static_cast<std::size_t>(probs_value.cols())));
-    }
-  }
+  head.choices = Choose(tape.value(dist.probs), rng, forced);
   // The gather rejects a forced decision of the wrong length or with a
   // choice outside [0, classes).
   head.log_prob = tape.Sum(tape.PickPerRow(
@@ -61,6 +63,20 @@ CategoricalHead Categorical(nn::Tape& tape, nn::Var logits, support::Rng* rng,
   dist.probs = tape.Softmax(logits);
   CategoricalHead head = DecideCategorical(tape, dist, rng, forced);
   head.entropy = MeanEntropy(tape, dist.log_probs, dist.probs);
+  return head;
+}
+
+CategoricalRows CategoricalPerRow(nn::Tape& tape, nn::Var logits,
+                                  support::Rng* rng,
+                                  std::span<const std::int32_t> forced) {
+  nn::Var log_probs = tape.LogSoftmax(logits);
+  nn::Var probs = tape.Softmax(logits);
+  CategoricalRows head;
+  head.choices = Choose(tape.value(probs), rng, forced);
+  head.log_probs = tape.PickPerRow(
+      log_probs, std::vector<int>(head.choices.begin(), head.choices.end()));
+  head.entropies =
+      tape.Scale(tape.RowSums(tape.Mul(probs, log_probs)), -1.0f);
   return head;
 }
 

@@ -53,4 +53,20 @@ CategoricalHead DecideCategorical(nn::Tape& tape,
 CategoricalHead Categorical(nn::Tape& tape, nn::Var logits, support::Rng* rng,
                             std::span<const std::int32_t> forced);
 
+// The head of a batch of one-row decisions, one per row of `logits` (a
+// placer step over B sample lanes): each row's own log-prob and entropy.
+struct CategoricalRows {
+  std::vector<std::int32_t> choices;  // one per row
+  nn::Var log_probs;  // rows×1: log p(choice_row)
+  nn::Var entropies;  // rows×1: -Σ_c p log p of each row
+};
+
+// Runs Categorical's op sequence row by row, so a row's entropy is
+// Categorical()'s on that row alone, and its log-prob is the one entry
+// Categorical() sums (they differ only in the sign of a zero, which the
+// rollout's sum from zero drops). rng / forced as in DecideCategorical.
+CategoricalRows CategoricalPerRow(nn::Tape& tape, nn::Var logits,
+                                  support::Rng* rng,
+                                  std::span<const std::int32_t> forced);
+
 }  // namespace eagle::core

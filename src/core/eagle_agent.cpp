@@ -18,6 +18,23 @@ support::metrics::Counter* GrouperForwards() {
   return counter;
 }
 
+// Stacks B per-lane k×F tensors into the placer's (k·B)×F layout: lane
+// b's row g becomes row g·B + b.
+nn::Tensor InterleaveLanes(std::span<const nn::Tensor* const> lanes) {
+  const int count = static_cast<int>(lanes.size());
+  const int k = lanes[0]->rows();
+  const int cols = lanes[0]->cols();
+  nn::Tensor stacked(k * count, cols);
+  for (int b = 0; b < count; ++b) {
+    for (int g = 0; g < k; ++g) {
+      std::copy(lanes[static_cast<std::size_t>(b)]->row(g),
+                lanes[static_cast<std::size_t>(b)]->row(g) + cols,
+                stacked.row(g * count + b));
+    }
+  }
+  return stacked;
+}
+
 }  // namespace
 
 HierarchicalAgent::HierarchicalAgent(const graph::OpGraph& graph,
@@ -131,38 +148,68 @@ CategoricalDistribution HierarchicalAgent::ScoringDistribution(
 
 HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
     nn::Tape& tape, const CategoricalDistribution& grouper, support::Rng* rng,
-    std::span<const std::int32_t> forced_grouping,
-    std::span<const std::int32_t> forced_devices) {
+    std::span<const Sample* const> stored) {
   const int k = config_.dims.num_groups;
   const bool learned = config_.grouper == GrouperKind::kLearned;
+  const int lanes = rng != nullptr ? 1 : static_cast<int>(stored.size());
+  EAGLE_CHECK(lanes >= 1 && (rng == nullptr || stored.empty()));
+  EAGLE_CHECK(lanes == 1 || config_.placer == PlacerKind::kSeq2Seq);
+  const bool adjacency_in_embedding = config_.placer != PlacerKind::kGcn;
   PolicyOutput out;
 
-  nn::Var group_embeddings;
-  CategoricalHead grouped;
+  nn::Tensor embeddings;
+  std::vector<graph::Grouping> groupings;
+  nn::Var grouper_logps;
   if (learned) {
-    grouped = DecideCategorical(tape, grouper, rng, forced_grouping);
-    out.grouping = std::move(grouped.choices);
-    group_embeddings = tape.Input(MakeGroupEmbeddings(
-        *graph_, out.grouping, k, config_.features,
-        /*include_adjacency=*/config_.placer != PlacerKind::kGcn));
-    if (config_.use_bridge) {
-      nn::Var conditioning =
-          bridge_.Apply(tape, grouper_, grouped.probs, out.grouping);
-      group_embeddings = tape.ConcatCols(group_embeddings, conditioning);
+    // One grouper gather per lane, in lane order.
+    std::vector<nn::Var> logps;
+    for (int b = 0; b < lanes; ++b) {
+      CategoricalHead grouped = DecideCategorical(
+          tape, grouper, rng,
+          rng != nullptr ? std::span<const std::int32_t>()
+                         : stored[static_cast<std::size_t>(b)]->grouping);
+      groupings.push_back(std::move(grouped.choices));
+      logps.push_back(grouped.log_prob);
     }
+    grouper_logps = tape.ConcatRows(logps);  // B×1
+    std::vector<nn::Tensor> per_lane;
+    std::vector<const nn::Tensor*> lane_embeddings;
+    per_lane.reserve(groupings.size());
+    for (const graph::Grouping& grouping : groupings) {
+      per_lane.push_back(MakeGroupEmbeddings(*graph_, grouping, k,
+                                             config_.features,
+                                             adjacency_in_embedding));
+      lane_embeddings.push_back(&per_lane.back());
+    }
+    embeddings = InterleaveLanes(lane_embeddings);
   } else {
-    group_embeddings = tape.Input(fixed_embeddings_);
+    embeddings = InterleaveLanes(std::vector<const nn::Tensor*>(
+        static_cast<std::size_t>(lanes), &fixed_embeddings_));
+  }
+  nn::Var group_embeddings = tape.Input(std::move(embeddings));
+  if (learned && config_.use_bridge) {
+    group_embeddings = tape.ConcatCols(
+        group_embeddings, bridge_.Apply(tape, grouper_, grouper.probs,
+                                        groupings));
   }
 
+  const std::span<const std::int32_t> forced_devices =
+      rng != nullptr ? std::span<const std::int32_t>()
+                     : stored[0]->group_devices;
   PlacerRollout rollout;
   switch (config_.placer) {
-    case PlacerKind::kSeq2Seq:
-      rollout = seq_placer_.Run(tape, group_embeddings, rng, forced_devices);
+    case PlacerKind::kSeq2Seq: {
+      std::vector<std::span<const std::int32_t>> forced;
+      for (const Sample* sample : stored) {
+        forced.emplace_back(sample->group_devices);
+      }
+      rollout = seq_placer_.Run(tape, group_embeddings, lanes, rng, forced);
       break;
+    }
     case PlacerKind::kGcn: {
-      nn::Var adjacency =
-          tape.Input(learned ? MakeGroupAdjacency(*graph_, out.grouping, k)
-                             : fixed_adjacency_);
+      nn::Var adjacency = tape.Input(
+          learned ? MakeGroupAdjacency(*graph_, groupings[0], k)
+                  : fixed_adjacency_);
       rollout = gcn_placer_.Run(tape, group_embeddings, adjacency, rng,
                                 forced_devices);
       break;
@@ -181,8 +228,9 @@ HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
   if (learned) {
     out.logp = tape.Add(
         rollout.log_prob,
-        tape.Scale(grouped.log_prob, static_cast<float>(grouper_weight_)));
-    out.entropy = tape.Add(rollout.entropy, grouped.entropy);
+        tape.Scale(grouper_logps, static_cast<float>(grouper_weight_)));
+    out.entropy = tape.Add(rollout.entropy, grouper.entropy);
+    if (rng != nullptr) out.grouping = std::move(groupings[0]);
   } else {
     out.logp = rollout.log_prob;
     out.entropy = rollout.entropy;
@@ -196,7 +244,7 @@ Sample HierarchicalAgent::SampleDecision(support::Rng& rng) {
   PolicyOutput out = RunPolicy(
       tape,
       learned ? SamplingDistribution(tape) : CategoricalDistribution{},
-      &rng, {}, {});
+      &rng, {});
   Sample sample;
   sample.group_devices = std::move(out.devices);
   sample.logp = static_cast<double>(tape.value(out.logp).at(0, 0));
@@ -205,25 +253,49 @@ Sample HierarchicalAgent::SampleDecision(support::Rng& rng) {
     sample.grouping = std::move(out.grouping);
     // The grouper term is scaled to ~k decisions.
     sample.num_decisions += config_.dims.num_groups;
-  } else {
-    sample.grouping = config_.fixed_grouping;
   }
   return sample;
 }
 
+std::vector<PolicyAgent::Score> HierarchicalAgent::ScoreDecisions(
+    nn::Tape& tape, std::span<const Sample* const> samples) {
+  const CategoricalDistribution grouper =
+      config_.grouper == GrouperKind::kLearned ? ScoringDistribution(tape)
+                                               : CategoricalDistribution{};
+  // The seq2seq placer scores the batch as one stacked rollout; the GCN
+  // and FFN placers score one decision at a time.
+  const std::size_t lanes =
+      config_.placer == PlacerKind::kSeq2Seq ? samples.size() : 1;
+  std::vector<Score> scores;
+  for (std::size_t first = 0; first < samples.size(); first += lanes) {
+    const PolicyOutput out =
+        RunPolicy(tape, grouper, nullptr, samples.subspan(first, lanes));
+    if (lanes == 1) {
+      scores.push_back(Score{out.logp, out.entropy});
+      continue;
+    }
+    for (int b = 0; b < static_cast<int>(lanes); ++b) {
+      scores.push_back(Score{tape.SliceRows(out.logp, b, b + 1),
+                             tape.SliceRows(out.entropy, b, b + 1)});
+    }
+  }
+  return scores;
+}
+
 HierarchicalAgent::Score HierarchicalAgent::ScoreDecision(
     nn::Tape& tape, const Sample& sample) {
-  PolicyOutput out = RunPolicy(
-      tape,
-      config_.grouper == GrouperKind::kLearned ? ScoringDistribution(tape)
-                                               : CategoricalDistribution{},
-      nullptr, sample.grouping, sample.group_devices);
-  return Score{out.logp, out.entropy};
+  const Sample* const one = &sample;
+  return ScoreDecisions(tape, std::span(&one, 1))[0];
 }
 
 sim::Placement HierarchicalAgent::ToPlacement(const Sample& sample) const {
-  return sim::Placement::FromGroups(plan_, *cluster_, sample.grouping,
-                                    sample.group_devices);
+  // A fixed-grouper sample carries no grouping of its own (one stored by
+  // an older checkpoint is ignored).
+  return sim::Placement::FromGroups(
+      plan_, *cluster_,
+      config_.grouper == GrouperKind::kFixed ? config_.fixed_grouping
+                                             : sample.grouping,
+      sample.group_devices);
 }
 
 std::unique_ptr<HierarchicalAgent> MakeEagleAgent(

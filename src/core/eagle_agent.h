@@ -28,6 +28,13 @@
 // sampling forward and reuses them while the grouper's parameter bytes
 // are unchanged. The metrics counter "agent.grouper_forwards" counts the
 // forwards that do run.
+//
+// ScoreDecisions scores a batch as one stacked seq2seq rollout: lane b of
+// group g is row g·B + b of the placer's input, and the bridge, encoder,
+// attention and decoder each run once over the B lanes. Each sample's
+// log-prob and entropy are bit for bit those of scoring it alone; only
+// the order in which the lanes' gradients sum moves. Sampling and
+// ScoreDecision run the same forms with one lane.
 #pragma once
 
 #include <memory>
@@ -75,6 +82,8 @@ class HierarchicalAgent : public PolicyAgent {
 
   Sample SampleDecision(support::Rng& rng) override;
   Score ScoreDecision(nn::Tape& tape, const Sample& sample) override;
+  std::vector<Score> ScoreDecisions(
+      nn::Tape& tape, std::span<const Sample* const> samples) override;
   sim::Placement ToPlacement(const Sample& sample) const override;
   nn::ParamStore& params() override { return store_; }
   const char* name() const override { return config_.display_name.c_str(); }
@@ -83,18 +92,19 @@ class HierarchicalAgent : public PolicyAgent {
 
  private:
   struct PolicyOutput {
-    graph::Grouping grouping;  // the learned grouper's; empty when fixed
-    std::vector<std::int32_t> devices;
-    nn::Var logp;
-    nn::Var entropy;
+    graph::Grouping grouping;  // the sampled learned grouping, else empty
+    std::vector<std::int32_t> devices;  // lane-major, k per lane
+    nn::Var logp;     // B×1
+    nn::Var entropy;  // B×1
   };
-  // Samples (rng set, forced spans empty) or scores a stored decision.
-  // `grouper` is the learned grouper's distribution on `tape`; unused
-  // when the grouper is fixed.
+  // One policy forward over B sample lanes: samples one decision (rng
+  // set, `stored` empty, B = 1) or scores the B stored decisions. The
+  // seq2seq placer runs the lanes as one stacked rollout; the GCN and FFN
+  // placers take one lane. `grouper` is the learned grouper's
+  // distribution on `tape`; unused when the grouper is fixed.
   PolicyOutput RunPolicy(nn::Tape& tape, const CategoricalDistribution& grouper,
                          support::Rng* rng,
-                         std::span<const std::int32_t> forced_grouping,
-                         std::span<const std::int32_t> forced_devices);
+                         std::span<const Sample* const> stored);
   // The learned grouper's full forward on `tape`.
   CategoricalDistribution GrouperForward(nn::Tape& tape) const;
   // The grouper distribution a sample draws from: the cached values as

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/op_graph.h"
@@ -29,8 +30,8 @@
 namespace eagle::core {
 
 struct Sample {
-  // Actions: grouping over ops (empty when the grouper is fixed/heuristic)
-  // and a device per group.
+  // Actions: grouping over ops (empty when the grouper is fixed/heuristic:
+  // the agent holds that grouping) and a device per group.
   graph::Grouping grouping;
   std::vector<std::int32_t> group_devices;
 
@@ -66,6 +67,19 @@ class PolicyAgent {
     nn::Var entropy;  // 1×1 (mean policy entropy, for the bonus term)
   };
   virtual Score ScoreDecision(nn::Tape& tape, const Sample& sample) = 0;
+  // Scores a batch of stored decisions on one tape: one Score per sample,
+  // in order, each bit for bit ScoreDecision's. An agent may batch the
+  // work, which changes only the order in which the samples' gradients
+  // sum. The default scores the samples one by one.
+  virtual std::vector<Score> ScoreDecisions(
+      nn::Tape& tape, std::span<const Sample* const> samples) {
+    std::vector<Score> scores;
+    scores.reserve(samples.size());
+    for (const Sample* sample : samples) {
+      scores.push_back(ScoreDecision(tape, *sample));
+    }
+    return scores;
+  }
 
   // Expands a sample's actions into a normalized op-level placement.
   virtual sim::Placement ToPlacement(const Sample& sample) const = 0;

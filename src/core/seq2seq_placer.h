@@ -15,10 +15,11 @@
 
 namespace eagle::core {
 
+// The decisions of B sample lanes (B = 1 for a single decision).
 struct PlacerRollout {
-  std::vector<std::int32_t> devices;  // one per group
-  nn::Var log_prob;  // 1×1: Σ_g log p(d_g | ...)
-  nn::Var entropy;   // 1×1: mean per-step policy entropy
+  std::vector<std::int32_t> devices;  // lane b's group g at b·k + g
+  nn::Var log_prob;  // B×1: Σ_g log p(d_g | ...) per lane
+  nn::Var entropy;   // B×1: mean per-step policy entropy per lane
 };
 
 class Seq2SeqPlacer {
@@ -28,11 +29,18 @@ class Seq2SeqPlacer {
                 int attn_dim, int device_embed_dim, int num_devices,
                 AttentionVariant variant, support::Rng& rng);
 
-  // Samples (rng) or scores (forced, one device per row) a device sequence
-  // for the k rows of group_embeddings, one Categorical step per group.
-  PlacerRollout Run(nn::Tape& tape, nn::Var group_embeddings,
+  // One stacked rollout over B lanes: group_embeddings is (k·B)×F with
+  // row g·B + b holding lane b's group g, and every encoder, attention
+  // and decoder step runs once over the B lanes (one B-row GEMM where a
+  // single decision runs a GEMV). Samples (rng set, `forced` empty; one
+  // draw per lane per step, lanes in order) or scores forced[b], lane b's
+  // k devices. Each lane's devices, log-prob and entropy are bit for bit
+  // those of running it alone; only the order in which lanes' gradients
+  // sum into shared nodes and parameters depends on B.
+  PlacerRollout Run(nn::Tape& tape, nn::Var group_embeddings, int lanes,
                     support::Rng* rng,
-                    std::span<const std::int32_t> forced) const;
+                    std::span<const std::span<const std::int32_t>> forced)
+      const;
 
   int num_devices() const { return num_devices_; }
   AttentionVariant variant() const { return variant_; }

@@ -69,7 +69,9 @@ class EdgePairSet {
 };
 
 // The whole-graph checks once every op and edge is in: a cycle check,
-// then ValidateGraph. The cycle check is Kahn's algorithm with edge
+// then ValidateGraphValues. The parsers refused duplicate pairs as they
+// added them (CheckAddEdge), so ValidateGraph's two structural checks
+// would only repeat work. The cycle check is Kahn's algorithm with edge
 // attribution: when a cycle exists, it reports the first declared edge
 // whose both endpoints failed to topologically drain — an edge on (or
 // feeding) the cycle — with its source position when the caller tracked
@@ -98,7 +100,7 @@ Status CheckGraph(const OpGraph& graph,
     }
   }
   if (processed == n) {
-    Status status = ValidateGraph(graph, opts.limits);
+    Status status = ValidateGraphValues(graph, opts.limits);
     if (!status.ok()) status.At(source_name);
     return status;
   }

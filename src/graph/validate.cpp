@@ -83,7 +83,7 @@ Status CheckedOpBytes(const OpDef& op, std::int64_t* out) {
   return Status::Ok();
 }
 
-Status ValidateGraph(const OpGraph& graph, const IngestLimits& limits) {
+Status ValidateGraphValues(const OpGraph& graph, const IngestLimits& limits) {
   if (graph.num_ops() > limits.max_ops) {
     return Status::Error(ErrorCode::kResourceLimit,
                          "graph has " + std::to_string(graph.num_ops()) +
@@ -127,8 +127,6 @@ Status ValidateGraph(const OpGraph& graph, const IngestLimits& limits) {
   }
 
   std::int64_t edge_bytes = 0;
-  std::vector<std::pair<OpId, OpId>> pairs;
-  pairs.reserve(static_cast<std::size_t>(graph.num_edges()));
   for (const Edge& e : graph.edges()) {
     if (e.src < 0 || e.src >= graph.num_ops() || e.dst < 0 ||
         e.dst >= graph.num_ops()) {
@@ -162,8 +160,16 @@ Status ValidateGraph(const OpGraph& graph, const IngestLimits& limits) {
                                graph.op(e.dst).name + "'");
     }
     edge_bytes += e.bytes;
-    pairs.emplace_back(e.src, e.dst);
   }
+  return Status::Ok();
+}
+
+Status ValidateGraph(const OpGraph& graph, const IngestLimits& limits) {
+  Status status = ValidateGraphValues(graph, limits);
+  if (!status.ok()) return status;
+  std::vector<std::pair<OpId, OpId>> pairs;
+  pairs.reserve(static_cast<std::size_t>(graph.num_edges()));
+  for (const Edge& e : graph.edges()) pairs.emplace_back(e.src, e.dst);
   std::sort(pairs.begin(), pairs.end());
   for (std::size_t i = 1; i < pairs.size(); ++i) {
     if (pairs[i] == pairs[i - 1]) {

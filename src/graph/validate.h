@@ -44,9 +44,19 @@ support::Status CheckedOpBytes(const OpDef& op, std::int64_t* out);
 // Full semantic check: names (non-empty, no whitespace — they must
 // survive the .eg text format), per-op byte arithmetic, non-negative
 // edge bytes and their overflow-checked sum, endpoint validity, duplicate
-// (src,dst) pairs, acyclicity, and the IngestLimits caps. Returns the first violation found, with
-// the op/edge spelled out in the message.
+// (src,dst) pairs, acyclicity, and the IngestLimits caps. Returns the
+// first violation found, with the op/edge spelled out in the message:
+// ValidateGraphValues' findings first, then a duplicate pair, then a
+// cycle.
 support::Status ValidateGraph(const OpGraph& graph,
                               const IngestLimits& limits = {});
+
+// ValidateGraph without its two structural whole-graph checks (duplicate
+// pairs, cycles): the names, ranks, bytes, edge endpoints, self and
+// negative edges, summed bytes and caps. For callers that have proved the
+// structure already — the importers refuse a duplicate pair as they add
+// it and find cycles with their own attributed Kahn pass.
+support::Status ValidateGraphValues(const OpGraph& graph,
+                                    const IngestLimits& limits = {});
 
 }  // namespace eagle::graph

@@ -115,19 +115,23 @@ BiLstmEncoder::BiLstmEncoder(ParamStore& store, const std::string& name,
     : fwd_(store, name + "/fwd", in_dim, hidden, rng),
       bwd_(store, name + "/bwd", in_dim, hidden, rng) {}
 
-BiLstmEncoder::Output BiLstmEncoder::Apply(Tape& tape, Var sequence) const {
-  const int steps = tape.value(sequence).rows();
-  EAGLE_CHECK(steps >= 1);
+BiLstmEncoder::Output BiLstmEncoder::Apply(Tape& tape, Var sequence,
+                                           int lanes) const {
+  const int rows = tape.value(sequence).rows();
+  EAGLE_CHECK(lanes >= 1 && rows >= lanes && rows % lanes == 0);
+  const int steps = rows / lanes;
   std::vector<Var> fwd_states(static_cast<std::size_t>(steps));
   std::vector<Var> bwd_states(static_cast<std::size_t>(steps));
-  LstmCell::State fs = fwd_.ZeroState(tape, 1);
+  LstmCell::State fs = fwd_.ZeroState(tape, lanes);
   for (int t = 0; t < steps; ++t) {
-    fs = fwd_.Step(tape, tape.Row(sequence, t), fs);
+    fs = fwd_.Step(tape, tape.SliceRows(sequence, t * lanes, (t + 1) * lanes),
+                   fs);
     fwd_states[static_cast<std::size_t>(t)] = fs.h;
   }
-  LstmCell::State bs = bwd_.ZeroState(tape, 1);
+  LstmCell::State bs = bwd_.ZeroState(tape, lanes);
   for (int t = steps - 1; t >= 0; --t) {
-    bs = bwd_.Step(tape, tape.Row(sequence, t), bs);
+    bs = bwd_.Step(tape, tape.SliceRows(sequence, t * lanes, (t + 1) * lanes),
+                   bs);
     bwd_states[static_cast<std::size_t>(t)] = bs.h;
   }
   Var fwd_all = tape.ConcatRows(fwd_states);
@@ -154,11 +158,15 @@ BahdanauAttention::Result BahdanauAttention::Apply(Tape& tape,
                                                    Var encoder_proj,
                                                    Var decoder_state) const {
   EAGLE_CHECK(v_ != nullptr);
-  Var dec_proj = w_dec_.Apply(tape, decoder_state);  // 1×attn
-  Var pre = tape.Tanh(tape.Add(encoder_proj, dec_proj));  // S×attn (bcast)
-  Var scores = tape.Transpose(tape.MatMul(pre, tape.Param(v_)));  // 1×S
+  const int lanes = tape.value(decoder_state).rows();
+  const int steps = tape.value(encoder_states).rows() / lanes;
+  Var dec_proj = w_dec_.Apply(tape, decoder_state);  // B×attn
+  // Row t·B + b adds lane b's projection.
+  Var pre = tape.Tanh(tape.Add(encoder_proj, dec_proj));  // (S·B)×attn
+  Var scores = tape.Transpose(tape.Reshape(
+      tape.MatMul(pre, tape.Param(v_)), steps, lanes));  // B×S
   Var weights = tape.Softmax(scores);
-  Var context = tape.MatMul(weights, encoder_states);  // 1×enc_dim
+  Var context = tape.LaneProduct(weights, encoder_states);  // B×enc_dim
   return Result{context, weights};
 }
 

@@ -86,8 +86,11 @@ class LstmCell {
   int hidden_ = 0;
 };
 
-// Bidirectional encoder: runs forward and backward LSTMs over the rows of
-// a S×F sequence and returns the S×2H concatenated outputs.
+// Bidirectional encoder: runs forward and backward LSTMs over B lanes of
+// S-step sequences at once. The input is (S·B)×F with row t·B + b holding
+// lane b's step t, each step's B rows one LSTM step; the states come back
+// in the same layout. Every GEMM and LSTM op is row-wise, so each lane's
+// states are bit for bit those of encoding its sequence alone (B = 1).
 class BiLstmEncoder {
  public:
   BiLstmEncoder() = default;
@@ -95,11 +98,11 @@ class BiLstmEncoder {
                 int hidden, support::Rng& rng);
 
   struct Output {
-    Var states;        // S×2H
-    LstmCell::State final_fwd;
+    Var states;        // (S·B)×2H, row t·B + b
+    LstmCell::State final_fwd;  // B×H
     LstmCell::State final_bwd;
   };
-  Output Apply(Tape& tape, Var sequence) const;
+  Output Apply(Tape& tape, Var sequence, int lanes) const;
 
   int hidden() const { return fwd_.hidden(); }
 
@@ -109,20 +112,24 @@ class BiLstmEncoder {
 };
 
 // Bahdanau (additive) content-based attention:
-//   score_i = vᵀ tanh(W_e e_i + W_d d);   context = Σ softmax(score)_i e_i.
+//   score_i = vᵀ tanh(W_e e_i + W_d d);   context = Σ softmax(score)_i e_i,
+// for B lanes at once: lane b's decoder state reads its own S encoder
+// states, rows t·B + b of the lane-interleaved E (BiLstmEncoder's layout).
 class BahdanauAttention {
  public:
   BahdanauAttention() = default;
   BahdanauAttention(ParamStore& store, const std::string& name, int enc_dim,
                     int dec_dim, int attn_dim, support::Rng& rng);
 
-  // Precompute W_e·E once per sequence (E: S×enc_dim) — reused every step.
+  // Precompute W_e·E once per sequence (E: (S·B)×enc_dim) — reused every
+  // step.
   Var ProjectEncoder(Tape& tape, Var encoder_states) const;
 
   struct Result {
-    Var context;  // 1×enc_dim
-    Var weights;  // 1×S (softmax attention weights)
+    Var context;  // B×enc_dim
+    Var weights;  // B×S (softmax attention weights)
   };
+  // decoder_state is B×dec_dim.
   Result Apply(Tape& tape, Var encoder_states, Var encoder_proj,
                Var decoder_state) const;
 

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/gemm_inner.h"
+#include "nn/tanh.h"
 #include "support/metrics.h"
 
 namespace eagle::nn {
+
+using detail::MulAdd;
 
 void Tape::Reset() {
   // Transposed copies first, then the nodes newest-first, so tensor
@@ -145,32 +149,34 @@ Var Tape::MatMul(Var a, Var b) {
 Var Tape::Add(Var a, Var b) {
   const Tensor& av = value(a);
   const Tensor& bv = value(b);
-  const bool broadcast = bv.rows() == 1 && av.rows() != 1;
-  EAGLE_CHECK_MSG(av.cols() == bv.cols() && (broadcast || av.rows() == bv.rows()),
+  const int period = bv.rows();
+  EAGLE_CHECK_MSG(av.cols() == bv.cols() &&
+                      (period == av.rows() ||
+                       (period > 0 && av.rows() % period == 0)),
                   "Add shape mismatch " << av.ShapeString() << " + "
                                         << bv.ShapeString());
   Tensor out = av;
   for (int r = 0; r < out.rows(); ++r) {
-    const float* brow = bv.row(broadcast ? 0 : r);
+    const float* brow = bv.row(r % period);
     float* orow = out.row(r);
     for (int c = 0; c < out.cols(); ++c) orow[c] += brow[c];
   }
   const bool ng = node(a).needs_grad || node(b).needs_grad;
   Var result = Push(std::move(out), ng, {});
   if (ng) {
-    node(result).backward = [this, a, b, result, broadcast]() {
+    node(result).backward = [this, a, b, result, period]() {
       const Tensor& g = node(result).grad;
       if (node(a).needs_grad) Axpy(1.0f, g, GradRef(a));
       if (node(b).needs_grad) {
         Tensor& gb = GradRef(b);
-        if (broadcast) {
+        if (period == g.rows()) {
+          Axpy(1.0f, g, gb);
+        } else {
           for (int r = 0; r < g.rows(); ++r) {
             const float* grow = g.row(r);
-            float* brow = gb.row(0);
+            float* brow = gb.row(r % period);
             for (int c = 0; c < g.cols(); ++c) brow[c] += grow[c];
           }
-        } else {
-          Axpy(1.0f, g, gb);
         }
       }
     };
@@ -271,7 +277,9 @@ Tensor MapTensor(const Tensor& in, F f) {
 }  // namespace
 
 Var Tape::Tanh(Var a) {
-  Tensor out = MapTensor(value(a), [](float x) { return std::tanh(x); });
+  Tensor out = value(a);
+  TanhInPlace(
+      std::span<float>(out.data(), static_cast<std::size_t>(out.size())));
   const bool ng = node(a).needs_grad;
   Var result = Push(std::move(out), ng, {});
   if (ng) {
@@ -576,19 +584,67 @@ Var Tape::SliceCols(Var a, int c0, int c1) {
   return result;
 }
 
-Var Tape::Row(Var a, int r) {
+Var Tape::SliceRows(Var a, int r0, int r1) {
   const Tensor& av = value(a);
-  EAGLE_CHECK_MSG(r >= 0 && r < av.rows(), "Row " << r << " of "
-                                                  << av.ShapeString());
-  Tensor out(1, av.cols());
-  std::copy(av.row(r), av.row(r) + av.cols(), out.row(0));
+  EAGLE_CHECK_MSG(0 <= r0 && r0 < r1 && r1 <= av.rows(),
+                  "SliceRows [" << r0 << "," << r1 << ") of "
+                                << av.ShapeString());
+  Tensor out(r1 - r0, av.cols());
+  std::copy(av.row(r0), av.row(r1), out.data());
   const bool ng = node(a).needs_grad;
   Var result = Push(std::move(out), ng, {});
   if (ng) {
-    node(result).backward = [this, a, result, r]() {
+    node(result).backward = [this, a, result, r0]() {
       const Tensor& g = node(result).grad;
       Tensor& ga = GradRef(a);
-      for (int c = 0; c < g.cols(); ++c) ga.at(r, c) += g.at(0, c);
+      for (int r = 0; r < g.rows(); ++r)
+        for (int c = 0; c < g.cols(); ++c) ga.at(r0 + r, c) += g.at(r, c);
+    };
+  }
+  return result;
+}
+
+Var Tape::GatherRows(Var a, std::vector<int> idx) {
+  const Tensor& av = value(a);
+  Tensor out(static_cast<int>(idx.size()), av.cols());
+  for (int i = 0; i < out.rows(); ++i) {
+    const int r = idx[static_cast<std::size_t>(i)];
+    EAGLE_CHECK_MSG(r >= 0 && r < av.rows(),
+                    "GatherRows row " << r << " of " << av.ShapeString());
+    std::copy(av.row(r), av.row(r) + av.cols(), out.row(i));
+  }
+  const bool ng = node(a).needs_grad;
+  Var result = Push(std::move(out), ng, {});
+  if (ng) {
+    node(result).backward = [this, a, result, idx = std::move(idx)]() {
+      const Tensor& g = node(result).grad;
+      Tensor& ga = GradRef(a);
+      for (int i = 0; i < g.rows(); ++i) {
+        const int r = idx[static_cast<std::size_t>(i)];
+        for (int c = 0; c < g.cols(); ++c) ga.at(r, c) += g.at(i, c);
+      }
+    };
+  }
+  return result;
+}
+
+Var Tape::Reshape(Var a, int rows, int cols) {
+  const Tensor& av = value(a);
+  EAGLE_CHECK_MSG(rows >= 0 && cols >= 0 &&
+                      static_cast<std::int64_t>(rows) * cols == av.size(),
+                  "Reshape " << av.ShapeString() << " to " << rows << "x"
+                             << cols);
+  Tensor out(rows, cols);
+  std::copy(av.data(), av.data() + av.size(), out.data());
+  const bool ng = node(a).needs_grad;
+  Var result = Push(std::move(out), ng, {});
+  if (ng) {
+    node(result).backward = [this, a, result]() {
+      const Tensor& g = node(result).grad;
+      Tensor& ga = GradRef(a);
+      const float* gd = g.data();
+      float* gad = ga.data();
+      for (std::int64_t i = 0; i < g.size(); ++i) gad[i] += gd[i];
     };
   }
   return result;
@@ -640,6 +696,28 @@ Var Tape::SumRows(Var a) {
   return result;
 }
 
+Var Tape::RowSums(Var a) {
+  const Tensor& av = value(a);
+  Tensor out(av.rows(), 1);
+  for (int r = 0; r < av.rows(); ++r) {
+    const float* row = av.row(r);
+    float total = 0.0f;
+    for (int c = 0; c < av.cols(); ++c) total += row[c];
+    out.at(r, 0) = total;
+  }
+  const bool ng = node(a).needs_grad;
+  Var result = Push(std::move(out), ng, {});
+  if (ng) {
+    node(result).backward = [this, a, result]() {
+      const Tensor& g = node(result).grad;
+      Tensor& ga = GradRef(a);
+      for (int r = 0; r < ga.rows(); ++r)
+        for (int c = 0; c < ga.cols(); ++c) ga.at(r, c) += g.at(r, 0);
+    };
+  }
+  return result;
+}
+
 Var Tape::PickPerRow(Var a, std::vector<int> idx) {
   const Tensor& av = value(a);
   EAGLE_CHECK_MSG(static_cast<int>(idx.size()) == av.rows(),
@@ -659,6 +737,72 @@ Var Tape::PickPerRow(Var a, std::vector<int> idx) {
       Tensor& ga = GradRef(a);
       for (int r = 0; r < g.rows(); ++r)
         ga.at(r, idx[static_cast<std::size_t>(r)]) += g.at(r, 0);
+    };
+  }
+  return result;
+}
+
+Var Tape::LaneProduct(Var w, Var e) {
+  const Tensor& wv = value(w);
+  const Tensor& ev = value(e);
+  const int lanes = wv.rows();
+  const int steps = wv.cols();
+  EAGLE_CHECK_MSG(ev.rows() == lanes * steps,
+                  "LaneProduct " << wv.ShapeString() << " lanes over "
+                                 << ev.ShapeString());
+  Tensor out(lanes, ev.cols());
+  for (int b = 0; b < lanes; ++b) {
+    const float* wr = wv.row(b);
+    float* o = out.row(b);
+    for (int t = 0; t < steps; ++t) {
+      const float* er = ev.row(t * lanes + b);
+      for (int c = 0; c < ev.cols(); ++c) o[c] = MulAdd(wr[t], er[c], o[c]);
+    }
+  }
+  const bool ng = node(w).needs_grad || node(e).needs_grad;
+  Var result = Push(std::move(out), ng, {});
+  if (ng) {
+    node(result).backward = [this, w, e, result]() {
+      const Tensor& g = node(result).grad;
+      const Tensor& wv = value(w);
+      const Tensor& ev = value(e);
+      const int lanes = wv.rows();
+      if (node(w).needs_grad) {
+        // dw[b, t] = Σ_c g[b, c] · e[t·B + b, c], eight dot products at a
+        // time: each folds c in ascending order from zero, as
+        // GemmAccumFromZero does, and the chains only overlap their fma
+        // latency. A short last block repeats its last row and drops it.
+        constexpr int kChains = 8;
+        Tensor& gw = GradRef(w);
+        for (int b = 0; b < lanes; ++b) {
+          const float* gr = g.row(b);
+          for (int t0 = 0; t0 < wv.cols(); t0 += kChains) {
+            const int n = std::min(kChains, wv.cols() - t0);
+            const float* rows[kChains];
+            for (int j = 0; j < kChains; ++j) {
+              rows[j] = ev.row((t0 + std::min(j, n - 1)) * lanes + b);
+            }
+            float acc[kChains] = {};
+            for (int c = 0; c < g.cols(); ++c) {
+              for (int j = 0; j < kChains; ++j) {
+                acc[j] = MulAdd(gr[c], rows[j][c], acc[j]);
+              }
+            }
+            for (int j = 0; j < n; ++j) gw.at(b, t0 + j) += acc[j];
+          }
+        }
+      }
+      if (node(e).needs_grad) {
+        Tensor& ge = GradRef(e);
+        for (int t = 0; t < wv.cols(); ++t) {
+          for (int b = 0; b < lanes; ++b) {
+            const float wt = wv.at(b, t);
+            const float* gr = g.row(b);
+            float* er = ge.row(t * lanes + b);
+            for (int c = 0; c < g.cols(); ++c) er[c] = MulAdd(wt, gr[c], er[c]);
+          }
+        }
+      }
     };
   }
   return result;

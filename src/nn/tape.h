@@ -65,7 +65,9 @@ class Tape {
 
   // ---- ops (shapes checked; gradients exact) ----
   Var MatMul(Var a, Var b);
-  Var Add(Var a, Var b);        // same shape, or b is 1×C (row broadcast)
+  // Same shape, or b has R rows dividing a's and row r of a reads
+  // b[r mod R] (R = 1: a row broadcast).
+  Var Add(Var a, Var b);
   Var Sub(Var a, Var b);        // same shape
   Var Mul(Var a, Var b);        // elementwise, same shape
   Var Scale(Var a, float s);
@@ -82,12 +84,23 @@ class Tape {
   Var ConcatCols(Var a, Var b);
   Var ConcatRows(const std::vector<Var>& rows);  // all 1×C or R_i×C
   Var SliceCols(Var a, int c0, int c1);          // columns [c0, c1)
-  Var Row(Var a, int r);                         // 1×C view (copy)
+  Var SliceRows(Var a, int r0, int r1);          // rows [r0, r1) (copy)
+  // out[i] = a[idx[i]]; an index may repeat (its gradients add in i order).
+  Var GatherRows(Var a, std::vector<int> idx);
+  Var Reshape(Var a, int rows, int cols);        // row-major, same size
   Var Sum(Var a);               // 1×1
   Var Mean(Var a);              // 1×1
   Var SumRows(Var a);           // R×C -> 1×C (column sums)
+  Var RowSums(Var a);           // R×C -> R×1 (each row as Sum sums it)
   // out[r, 0] = a[r, idx[r]] — gathers per-row entries (picked log-probs).
   Var PickPerRow(Var a, std::vector<int> idx);
+  // The lane product of B×S weights w and an (S·B)×C e whose row t·B + b
+  // is lane b's step t: out[b] = Σ_t w[b, t] · e[t·B + b], folded over t
+  // in ascending order from zero. Each lane computes exactly what
+  // MatMul(w[b], e_b) computes for its own S×C block e_b, forward and
+  // backward: dw folds each dot product from zero and adds it once, and
+  // de takes one MulAdd per closure, as MatMul's queued dB fold does.
+  Var LaneProduct(Var w, Var e);
 
   // Seeds d(loss)=1 (loss must be 1×1) and back-propagates.
   void Backward(Var loss);

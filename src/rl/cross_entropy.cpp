@@ -29,12 +29,13 @@ int CrossEntropyUpdate(core::PolicyAgent& agent, nn::Adam& optimizer,
   const auto elites = SelectElites(pool, options.num_elites);
   if (elites.empty()) return 0;
   const float scale = -1.0f / static_cast<float>(elites.size());
+  std::vector<const core::Sample*> samples;
+  for (std::size_t i : elites) samples.push_back(&pool[i]);
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     nn::Tape tape;
     nn::Var loss;
     bool first = true;
-    for (std::size_t i : elites) {
-      const auto score = agent.ScoreDecision(tape, pool[i]);
+    for (const auto& score : agent.ScoreDecisions(tape, samples)) {
       nn::Var term = tape.Scale(score.logp, scale);
       loss = first ? term : tape.Add(loss, term);
       first = false;

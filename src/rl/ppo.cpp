@@ -16,14 +16,18 @@ PpoStats PpoUpdate(core::PolicyAgent& agent, nn::Adam& optimizer,
   const float inv_n = 1.0f / static_cast<float>(n);
   const auto lo = static_cast<float>(1.0 - options.clip_epsilon);
   const auto hi = static_cast<float>(1.0 + options.clip_epsilon);
+  std::vector<const core::Sample*> samples;
+  for (const core::Sample& sample : batch) samples.push_back(&sample);
 
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     nn::Tape tape;
     nn::Var loss;
     bool first = true;
     double ratio_sum = 0.0;
-    for (const core::Sample& sample : batch) {
-      const auto score = agent.ScoreDecision(tape, sample);
+    const auto scores = agent.ScoreDecisions(tape, samples);
+    for (int i = 0; i < n; ++i) {
+      const core::Sample& sample = batch[static_cast<std::size_t>(i)];
+      const auto& score = scores[static_cast<std::size_t>(i)];
       // log r = logp_new - logp_old (optionally per-decision), clamped
       // before exponentiation.
       nn::Var delta =

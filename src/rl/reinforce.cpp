@@ -12,8 +12,12 @@ double ReinforceUpdate(core::PolicyAgent& agent, nn::Adam& optimizer,
   nn::Var loss;
   const float scale = -1.0f / static_cast<float>(batch.size());
   bool first = true;
-  for (const core::Sample& sample : batch) {
-    const auto score = agent.ScoreDecision(tape, sample);
+  std::vector<const core::Sample*> samples;
+  for (const core::Sample& sample : batch) samples.push_back(&sample);
+  const auto scores = agent.ScoreDecisions(tape, samples);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const core::Sample& sample = batch[i];
+    const auto& score = scores[i];
     nn::Var term = tape.Scale(
         score.logp, scale * static_cast<float>(sample.advantage));
     nn::Var ent = tape.Scale(

@@ -2,10 +2,10 @@
 // backward, shared by the queue's byte oracle (test_autograd) and the
 // arena rebuild test (test_kernels):
 //   - the cell weight W is the right operand of every step's MatMul, and
-//     one Row(W, r) taken between two steps writes W's gradient outside
-//     the queue;
+//     one SliceRows(W, r, r + 1) taken between two steps writes W's
+//     gradient outside the queue;
 //   - a non-leaf E = tanh(x·W_enc) is the right operand of one attention
-//     MatMul per step and is also read by Row() on every third step;
+//     MatMul per step and is also read by SliceRows() on every third step;
 //   - W_enc is the right operand of two MatMuls of 6 and 3 rows, and the
 //     first step's attention left operand needs no gradient.
 // RecordingTape logs each op in creation order so an oracle can replay
@@ -29,7 +29,7 @@ enum class OpKind {
   kTanh,
   kSliceCols,
   kConcatCols,
-  kRow,
+  kSliceRows,
   kSum,
 };
 
@@ -38,7 +38,7 @@ struct RecordedOp {
   Var out;
   Var a;
   Var b;        // invalid for unary ops
-  int arg = 0;  // SliceCols' first column, Row's row
+  int arg = 0;  // SliceCols' first column, SliceRows' first row
 };
 
 // Forwards each op to the tape and logs it. Clear() keeps the log's
@@ -70,7 +70,9 @@ class RecordingTape {
   Var ConcatCols(Var a, Var b) {
     return Log(OpKind::kConcatCols, tape_.ConcatCols(a, b), a, b);
   }
-  Var Row(Var a, int r) { return Log(OpKind::kRow, tape_.Row(a, r), a, Var{}, r); }
+  Var SliceRows(Var a, int r0, int r1) {
+    return Log(OpKind::kSliceRows, tape_.SliceRows(a, r0, r1), a, Var{}, r0);
+  }
   Var Sum(Var a) { return Log(OpKind::kSum, tape_.Sum(a), a); }
 
  private:
@@ -94,7 +96,7 @@ constexpr int kEncIn = 5;     // features per encoder row
 constexpr int kEncDim = 12;   // columns of E
 constexpr int kHidden = 20;   // 4·kHidden = 80 gate columns: past one GEMV tile
 constexpr int kSteps = 9;
-constexpr int kRowStep = 3;   // Row(W, kWRow) is taken after this step
+constexpr int kRowStep = 3;   // W's row kWRow is sliced after this step
 constexpr int kWRow = 5;
 
 struct ChainNet {
@@ -139,7 +141,9 @@ inline Var BuildChain(RecordingTape& t, ChainNet& net) {
   for (int step = 0; step < kSteps; ++step) {
     Var ctx = t.MatMul(t.SliceCols(h, 0, kEncRows), enc);
     Var x = t.ConcatCols(
-        ctx, step % 3 == 0 ? t.Row(enc, step % kEncRows) : ctx);
+        ctx, step % 3 == 0
+                 ? t.SliceRows(enc, step % kEncRows, step % kEncRows + 1)
+                 : ctx);
     Var gates = t.Add(t.MatMul(t.ConcatCols(x, h), w), bias);
     Var i = t.Sigmoid(t.SliceCols(gates, 0, h_dim));
     Var f = t.Sigmoid(t.SliceCols(gates, h_dim, 2 * h_dim));
@@ -147,7 +151,7 @@ inline Var BuildChain(RecordingTape& t, ChainNet& net) {
     Var o = t.Sigmoid(t.SliceCols(gates, 3 * h_dim, 4 * h_dim));
     c = t.Add(t.Mul(f, c), t.Mul(i, g));
     h = t.Mul(o, t.Tanh(c));
-    if (step == kRowStep) w_row = t.Row(w, kWRow);
+    if (step == kRowStep) w_row = t.SliceRows(w, kWRow, kWRow + 1);
   }
   return t.Add(t.Sum(h), t.Add(t.Sum(t.Tanh(w_row)), t.Sum(side)));
 }

@@ -2,9 +2,11 @@
 // Tape::Backward must match central finite differences on random inputs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/naive_ref.h"
@@ -178,7 +180,8 @@ TEST(Autograd, ConcatColsAndSlice) {
 
 TEST(Autograd, ConcatRowsAndRow) {
   GradCheck(2, 3, [&](Tape& t, Var p) {
-    Var stacked = t.ConcatRows({t.Row(p, 1), t.Row(p, 0), t.Row(p, 1)});
+    Var stacked = t.ConcatRows(
+        {t.SliceRows(p, 1, 2), t.SliceRows(p, 0, 1), t.SliceRows(p, 1, 2)});
     return t.Sum(t.Sigmoid(stacked));
   });
 }
@@ -196,6 +199,45 @@ TEST(Autograd, PickPerRow) {
   GradCheck(3, 4, [&](Tape& t, Var p) {
     Var picked = t.PickPerRow(t.LogSoftmax(p), {2, 0, 3});
     return t.Sum(t.Mul(picked, t.Input(weights)));
+  });
+}
+
+TEST(Autograd, SliceRowsAndGatherRows) {
+  GradCheck(4, 3, [&](Tape& t, Var p) {
+    Var rows = t.ConcatRows({t.SliceRows(p, 1, 3), t.GatherRows(p, {3, 0, 3})});
+    return t.Sum(t.Tanh(rows));
+  });
+}
+
+TEST(Autograd, ReshapeAndRowSums) {
+  GradCheck(3, 4, [&](Tape& t, Var p) {
+    return t.Sum(t.Tanh(t.RowSums(t.Reshape(p, 2, 6))));
+  });
+}
+
+TEST(Autograd, AddPeriodicRowBroadcast) {
+  const Tensor rows = RandomTensor(6, 3, 15);
+  const Tensor period = RandomTensor(2, 3, 16);
+  GradCheck(2, 3, [&](Tape& t, Var p) {
+    return t.Sum(t.Tanh(t.Add(t.Input(rows), p)));
+  });
+  GradCheck(6, 3, [&](Tape& t, Var p) {
+    return t.Sum(t.Tanh(t.Add(p, t.Input(period))));
+  });
+}
+
+TEST(Autograd, LaneProduct) {
+  // Three lanes of four steps over five columns.
+  const Tensor weights = RandomTensor(3, 4, 17);
+  const Tensor states = RandomTensor(12, 5, 18);
+  const Tensor mix = RandomTensor(3, 5, 19);
+  GradCheck(3, 4, [&](Tape& t, Var p) {
+    return t.Sum(t.Mul(t.Tanh(t.LaneProduct(p, t.Input(states))),
+                       t.Input(mix)));
+  });
+  GradCheck(12, 5, [&](Tape& t, Var p) {
+    return t.Sum(t.Mul(t.Tanh(t.LaneProduct(t.Input(weights), p)),
+                       t.Input(mix)));
   });
 }
 
@@ -367,9 +409,10 @@ std::vector<Tensor> OracleGrads(chain::RecordingTape& t, Var loss) {
         }
         break;
       }
-      case chain::OpKind::kRow: {
+      case chain::OpKind::kSliceRows: {
         Tensor& ga = grad(op.a);
-        for (int c = 0; c < g.cols(); ++c) ga.at(op.arg, c) += g.at(0, c);
+        for (int r = 0; r < g.rows(); ++r)
+          for (int c = 0; c < g.cols(); ++c) ga.at(op.arg + r, c) += g.at(r, c);
         break;
       }
       case chain::OpKind::kSum: {
@@ -381,6 +424,8 @@ std::vector<Tensor> OracleGrads(chain::RecordingTape& t, Var loss) {
   }
   return grads;
 }
+
+std::uint32_t FloatBits(float x) { return std::bit_cast<std::uint32_t>(x); }
 
 bool SameBytes(const Tensor& a, const Tensor& b) {
   return a.SameShape(b) &&
@@ -415,6 +460,181 @@ TEST(Autograd, QueuedMatMulBackwardMatchesPerProductOracle) {
     Tensor flushed(p->value.rows(), p->value.cols());
     Axpy(1.0f, want[static_cast<std::size_t>(leaf.id)], flushed);
     EXPECT_TRUE(SameBytes(p->grad, flushed)) << p->name;
+  }
+}
+
+// ---- the row-block ops behind the stacked placer: one lane is the op it
+// replaced, byte for byte, and lanes are independent ----
+
+std::vector<Tensor> GradsOf(std::initializer_list<Parameter*> params) {
+  std::vector<Tensor> grads;
+  for (Parameter* p : params) grads.push_back(p->grad);
+  return grads;
+}
+
+Parameter RandomParameter(const char* name, int rows, int cols,
+                          std::uint64_t seed) {
+  return Parameter{name, RandomTensor(rows, cols, seed), Tensor(rows, cols)};
+}
+
+// Row(a, r), the op SliceRows and GatherRows replace, copied row r and
+// added its gradient into row r.
+TEST(Lanes, OneRowSliceAndGatherAreRow) {
+  Parameter a = RandomParameter("a", 5, 4, 31);
+  const Tensor g1 = RandomTensor(1, 4, 32);
+  const Tensor g2 = RandomTensor(1, 4, 33);
+  Tape t;
+  Var pa = t.Param(&a);
+  Var sliced = t.SliceRows(pa, 2, 3);
+  Var gathered = t.GatherRows(pa, {2});
+  for (Var v : {sliced, gathered}) {
+    ASSERT_EQ(t.value(v).rows(), 1);
+    EXPECT_EQ(std::memcmp(t.value(v).data(), a.value.row(2), 4 * sizeof(float)),
+              0);
+  }
+  Var sliced_term = t.Sum(t.Mul(sliced, t.Input(g1)));
+  Var gathered_term = t.Sum(t.Mul(gathered, t.Input(g2)));
+  t.Backward(t.Add(sliced_term, gathered_term));
+  // The gather is newer on the tape, so its write lands first: row 2 is
+  // (0 + g2) + g1, every other row zero.
+  Tensor want(5, 4);
+  for (int c = 0; c < 4; ++c) {
+    want.at(2, c) += g2.at(0, c);
+    want.at(2, c) += g1.at(0, c);
+  }
+  EXPECT_TRUE(SameBytes(a.grad, want));
+}
+
+TEST(Lanes, GatherRowsAddsRepeatedRowsInIndexOrder) {
+  Parameter a = RandomParameter("a", 3, 2, 34);
+  const Tensor g = RandomTensor(4, 2, 35);
+  Tape t;
+  t.Backward(t.Sum(t.Mul(t.GatherRows(t.Param(&a), {1, 0, 1, 1}),
+                         t.Input(g))));
+  Tensor want(3, 2);
+  for (int i : {0, 2, 3})
+    for (int c = 0; c < 2; ++c) want.at(1, c) += g.at(i, c);
+  for (int c = 0; c < 2; ++c) want.at(0, c) += g.at(1, c);
+  EXPECT_TRUE(SameBytes(a.grad, want));
+}
+
+// One lane's RowSums is Sum, and Reshape then Transpose of an S×1 column
+// is its Transpose.
+TEST(Lanes, OneLaneRowSumsAndReshapeAreSumAndTranspose) {
+  const Tensor mix = RandomTensor(1, 7, 36);
+  std::vector<Tensor> grads;
+  std::vector<Tensor> values;
+  for (const bool lanes : {false, true}) {
+    Parameter a = RandomParameter("a", 7, 1, 37);
+    Tape t;
+    Var row = lanes ? t.Transpose(t.Reshape(t.Param(&a), 7, 1))
+                    : t.Transpose(t.Param(&a));
+    Var weighted = t.Mul(t.Tanh(row), t.Input(mix));
+    Var total = lanes ? t.RowSums(weighted) : t.Sum(weighted);
+    values.push_back(t.value(total));
+    t.Backward(t.Scale(total, 0.37f));
+    grads.push_back(a.grad);
+  }
+  EXPECT_TRUE(SameBytes(values[0], values[1]));
+  EXPECT_TRUE(SameBytes(grads[0], grads[1]));
+}
+
+// The decoder's pattern at one lane: every step reads a row of the
+// encoder states E (the flush point of MatMul's queued dB) and takes an
+// attention context over all of E, and the attention weights feed a
+// second op after the context, so their gradient is not zero when the
+// context's backward adds to it. LaneProduct must leave every gradient
+// byte where MatMul leaves it.
+TEST(Lanes, OneLaneProductIsMatMulThroughADecoderChain) {
+  constexpr int kSteps = 6;
+  constexpr int kCols = 20;
+  std::vector<std::vector<Tensor>> grads;
+  std::vector<Tensor> losses;
+  for (const bool lanes : {false, true}) {
+    Parameter enc = RandomParameter("enc", kSteps, kCols, 41);
+    Parameter bias = RandomParameter("bias", 1, kSteps, 42);
+    Tape t;
+    Var e = t.Tanh(t.Param(&enc));
+    Var b = t.Param(&bias);
+    Var loss;
+    for (int g = 0; g < kSteps; ++g) {
+      const auto seed = static_cast<std::uint64_t>(100 + 10 * g);
+      Var row = t.SliceRows(e, g, g + 1);
+      Var w = t.Softmax(t.Add(b, t.Input(RandomTensor(1, kSteps, seed))));
+      Var ctx = lanes ? t.LaneProduct(w, e) : t.MatMul(w, e);
+      Var also_w = t.Sum(t.Mul(w, t.Input(RandomTensor(1, kSteps, seed + 1))));
+      Var term = t.Add(
+          t.Sum(t.Mul(t.Tanh(t.Add(ctx, row)),
+                      t.Input(RandomTensor(1, kCols, seed + 2)))),
+          also_w);
+      loss = g == 0 ? term : t.Add(loss, term);
+    }
+    losses.push_back(t.value(loss));
+    t.Backward(loss);
+    grads.push_back(GradsOf({&enc, &bias}));
+  }
+  EXPECT_TRUE(SameBytes(losses[0], losses[1]));
+  for (std::size_t i = 0; i < grads[0].size(); ++i) {
+    EXPECT_TRUE(SameBytes(grads[0][i], grads[1][i])) << "parameter " << i;
+  }
+}
+
+// B lanes at once equal each lane alone: LaneProduct over the
+// lane-interleaved states and Add's periodic broadcast, forward and
+// backward.
+TEST(Lanes, StackedLanesEqualEachLaneAlone) {
+  constexpr int kLanes = 3;
+  constexpr int kSteps = 4;
+  constexpr int kCols = 5;
+  Parameter w = RandomParameter("w", kLanes, kSteps, 51);
+  Parameter e = RandomParameter("e", kSteps * kLanes, kCols, 52);
+  Parameter d = RandomParameter("d", kLanes, kCols, 53);
+  const Tensor mix = RandomTensor(kLanes, kCols, 54);
+  Tape t;
+  Var pe = t.Param(&e);
+  Var pw = t.Param(&w);
+  Var pd = t.Param(&d);
+  Var context = t.LaneProduct(pw, pe);
+  Var first = t.SliceRows(t.Tanh(t.Add(pe, pd)), 0, kLanes);
+  Var out = t.Add(context, first);
+  const Tensor stacked = t.value(out);
+  Var weights = t.Input(mix);
+  t.Backward(t.Sum(t.Mul(out, weights)));
+
+  for (int b = 0; b < kLanes; ++b) {
+    Parameter w1{"w1", Tensor(1, kSteps), Tensor(1, kSteps)};
+    Parameter e1{"e1", Tensor(kSteps, kCols), Tensor(kSteps, kCols)};
+    Parameter d1{"d1", Tensor(1, kCols), Tensor(1, kCols)};
+    for (int s = 0; s < kSteps; ++s) {
+      w1.value.at(0, s) = w.value.at(b, s);
+      for (int c = 0; c < kCols; ++c) {
+        e1.value.at(s, c) = e.value.at(s * kLanes + b, c);
+      }
+    }
+    for (int c = 0; c < kCols; ++c) d1.value.at(0, c) = d.value.at(b, c);
+    Tensor mix1(1, kCols);
+    for (int c = 0; c < kCols; ++c) mix1.at(0, c) = mix.at(b, c);
+    Tape one;
+    Var pe1 = one.Param(&e1);
+    Var pw1 = one.Param(&w1);
+    Var pd1 = one.Param(&d1);
+    Var context1 = one.MatMul(pw1, pe1);
+    Var first1 = one.SliceRows(one.Tanh(one.Add(pe1, pd1)), 0, 1);
+    Var out1 = one.Add(context1, first1);
+    Var weights1 = one.Input(mix1);
+    one.Backward(one.Sum(one.Mul(out1, weights1)));
+    for (int c = 0; c < kCols; ++c) {
+      EXPECT_EQ(FloatBits(one.value(out1).at(0, c)),
+                FloatBits(stacked.at(b, c)));
+      EXPECT_EQ(FloatBits(d1.grad.at(0, c)), FloatBits(d.grad.at(b, c)));
+      for (int s = 0; s < kSteps; ++s) {
+        EXPECT_EQ(FloatBits(e1.grad.at(s, c)),
+                  FloatBits(e.grad.at(s * kLanes + b, c)));
+      }
+    }
+    for (int s = 0; s < kSteps; ++s) {
+      EXPECT_EQ(FloatBits(w1.grad.at(0, s)), FloatBits(w.grad.at(b, s)));
+    }
   }
 }
 

@@ -23,6 +23,7 @@
 #include "partition/metis_like.h"
 #include "rl/trainer.h"
 #include "support/metrics.h"
+#include "tests/seq2seq_oracle.h"
 
 namespace eagle::core {
 namespace {
@@ -151,11 +152,60 @@ TEST(Categorical, MatchesTheInlineSequenceBitForBit) {
   }
 }
 
+// CategoricalPerRow behind RunHead's interface.
+CategoricalHead PerRowHead(nn::Tape& tape, nn::Var logits, support::Rng* rng,
+                           std::span<const std::int32_t> forced) {
+  CategoricalRows rows = CategoricalPerRow(tape, logits, rng, forced);
+  return CategoricalHead{std::move(rows.choices), rows.log_probs,
+                         rows.entropies, nn::Var{}};
+}
+
+// Each row of the per-row head is Categorical on that row alone: the same
+// draw, log-prob, entropy and logits gradient, bit for bit.
+TEST(Categorical, PerRowHeadIsCategoricalOnEachRow) {
+  constexpr int kRows = 6;
+  constexpr int kCols = 5;
+  nn::ParamStore store;
+  nn::Parameter* all = store.Create("all", kRows, kCols);
+  support::Rng init_rng(19);
+  nn::UniformInit(all->value, -3.0f, 3.0f, init_rng);
+  nn::Tape tape;
+  support::Rng rng(20);
+  const CategoricalRows rows =
+      CategoricalPerRow(tape, tape.Param(all), &rng, {});
+  ASSERT_EQ(rows.choices.size(), static_cast<std::size_t>(kRows));
+  for (int r = 0; r < kRows; ++r) {
+    SCOPED_TRACE(::testing::Message() << "row " << r);
+    nn::ParamStore one_store;
+    nn::Parameter* one = one_store.Create("one", 1, kCols);
+    std::copy(all->value.row(r), all->value.row(r) + kCols,
+              one->value.data());
+    EXPECT_EQ(RunHead(PerRowHead, one_store, one, {}).choices,
+              RunHead(Categorical, one_store, one, {}).choices);
+    const std::int32_t choice = rows.choices[static_cast<std::size_t>(r)];
+    const HeadOutcome head =
+        RunHead(PerRowHead, one_store, one, std::span(&choice, 1));
+    const HeadOutcome want =
+        RunHead(Categorical, one_store, one, std::span(&choice, 1));
+    EXPECT_EQ(head.log_prob_bits, want.log_prob_bits);
+    EXPECT_EQ(head.entropy_bits, want.entropy_bits);
+    EXPECT_EQ(std::memcmp(head.grad.data(), want.grad.data(),
+                          kCols * sizeof(float)),
+              0);
+    EXPECT_EQ(
+        std::bit_cast<std::uint32_t>(tape.value(rows.log_probs).at(r, 0)),
+        want.log_prob_bits);
+    EXPECT_EQ(
+        std::bit_cast<std::uint32_t>(tape.value(rows.entropies).at(r, 0)),
+        want.entropy_bits);
+  }
+}
+
 // Re-scored decisions can come from a checkpoint (--resume), so a stored
 // decision of the wrong length or with an out-of-range device or group
-// must be rejected, never read past: scored alone, and scored as the
-// second decision on a tape whose first built the learned grouper's
-// shared distribution.
+// must be rejected, never read past: scored alone, scored as the second
+// decision on a tape whose first built the learned grouper's shared
+// distribution, and scored as the second lane of a batch.
 TEST(Categorical, RejectsAForcedDecisionOfTheWrongLength) {
   auto graph = SmallGraph();
   const auto cluster = sim::MakeDefaultCluster();
@@ -189,6 +239,11 @@ TEST(Categorical, RejectsAForcedDecisionOfTheWrongLength) {
       nn::Tape shared;
       agent->ScoreDecision(shared, sample);
       EXPECT_THROW(agent->ScoreDecision(shared, stored), std::logic_error)
+          << agent->name();
+      // And as one lane of a batch.
+      nn::Tape batch;
+      const Sample* const both[] = {&sample, &stored};
+      EXPECT_THROW(agent->ScoreDecisions(batch, both), std::logic_error)
           << agent->name();
     }
   }
@@ -237,8 +292,8 @@ TEST(BridgeRnn, OutputShapeAndGradientPathToGrouper) {
   nn::Tape tape;
   const auto sampled = Categorical(
       tape, grouper.Logits(tape, tape.Input(features)), &rng, {});
-  nn::Var conditioning =
-      bridge.Apply(tape, grouper, sampled.probs, sampled.choices);
+  const std::vector<graph::Grouping> groupings{sampled.choices};
+  nn::Var conditioning = bridge.Apply(tape, grouper, sampled.probs, groupings);
   EXPECT_EQ(tape.value(conditioning).rows(), 6);
   EXPECT_EQ(tape.value(conditioning).cols(), 4);
   // The EAGLE link: a loss on the bridge output reaches grouper params.
@@ -261,15 +316,17 @@ TEST_P(PlacerVariants, RolloutAndScoringConsistent) {
 
   support::Rng rng(9);
   nn::Tape tape1;
-  const auto rollout = placer.Run(tape1, tape1.Input(embeds), &rng, {});
+  const auto rollout =
+      placer.Run(tape1, tape1.Input(embeds), /*lanes=*/1, &rng, {});
   ASSERT_EQ(rollout.devices.size(), 7u);
   for (auto d : rollout.devices) {
     EXPECT_GE(d, 0);
     EXPECT_LT(d, 5);
   }
   nn::Tape tape2;
+  const std::span<const std::int32_t> forced[] = {rollout.devices};
   const auto scored =
-      placer.Run(tape2, tape2.Input(embeds), nullptr, rollout.devices);
+      placer.Run(tape2, tape2.Input(embeds), /*lanes=*/1, nullptr, forced);
   EXPECT_FLOAT_EQ(tape1.value(rollout.log_prob).at(0, 0),
                   tape2.value(scored.log_prob).at(0, 0));
   EXPECT_EQ(scored.devices, rollout.devices);
@@ -472,6 +529,199 @@ TEST(Agents, GrouperForwardsPerTrainingRun) {
   const std::int64_t forwards = GrouperForwards();
   rl::TrainAgent(*agent, env, options);
   EXPECT_EQ(GrouperForwards() - forwards, 10);
+}
+
+// ---- the stacked placer against the per-sample oracle ----
+
+// The seq2seq agents: EAGLE, Hierarchical Planner, and a fixed grouping
+// with attention before and after (the bench's placer:before/after).
+std::vector<std::unique_ptr<HierarchicalAgent>> Seq2SeqAgents(
+    const graph::OpGraph& graph, const sim::ClusterSpec& cluster) {
+  const auto dims = SmallDims();
+  partition::MetisOptions metis;
+  metis.num_parts = dims.num_groups;
+  std::vector<std::unique_ptr<HierarchicalAgent>> agents;
+  agents.push_back(MakeEagleAgent(graph, cluster, dims, 13));
+  agents.push_back(MakeHierarchicalPlanner(graph, cluster, dims, 13));
+  for (const auto variant :
+       {AttentionVariant::kBefore, AttentionVariant::kAfter}) {
+    agents.push_back(MakeFixedGrouperAgent(
+        graph, cluster, partition::MetisPartition(graph, metis),
+        PlacerKind::kSeq2Seq, variant, dims, 13,
+        variant == AttentionVariant::kBefore ? "placer:before"
+                                             : "placer:after"));
+  }
+  return agents;
+}
+
+bool SameBytes(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// Per-sample loss weights, as advantages give them.
+nn::Var LaneLoss(nn::Tape& tape, nn::Var logp, nn::Var entropy, int i) {
+  return tape.Add(tape.Scale(logp, 0.1f * static_cast<float>(i - 4)),
+                  tape.Scale(entropy, -0.01f));
+}
+
+// The oracle holds the agent's parameters, in the same order.
+void ExpectSameParameters(nn::ParamStore& agent, nn::ParamStore& oracle) {
+  ASSERT_EQ(agent.params().size(), oracle.params().size());
+  for (std::size_t p = 0; p < agent.params().size(); ++p) {
+    ASSERT_EQ(agent.params()[p]->name, oracle.params()[p]->name);
+    ASSERT_TRUE(
+        SameBytes(agent.params()[p]->value, oracle.params()[p]->value))
+        << agent.params()[p]->name;
+  }
+}
+
+TEST(Lanes, SamplingIsThePerSampleOracle) {
+  auto graph = SmallGraph();
+  const auto cluster = sim::MakeDefaultCluster();
+  for (auto& agent : Seq2SeqAgents(graph, cluster)) {
+    SCOPED_TRACE(agent->name());
+    oracle::OracleAgent oracle(graph, cluster, agent->config());
+    ExpectSameParameters(agent->params(), oracle.params());
+    support::Rng rng(41);
+    support::Rng oracle_rng(41);
+    for (int i = 0; i < 5; ++i) {
+      const Sample sample = agent->SampleDecision(rng);
+      nn::Tape tape;
+      const auto want = oracle.Sample(tape, oracle_rng);
+      EXPECT_EQ(sample.grouping, want.grouping);
+      EXPECT_EQ(sample.group_devices, want.devices);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sample.logp),
+                std::bit_cast<std::uint64_t>(
+                    static_cast<double>(tape.value(want.logp).at(0, 0))));
+    }
+  }
+}
+
+TEST(Lanes, ABatchOfOneIsThePerSampleOracleByteForByte) {
+  auto graph = SmallGraph();
+  const auto cluster = sim::MakeDefaultCluster();
+  for (auto& agent : Seq2SeqAgents(graph, cluster)) {
+    SCOPED_TRACE(agent->name());
+    oracle::OracleAgent oracle(graph, cluster, agent->config());
+    nn::ParamStore& store = agent->params();
+    support::Rng rng(42);
+    for (int i = 0; i < 5; ++i) {
+      const Sample sample = agent->SampleDecision(rng);
+      store.ZeroGrads();
+      nn::Tape tape;
+      const Sample* const one = &sample;
+      const auto scores = agent->ScoreDecisions(tape, std::span(&one, 1));
+      ASSERT_EQ(scores.size(), 1u);
+      tape.Backward(LaneLoss(tape, scores[0].logp, scores[0].entropy, i));
+
+      oracle.params().ZeroGrads();
+      nn::Tape oracle_tape;
+      const auto want = oracle.Score(
+          oracle_tape,
+          oracle.learned() ? oracle.Grouper(oracle_tape)
+                           : CategoricalDistribution{},
+          sample);
+      oracle_tape.Backward(LaneLoss(oracle_tape, want.logp, want.entropy, i));
+
+      EXPECT_EQ(Bits(tape, scores[0].logp), Bits(oracle_tape, want.logp));
+      EXPECT_EQ(Bits(tape, scores[0].entropy),
+                Bits(oracle_tape, want.entropy));
+      for (std::size_t p = 0; p < store.params().size(); ++p) {
+        EXPECT_TRUE(SameBytes(store.params()[p]->grad,
+                              oracle.params().params()[p]->grad))
+            << "sample " << i << " " << store.params()[p]->name;
+      }
+    }
+  }
+}
+
+TEST(Lanes, EachLaneOfABatchIsItsSampleScoredAlone) {
+  auto graph = SmallGraph();
+  const auto cluster = sim::MakeDefaultCluster();
+  constexpr int kBatch = 10;
+  for (auto& agent : Seq2SeqAgents(graph, cluster)) {
+    SCOPED_TRACE(agent->name());
+    oracle::OracleAgent oracle(graph, cluster, agent->config());
+    support::Rng rng(43);
+    std::vector<Sample> samples;
+    std::vector<const Sample*> batch;
+    for (int i = 0; i < kBatch; ++i) {
+      samples.push_back(agent->SampleDecision(rng));
+    }
+    for (const Sample& sample : samples) batch.push_back(&sample);
+
+    // The oracle scores every sample on one tape against one grouper
+    // distribution, as the per-sample path did.
+    oracle.params().ZeroGrads();
+    std::vector<std::uint32_t> logp_bits;
+    std::vector<std::uint32_t> entropy_bits;
+    {
+      nn::Tape tape;
+      const CategoricalDistribution grouper =
+          oracle.learned() ? oracle.Grouper(tape) : CategoricalDistribution{};
+      nn::Var total;
+      for (int i = 0; i < kBatch; ++i) {
+        const auto want =
+            oracle.Score(tape, grouper, samples[static_cast<std::size_t>(i)]);
+        logp_bits.push_back(Bits(tape, want.logp));
+        entropy_bits.push_back(Bits(tape, want.entropy));
+        const nn::Var term = LaneLoss(tape, want.logp, want.entropy, i);
+        total = i == 0 ? term : tape.Add(total, term);
+      }
+      tape.Backward(total);
+    }
+
+    nn::ParamStore& store = agent->params();
+    store.ZeroGrads();
+    nn::Tape tape;
+    const auto scores = agent->ScoreDecisions(tape, batch);
+    ASSERT_EQ(scores.size(), batch.size());
+    nn::Var total;
+    for (int i = 0; i < kBatch; ++i) {
+      const auto s = static_cast<std::size_t>(i);
+      EXPECT_EQ(Bits(tape, scores[s].logp), logp_bits[s]) << "lane " << i;
+      EXPECT_EQ(Bits(tape, scores[s].entropy), entropy_bits[s])
+          << "lane " << i;
+      const nn::Var term =
+          LaneLoss(tape, scores[s].logp, scores[s].entropy, i);
+      total = i == 0 ? term : tape.Add(total, term);
+    }
+    tape.Backward(total);
+
+    // The lanes' gradients sum in another order.
+    for (std::size_t p = 0; p < store.params().size(); ++p) {
+      const nn::Tensor& want = oracle.params().params()[p]->grad;
+      const nn::Tensor& got = store.params()[p]->grad;
+      float max_abs = 0.0f;
+      for (std::int64_t j = 0; j < want.size(); ++j) {
+        max_abs = std::max(max_abs, std::fabs(want.data()[j]));
+      }
+      for (std::int64_t j = 0; j < want.size(); ++j) {
+        ASSERT_NEAR(got.data()[j], want.data()[j], 1e-5f * max_abs)
+            << store.params()[p]->name << " entry " << j;
+      }
+    }
+  }
+}
+
+// A fixed-grouper sample carries no grouping of its own: the agent holds
+// it, and ToPlacement expands the sample's devices over it.
+TEST(Agents, FixedGrouperSamplesCarryNoGrouping) {
+  auto graph = SmallGraph();
+  const auto cluster = sim::MakeDefaultCluster();
+  auto post = MakePostAgent(graph, cluster, 8, 13);
+  support::Rng rng(44);
+  Sample sample = post->SampleDecision(rng);
+  EXPECT_TRUE(sample.grouping.empty());
+  const auto plan = sim::PlanNormalization(graph);
+  const auto want = sim::Placement::FromGroups(
+      plan, cluster, post->config().fixed_grouping, sample.group_devices);
+  EXPECT_EQ(post->ToPlacement(sample).devices(), want.devices());
+  // A grouping stored by an older checkpoint is ignored.
+  sample.grouping.assign(static_cast<std::size_t>(graph.num_ops()), 0);
+  EXPECT_EQ(post->ToPlacement(sample).devices(), want.devices());
 }
 
 TEST(Agents, ToPlacementRespectsConstraints) {

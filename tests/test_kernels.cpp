@@ -3,9 +3,11 @@
 // (nn/naive_ref.h) bit-for-bit on every shape, NaN/Inf must propagate
 // through zero operands, and rebuilding a tape on recycled arena buffers
 // must reproduce gradients exactly without allocating.
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <optional>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "nn/arena.h"
 #include "nn/float_mode.h"
 #include "nn/naive_ref.h"
+#include "nn/tanh.h"
 #include "nn/tape.h"
 #include "nn/tensor.h"
 #include "tests/lstm_chain_net.h"
@@ -418,6 +421,86 @@ TEST(Arena, CrossSizeReuseKeepsValuesIntact) {
   Tensor t(13, 5, 0.0f);
   for (int r = 0; r < t.rows(); ++r)
     for (int c = 0; c < t.cols(); ++c) EXPECT_EQ(t.at(r, c), 0.0f);
+}
+
+// ---- tanh: the vector form against the scalar fdlibm port ----
+
+std::uint32_t FloatBits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+// Runs `inputs` through TanhInPlace in blocks of eight (the vector lanes;
+// a tail would take the scalar port) and counts lanes whose bytes differ
+// from TanhF's.
+int TanhMismatches(const std::vector<float>& inputs) {
+  std::vector<float> lanes(inputs.begin(), inputs.end());
+  lanes.resize((lanes.size() + 7) / 8 * 8, 0.5f);
+  std::vector<float> vector_form = lanes;
+  TanhInPlace(vector_form);
+  int mismatches = 0;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    if (FloatBits(vector_form[i]) != FloatBits(TanhF(lanes[i]))) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "tanh(0x" << std::hex << FloatBits(lanes[i])
+                      << ") vector 0x" << FloatBits(vector_form[i])
+                      << " scalar 0x" << FloatBits(TanhF(lanes[i]));
+      }
+    }
+  }
+  return mismatches;
+}
+
+// Both signs of `x`, and one ulp either side of each.
+void AddAround(std::vector<float>& inputs, float x) {
+  for (const float v : {x, -x}) {
+    inputs.push_back(v);
+    inputs.push_back(std::nextafter(v, 0.0f));
+    inputs.push_back(std::nextafter(v, 2.0f * v));
+  }
+}
+
+TEST(Tanh, VectorFormEqualsScalarPortOnAStridedSweep) {
+  std::vector<float> inputs;
+  // Every bit pattern at a stride prime to 2^32 (~1M inputs), so every
+  // exponent and both signs are covered.
+  for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << 32);
+       bits += 4099) {
+    inputs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
+  }
+  for (const bool flush : {false, true}) {
+    std::optional<FlushDenormalsScope> scope;
+    if (flush) scope.emplace();
+    EXPECT_EQ(TanhMismatches(inputs), 0) << (flush ? "FTZ|DAZ" : "IEEE");
+  }
+}
+
+TEST(Tanh, VectorFormEqualsScalarPortAtSpecialsAndBranchEdges) {
+  std::vector<float> inputs;
+  AddAround(inputs, 0.0f);
+  for (const float v : {std::numeric_limits<float>::denorm_min(),
+                        std::numeric_limits<float>::min(),
+                        std::numeric_limits<float>::infinity(),
+                        std::numeric_limits<float>::max()}) {
+    AddAround(inputs, v);
+  }
+  for (const std::uint32_t nan : {0x7fc00000u, 0xffc00000u, 0x7f800001u,
+                                  0xff812345u}) {
+    inputs.push_back(std::bit_cast<float>(nan));
+  }
+  // tanh's |x| thresholds, then expm1's |2x| ones: 0.5 ln2, 1.5 ln2,
+  // 27 ln2, and the k = ±1, 22/23 and 56/57 rounding boundaries.
+  const float ln2 = 0.693147180559945f;
+  for (const float x : {std::ldexp(1.0f, -55), 1.0f, 22.0f}) {
+    AddAround(inputs, x);
+  }
+  for (const float twice : {0.5f * ln2, 1.5f * ln2, 27.0f * ln2, 2.5f * ln2,
+                            22.5f * ln2, 23.5f * ln2, 56.5f * ln2,
+                            57.5f * ln2}) {
+    AddAround(inputs, 0.5f * twice);
+  }
+  for (const bool flush : {false, true}) {
+    std::optional<FlushDenormalsScope> scope;
+    if (flush) scope.emplace();
+    EXPECT_EQ(TanhMismatches(inputs), 0) << (flush ? "FTZ|DAZ" : "IEEE");
+  }
 }
 
 }  // namespace

@@ -108,7 +108,7 @@ TEST(BiLstmEncoder, OutputShape) {
   Tape tape;
   Tensor seq(9, 5);
   UniformInit(seq, -1, 1, rng);
-  auto out = encoder.Apply(tape, tape.Input(seq));
+  auto out = encoder.Apply(tape, tape.Input(seq), /*lanes=*/1);
   EXPECT_EQ(tape.value(out.states).rows(), 9);
   EXPECT_EQ(tape.value(out.states).cols(), 14);  // 2H
   EXPECT_EQ(tape.value(out.final_fwd.h).cols(), 7);
@@ -121,11 +121,11 @@ TEST(BiLstmEncoder, BackwardDirectionSeesFuture) {
   BiLstmEncoder encoder(store, "enc", 3, 4, rng);
   Tensor seq(5, 3, 0.1f);
   Tape tape1;
-  auto out1 = encoder.Apply(tape1, tape1.Input(seq));
+  auto out1 = encoder.Apply(tape1, tape1.Input(seq), /*lanes=*/1);
   const float before = tape1.value(out1.states).at(0, 6);  // bwd part
   seq.at(4, 0) = 5.0f;  // perturb the LAST timestep
   Tape tape2;
-  auto out2 = encoder.Apply(tape2, tape2.Input(seq));
+  auto out2 = encoder.Apply(tape2, tape2.Input(seq), /*lanes=*/1);
   const float after = tape2.value(out2.states).at(0, 6);
   EXPECT_NE(before, after);
 }
