@@ -12,8 +12,12 @@
 //     its pooled SimWorkspace vs sim::naive::RunReference, which is the
 //     pre-workspace implementation verbatim, i.e. also the pre-PR
 //     baseline);
-//   - tanh per element: libm's std::tanh against nn::TanhInPlace, the
-//     fdlibm port every tape op runs (the same bytes; nn/tanh.h).
+//   - tanh and exp per element: libm's std::tanh and std::exp against
+//     nn::TanhInPlace and nn::ExpInPlace, the ports every tape op runs
+//     (the same bytes; nn/tanh.h, nn/expf.h);
+//   - one LSTM step, forward plus backward, at 1 and 10 rows: the cell's
+//     gate math as the fused Tape::LstmGates against the 13-op chain it
+//     replaced (the same bytes; tests/test_autograd.cpp proves it).
 //
 // Optimized and oracle are bit-identical by construction
 // (tests/test_kernels.cpp, tests/test_sim.cpp prove it), so the ratios
@@ -38,13 +42,16 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/load_graphs.h"
 #include "bench/prepr_kernels.h"
 #include "models/zoo.h"
+#include "nn/expf.h"
 #include "nn/layers.h"
 #include "nn/naive_ref.h"
 #include "nn/tanh.h"
@@ -57,6 +64,7 @@
 #include "support/json.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
+#include "tests/lstm_chain_net.h"
 
 namespace {
 
@@ -259,7 +267,7 @@ SimRow RunSimCase(models::Benchmark benchmark,
                            repeats, target_seconds);
 }
 
-struct TanhRow {
+struct UnaryRow {
   int elements = 0;
   double libm_ns = 0.0;  // per element
   double port_ns = 0.0;
@@ -268,44 +276,109 @@ struct TanhRow {
 
 // One pass over `elements` values spread over [-4, 4], where the LSTM
 // gates and attention pre-activations live: libm writes out[i] =
-// std::tanh(in[i]), the port copies in to out and runs in place.
-TanhRow RunTanhCase(int elements, int repeats, double target_seconds) {
+// libm(in[i]), the port copies in to out and runs in place.
+UnaryRow RunUnaryCase(int elements, float (*libm)(float),
+                      void (*port)(std::span<float>), int repeats,
+                      double target_seconds) {
   std::vector<float> in(static_cast<std::size_t>(elements));
   support::Rng rng(5);
   for (float& x : in) x = 8.0f * rng.NextFloat() - 4.0f;
   std::vector<float> out(in.size());
-  const BenchTiming libm = MeasureMinOfRepeats(
+  const BenchTiming libm_timing = MeasureMinOfRepeats(
       [&](long long iters) {
         for (long long i = 0; i < iters; ++i) {
-          for (std::size_t j = 0; j < in.size(); ++j) {
-            out[j] = std::tanh(in[j]);
-          }
+          for (std::size_t j = 0; j < in.size(); ++j) out[j] = libm(in[j]);
           volatile float sink = out[0];
           (void)sink;
         }
       },
       repeats, target_seconds);
-  const BenchTiming port = MeasureMinOfRepeats(
+  const BenchTiming port_timing = MeasureMinOfRepeats(
       [&](long long iters) {
         for (long long i = 0; i < iters; ++i) {
           std::copy(in.begin(), in.end(), out.begin());
-          nn::TanhInPlace(out);
+          port(out);
           volatile float sink = out[0];
           (void)sink;
         }
       },
       repeats, target_seconds);
-  TanhRow row;
+  UnaryRow row;
   row.elements = elements;
-  row.libm_ns = libm.seconds_per_call * 1e9 / elements;
-  row.port_ns = port.seconds_per_call * 1e9 / elements;
-  row.speedup = libm.seconds_per_call / port.seconds_per_call;
+  row.libm_ns = libm_timing.seconds_per_call * 1e9 / elements;
+  row.port_ns = port_timing.seconds_per_call * 1e9 / elements;
+  row.speedup = libm_timing.seconds_per_call / port_timing.seconds_per_call;
   return row;
+}
+
+struct LstmStepRow {
+  int lanes = 0;
+  int hidden = 0;
+  int steps = 0;
+  double chain_us = 0.0;  // per step, forward plus backward
+  double fused_us = 0.0;
+  double speedup = 0.0;
+};
+
+// A `steps`-step LSTM over `lanes` rows at the placer decoder's width
+// (80 inputs, hidden 64: 144×256 gate weights), recorded, back-propagated
+// and reset: each step is a ConcatCols, the gate MatMul, the bias Add and
+// the gate math, fused or as the 13-op chain it replaced (the test
+// oracle in tests/lstm_chain_net.h).
+LstmStepRow RunLstmStepCase(int lanes, int steps, int repeats,
+                            double target_seconds) {
+  constexpr int kIn = 80;
+  constexpr int kHidden = 64;
+  support::Rng rng(7);
+  nn::Parameter w{"w", nn::Tensor(kIn + kHidden, 4 * kHidden),
+                  nn::Tensor(kIn + kHidden, 4 * kHidden)};
+  nn::Parameter b{"b", nn::Tensor(1, 4 * kHidden), nn::Tensor(1, 4 * kHidden)};
+  nn::XavierInit(w.value, rng);
+  nn::Tensor inputs(steps * lanes, kIn);
+  nn::UniformInit(inputs, -1.0f, 1.0f, rng);
+  nn::Tape tape;
+  const auto run = [&](bool fused, long long iters) {
+    for (long long it = 0; it < iters; ++it) {
+      nn::Var xs = tape.Input(inputs);
+      nn::LstmState state{tape.Input(nn::Tensor(lanes, kHidden)),
+                          tape.Input(nn::Tensor(lanes, kHidden))};
+      for (int t = 0; t < steps; ++t) {
+        nn::Var x = tape.SliceRows(xs, t * lanes, (t + 1) * lanes);
+        nn::Var gates = tape.Add(
+            tape.MatMul(tape.ConcatCols(x, state.h), tape.Param(&w)),
+            tape.Param(&b));
+        state = fused ? tape.LstmGates(gates, state.c)
+                      : nn::chain::GateChain(tape, gates, state.c, kHidden);
+      }
+      tape.Backward(tape.Sum(state.h));
+      tape.Reset();
+    }
+  };
+  const BenchTiming chain = MeasureMinOfRepeats(
+      [&](long long iters) { run(false, iters); }, repeats, target_seconds);
+  const BenchTiming fused = MeasureMinOfRepeats(
+      [&](long long iters) { run(true, iters); }, repeats, target_seconds);
+  LstmStepRow row;
+  row.lanes = lanes;
+  row.hidden = kHidden;
+  row.steps = steps;
+  row.chain_us = chain.seconds_per_call * 1e6 / steps;
+  row.fused_us = fused.seconds_per_call * 1e6 / steps;
+  row.speedup = chain.seconds_per_call / fused.seconds_per_call;
+  return row;
+}
+
+void RenderUnaryRow(std::ostream& os, const char* name, const UnaryRow& r) {
+  os << "  \"" << name << "\": {\"elements\": " << r.elements
+     << ", \"libm_ns_per_element\": " << support::json::Num(r.libm_ns)
+     << ", \"port_ns_per_element\": " << support::json::Num(r.port_ns)
+     << ", \"speedup\": " << support::json::Num(r.speedup) << "},\n";
 }
 
 std::string RenderJson(const std::vector<GemmRow>& gemm,
                        const std::vector<SimRow>& sims,
-                       const TanhRow& tanh_row, bool smoke,
+                       const UnaryRow& tanh_row, const UnaryRow& exp_row,
+                       const std::vector<LstmStepRow>& lstm, bool smoke,
                        int repeats) {
   std::ostringstream os;
   os << "{\n";
@@ -346,10 +419,19 @@ std::string RenderJson(const std::vector<GemmRow>& gemm,
        << (i + 1 < sims.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
-  os << "  \"tanh\": {\"elements\": " << tanh_row.elements
-     << ", \"libm_ns_per_element\": " << support::json::Num(tanh_row.libm_ns)
-     << ", \"port_ns_per_element\": " << support::json::Num(tanh_row.port_ns)
-     << ", \"speedup\": " << support::json::Num(tanh_row.speedup) << "},\n";
+  RenderUnaryRow(os, "tanh", tanh_row);
+  RenderUnaryRow(os, "expf", exp_row);
+  os << "  \"lstm_step\": [\n";
+  for (std::size_t i = 0; i < lstm.size(); ++i) {
+    const auto& r = lstm[i];
+    os << "    {\"lanes\": " << r.lanes << ", \"hidden\": " << r.hidden
+       << ", \"steps\": " << r.steps
+       << ", \"chain_us_per_step\": " << support::json::Num(r.chain_us)
+       << ", \"fused_us_per_step\": " << support::json::Num(r.fused_us)
+       << ", \"speedup\": " << support::json::Num(r.speedup) << "}"
+       << (i + 1 < lstm.size() ? "," : "") << "\n";
+  }
+  os << "  ],\n";
   double placer_min = 0.0, all_min = 0.0, sim_min = 0.0;
   for (const auto& r : gemm) {
     all_min = all_min == 0.0 ? r.speedup_vs_prepr
@@ -455,13 +537,33 @@ int main(int argc, char** argv) {
               << " steps/s, speedup " << r.speedup << "x\n";
   }
 
-  const TanhRow tanh_row =
-      RunTanhCase(smoke ? 256 : 4096, repeats, target_seconds);
-  std::cout << "tanh " << tanh_row.elements << " elements: libm "
-            << tanh_row.libm_ns << " ns, port " << tanh_row.port_ns
-            << " ns per element, speedup " << tanh_row.speedup << "x\n";
+  const int elements = smoke ? 256 : 4096;
+  const UnaryRow tanh_row =
+      RunUnaryCase(elements, [](float x) { return std::tanh(x); },
+                   nn::TanhInPlace, repeats, target_seconds);
+  const UnaryRow exp_row =
+      RunUnaryCase(elements, [](float x) { return std::exp(x); },
+                   nn::ExpInPlace, repeats, target_seconds);
+  for (const auto& [name, r] : {std::pair{"tanh", tanh_row},
+                                std::pair{"expf", exp_row}}) {
+    std::cout << name << " " << r.elements << " elements: libm " << r.libm_ns
+              << " ns, port " << r.port_ns << " ns per element, speedup "
+              << r.speedup << "x\n";
+  }
 
-  const std::string json = RenderJson(gemm, sims, tanh_row, smoke, repeats);
+  std::vector<LstmStepRow> lstm;
+  for (const int lanes : {1, 10}) {
+    lstm.push_back(
+        RunLstmStepCase(lanes, smoke ? 4 : 24, repeats, target_seconds));
+    const auto& r = lstm.back();
+    std::cout << "lstm_step B=" << r.lanes << " H=" << r.hidden
+              << ": 13-op chain " << r.chain_us << " us, fused " << r.fused_us
+              << " us per step (forward+backward), speedup " << r.speedup
+              << "x\n";
+  }
+
+  const std::string json =
+      RenderJson(gemm, sims, tanh_row, exp_row, lstm, smoke, repeats);
   const std::string out = args.GetString("out");
   if (!out.empty()) {
     if (!support::WriteFileAtomic(

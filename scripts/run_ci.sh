@@ -24,9 +24,10 @@
 #      sample, so the table, the fig5 curves, summary and histories must
 #      come out identical and no checkpoint may change,
 #   7. a kernel-bench smoke run: bench_micro --smoke must complete and
-#      emit well-formed BENCH_kernels.json (tiny shapes — it guards the
-#      harness and the naive-reference plumbing, not the perf ratios;
-#      see docs/PERFORMANCE.md),
+#      emit well-formed BENCH_kernels.json with its gemm, simulator, tanh,
+#      expf and lstm_step rows (tiny shapes — it guards the harness and
+#      the naive-reference plumbing, not the perf ratios; see
+#      docs/PERFORMANCE.md),
 #   8. an ingestion fuzz smoke: graph_fuzz built with ASan+UBSan mutates
 #      seeded .eg/.json corpora 10k/2k times against the hardened parser
 #      and METIS-groups and simulates every mutant it accepts (any crash,
@@ -173,6 +174,9 @@ grep -q '"schema": "eagle.bench_kernels.v1"' "$SMOKE/BENCH_kernels.json"
 grep -q '"smoke": true' "$SMOKE/BENCH_kernels.json"
 grep -q '"kernel": "gemm"' "$SMOKE/BENCH_kernels.json"
 grep -q '"graph": "Inception-V3"' "$SMOKE/BENCH_kernels.json"
+grep -q '"tanh": {"elements"' "$SMOKE/BENCH_kernels.json"
+grep -q '"expf": {"elements"' "$SMOKE/BENCH_kernels.json"
+grep -q '"lstm_step": \[' "$SMOKE/BENCH_kernels.json"
 echo BENCH_SMOKE_CLEAN
 
 echo "=== ingestion fuzz smoke (ASan+UBSan) ==="

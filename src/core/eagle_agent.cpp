@@ -63,6 +63,7 @@ HierarchicalAgent::HierarchicalAgent(const graph::OpGraph& graph,
       bridge_ = BridgeRnn(store_, config_.dims.grouper_hidden,
                           config_.dims.bridge_hidden, rng);
     }
+    embedder_ = GroupEmbedder(graph);
     op_features_ = MakeOpFeatures(graph, config_.features);
     locality_prior_ = MakeLocalityPrior(graph, k);
     grouper_weight_ =
@@ -176,9 +177,8 @@ HierarchicalAgent::PolicyOutput HierarchicalAgent::RunPolicy(
     std::vector<const nn::Tensor*> lane_embeddings;
     per_lane.reserve(groupings.size());
     for (const graph::Grouping& grouping : groupings) {
-      per_lane.push_back(MakeGroupEmbeddings(*graph_, grouping, k,
-                                             config_.features,
-                                             adjacency_in_embedding));
+      per_lane.push_back(embedder_.Embed(grouping, k, config_.features,
+                                         adjacency_in_embedding));
       lane_embeddings.push_back(&per_lane.back());
     }
     embeddings = InterleaveLanes(lane_embeddings);

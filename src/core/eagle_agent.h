@@ -128,10 +128,12 @@ class HierarchicalAgent : public PolicyAgent {
   GcnPlacer gcn_placer_;
   nn::Linear ffn_l1_;
   nn::Linear ffn_l2_;
-  // Learned grouper only: its input and the additive topological-banding
-  // prior on its logits (GrouperFFN::Logits).
+  // Learned grouper only: its input, the additive topological-banding
+  // prior on its logits (GrouperFFN::Logits), and the per-op columns each
+  // sample's grouping is embedded from.
   nn::Tensor op_features_;
   nn::Tensor locality_prior_;
+  GroupEmbedder embedder_;
   // Learned grouper only: its parameters, and the sampling cache — the
   // distribution's values from the last sampling forward plus a copy of
   // those parameters' values at that forward, compared byte for byte

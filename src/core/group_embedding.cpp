@@ -27,20 +27,26 @@ float Count(double v, FeatureMode mode) {
 }
 
 // Bytes exchanged between groups g and h in either direction, row-major
-// k × k: symmetric, zero on the diagonal. One pass over the edges.
+// k × k: symmetric, zero on the diagonal. One pass over the edges adds
+// each to its direction's cell, then each pair of cells takes their sum
+// (integer sums: the order does not matter).
 std::vector<std::int64_t> GroupTraffic(const graph::OpGraph& graph,
                                        const graph::Grouping& grouping,
                                        int k) {
-  std::vector<std::int64_t> traffic(
-      static_cast<std::size_t>(k) * static_cast<std::size_t>(k), 0);
+  const auto n = static_cast<std::size_t>(k);
+  std::vector<std::int64_t> traffic(n * n, 0);
   for (const graph::Edge& e : graph.edges()) {
     const auto g = static_cast<std::size_t>(
         grouping[static_cast<std::size_t>(e.src)]);
     const auto h = static_cast<std::size_t>(
         grouping[static_cast<std::size_t>(e.dst)]);
-    if (g != h) {
-      traffic[g * static_cast<std::size_t>(k) + h] += e.bytes;
-      traffic[h * static_cast<std::size_t>(k) + g] += e.bytes;
+    if (g != h) traffic[g * n + h] += e.bytes;
+  }
+  for (std::size_t g = 0; g < n; ++g) {
+    for (std::size_t h = g + 1; h < n; ++h) {
+      const std::int64_t both = traffic[g * n + h] + traffic[h * n + g];
+      traffic[g * n + h] = both;
+      traffic[h * n + g] = both;
     }
   }
   return traffic;
@@ -89,10 +95,35 @@ nn::Tensor MakeOpFeatures(const graph::OpGraph& graph, FeatureMode mode) {
   return out;
 }
 
+GroupEmbedder::GroupEmbedder(const graph::OpGraph& graph) : graph_(&graph) {
+  const auto num_ops = static_cast<std::size_t>(graph.num_ops());
+  type_.reserve(num_ops);
+  flops_.reserve(num_ops);
+  param_bytes_.reserve(num_ops);
+  output_bytes_.reserve(num_ops);
+  cpu_only_.reserve(num_ops);
+  for (graph::OpId i = 0; i < graph.num_ops(); ++i) {
+    const graph::OpDef& op = graph.op(i);
+    type_.push_back(op.type);
+    flops_.push_back(op.flops);
+    param_bytes_.push_back(op.param_bytes);
+    output_bytes_.push_back(op.output_bytes());
+    cpu_only_.push_back(op.cpu_only);
+  }
+}
+
 nn::Tensor MakeGroupEmbeddings(const graph::OpGraph& graph,
                                const graph::Grouping& grouping,
                                int num_groups, FeatureMode mode,
                                bool include_adjacency) {
+  return GroupEmbedder(graph).Embed(grouping, num_groups, mode,
+                                    include_adjacency);
+}
+
+nn::Tensor GroupEmbedder::Embed(const graph::Grouping& grouping,
+                                int num_groups, FeatureMode mode,
+                                bool include_adjacency) const {
+  const graph::OpGraph& graph = *graph_;
   graph::ValidateGrouping(graph, grouping, num_groups);
   struct Totals {
     int num_ops = 0;
@@ -103,16 +134,14 @@ nn::Tensor MakeGroupEmbeddings(const graph::OpGraph& graph,
     std::array<std::int32_t, graph::kNumOpTypes> type_counts{};
   };
   std::vector<Totals> totals(static_cast<std::size_t>(num_groups));
-  for (graph::OpId i = 0; i < graph.num_ops(); ++i) {
-    const graph::OpDef& op = graph.op(i);
-    Totals& t = totals[static_cast<std::size_t>(
-        grouping[static_cast<std::size_t>(i)])];
+  for (std::size_t i = 0; i < grouping.size(); ++i) {
+    Totals& t = totals[static_cast<std::size_t>(grouping[i])];
     t.num_ops++;
-    t.flops += op.flops;
-    t.param_bytes += op.param_bytes;
-    t.output_bytes += op.output_bytes();
-    t.has_cpu_only |= op.cpu_only;
-    t.type_counts[static_cast<std::size_t>(op.type)]++;
+    t.flops += flops_[i];
+    t.param_bytes += param_bytes_[i];
+    t.output_bytes += output_bytes_[i];
+    t.has_cpu_only |= cpu_only_[i];
+    t.type_counts[static_cast<std::size_t>(type_[i])]++;
   }
   const std::vector<std::int64_t> traffic =
       include_adjacency ? GroupTraffic(graph, grouping, num_groups)

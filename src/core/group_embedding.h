@@ -12,6 +12,9 @@
 // the placer.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "core/run_config.h"
 #include "graph/op_graph.h"
 #include "nn/tensor.h"
@@ -37,9 +40,31 @@ inline constexpr int GroupEmbeddingDim(int num_groups,
   return graph::kNumOpTypes + 5 + (include_adjacency ? num_groups : 0);
 }
 
-// num_groups × GroupEmbeddingDim tensor from a grouping of `graph`.
-// include_adjacency=false for the GCN placer (it gets Â separately).
-// Throws std::logic_error on a grouping graph::ValidateGrouping rejects.
+// The per-op columns a group embedding sums (type, FLOPs, parameter and
+// output bytes, CPU pinning), read from the graph once. A learned grouper
+// embeds the grouping of every sample it draws or scores; the columns
+// spare each of those a walk over the OpDefs and their shapes.
+class GroupEmbedder {
+ public:
+  GroupEmbedder() = default;
+  explicit GroupEmbedder(const graph::OpGraph& graph);
+
+  // num_groups × GroupEmbeddingDim tensor from a grouping of the graph.
+  // include_adjacency=false for the GCN placer (it gets Â separately).
+  // Throws std::logic_error on a grouping graph::ValidateGrouping rejects.
+  nn::Tensor Embed(const graph::Grouping& grouping, int num_groups,
+                   FeatureMode mode, bool include_adjacency) const;
+
+ private:
+  const graph::OpGraph* graph_ = nullptr;
+  std::vector<graph::OpType> type_;
+  std::vector<double> flops_;
+  std::vector<std::int64_t> param_bytes_;
+  std::vector<std::int64_t> output_bytes_;
+  std::vector<bool> cpu_only_;
+};
+
+// GroupEmbedder(graph).Embed(...), for a single grouping.
 nn::Tensor MakeGroupEmbeddings(const graph::OpGraph& graph,
                                const graph::Grouping& grouping,
                                int num_groups, FeatureMode mode,

@@ -10,8 +10,9 @@
 // pops them in exactly the order it wants them.
 //
 // Determinism: the arena hands out storage, never values — every Tensor
-// constructor fills or copies its full extent — so pooling cannot change
-// a single output bit. Thread safety: freelists are thread_local and a
+// constructor fills or copies its full extent, and Tensor::Uninitialized
+// callers write every element before reading one — so pooling cannot
+// change a single output bit. Thread safety: freelists are thread_local and a
 // buffer released on a different thread than it was acquired on simply
 // joins the releasing thread's pool, so there is no shared state at all.
 // Lifetime: each thread's pool is trimmed when the thread exits; tensors

@@ -100,14 +100,7 @@ LstmCell::State LstmCell::Step(Tape& tape, Var x, const State& prev) const {
   EAGLE_CHECK(w_ != nullptr);
   Var xh = tape.ConcatCols(x, prev.h);
   Var gates = tape.Add(tape.MatMul(xh, tape.Param(w_)), tape.Param(b_));
-  const int h = hidden_;
-  Var i = tape.Sigmoid(tape.SliceCols(gates, 0, h));
-  Var f = tape.Sigmoid(tape.SliceCols(gates, h, 2 * h));
-  Var g = tape.Tanh(tape.SliceCols(gates, 2 * h, 3 * h));
-  Var o = tape.Sigmoid(tape.SliceCols(gates, 3 * h, 4 * h));
-  Var c = tape.Add(tape.Mul(f, prev.c), tape.Mul(i, g));
-  Var h_out = tape.Mul(o, tape.Tanh(c));
-  return State{h_out, c};
+  return tape.LstmGates(gates, prev.c);
 }
 
 BiLstmEncoder::BiLstmEncoder(ParamStore& store, const std::string& name,

@@ -61,17 +61,15 @@ class Linear {
   int out_dim_ = 0;
 };
 
-// Standard LSTM cell with fused gate matmul; forget-gate bias starts at 1.
+// Standard LSTM cell: one gate matmul, then the gate math as one tape op
+// (Tape::LstmGates); forget-gate bias starts at 1.
 class LstmCell {
  public:
   LstmCell() = default;
   LstmCell(ParamStore& store, const std::string& name, int in_dim, int hidden,
            support::Rng& rng);
 
-  struct State {
-    Var h;  // R×H
-    Var c;  // R×H
-  };
+  using State = LstmState;  // h and c are R×H
 
   // Zero state for a batch of `rows` sequences.
   State ZeroState(Tape& tape, int rows) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/expf.h"
 #include "nn/gemm_inner.h"
 #include "nn/tanh.h"
 #include "support/metrics.h"
@@ -274,12 +275,44 @@ Tensor MapTensor(const Tensor& in, F f) {
   for (std::int64_t i = 0; i < out.size(); ++i) d[i] = f(d[i]);
   return out;
 }
+
+std::span<float> Span(Tensor& t) {
+  return {t.data(), static_cast<std::size_t>(t.size())};
+}
+std::span<float> Span(float* data, int count) {
+  return {data, static_cast<std::size_t>(count)};
+}
+
+float RowMax(const float* in, int cols) {
+  float mx = in[0];
+  for (int c = 1; c < cols; ++c) mx = std::max(mx, in[c]);
+  return mx;
+}
+
+// out[r, c] = ExpF(in[r, c] - max_c in[r, ·]): the exps of a row-wise
+// softmax, one vector pass over the whole tensor.
+Tensor ShiftedExps(const Tensor& in) {
+  Tensor out = Tensor::Uninitialized(in.rows(), in.cols());
+  for (int r = 0; r < in.rows(); ++r) {
+    const float* row = in.row(r);
+    const float mx = RowMax(row, in.cols());
+    float* o = out.row(r);
+    for (int c = 0; c < in.cols(); ++c) o[c] = row[c] - mx;
+  }
+  ExpInPlace(Span(out));
+  return out;
+}
+
+float RowSum(const float* in, int cols) {
+  float sum = 0.0f;
+  for (int c = 0; c < cols; ++c) sum += in[c];
+  return sum;
+}
 }  // namespace
 
 Var Tape::Tanh(Var a) {
   Tensor out = value(a);
-  TanhInPlace(
-      std::span<float>(out.data(), static_cast<std::size_t>(out.size())));
+  TanhInPlace(Span(out));
   const bool ng = node(a).needs_grad;
   Var result = Push(std::move(out), ng, {});
   if (ng) {
@@ -298,9 +331,8 @@ Var Tape::Tanh(Var a) {
 }
 
 Var Tape::Sigmoid(Var a) {
-  Tensor out = MapTensor(value(a), [](float x) {
-    return 1.0f / (1.0f + std::exp(-x));
-  });
+  Tensor out = value(a);
+  SigmoidInPlace(Span(out));
   const bool ng = node(a).needs_grad;
   Var result = Push(std::move(out), ng, {});
   if (ng) {
@@ -338,7 +370,8 @@ Var Tape::Relu(Var a) {
 }
 
 Var Tape::Exp(Var a) {
-  Tensor out = MapTensor(value(a), [](float x) { return std::exp(x); });
+  Tensor out = value(a);
+  ExpInPlace(Span(out));
   const bool ng = node(a).needs_grad;
   Var result = Push(std::move(out), ng, {});
   if (ng) {
@@ -411,19 +444,11 @@ Var Tape::Clamp(Var a, float lo, float hi) {
 }
 
 Var Tape::Softmax(Var a) {
-  const Tensor& av = value(a);
-  Tensor out(av.rows(), av.cols());
-  for (int r = 0; r < av.rows(); ++r) {
-    const float* in = av.row(r);
+  Tensor out = ShiftedExps(value(a));
+  for (int r = 0; r < out.rows(); ++r) {
     float* o = out.row(r);
-    float mx = in[0];
-    for (int c = 1; c < av.cols(); ++c) mx = std::max(mx, in[c]);
-    float sum = 0.0f;
-    for (int c = 0; c < av.cols(); ++c) {
-      o[c] = std::exp(in[c] - mx);
-      sum += o[c];
-    }
-    for (int c = 0; c < av.cols(); ++c) o[c] /= sum;
+    const float sum = RowSum(o, out.cols());
+    for (int c = 0; c < out.cols(); ++c) o[c] /= sum;
   }
   const bool ng = node(a).needs_grad;
   Var result = Push(std::move(out), ng, {});
@@ -447,15 +472,11 @@ Var Tape::Softmax(Var a) {
 
 Var Tape::LogSoftmax(Var a) {
   const Tensor& av = value(a);
-  Tensor out(av.rows(), av.cols());
+  Tensor out = ShiftedExps(av);
   for (int r = 0; r < av.rows(); ++r) {
     const float* in = av.row(r);
     float* o = out.row(r);
-    float mx = in[0];
-    for (int c = 1; c < av.cols(); ++c) mx = std::max(mx, in[c]);
-    float sum = 0.0f;
-    for (int c = 0; c < av.cols(); ++c) sum += std::exp(in[c] - mx);
-    const float lse = mx + std::log(sum);
+    const float lse = RowMax(in, av.cols()) + std::log(RowSum(o, av.cols()));
     for (int c = 0; c < av.cols(); ++c) o[c] = in[c] - lse;
   }
   const bool ng = node(a).needs_grad;
@@ -463,16 +484,15 @@ Var Tape::LogSoftmax(Var a) {
   if (ng) {
     node(result).backward = [this, a, result]() {
       const Tensor& g = node(result).grad;
-      const Tensor& y = node(result).value;  // log-probs
+      Tensor probs = node(result).value;  // log-probs, then their exps
+      ExpInPlace(Span(probs));
       Tensor& ga = GradRef(a);
       for (int r = 0; r < g.rows(); ++r) {
         const float* gr = g.row(r);
-        const float* yr = y.row(r);
+        const float* pr = probs.row(r);
         float* gar = ga.row(r);
-        float gsum = 0.0f;
-        for (int c = 0; c < g.cols(); ++c) gsum += gr[c];
-        for (int c = 0; c < g.cols(); ++c)
-          gar[c] += gr[c] - std::exp(yr[c]) * gsum;
+        const float gsum = RowSum(gr, g.cols());
+        for (int c = 0; c < g.cols(); ++c) gar[c] += gr[c] - pr[c] * gsum;
       }
     };
   }
@@ -498,7 +518,7 @@ Var Tape::ConcatCols(Var a, Var b) {
   const Tensor& av = value(a);
   const Tensor& bv = value(b);
   EAGLE_CHECK_MSG(av.rows() == bv.rows(), "ConcatCols row mismatch");
-  Tensor out(av.rows(), av.cols() + bv.cols());
+  Tensor out = Tensor::Uninitialized(av.rows(), av.cols() + bv.cols());
   for (int r = 0; r < av.rows(); ++r) {
     std::copy(av.row(r), av.row(r) + av.cols(), out.row(r));
     std::copy(bv.row(r), bv.row(r) + bv.cols(), out.row(r) + av.cols());
@@ -535,7 +555,7 @@ Var Tape::ConcatRows(const std::vector<Var>& rows) {
     total += value(v).rows();
     ng = ng || node(v).needs_grad;
   }
-  Tensor out(total, cols);
+  Tensor out = Tensor::Uninitialized(total, cols);
   int offset = 0;
   for (Var v : rows) {
     const Tensor& t = value(v);
@@ -568,7 +588,7 @@ Var Tape::SliceCols(Var a, int c0, int c1) {
   EAGLE_CHECK_MSG(0 <= c0 && c0 < c1 && c1 <= av.cols(),
                   "SliceCols [" << c0 << "," << c1 << ") of "
                                 << av.ShapeString());
-  Tensor out(av.rows(), c1 - c0);
+  Tensor out = Tensor::Uninitialized(av.rows(), c1 - c0);
   for (int r = 0; r < av.rows(); ++r)
     std::copy(av.row(r) + c0, av.row(r) + c1, out.row(r));
   const bool ng = node(a).needs_grad;
@@ -589,7 +609,7 @@ Var Tape::SliceRows(Var a, int r0, int r1) {
   EAGLE_CHECK_MSG(0 <= r0 && r0 < r1 && r1 <= av.rows(),
                   "SliceRows [" << r0 << "," << r1 << ") of "
                                 << av.ShapeString());
-  Tensor out(r1 - r0, av.cols());
+  Tensor out = Tensor::Uninitialized(r1 - r0, av.cols());
   std::copy(av.row(r0), av.row(r1), out.data());
   const bool ng = node(a).needs_grad;
   Var result = Push(std::move(out), ng, {});
@@ -606,7 +626,8 @@ Var Tape::SliceRows(Var a, int r0, int r1) {
 
 Var Tape::GatherRows(Var a, std::vector<int> idx) {
   const Tensor& av = value(a);
-  Tensor out(static_cast<int>(idx.size()), av.cols());
+  Tensor out =
+      Tensor::Uninitialized(static_cast<int>(idx.size()), av.cols());
   for (int i = 0; i < out.rows(); ++i) {
     const int r = idx[static_cast<std::size_t>(i)];
     EAGLE_CHECK_MSG(r >= 0 && r < av.rows(),
@@ -634,7 +655,7 @@ Var Tape::Reshape(Var a, int rows, int cols) {
                       static_cast<std::int64_t>(rows) * cols == av.size(),
                   "Reshape " << av.ShapeString() << " to " << rows << "x"
                              << cols);
-  Tensor out(rows, cols);
+  Tensor out = Tensor::Uninitialized(rows, cols);
   std::copy(av.data(), av.data() + av.size(), out.data());
   const bool ng = node(a).needs_grad;
   Var result = Push(std::move(out), ng, {});
@@ -655,7 +676,7 @@ Var Tape::Sum(Var a) {
   float total = 0.0f;
   const float* d = av.data();
   for (std::int64_t i = 0; i < av.size(); ++i) total += d[i];
-  Tensor out(1, 1);
+  Tensor out = Tensor::Uninitialized(1, 1);
   out.at(0, 0) = total;
   const bool ng = node(a).needs_grad;
   Var result = Push(std::move(out), ng, {});
@@ -698,7 +719,7 @@ Var Tape::SumRows(Var a) {
 
 Var Tape::RowSums(Var a) {
   const Tensor& av = value(a);
-  Tensor out(av.rows(), 1);
+  Tensor out = Tensor::Uninitialized(av.rows(), 1);
   for (int r = 0; r < av.rows(); ++r) {
     const float* row = av.row(r);
     float total = 0.0f;
@@ -722,7 +743,7 @@ Var Tape::PickPerRow(Var a, std::vector<int> idx) {
   const Tensor& av = value(a);
   EAGLE_CHECK_MSG(static_cast<int>(idx.size()) == av.rows(),
                   "PickPerRow needs one index per row");
-  Tensor out(av.rows(), 1);
+  Tensor out = Tensor::Uninitialized(av.rows(), 1);
   for (int r = 0; r < av.rows(); ++r) {
     EAGLE_CHECK_MSG(idx[static_cast<std::size_t>(r)] >= 0 &&
                         idx[static_cast<std::size_t>(r)] < av.cols(),
@@ -806,6 +827,118 @@ Var Tape::LaneProduct(Var w, Var e) {
     };
   }
   return result;
+}
+
+LstmState Tape::LstmGates(Var gates, Var c) {
+  const Tensor& gv = value(gates);
+  const Tensor& cv = value(c);
+  const int rows = cv.rows();
+  const int h = cv.cols();
+  EAGLE_CHECK_MSG(gv.rows() == rows && gv.cols() == 4 * h,
+                  "LstmGates " << gv.ShapeString() << " gates for a "
+                               << cv.ShapeString() << " cell");
+  // Row r of acts holds [i f g o tanh(c')].
+  Tensor acts = Tensor::Uninitialized(rows, 5 * h);
+  Tensor c_out = Tensor::Uninitialized(rows, h);
+  Tensor h_out = Tensor::Uninitialized(rows, h);
+  for (int r = 0; r < rows; ++r) {
+    float* i = acts.row(r);
+    float* f = i + h;
+    float* g = f + h;
+    float* o = g + h;
+    float* tc = o + h;
+    std::copy(gv.row(r), gv.row(r) + 4 * h, i);
+    SigmoidInPlace(Span(i, 2 * h));
+    TanhInPlace(Span(g, h));
+    SigmoidInPlace(Span(o, h));
+    const float* cp = cv.row(r);
+    float* cn = c_out.row(r);
+    for (int j = 0; j < h; ++j) {
+      cn[j] = f[j] * cp[j] + i[j] * g[j];
+      tc[j] = cn[j];
+    }
+    TanhInPlace(Span(tc, h));
+    float* hn = h_out.row(r);
+    for (int j = 0; j < h; ++j) hn[j] = o[j] * tc[j];
+  }
+  const bool ng = node(gates).needs_grad || node(c).needs_grad;
+  const Var act = Push(std::move(acts), false, {});
+  const Var c_next = Push(std::move(c_out), ng, {});
+  const Var h_next = Push(std::move(h_out), ng, {});
+  if (!ng) return {h_next, c_next};
+
+  // h' = o·tanh(c'): tanh(c')'s grad is 0 + dh·o, and it reaches c'
+  // through tanh's derivative after every later consumer of c'. GradRef
+  // sizes c''s grad when no consumer did, so the backward below runs.
+  node(h_next).backward = [this, act, c_next, h_next, h]() {
+    const Tensor& dh = node(h_next).grad;
+    const Tensor& av = value(act);
+    Tensor& dc = GradRef(c_next);
+    for (int r = 0; r < dh.rows(); ++r) {
+      const float* o = av.row(r) + 3 * h;
+      const float* tc = o + h;
+      const float* dhr = dh.row(r);
+      float* dcr = dc.row(r);
+      for (int j = 0; j < h; ++j) {
+        dcr[j] += (0.0f + dhr[j] * o[j]) * (1.0f - tc[j] * tc[j]);
+      }
+    }
+  };
+  // c' = (f·c) + (i·g): each product's grad is 0 + dc'. Each gate's
+  // pre-activation grad is 0 + its activation's grad times the
+  // derivative, added into the gates' grad; o's comes from h' alone and
+  // is skipped, as its nodes' backwards were, when h' has no grad.
+  node(c_next).backward = [this, gates, c, act, c_next, h_next, h]() {
+    const Tensor& dc = node(c_next).grad;
+    const Tensor& dh = node(h_next).grad;
+    const Tensor& av = value(act);
+    const Tensor& cv = value(c);
+    if (node(c).needs_grad) {
+      Tensor& dcp = GradRef(c);
+      for (int r = 0; r < dc.rows(); ++r) {
+        const float* f = av.row(r) + h;
+        const float* dcr = dc.row(r);
+        float* out = dcp.row(r);
+        for (int j = 0; j < h; ++j) out[j] += (0.0f + dcr[j]) * f[j];
+      }
+    }
+    if (!node(gates).needs_grad) return;
+    Tensor& dg = GradRef(gates);
+    for (int r = 0; r < dc.rows(); ++r) {
+      const float* i = av.row(r);
+      const float* f = i + h;
+      const float* g = f + h;
+      const float* cp = cv.row(r);
+      const float* dcr = dc.row(r);
+      float* di = dg.row(r);
+      float* df = di + h;
+      float* dgg = df + h;
+      for (int j = 0; j < h; ++j) {
+        const float gi = 0.0f + (0.0f + dcr[j]) * g[j];
+        di[j] += 0.0f + gi * i[j] * (1.0f - i[j]);
+      }
+      for (int j = 0; j < h; ++j) {
+        const float gf = 0.0f + (0.0f + dcr[j]) * cp[j];
+        df[j] += 0.0f + gf * f[j] * (1.0f - f[j]);
+      }
+      for (int j = 0; j < h; ++j) {
+        const float gg = 0.0f + (0.0f + dcr[j]) * i[j];
+        dgg[j] += 0.0f + gg * (1.0f - g[j] * g[j]);
+      }
+    }
+    if (dh.empty()) return;
+    for (int r = 0; r < dc.rows(); ++r) {
+      const float* o = av.row(r) + 3 * h;
+      const float* tc = o + h;
+      const float* dhr = dh.row(r);
+      float* dgo = dg.row(r) + 3 * h;
+      for (int j = 0; j < h; ++j) {
+        const float go = 0.0f + dhr[j] * tc[j];
+        dgo[j] += 0.0f + go * o[j] * (1.0f - o[j]);
+      }
+    }
+  };
+  return {h_next, c_next};
 }
 
 void Tape::Backward(Var loss) {

@@ -30,6 +30,12 @@ struct Var {
   bool valid() const { return id >= 0; }
 };
 
+// An LSTM step's outputs: the hidden and cell states.
+struct LstmState {
+  Var h;
+  Var c;
+};
+
 class Tape {
  public:
   Tape() = default;
@@ -101,6 +107,16 @@ class Tape {
   // backward: dw folds each dot product from zero and adds it once, and
   // de takes one MulAdd per closure, as MatMul's queued dB fold does.
   Var LaneProduct(Var w, Var e);
+  // An LSTM step's gate math on R×4H pre-activations `gates` in gate
+  // order [i f g o] and the R×H cell state c: with i, f, o = σ and
+  // g = tanh of the four column blocks, c' = (f·c) + (i·g) and
+  // h' = o·tanh(c'). Values and gradients are those of the 13-op chain
+  // it replaces (four SliceCols, three Sigmoid, two Tanh, three Mul and
+  // an Add), byte for byte: every intermediate grad accumulates into zero
+  // as its node's did, and c' takes its later consumers' contributions
+  // before its own tanh path. The activations [i f g o tanh(c')] are kept
+  // in one constant node ahead of c' and h'.
+  LstmState LstmGates(Var gates, Var c);
 
   // Seeds d(loss)=1 (loss must be 1×1) and back-propagates.
   void Backward(Var loss);

@@ -14,21 +14,26 @@
 
 namespace eagle::nn {
 
-Tensor::Tensor(int rows, int cols, float fill) : rows_(rows), cols_(cols) {
+Tensor::Tensor(int rows, int cols, float fill)
+    : Tensor(Uninitialized(rows, cols)) {
+  Fill(fill);
+}
+
+Tensor Tensor::Uninitialized(int rows, int cols) {
   EAGLE_CHECK_MSG(rows >= 0 && cols >= 0,
                   "bad tensor shape " << rows << "x" << cols);
-  data_ = detail::ArenaAcquire(size());
-  Fill(fill);
+  Tensor t;
+  t.rows_ = rows;
+  t.cols_ = cols;
+  t.data_ = detail::ArenaAcquire(t.size());
+  return t;
 }
 
 Tensor Tensor::FromData(int rows, int cols, std::vector<float> data) {
   EAGLE_CHECK_MSG(static_cast<std::int64_t>(data.size()) ==
                       static_cast<std::int64_t>(rows) * cols,
                   "data size " << data.size() << " != " << rows << "x" << cols);
-  Tensor t;
-  t.rows_ = rows;
-  t.cols_ = cols;
-  t.data_ = detail::ArenaAcquire(t.size());
+  Tensor t = Uninitialized(rows, cols);
   std::copy(data.begin(), data.end(), t.data_);
   return t;
 }
@@ -347,7 +352,7 @@ void GemmTransAAccumRows(std::span<const float* const> a_rows,
 }
 
 Tensor Transposed(const Tensor& t) {
-  Tensor out(t.cols(), t.rows());
+  Tensor out = Tensor::Uninitialized(t.cols(), t.rows());
   for (int r = 0; r < t.rows(); ++r) {
     const float* src = t.row(r);
     for (int c = 0; c < t.cols(); ++c) out.row(c)[r] = src[c];

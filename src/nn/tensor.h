@@ -24,6 +24,9 @@ class Tensor {
   Tensor() = default;
   Tensor(int rows, int cols, float fill = 0.0f);
   static Tensor FromData(int rows, int cols, std::vector<float> data);
+  // Arena storage left as it is: whatever a recycled block last held. For
+  // callers that write every element before anything reads one.
+  static Tensor Uninitialized(int rows, int cols);
 
   Tensor(const Tensor& other);
   Tensor(Tensor&& other) noexcept;

@@ -9,7 +9,10 @@
 //   - W_enc is the right operand of two MatMuls of 6 and 3 rows, and the
 //     first step's attention left operand needs no gradient.
 // RecordingTape logs each op in creation order so an oracle can replay
-// the backward op by op.
+// the backward op by op. GateChain, the LSTM gate math as 13 tape ops,
+// is also the oracle Tape::LstmGates is held to (test_autograd,
+// tests/seq2seq_oracle.h) and the baseline of bench_micro's lstm_step
+// rows.
 #pragma once
 
 #include <cstdint>
@@ -127,6 +130,20 @@ inline ChainNet MakeChainNet(std::uint64_t seed) {
   return net;
 }
 
+// The gate math of one LSTM step as LstmCell::Step spelled it before
+// Tape::LstmGates fused it: 13 ops after the gate MatMul and bias Add on
+// R×4H pre-activations in gate order [i f g o]. T is a Tape or a
+// RecordingTape. Returns {h', c'}.
+template <typename T>
+LstmState GateChain(T& t, Var gates, Var c, int h_dim) {
+  Var i = t.Sigmoid(t.SliceCols(gates, 0, h_dim));
+  Var f = t.Sigmoid(t.SliceCols(gates, h_dim, 2 * h_dim));
+  Var g = t.Tanh(t.SliceCols(gates, 2 * h_dim, 3 * h_dim));
+  Var o = t.Sigmoid(t.SliceCols(gates, 3 * h_dim, 4 * h_dim));
+  c = t.Add(t.Mul(f, c), t.Mul(i, g));
+  return LstmState{t.Mul(o, t.Tanh(c)), c};
+}
+
 // Records the chain's forward and returns its scalar loss.
 inline Var BuildChain(RecordingTape& t, ChainNet& net) {
   const int h_dim = kHidden;
@@ -145,12 +162,9 @@ inline Var BuildChain(RecordingTape& t, ChainNet& net) {
                  ? t.SliceRows(enc, step % kEncRows, step % kEncRows + 1)
                  : ctx);
     Var gates = t.Add(t.MatMul(t.ConcatCols(x, h), w), bias);
-    Var i = t.Sigmoid(t.SliceCols(gates, 0, h_dim));
-    Var f = t.Sigmoid(t.SliceCols(gates, h_dim, 2 * h_dim));
-    Var g = t.Tanh(t.SliceCols(gates, 2 * h_dim, 3 * h_dim));
-    Var o = t.Sigmoid(t.SliceCols(gates, 3 * h_dim, 4 * h_dim));
-    c = t.Add(t.Mul(f, c), t.Mul(i, g));
-    h = t.Mul(o, t.Tanh(c));
+    const LstmState next = GateChain(t, gates, c, h_dim);
+    h = next.h;
+    c = next.c;
     if (step == kRowStep) w_row = t.SliceRows(w, kWRow, kWRow + 1);
   }
   return t.Add(t.Sum(h), t.Add(t.Sum(t.Tanh(w_row)), t.Sum(side)));

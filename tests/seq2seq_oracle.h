@@ -2,7 +2,8 @@
 // scored as one stacked rollout: verbatim copies of the one-sequence
 // BiLstmEncoder::Apply, BahdanauAttention::Apply, BridgeRnn::Apply and
 // Seq2SeqPlacer::Run, and of HierarchicalAgent's per-sample policy
-// forward over them. The lane tests hold the stacked forms to this
+// forward over them, on an LstmCell whose Step is the 13-op gate chain
+// Tape::LstmGates replaced (chain::GateChain). The lane tests hold the stacked forms to this
 // oracle: a batch of one must reproduce it byte for byte, gradients
 // included, and each lane of a larger batch its log-prob and entropy.
 //
@@ -21,6 +22,7 @@
 #include "core/eagle_agent.h"
 #include "core/group_embedding.h"
 #include "core/grouper_ffn.h"
+#include "lstm_chain_net.h"
 #include "nn/layers.h"
 
 namespace eagle::oracle {
@@ -28,6 +30,41 @@ namespace eagle::oracle {
 inline nn::Var Row(nn::Tape& tape, nn::Var a, int r) {
   return tape.SliceRows(a, r, r + 1);
 }
+
+// LstmCell before the fused gate op: the same parameters, built in
+// the same order from the same draws.
+class LstmCell {
+ public:
+  using State = nn::LstmState;
+
+  LstmCell() = default;
+  LstmCell(nn::ParamStore& store, const std::string& name, int in_dim,
+           int hidden, support::Rng& rng)
+      : hidden_(hidden) {
+    w_ = store.Create(name + "/w", in_dim + hidden, 4 * hidden);
+    b_ = store.Create(name + "/b", 1, 4 * hidden);
+    nn::XavierInit(w_->value, rng);
+    for (int c = hidden; c < 2 * hidden; ++c) b_->value.at(0, c) = 1.0f;
+  }
+
+  State ZeroState(nn::Tape& tape, int rows) const {
+    return State{tape.Input(nn::Tensor(rows, hidden_)),
+                 tape.Input(nn::Tensor(rows, hidden_))};
+  }
+
+  State Step(nn::Tape& tape, nn::Var x, const State& prev) const {
+    EAGLE_CHECK(w_ != nullptr);
+    nn::Var xh = tape.ConcatCols(x, prev.h);
+    nn::Var gates =
+        tape.Add(tape.MatMul(xh, tape.Param(w_)), tape.Param(b_));
+    return nn::chain::GateChain(tape, gates, prev.c, hidden_);
+  }
+
+ private:
+  nn::Parameter* w_ = nullptr;
+  nn::Parameter* b_ = nullptr;
+  int hidden_ = 0;
+};
 
 class BiLstmEncoder {
  public:
@@ -39,20 +76,20 @@ class BiLstmEncoder {
 
   struct Output {
     nn::Var states;  // S×2H
-    nn::LstmCell::State final_fwd;
-    nn::LstmCell::State final_bwd;
+    LstmCell::State final_fwd;
+    LstmCell::State final_bwd;
   };
   Output Apply(nn::Tape& tape, nn::Var sequence) const {
     const int steps = tape.value(sequence).rows();
     EAGLE_CHECK(steps >= 1);
     std::vector<nn::Var> fwd_states(static_cast<std::size_t>(steps));
     std::vector<nn::Var> bwd_states(static_cast<std::size_t>(steps));
-    nn::LstmCell::State fs = fwd_.ZeroState(tape, 1);
+    LstmCell::State fs = fwd_.ZeroState(tape, 1);
     for (int t = 0; t < steps; ++t) {
       fs = fwd_.Step(tape, Row(tape, sequence, t), fs);
       fwd_states[static_cast<std::size_t>(t)] = fs.h;
     }
-    nn::LstmCell::State bs = bwd_.ZeroState(tape, 1);
+    LstmCell::State bs = bwd_.ZeroState(tape, 1);
     for (int t = steps - 1; t >= 0; --t) {
       bs = bwd_.Step(tape, Row(tape, sequence, t), bs);
       bwd_states[static_cast<std::size_t>(t)] = bs.h;
@@ -63,8 +100,8 @@ class BiLstmEncoder {
   }
 
  private:
-  nn::LstmCell fwd_;
-  nn::LstmCell bwd_;
+  LstmCell fwd_;
+  LstmCell bwd_;
 };
 
 class BahdanauAttention {
@@ -130,7 +167,7 @@ class BridgeRnn {
     nn::Var inputs = tape.ConcatCols(tape.ConcatCols(signatures, mass),
                                      count_share);  // k × (hidden+2)
     std::vector<nn::Var> states(static_cast<std::size_t>(k));
-    nn::LstmCell::State state = cell_.ZeroState(tape, 1);
+    LstmCell::State state = cell_.ZeroState(tape, 1);
     for (int g = 0; g < k; ++g) {
       state = cell_.Step(tape, Row(tape, inputs, g), state);
       states[static_cast<std::size_t>(g)] = state.h;
@@ -139,7 +176,7 @@ class BridgeRnn {
   }
 
  private:
-  nn::LstmCell cell_;
+  LstmCell cell_;
 };
 
 struct PlacerRollout {
@@ -188,7 +225,7 @@ class Seq2SeqPlacer {
     std::vector<nn::Var> entropies(static_cast<std::size_t>(k));
 
     nn::Var device_table = tape.Param(device_embedding_);
-    nn::LstmCell::State state{enc.final_fwd.h, enc.final_fwd.c};
+    LstmCell::State state{enc.final_fwd.h, enc.final_fwd.c};
     int prev_device = num_devices_;  // <start> token
     for (int g = 0; g < k; ++g) {
       nn::Var x = tape.ConcatCols(Row(tape, enc.states, g),
@@ -221,7 +258,7 @@ class Seq2SeqPlacer {
 
  private:
   BiLstmEncoder encoder_;
-  nn::LstmCell decoder_;
+  LstmCell decoder_;
   BahdanauAttention attention_;
   nn::Linear output_;
   nn::Parameter* device_embedding_ = nullptr;

@@ -241,6 +241,22 @@ TEST(Autograd, LaneProduct) {
   });
 }
 
+TEST(Autograd, LstmGates) {
+  constexpr int kHidden = 3;
+  const Tensor c0 = RandomTensor(2, kHidden, 61);
+  const Tensor mix = RandomTensor(2, kHidden, 62);
+  GradCheck(2, 4 * kHidden, [&](Tape& t, Var p) {
+    const LstmState s = t.LstmGates(p, t.Input(c0));
+    return t.Add(t.Sum(t.Mul(s.h, t.Input(mix))), t.Sum(s.c));
+  });
+  // Through the previous cell state, and both outputs' grads reaching it.
+  const Tensor gates = RandomTensor(2, 4 * kHidden, 63);
+  GradCheck(2, kHidden, [&](Tape& t, Var p) {
+    const LstmState s = t.LstmGates(t.Input(gates), p);
+    return t.Add(t.Sum(t.Mul(s.h, t.Input(mix))), t.Sum(s.c));
+  });
+}
+
 TEST(Autograd, DeepComposition) {
   // A little network: two layers + softmax pick, closer to real use.
   const Tensor x = RandomTensor(4, 5, 15);
@@ -460,6 +476,158 @@ TEST(Autograd, QueuedMatMulBackwardMatchesPerProductOracle) {
     Tensor flushed(p->value.rows(), p->value.cols());
     Axpy(1.0f, want[static_cast<std::size_t>(leaf.id)], flushed);
     EXPECT_TRUE(SameBytes(p->grad, flushed)) << p->name;
+  }
+}
+
+// ---- the fused LSTM gate op against the 13-op chain it replaced ----
+
+// Uniform values in [-1, 1] with every third one a zero of either sign,
+// so products, slices and accumulations meet signed zeros.
+Tensor ZeroRichTensor(int rows, int cols, std::uint64_t seed) {
+  Tensor t = RandomTensor(rows, cols, seed);
+  for (std::int64_t i = 0; i < t.size(); i += 3) {
+    t.data()[i] = (i / 3) % 2 == 0 ? 0.0f : -0.0f;
+  }
+  return t;
+}
+
+struct GateNet {
+  Parameter w;     // (kIn + H) × 4H
+  Parameter bias;  // 1 × 4H
+  Parameter x;     // (steps · R) × kIn, step t's rows [t·R, (t+1)·R)
+  Parameter h0;    // R × H
+  Parameter c0;    // R × H
+  std::vector<Tensor> mixes;  // loss weights, R × H each
+};
+
+constexpr int kGateIn = 5;
+constexpr int kGateSteps = 4;
+
+GateNet MakeGateNet(int rows, int hidden, std::uint64_t seed) {
+  const auto param = [](const char* name, Tensor value) {
+    Tensor grad(value.rows(), value.cols());
+    return Parameter{name, std::move(value), std::move(grad)};
+  };
+  GateNet net{
+      param("w", ZeroRichTensor(kGateIn + hidden, 4 * hidden, seed)),
+      param("bias", ZeroRichTensor(1, 4 * hidden, seed + 1)),
+      param("x", ZeroRichTensor(kGateSteps * rows, kGateIn, seed + 2)),
+      param("h0", ZeroRichTensor(rows, hidden, seed + 3)),
+      param("c0", ZeroRichTensor(rows, hidden, seed + 4)),
+      {}};
+  for (int i = 0; i < 5; ++i) {
+    net.mixes.push_back(ZeroRichTensor(rows, hidden, seed + 10 + i));
+  }
+  return net;
+}
+
+struct GateRun {
+  std::vector<Tensor> values;  // every h and c, in step order
+  std::vector<Tensor> grads;   // their grads, then every parameter's
+};
+
+// kGateSteps LSTM steps, fused or as the chain. Step 1's c also feeds a
+// consumer recorded right after it and step 2's c one recorded after the
+// last step. Two more steps branch off: one from the last state whose h
+// reaches the loss not at all and whose c only through a consumer, and
+// one from the first state whose c has no consumer at all.
+GateRun RunGates(GateNet& net, bool fused) {
+  for (Parameter* p : {&net.w, &net.bias, &net.x, &net.h0, &net.c0}) {
+    p->grad.Fill(0.0f);
+  }
+  const int rows = net.h0.value.rows();
+  const int hidden = net.h0.value.cols();
+  Tape t;
+  const auto step = [&](Var x, const LstmState& prev) {
+    Var gates = t.Add(t.MatMul(t.ConcatCols(x, prev.h), t.Param(&net.w)),
+                      t.Param(&net.bias));
+    return fused ? t.LstmGates(gates, prev.c)
+                 : chain::GateChain(t, gates, prev.c, hidden);
+  };
+  const auto weighted = [&](Var v, int mix) {
+    return t.Sum(t.Mul(v, t.Input(net.mixes[static_cast<std::size_t>(mix)])));
+  };
+  Var xs = t.Param(&net.x);
+  LstmState state{t.Param(&net.h0), t.Param(&net.c0)};
+  std::vector<Var> outputs;
+  Var loss;
+  Var kept_c;
+  LstmState first;
+  for (int s = 0; s < kGateSteps; ++s) {
+    state = step(t.SliceRows(xs, s * rows, (s + 1) * rows), state);
+    outputs.push_back(state.h);
+    outputs.push_back(state.c);
+    if (s == 0) first = state;
+    if (s == 1) loss = weighted(state.c, 0);
+    if (s == 2) kept_c = state.c;
+  }
+  loss = t.Add(loss, weighted(state.h, 1));
+  loss = t.Add(loss, weighted(kept_c, 2));
+  const LstmState extra = step(t.SliceRows(xs, 0, rows), state);
+  loss = t.Add(loss, weighted(extra.c, 3));
+  const LstmState side = step(t.SliceRows(xs, rows, 2 * rows), first);
+  loss = t.Add(loss, weighted(side.h, 4));
+  for (Var v : {extra.h, extra.c, side.h, side.c}) outputs.push_back(v);
+  t.Backward(loss);
+
+  GateRun run;
+  for (Var v : outputs) {
+    run.values.push_back(t.value(v));
+    run.grads.push_back(t.grad(v));
+  }
+  for (Parameter* p : {&net.w, &net.bias, &net.x, &net.h0, &net.c0}) {
+    run.grads.push_back(p->grad);
+  }
+  return run;
+}
+
+TEST(LstmGates, FusedOpIsTheGateChainByteForByte) {
+  for (const int rows : {1, 3, 10}) {
+    for (const int hidden : {13, 16}) {
+      SCOPED_TRACE(testing::Message() << "B = " << rows << ", H = " << hidden);
+      GateNet net = MakeGateNet(rows, hidden, 70 + rows);
+      const GateRun chain_run = RunGates(net, false);
+      const GateRun fused_run = RunGates(net, true);
+      ASSERT_EQ(chain_run.values.size(), fused_run.values.size());
+      for (std::size_t i = 0; i < chain_run.values.size(); ++i) {
+        EXPECT_TRUE(SameBytes(chain_run.values[i], fused_run.values[i]))
+            << "value " << i;
+      }
+      ASSERT_EQ(chain_run.grads.size(), fused_run.grads.size());
+      for (std::size_t i = 0; i < chain_run.grads.size(); ++i) {
+        EXPECT_TRUE(SameBytes(chain_run.grads[i], fused_run.grads[i]))
+            << "grad " << i;
+      }
+      // The extra step's h got no grad, as its chain node did not.
+      EXPECT_TRUE(fused_run.grads[2 * kGateSteps].empty());
+    }
+  }
+}
+
+// With the gates constant, only the cell-state path needs a grad; with
+// the cell state constant, only the gates' path.
+TEST(LstmGates, EitherInputAloneTakesTheChainsGradient) {
+  constexpr int kRows = 3;
+  constexpr int kHidden = 9;
+  Parameter gates{"gates", ZeroRichTensor(kRows, 4 * kHidden, 81),
+                  Tensor(kRows, 4 * kHidden)};
+  Parameter cell{"c", ZeroRichTensor(kRows, kHidden, 82),
+                 Tensor(kRows, kHidden)};
+  const Tensor mix = ZeroRichTensor(kRows, kHidden, 83);
+  for (const bool gates_param : {false, true}) {
+    std::vector<Tensor> grads;
+    for (const bool fused : {false, true}) {
+      gates.grad.Fill(0.0f);
+      cell.grad.Fill(0.0f);
+      Tape t;
+      Var g = gates_param ? t.Param(&gates) : t.Input(gates.value);
+      Var c = gates_param ? t.Input(cell.value) : t.Param(&cell);
+      const LstmState s = fused ? t.LstmGates(g, c)
+                                : chain::GateChain(t, g, c, kHidden);
+      t.Backward(t.Add(t.Sum(t.Mul(s.h, t.Input(mix))), t.Sum(s.c)));
+      grads.push_back(gates_param ? gates.grad : cell.grad);
+    }
+    EXPECT_TRUE(SameBytes(grads[0], grads[1])) << gates_param;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 
 #include "core/bridge_rnn.h"
@@ -20,6 +21,7 @@
 #include "models/inception_v3.h"
 #include "models/synthetic.h"
 #include "models/zoo.h"
+#include "nn/arena.h"
 #include "partition/metis_like.h"
 #include "rl/trainer.h"
 #include "support/metrics.h"
@@ -703,6 +705,69 @@ TEST(Lanes, EachLaneOfABatchIsItsSampleScoredAlone) {
             << store.params()[p]->name << " entry " << j;
       }
     }
+  }
+}
+
+// Fills every block the calling thread's arena has pooled, and one more
+// per size class up to 2^20 floats, with NaN: a tensor that reads a
+// recycled element before writing it reads NaN. Returns the blocks
+// filled.
+int PoisonPooledArenaBlocks() {
+  int filled = 0;
+  for (std::int64_t count = 64; count <= (std::int64_t{1} << 20);
+       count *= 2) {
+    std::vector<nn::Tensor> held;
+    for (;;) {
+      const std::uint64_t fresh = nn::ArenaStatsSnapshot().fresh_allocs;
+      held.push_back(nn::Tensor::Uninitialized(1, static_cast<int>(count)));
+      held.back().Fill(std::numeric_limits<float>::quiet_NaN());
+      ++filled;
+      if (nn::ArenaStatsSnapshot().fresh_allocs != fresh) break;
+    }
+  }
+  return filled;
+}
+
+// Uninitialized outputs (Tensor::Uninitialized) must write every element
+// before anything reads one: an EAGLE forward and backward on an arena
+// whose recycled blocks hold NaN gives the bytes of one whose blocks
+// hold what the first pass left.
+TEST(Arena, NanFilledRecycledBlocksChangeNoEagleByte) {
+  auto graph = SmallGraph();
+  const auto cluster = sim::MakeDefaultCluster();
+  auto agent = MakeEagleAgent(graph, cluster, SmallDims(), 13);
+  support::Rng rng(45);
+  std::vector<Sample> samples;
+  std::vector<const Sample*> batch;
+  for (int i = 0; i < 3; ++i) samples.push_back(agent->SampleDecision(rng));
+  for (const Sample& sample : samples) batch.push_back(&sample);
+
+  const auto pass = [&] {
+    agent->params().ZeroGrads();
+    nn::Tape tape;
+    const auto scores = agent->ScoreDecisions(tape, batch);
+    nn::Var total;
+    std::vector<std::uint32_t> bits;
+    for (int i = 0; i < 3; ++i) {
+      const auto& score = scores[static_cast<std::size_t>(i)];
+      bits.push_back(Bits(tape, score.logp));
+      bits.push_back(Bits(tape, score.entropy));
+      const nn::Var term = LaneLoss(tape, score.logp, score.entropy, i);
+      total = i == 0 ? term : tape.Add(total, term);
+    }
+    tape.Backward(total);
+    std::vector<nn::Tensor> grads;
+    for (const auto& p : agent->params().params()) grads.push_back(p->grad);
+    return std::pair(bits, grads);
+  };
+  const auto first = pass();
+  EXPECT_GT(PoisonPooledArenaBlocks(), 100);
+  const auto second = pass();
+  EXPECT_EQ(first.first, second.first);
+  ASSERT_EQ(first.second.size(), second.second.size());
+  for (std::size_t p = 0; p < first.second.size(); ++p) {
+    EXPECT_TRUE(SameBytes(first.second[p], second.second[p]))
+        << agent->params().params()[p]->name;
   }
 }
 

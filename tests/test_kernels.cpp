@@ -1,8 +1,10 @@
-// Bit-identity proofs for the blocked/SIMD GEMM kernels and the tensor
-// arena: the optimized kernels must match the scalar naive reference
-// (nn/naive_ref.h) bit-for-bit on every shape, NaN/Inf must propagate
-// through zero operands, and rebuilding a tape on recycled arena buffers
-// must reproduce gradients exactly without allocating.
+// Bit-identity proofs for the blocked/SIMD GEMM kernels, the tensor
+// arena, the vector tanh and exp and Adam's vector step: the optimized
+// kernels must match the scalar naive reference (nn/naive_ref.h)
+// bit-for-bit on every shape, NaN/Inf must propagate through zero
+// operands, rebuilding a tape on recycled arena buffers must reproduce
+// gradients exactly without allocating, and each vector form must equal
+// its scalar form in both float modes.
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -10,12 +12,17 @@
 #include <limits>
 #include <new>
 #include <optional>
+#include <span>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/adam.h"
 #include "nn/arena.h"
+#include "nn/expf.h"
 #include "nn/float_mode.h"
 #include "nn/naive_ref.h"
 #include "nn/tanh.h"
@@ -427,25 +434,31 @@ TEST(Arena, CrossSizeReuseKeepsValuesIntact) {
 
 std::uint32_t FloatBits(float x) { return std::bit_cast<std::uint32_t>(x); }
 
-// Runs `inputs` through TanhInPlace in blocks of eight (the vector lanes;
-// a tail would take the scalar port) and counts lanes whose bytes differ
-// from TanhF's.
-int TanhMismatches(const std::vector<float>& inputs) {
+// Runs `inputs` through a vector form in blocks of eight (the vector
+// lanes; a tail would take the scalar port) and counts lanes whose bytes
+// differ from the scalar form's.
+int VectorMismatches(const std::vector<float>& inputs, const char* name,
+                     void (*vector_form)(std::span<float>),
+                     float (*scalar_form)(float)) {
   std::vector<float> lanes(inputs.begin(), inputs.end());
   lanes.resize((lanes.size() + 7) / 8 * 8, 0.5f);
-  std::vector<float> vector_form = lanes;
-  TanhInPlace(vector_form);
+  std::vector<float> vectorized = lanes;
+  vector_form(vectorized);
   int mismatches = 0;
   for (std::size_t i = 0; i < lanes.size(); ++i) {
-    if (FloatBits(vector_form[i]) != FloatBits(TanhF(lanes[i]))) {
+    if (FloatBits(vectorized[i]) != FloatBits(scalar_form(lanes[i]))) {
       if (++mismatches <= 5) {
-        ADD_FAILURE() << "tanh(0x" << std::hex << FloatBits(lanes[i])
-                      << ") vector 0x" << FloatBits(vector_form[i])
-                      << " scalar 0x" << FloatBits(TanhF(lanes[i]));
+        ADD_FAILURE() << name << "(0x" << std::hex << FloatBits(lanes[i])
+                      << ") vector 0x" << FloatBits(vectorized[i])
+                      << " scalar 0x" << FloatBits(scalar_form(lanes[i]));
       }
     }
   }
   return mismatches;
+}
+
+int TanhMismatches(const std::vector<float>& inputs) {
+  return VectorMismatches(inputs, "tanh", TanhInPlace, TanhF);
 }
 
 // Both signs of `x`, and one ulp either side of each.
@@ -457,22 +470,20 @@ void AddAround(std::vector<float>& inputs, float x) {
   }
 }
 
-TEST(Tanh, VectorFormEqualsScalarPortOnAStridedSweep) {
+// Every bit pattern at a stride prime to 2^32 (~1M inputs), so every
+// exponent and both signs are covered.
+std::vector<float> StridedSweep() {
   std::vector<float> inputs;
-  // Every bit pattern at a stride prime to 2^32 (~1M inputs), so every
-  // exponent and both signs are covered.
   for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << 32);
        bits += 4099) {
     inputs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
   }
-  for (const bool flush : {false, true}) {
-    std::optional<FlushDenormalsScope> scope;
-    if (flush) scope.emplace();
-    EXPECT_EQ(TanhMismatches(inputs), 0) << (flush ? "FTZ|DAZ" : "IEEE");
-  }
+  return inputs;
 }
 
-TEST(Tanh, VectorFormEqualsScalarPortAtSpecialsAndBranchEdges) {
+// ±0, the subnormal and normal extremes, ±Inf (each with its neighbours)
+// and NaNs of both signs with assorted payloads.
+std::vector<float> Specials() {
   std::vector<float> inputs;
   AddAround(inputs, 0.0f);
   for (const float v : {std::numeric_limits<float>::denorm_min(),
@@ -485,6 +496,20 @@ TEST(Tanh, VectorFormEqualsScalarPortAtSpecialsAndBranchEdges) {
                                   0xff812345u}) {
     inputs.push_back(std::bit_cast<float>(nan));
   }
+  return inputs;
+}
+
+TEST(Tanh, VectorFormEqualsScalarPortOnAStridedSweep) {
+  const std::vector<float> inputs = StridedSweep();
+  for (const bool flush : {false, true}) {
+    std::optional<FlushDenormalsScope> scope;
+    if (flush) scope.emplace();
+    EXPECT_EQ(TanhMismatches(inputs), 0) << (flush ? "FTZ|DAZ" : "IEEE");
+  }
+}
+
+TEST(Tanh, VectorFormEqualsScalarPortAtSpecialsAndBranchEdges) {
+  std::vector<float> inputs = Specials();
   // tanh's |x| thresholds, then expm1's |2x| ones: 0.5 ln2, 1.5 ln2,
   // 27 ln2, and the k = ±1, 22/23 and 56/57 rounding boundaries.
   const float ln2 = 0.693147180559945f;
@@ -500,6 +525,134 @@ TEST(Tanh, VectorFormEqualsScalarPortAtSpecialsAndBranchEdges) {
     std::optional<FlushDenormalsScope> scope;
     if (flush) scope.emplace();
     EXPECT_EQ(TanhMismatches(inputs), 0) << (flush ? "FTZ|DAZ" : "IEEE");
+  }
+}
+
+// ---- exp: the vector forms against the scalar glibc port ----
+
+int ExpMismatches(const std::vector<float>& inputs) {
+  return VectorMismatches(inputs, "exp", ExpInPlace, ExpF) +
+         VectorMismatches(inputs, "sigmoid", SigmoidInPlace, SigmoidF);
+}
+
+// The inputs where the port's branches and rounding turn: |x| = 88 (the
+// special-case branch), the overflow and underflow thresholds, and the
+// two inputs where the FMA build's r = fma(InvLn2N, xd, -kd) and the
+// plain build's r = z - kd round apart.
+std::vector<float> ExpEdges() {
+  std::vector<float> inputs = Specials();
+  for (const float x : {88.0f, 0x1.62e42ep6f, 0x1.9fe368p6f, 0x1.04845ep+5f,
+                        0x1.f8cbb2p+5f, 1.0f}) {
+    AddAround(inputs, x);
+  }
+  return inputs;
+}
+
+TEST(ExpF, VectorFormsEqualScalarPortOnAStridedSweep) {
+  const std::vector<float> inputs = StridedSweep();
+  for (const bool flush : {false, true}) {
+    std::optional<FlushDenormalsScope> scope;
+    if (flush) scope.emplace();
+    EXPECT_EQ(ExpMismatches(inputs), 0) << (flush ? "FTZ|DAZ" : "IEEE");
+  }
+}
+
+TEST(ExpF, VectorFormsEqualScalarPortAtSpecialsAndBranchEdges) {
+  const std::vector<float> inputs = ExpEdges();
+  for (const bool flush : {false, true}) {
+    std::optional<FlushDenormalsScope> scope;
+    if (flush) scope.emplace();
+    EXPECT_EQ(ExpMismatches(inputs), 0) << (flush ? "FTZ|DAZ" : "IEEE");
+  }
+}
+
+// glibc 2.36's expf as its FMA build returns it, including the two
+// inputs its plain build rounds one ulp apart, and the special cases.
+TEST(ExpF, ReturnsTheFmaBuildOfGlibcExpf) {
+  const std::pair<float, std::uint32_t> known[] = {
+      {0x1.04845ep+5f, 0x56fc9f1cu},   {-0x1.f8cbb2p+5f, 0x11fa2993u},
+      {1.0f, 0x402df854u},             {0x1.62e42ep6f, 0x7f7fff84u},
+      {-0x1.9fe368p6f, 0x00000001u},   {88.0f, 0x7ef882b7u},
+      {-88.0f, 0x0041edc4u},           {0.0f, 0x3f800000u},
+      {-0.0f, 0x3f800000u},
+  };
+  for (const auto& [x, want] : known) {
+    EXPECT_EQ(FloatBits(ExpF(x)), want) << std::hexfloat << x;
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(FloatBits(ExpF(-inf)), FloatBits(0.0f));
+  EXPECT_EQ(ExpF(inf), inf);
+  EXPECT_EQ(ExpF(std::nextafter(0x1.62e42ep6f, inf)), inf);
+  EXPECT_EQ(FloatBits(ExpF(std::nextafter(-0x1.9fe368p6f, -inf))),
+            FloatBits(0.0f));
+  // NaN returns x + x: the input quieted, sign and payload kept.
+  EXPECT_EQ(FloatBits(ExpF(std::bit_cast<float>(0xff812345u))), 0xffc12345u);
+  {
+    // Subnormal results flush with FTZ; subnormal inputs read as zero
+    // with DAZ.
+    FlushDenormalsScope flush;
+    EXPECT_EQ(FloatBits(ExpF(-88.0f)), FloatBits(0.0f));
+    EXPECT_EQ(ExpF(std::numeric_limits<float>::denorm_min()), 1.0f);
+  }
+}
+
+// ---- Adam: the double-lane step against the scalar loop ----
+
+// Adam::Step's update before it ran on vector lanes, element by element.
+void ScalarAdamUpdate(const AdamOptions& o, std::int64_t t, Tensor& value,
+                      const Tensor& grad, Tensor& m, Tensor& v) {
+  FlushDenormalsScope flush;
+  const double bias1 = 1.0 - std::pow(o.beta1, static_cast<double>(t));
+  const double bias2 = 1.0 - std::pow(o.beta2, static_cast<double>(t));
+  for (std::int64_t i = 0; i < value.size(); ++i) {
+    float* md = m.data();
+    float* vd = v.data();
+    const float* g = grad.data();
+    md[i] = static_cast<float>(o.beta1 * md[i] + (1.0 - o.beta1) * g[i]);
+    vd[i] = static_cast<float>(o.beta2 * vd[i] +
+                               (1.0 - o.beta2) * g[i] * g[i]);
+    const double m_hat = md[i] / bias1;
+    const double v_hat = vd[i] / bias2;
+    value.data()[i] -=
+        static_cast<float>(o.lr * m_hat / (std::sqrt(v_hat) + o.eps));
+  }
+}
+
+TEST(Adam, VectorStepEqualsScalarLoopOnOddSizes) {
+  AdamOptions options;
+  options.clip_norm = 0.0;  // the update alone; clipping is shared
+  ParamStore store;
+  const std::pair<int, int> shapes[] = {{1, 1}, {1, 3}, {5, 1}, {3, 3},
+                                        {7, 5}, {1, 13}, {2, 9}};
+  std::uint32_t seed = 90;
+  for (const auto& [rows, cols] : shapes) {
+    Parameter* p = store.Create("p" + std::to_string(seed), rows, cols);
+    p->value = TestMatrix(rows, cols, seed++);
+  }
+  Adam adam(store, options);
+  std::vector<Tensor> values, ms, vs;
+  for (const auto& p : store.params()) {
+    values.push_back(p->value);
+    ms.emplace_back(p->value.rows(), p->value.cols());
+    vs.emplace_back(p->value.rows(), p->value.cols());
+  }
+  for (int step = 1; step <= 4; ++step) {
+    for (std::size_t k = 0; k < store.params().size(); ++k) {
+      Parameter& p = *store.params()[k];
+      p.grad = TestMatrix(p.value.rows(), p.value.cols(), seed++);
+      // Zeros of both signs, a subnormal and a large gradient.
+      p.grad.data()[0] = step == 2 ? -0.0f : p.grad.data()[0];
+      if (p.grad.size() > 2) {
+        p.grad.data()[1] = std::numeric_limits<float>::denorm_min();
+        p.grad.data()[2] = 3.0e4f;
+      }
+      ScalarAdamUpdate(options, step, values[k], p.grad, ms[k], vs[k]);
+    }
+    adam.Step();
+    for (std::size_t k = 0; k < store.params().size(); ++k) {
+      EXPECT_TRUE(BitIdentical(store.params()[k]->value, values[k]))
+          << "step " << step << " parameter " << k;
+    }
   }
 }
 

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "nn/adam.h"
 #include "nn/layers.h"
 #include "nn/serialize.h"
+#include "tests/seq2seq_oracle.h"
 
 namespace eagle::nn {
 namespace {
@@ -99,6 +102,67 @@ TEST(LstmCell, StatePropagatesAcrossSteps) {
                         tape.value(s2.h).at(0, c)) > 1e-6f;
   }
   EXPECT_TRUE(differs);
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         (a.empty() || std::memcmp(a.data(), b.data(),
+                                   static_cast<std::size_t>(a.size()) *
+                                       sizeof(float)) == 0);
+}
+
+// The cell on the fused gate op against the oracle cell on the 13-op
+// chain: the same parameters from the same draws, then every state and
+// every parameter-gradient byte equal over a 6-step sequence of B lanes.
+TEST(LstmCell, StepIsTheUnfusedOracleCell) {
+  constexpr int kIn = 6;
+  constexpr int kHidden = 12;
+  constexpr int kSteps = 6;
+  for (const int lanes : {1, 3, 10}) {
+    SCOPED_TRACE(testing::Message() << "B = " << lanes);
+    support::Rng data_rng(static_cast<std::uint64_t>(20 + lanes));
+    Tensor seq(kSteps * lanes, kIn);
+    UniformInit(seq, -2.0f, 2.0f, data_rng);
+    Tensor mix(lanes, kHidden);
+    UniformInit(mix, -1.0f, 1.0f, data_rng);
+
+    std::vector<std::vector<Tensor>> states;
+    std::vector<std::vector<Tensor>> grads;
+    const auto run = [&](const auto& cell, ParamStore& store) {
+      Tape tape;
+      Var inputs = tape.Input(seq);
+      auto state = cell.ZeroState(tape, lanes);
+      std::vector<Tensor> values;
+      Var loss;
+      for (int t = 0; t < kSteps; ++t) {
+        state = cell.Step(
+            tape, tape.SliceRows(inputs, t * lanes, (t + 1) * lanes), state);
+        values.push_back(tape.value(state.h));
+        values.push_back(tape.value(state.c));
+        Var term = tape.Sum(tape.Mul(state.h, tape.Input(mix)));
+        loss = t == 0 ? term : tape.Add(loss, term);
+      }
+      tape.Backward(loss);
+      states.push_back(std::move(values));
+      std::vector<Tensor> g;
+      for (const auto& p : store.params()) g.push_back(p->grad);
+      grads.push_back(std::move(g));
+    };
+    ParamStore store;
+    support::Rng rng(9);
+    run(LstmCell(store, "lstm", kIn, kHidden, rng), store);
+    ParamStore oracle_store;
+    support::Rng oracle_rng(9);
+    run(oracle::LstmCell(oracle_store, "lstm", kIn, kHidden, oracle_rng),
+        oracle_store);
+    for (std::size_t i = 0; i < states[0].size(); ++i) {
+      EXPECT_TRUE(SameBytes(states[0][i], states[1][i])) << "state " << i;
+    }
+    ASSERT_EQ(grads[0].size(), grads[1].size());
+    for (std::size_t i = 0; i < grads[0].size(); ++i) {
+      EXPECT_TRUE(SameBytes(grads[0][i], grads[1][i])) << "parameter " << i;
+    }
+  }
 }
 
 TEST(BiLstmEncoder, OutputShape) {
