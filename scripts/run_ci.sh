@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # The one-command CI gate, chaining every check the repo ships:
-#   1. configure + build,
+#   1. configure + build, then a check that scripts/run_benches.sh runs
+#      every bench bench/CMakeLists.txt defines and that each of its
+#      invocations parses,
 #   2. the tier-1 test suite, then the kernel and autograd suites again in
 #      an -DEAGLE_SIMD=OFF build, so the portable GEMM panels are tested
 #      on hosts where every other build takes the AVX2 intrinsics path,
@@ -51,6 +53,31 @@ BUILD=${1:-build-ci}
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD" -j
+SMOKE=$(mktemp -d)
+trap 'rm -rf "$SMOKE"' EXIT
+
+echo "=== bench list ==="
+# The loop in run_benches.sh must name every bench_<name> that
+# bench/CMakeLists.txt defines (bench_micro has a line of its own). The
+# CMake file, not $BUILD/bench, is the list: a reused build directory
+# keeps the executables of deleted benches.
+defined=$(sed -n 's/^eagle_bench(bench_\(.*\))$/\1/p' bench/CMakeLists.txt |
+  sort | xargs)
+listed=$(sed -n 's/^for b in \(.*\); do$/\1/p' scripts/run_benches.sh |
+  xargs -n1 | sort | xargs)
+test "$defined" = "$listed" ||
+  { echo "run_benches.sh runs [$listed], bench/ defines [$defined]"; exit 1; }
+# Every invocation in the script must parse. Rerun it against shims that
+# append --help: ArgParser reads flags in order, so an unknown flag still
+# exits 2, while --help prints the usage and exits 0 without training.
+mkdir -p "$SMOKE/shims/bench"
+for exe in "$(cd "$BUILD" && pwd)"/bench/bench_*; do
+  printf '#!/bin/sh\nexec "%s" "$@" --help\n' "$exe" \
+    >"$SMOKE/shims/bench/${exe##*/}"
+  chmod +x "$SMOKE/shims/bench/${exe##*/}"
+done
+scripts/run_benches.sh "$SMOKE/shims" "$SMOKE/benches" >/dev/null
+echo BENCH_LIST_CLEAN
 
 echo "=== tier-1 test suite ==="
 (cd "$BUILD" && ctest --output-on-failure -j "$(nproc)")
@@ -80,8 +107,6 @@ echo "=== static analysis ==="
 scripts/run_static_analysis.sh "$BUILD-audit"
 
 echo "=== telemetry smoke ==="
-SMOKE=$(mktemp -d)
-trap 'rm -rf "$SMOKE"' EXIT
 "$BUILD/bench/bench_fig5" --samples=20 --threads=2 \
   --telemetry-out="$SMOKE/run.jsonl" --profile-out="$SMOKE/profile.json" \
   --csv="$SMOKE/" --checkpoint-dir="$SMOKE/ck"

@@ -1,10 +1,10 @@
 // The categorical policy head every agent decides through: one draw per
 // row of a logits matrix — a group per op for the grouper (§III-B), a
-// device per group for the placers (§III-C) and Post, a device per step
-// for the Placeto-style agent — plus the summed log-probability and the
-// mean entropy the RL losses read. Sampling and scoring run the same
-// sequence, so a sample re-scored under unchanged parameters reproduces
-// its log-probability bit for bit (the invariant PPO's ratio relies on).
+// device per group for the placers (§III-C) and Post — plus the summed
+// log-probability and the mean entropy the RL losses read. Sampling and
+// scoring run the same sequence, so a sample re-scored under unchanged
+// parameters reproduces its log-probability bit for bit (the invariant
+// PPO's ratio relies on).
 //
 // The head has two halves. The distribution (log-softmax, softmax, mean
 // entropy) depends on the logits alone, so every decision drawn or scored

@@ -28,7 +28,7 @@ TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
   EAGLE_CHECK(options.total_samples >= 1 && options.minibatch_size >= 1);
   support::Rng rng(options.seed);
   nn::Adam optimizer(agent.params(), options.adam);
-  core::EmaBaseline baseline(options.ema_decay);
+  EmaBaseline baseline(options.ema_decay);
   std::unique_ptr<ValueBaseline> critic;
   if (options.baseline == BaselineKind::kValueNetwork) {
     critic = std::make_unique<ValueBaseline>(options.num_devices,

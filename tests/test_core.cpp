@@ -76,7 +76,7 @@ TEST(Environment, NoiseReappliedOnCacheHits) {
 }
 
 // A frozen copy of the sequence each agent ran inline before they shared
-// core::Categorical. One-row callers (the seq2seq and Placeto steps) took
+// core::Categorical. One-row callers (the seq2seq decoder's steps) took
 // the picked log-probability without the outer Sum.
 CategoricalHead InlineSequence(nn::Tape& tape, nn::Var logits,
                                support::Rng* rng,

@@ -115,7 +115,7 @@ TEST(Reward, PenaltyForInvalid) {
 }
 
 TEST(Baseline, EmaTracksRewards) {
-  core::EmaBaseline baseline(0.5);
+  rl::EmaBaseline baseline(0.5);
   EXPECT_DOUBLE_EQ(baseline.AdvantageAndUpdate(10.0), 0.0);  // seeds
   EXPECT_DOUBLE_EQ(baseline.value(), 10.0);
   // Advantage uses baseline BEFORE update.
