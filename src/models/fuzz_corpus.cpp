@@ -74,9 +74,12 @@ graph::OpGraph BuildFuzzGraph(const FuzzGraphConfig& config,
                              : 0,
           .cpu_only = cpu_only,
           .layer = "fz" + std::to_string(layer)};
-      const OpId op = b.Add(
-          type, "l" + std::to_string(layer) + "_op" + std::to_string(w),
-          std::move(shape), {}, opts);
+      const OpId op = b.Add(type,
+                            std::string("l")
+                                .append(std::to_string(layer))
+                                .append("_op")
+                                .append(std::to_string(w)),
+                            std::move(shape), {}, opts);
       // Distinct fan-in picks from a recent window: the dedup is what
       // keeps the corpus inside ValidateGraph's duplicate-edge rule.
       const std::size_t window_lo =
@@ -224,7 +227,7 @@ std::string MutateSerializedGraph(const std::string& text,
           break;
         }
       }
-      out.insert(pos, "\x7f");  // fallback so the mutation is never a no-op
+      out.insert(pos, 1, '\x7f');  // fallback so the mutation is never a no-op
       break;
     }
     case 6:  // insert a garbage token

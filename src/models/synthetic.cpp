@@ -79,7 +79,10 @@ graph::OpGraph BuildRandomDag(const RandomDagConfig& config,
                               .cpu_only = cpu_only,
                               .layer = "rank" + std::to_string(layer)};
       OpId op = b.Add(cpu_only ? OpType::kEmbeddingLookup : OpType::kMatMul,
-                      "l" + std::to_string(layer) + "_op" + std::to_string(w),
+                      std::string("l")
+                          .append(std::to_string(layer))
+                          .append("_op")
+                          .append(std::to_string(w)),
                       TensorShape{elems}, {}, opts);
       const int fanin =
           1 + static_cast<int>(rng.NextBelow(

@@ -8,7 +8,7 @@
 namespace eagle::nn {
 namespace {
 
-constexpr std::size_t kAlign = 32;
+constexpr std::size_t kAlign = 64;
 constexpr int kMinBucketLog2 = 6;   // 64 floats (256 B) smallest class
 constexpr int kMaxBucketLog2 = 24;  // 16M floats (64 MB) largest class
 constexpr int kNumBuckets = kMaxBucketLog2 - kMinBucketLog2 + 1;

@@ -49,9 +49,11 @@ void ArenaTrim();
 
 namespace detail {
 
-// All returned pointers are 32-byte aligned (SIMD loads in the GEMM
-// kernels). Contents are uninitialized. `count` is in floats and must be
-// the same value at release that was passed at acquire.
+// All returned pointers are 64-byte aligned, so a 16-float vector load
+// at the start of a row whose length is a multiple of 16 never splits a
+// cache line (the GEMM kernels). Contents are uninitialized. `count` is
+// in floats and must be the same value at release that was passed at
+// acquire.
 float* ArenaAcquire(std::int64_t count);
 void ArenaRelease(float* ptr, std::int64_t count);
 

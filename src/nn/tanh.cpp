@@ -152,6 +152,9 @@ __m256 AddExponent(__m256 y, __m256i k) {
 // ExpM1F in eight lanes for the arguments TanhF passes it: ±2|x| with
 // 2**-55 <= |x| < 22, so none of the overflow, NaN or x < -27 ln2 filters
 // apply. Lanes outside that range compute garbage the caller discards.
+// A positive argument is 2|x| >= 2, whose k is at least 3, so the k = +1
+// branch is left out; 23 <= k <= 56 needs |x| >= 7.8 and is computed only
+// when some lane's k reaches 23.
 __m256 ExpM1Avx2(__m256 x) {
   const __m256i hx = _mm256_and_si256(AsInt(x), Splat(0x7fffffffu));
   const __m256 negative = AsFloat(_mm256_srai_epi32(AsInt(x), 31));
@@ -202,30 +205,26 @@ __m256 ExpM1Avx2(__m256 x) {
       _mm256_sub_ps(_mm256_mul_ps(r, _mm256_sub_ps(e, c)), c), hxs);
   const __m256 k_minus1 = _mm256_sub_ps(
       _mm256_mul_ps(Splat(0.5f), _mm256_sub_ps(r, ek)), Splat(0.5f));
-  const __m256 k_plus1 = Select(
-      _mm256_cmp_ps(r, Splat(-0.25f), _CMP_LT_OQ),
-      _mm256_mul_ps(Splat(-2.0f),
-                    _mm256_sub_ps(ek, _mm256_add_ps(r, Splat(0.5f)))),
-      _mm256_add_ps(Splat(one),
-                    _mm256_mul_ps(Splat(2.0f), _mm256_sub_ps(r, ek))));
   const __m256 k_outer = _mm256_sub_ps(
       AddExponent(_mm256_sub_ps(Splat(one), _mm256_sub_ps(ek, r)), k),
       Splat(one));
   const __m256 t_low = AsFloat(_mm256_sub_epi32(
       Splat(0x3f800000u), _mm256_srlv_epi32(Splat(0x1000000u), k)));
-  const __m256 k_low =
-      AddExponent(_mm256_sub_ps(t_low, _mm256_sub_ps(ek, r)), k);
-  const __m256 t_high =
-      AsFloat(_mm256_slli_epi32(_mm256_sub_epi32(Splat(0x7f), k), 23));
-  const __m256 k_high = AddExponent(
-      _mm256_add_ps(_mm256_sub_ps(r, _mm256_add_ps(ek, t_high)), Splat(one)),
-      k);
+  __m256 result = AddExponent(_mm256_sub_ps(t_low, _mm256_sub_ps(ek, r)), k);
 
-  // 2 <= k < 23, 23 <= k <= 56, then the outer ranges, ±1 and 0.
-  __m256 result = Select(Greater(Splat(23), k), k_low, k_high);
+  // 2 <= k < 23 above, then 23 <= k <= 56, the outer ranges, -1 and 0.
+  const __m256 high = Greater(k, Splat(22));
+  if (_mm256_movemask_ps(high) != 0) {
+    const __m256 t_high =
+        AsFloat(_mm256_slli_epi32(_mm256_sub_epi32(Splat(0x7f), k), 23));
+    const __m256 k_high = AddExponent(
+        _mm256_add_ps(_mm256_sub_ps(r, _mm256_add_ps(ek, t_high)),
+                      Splat(one)),
+        k);
+    result = Select(high, k_high, result);
+  }
   result = Select(_mm256_or_ps(Greater(Splat(-1), k), Greater(k, Splat(56))),
                   k_outer, result);
-  result = Select(AsFloat(_mm256_cmpeq_epi32(k, Splat(1))), k_plus1, result);
   result = Select(AsFloat(_mm256_cmpeq_epi32(k, Splat(-1))), k_minus1, result);
   result = Select(AsFloat(_mm256_cmpeq_epi32(k, Splat(0))), k0, result);
   return Select(Greater(Splat(0x33000000u), hx), tiny_result, result);

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <span>
 
 #include "core/bridge_rnn.h"
@@ -21,10 +20,10 @@
 #include "models/inception_v3.h"
 #include "models/synthetic.h"
 #include "models/zoo.h"
-#include "nn/arena.h"
 #include "partition/metis_like.h"
 #include "rl/trainer.h"
 #include "support/metrics.h"
+#include "tests/arena_poison.h"
 #include "tests/seq2seq_oracle.h"
 
 namespace eagle::core {
@@ -708,26 +707,6 @@ TEST(Lanes, EachLaneOfABatchIsItsSampleScoredAlone) {
   }
 }
 
-// Fills every block the calling thread's arena has pooled, and one more
-// per size class up to 2^20 floats, with NaN: a tensor that reads a
-// recycled element before writing it reads NaN. Returns the blocks
-// filled.
-int PoisonPooledArenaBlocks() {
-  int filled = 0;
-  for (std::int64_t count = 64; count <= (std::int64_t{1} << 20);
-       count *= 2) {
-    std::vector<nn::Tensor> held;
-    for (;;) {
-      const std::uint64_t fresh = nn::ArenaStatsSnapshot().fresh_allocs;
-      held.push_back(nn::Tensor::Uninitialized(1, static_cast<int>(count)));
-      held.back().Fill(std::numeric_limits<float>::quiet_NaN());
-      ++filled;
-      if (nn::ArenaStatsSnapshot().fresh_allocs != fresh) break;
-    }
-  }
-  return filled;
-}
-
 // Uninitialized outputs (Tensor::Uninitialized) must write every element
 // before anything reads one: an EAGLE forward and backward on an arena
 // whose recycled blocks hold NaN gives the bytes of one whose blocks
@@ -761,7 +740,7 @@ TEST(Arena, NanFilledRecycledBlocksChangeNoEagleByte) {
     return std::pair(bits, grads);
   };
   const auto first = pass();
-  EXPECT_GT(PoisonPooledArenaBlocks(), 100);
+  EXPECT_GT(nn::arena_test::PoisonPooledBlocks(), 100);
   const auto second = pass();
   EXPECT_EQ(first.first, second.first);
   ASSERT_EQ(first.second.size(), second.second.size());

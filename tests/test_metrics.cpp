@@ -261,6 +261,14 @@ TEST(Json, NumRoundTripsAndMapsNonFiniteToNull) {
   EXPECT_EQ(round.string_value(), "a\"b\\c\n");
 }
 
+// s escaped and quoted as a JSON string literal.
+std::string Quoted(const std::string& s) {
+  std::string quoted = "\"";
+  quoted += Escape(s);
+  quoted += '"';
+  return quoted;
+}
+
 // Escape writes \u00XX for control bytes and passes every other byte
 // through, so Parse must read back any string, byte for byte.
 TEST(Json, EveryByteRoundTripsThroughEscapeAndParse) {
@@ -268,12 +276,12 @@ TEST(Json, EveryByteRoundTripsThroughEscapeAndParse) {
   for (int b = 0; b < 256; ++b) {
     const std::string s = std::string("x") + static_cast<char>(b) + "y";
     std::string error;
-    const Value parsed = Value::Parse("\"" + Escape(s) + "\"", &error);
+    const Value parsed = Value::Parse(Quoted(s), &error);
     ASSERT_TRUE(parsed.is_string()) << "byte " << b << ": " << error;
     EXPECT_EQ(parsed.string_value(), s) << "byte " << b;
     all += static_cast<char>(b);
   }
-  EXPECT_EQ(Value::Parse("\"" + Escape(all) + "\"").string_value(), all);
+  EXPECT_EQ(Value::Parse(Quoted(all)).string_value(), all);
   // Escapes beyond the range Escape writes stay unsupported.
   for (const char* bad : {"\"\\u0080\"", "\"\\u00g1\"", "\"\\u12\""}) {
     std::string error;
