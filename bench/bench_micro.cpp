@@ -8,8 +8,10 @@
 //     the true pre-PR baseline the acceptance ratios compare against;
 //     the oracle is itself faster than pre-PR because removing the
 //     zero-skip branch and spelling fma explicitly helps the compiler);
-//   - simulator steps/sec on the paper graphs (ExecutionSimulator with
-//     its pooled SimWorkspace vs sim::naive::RunReference, which is the
+//   - simulator steps/sec on the paper graphs under per-op random
+//     placements, and on the imported-size fuzz40k graph placed by its 16
+//     METIS groups, as Post places it (ExecutionSimulator with its pooled
+//     SimWorkspace vs sim::naive::RunReference, which is the
 //     pre-workspace implementation verbatim, i.e. also the pre-PR
 //     baseline);
 //   - tanh and exp per element: libm's std::tanh and std::exp against
@@ -50,12 +52,14 @@
 
 #include "bench/load_graphs.h"
 #include "bench/prepr_kernels.h"
+#include "models/fuzz_corpus.h"
 #include "models/zoo.h"
 #include "nn/expf.h"
 #include "nn/layers.h"
 #include "nn/naive_ref.h"
 #include "nn/tanh.h"
 #include "nn/tensor.h"
+#include "partition/metis_like.h"
 #include "sim/measurement.h"
 #include "sim/naive_ref.h"
 #include "sim/simulator.h"
@@ -214,21 +218,13 @@ struct SimRow {
 
 SimRow RunSimCaseOnGraph(const std::string& label,
                          const graph::OpGraph& graph,
-                         const sim::ClusterSpec& cluster, int repeats,
+                         const sim::ClusterSpec& cluster,
+                         const sim::Placement& placement, int repeats,
                          double target_seconds) {
   sim::ExecutionSimulator simulator(graph, cluster);
   // The frozen reference gets the same constructor-cached priorities the
   // historical simulator had, outside the timed region.
   const std::vector<int> priorities = sim::naive::CriticalPriorities(graph);
-
-  support::Rng rng(1);
-  std::vector<sim::DeviceId> devices(static_cast<std::size_t>(graph.num_ops()));
-  for (auto& d : devices) {
-    d = static_cast<sim::DeviceId>(
-        rng.NextBelow(static_cast<std::uint64_t>(cluster.num_devices())));
-  }
-  sim::Placement placement(graph, devices);
-  placement.Normalize(graph, cluster);
 
   const BenchTiming opt = MeasureMinOfRepeats(
       [&](long long iters) {
@@ -258,14 +254,55 @@ SimRow RunSimCaseOnGraph(const std::string& label,
   return row;
 }
 
+// A device drawn at random for each op, normalized.
+sim::Placement RandomOpPlacement(const graph::OpGraph& graph,
+                                 const sim::ClusterSpec& cluster) {
+  support::Rng rng(1);
+  std::vector<sim::DeviceId> devices(static_cast<std::size_t>(graph.num_ops()));
+  for (auto& d : devices) {
+    d = static_cast<sim::DeviceId>(
+        rng.NextBelow(static_cast<std::uint64_t>(cluster.num_devices())));
+  }
+  sim::Placement placement(graph, devices);
+  placement.Normalize(graph, cluster);
+  return placement;
+}
+
 SimRow RunSimCase(models::Benchmark benchmark,
                   const sim::ClusterSpec& cluster, bool reduced, int repeats,
                   double target_seconds) {
   models::ZooOptions zoo;
   zoo.reduced = reduced;
-  return RunSimCaseOnGraph(models::BenchmarkName(benchmark),
-                           models::BuildBenchmark(benchmark, zoo), cluster,
-                           repeats, target_seconds);
+  const graph::OpGraph graph = models::BuildBenchmark(benchmark, zoo);
+  return RunSimCaseOnGraph(models::BenchmarkName(benchmark), graph, cluster,
+                           RandomOpPlacement(graph, cluster), repeats,
+                           target_seconds);
+}
+
+// Post's shape: bench/e2e's fuzz40k graph (models::BuildFuzzGraph, 20,000
+// forward ops, seed 40; 2,000 under --smoke) with a device drawn at random
+// for each of its 16 METIS groups, so every device's ready heap holds tens
+// of ops at a pick.
+SimRow RunGroupedSimCase(const sim::ClusterSpec& cluster, bool smoke,
+                         int repeats, double target_seconds) {
+  constexpr int kGroups = 16;
+  models::FuzzGraphConfig config;
+  config.num_ops = smoke ? 2000 : 20000;
+  support::Rng graph_rng(40);
+  const graph::OpGraph graph = models::BuildFuzzGraph(config, graph_rng);
+  partition::MetisOptions metis;
+  metis.num_parts = kGroups;
+  const graph::Grouping grouping = partition::MetisPartition(graph, metis);
+  support::Rng rng(1);
+  std::vector<sim::DeviceId> group_devices(kGroups);
+  for (auto& d : group_devices) {
+    d = static_cast<sim::DeviceId>(
+        rng.NextBelow(static_cast<std::uint64_t>(cluster.num_devices())));
+  }
+  return RunSimCaseOnGraph(
+      smoke ? "fuzz4k-metis16" : "fuzz40k-metis16", graph, cluster,
+      sim::Placement::FromGroups(graph, cluster, grouping, group_devices),
+      repeats, target_seconds);
 }
 
 struct UnaryRow {
@@ -533,23 +570,25 @@ int main(int argc, char** argv) {
   }
 
   std::vector<SimRow> sims;
+  const auto report_sim = [&sims](const char* shape) {
+    const SimRow& r = sims.back();
+    std::cout << "sim " << r.graph << " (" << r.num_ops << " ops" << shape
+              << "): naive " << r.naive_steps_per_sec << " steps/s, opt "
+              << r.opt_steps_per_sec << " steps/s, speedup " << r.speedup
+              << "x\n";
+  };
   for (const auto benchmark : models::AllBenchmarks()) {
     sims.push_back(
         RunSimCase(benchmark, cluster, smoke, repeats, target_seconds));
-    const auto& r = sims.back();
-    std::cout << "sim " << r.graph << " (" << r.num_ops << " ops): naive "
-              << r.naive_steps_per_sec << " steps/s, opt "
-              << r.opt_steps_per_sec << " steps/s, speedup " << r.speedup
-              << "x\n";
+    report_sim("");
   }
+  sims.push_back(RunGroupedSimCase(cluster, smoke, repeats, target_seconds));
+  report_sim(", 16 METIS groups");
   for (const auto& [name, graph] : imported) {
-    sims.push_back(
-        RunSimCaseOnGraph(name, graph, cluster, repeats, target_seconds));
-    const auto& r = sims.back();
-    std::cout << "sim " << r.graph << " (" << r.num_ops
-              << " ops, imported): naive " << r.naive_steps_per_sec
-              << " steps/s, opt " << r.opt_steps_per_sec
-              << " steps/s, speedup " << r.speedup << "x\n";
+    sims.push_back(RunSimCaseOnGraph(name, graph, cluster,
+                                     RandomOpPlacement(graph, cluster),
+                                     repeats, target_seconds));
+    report_sim(", imported");
   }
 
   const int elements = smoke ? 256 : 4096;

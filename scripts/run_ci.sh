@@ -9,7 +9,9 @@
 #      portable instance is tested on hosts where every other build takes
 #      an intrinsics path, and one with -mno-avx512f, so the 8-lane (AVX2)
 #      instance of the GEMM tile is tested on hosts where the default
-#      build takes the 16-lane (AVX-512) one,
+#      build takes the 16-lane (AVX-512) one; and src/nn/tensor.cpp is
+#      compiled once for a target without AVX (-march=x86-64), where any
+#      diagnostic, a note included, fails,
 #   3. a timed whole-tree eagle-lint v2 pass in JSON mode (cross-file
 #      rules LY01/ST01/LK01/HP02 included) that must finish inside the
 #      5 s tier-1 budget,
@@ -18,7 +20,8 @@
 #   5. a telemetry smoke run: a tiny bench_fig5 training run with
 #      --telemetry-out / --profile-out must produce JSONL that
 #      tools/metrics_report parses and a Chrome trace containing
-#      trainer-phase spans (see docs/OBSERVABILITY.md), and a tiny
+#      trainer-phase and simulator spans (see docs/OBSERVABILITY.md), and a
+#      tiny
 #      bench_baselines run must write one checkpoint and one run_start
 #      line per advantage baseline (EMA and critic); the fig5 run's
 #      training checkpoints and those of a tiny bench_table2 run must
@@ -31,7 +34,8 @@
 #      come out identical and no checkpoint may change,
 #   7. a kernel-bench smoke run: bench_micro --smoke must complete and
 #      emit well-formed BENCH_kernels.json with its gemm (one of them
-#      narrower than 16 columns), simulator, tanh, expf and lstm_step rows
+#      narrower than 16 columns), simulator (one of them on a fuzz graph
+#      placed by 16 METIS groups), tanh, expf and lstm_step rows
 #      (tiny shapes — it guards the harness and the naive-reference
 #      plumbing, not the perf ratios; see docs/PERFORMANCE.md),
 #   8. an ingestion fuzz smoke: graph_fuzz built with ASan+UBSan mutates
@@ -95,6 +99,21 @@ cmake --build "$BUILD-nosimd" -j --target test_kernels test_autograd
   ctest --output-on-failure -R '^(test_kernels|test_autograd)$')
 echo PORTABLE_KERNELS_CLEAN
 
+echo "=== portable kernels without AVX (-march=x86-64) ==="
+# Without AVX a 32-byte vector passed by value changes ABI, and GCC says so
+# with a note, which -Werror does not turn into a failure: any output of
+# this compile fails here instead.
+diag=$("${CXX:-c++}" -std=c++20 -O2 -march=x86-64 -ffp-contract=off \
+  -Wall -Wextra -Wno-missing-field-initializers -Werror -DEAGLE_SIMD=1 \
+  -Isrc -I. -c src/nn/tensor.cpp -o "$SMOKE/tensor_x86-64.o" 2>&1) ||
+  { echo "$diag"; exit 1; }
+test -z "$diag" || {
+  echo "$diag"
+  echo "src/nn/tensor.cpp prints diagnostics at -march=x86-64"
+  exit 1
+}
+echo NO_AVX_BUILD_CLEAN
+
 echo "=== 8-lane kernels (-mno-avx512f) ==="
 # GCC keeps an explicit -mno-avx512f over the root's -march=native:
 # __AVX2__ and __FMA__ stay defined and __AVX512F__ does not, so the GEMM
@@ -135,6 +154,7 @@ grep -q '"event":"round"' "$SMOKE/run.jsonl"
 grep -q '"event":"run_end"' "$SMOKE/run.jsonl"
 grep -q '"name":"train\.' "$SMOKE/profile.json"
 grep -q '"name":"eval\.' "$SMOKE/profile.json"
+grep -q '"name":"sim\.run"' "$SMOKE/profile.json"
 # metrics_report must parse every line and render the summary tables.
 "$BUILD/tools/metrics_report" --in="$SMOKE/run.jsonl" --csv="$SMOKE/report_"
 test -s "$SMOKE/report_runs.csv"
@@ -218,6 +238,7 @@ grep -q '"kernel": "gemm"' "$SMOKE/BENCH_kernels.json"
 grep -q '"kernel": "gemm", "m": 40, "k": 32, "n": 5,' \
   "$SMOKE/BENCH_kernels.json"
 grep -q '"graph": "Inception-V3"' "$SMOKE/BENCH_kernels.json"
+grep -q '"graph": "fuzz4k-metis16"' "$SMOKE/BENCH_kernels.json"
 grep -q '"tanh": {"elements"' "$SMOKE/BENCH_kernels.json"
 grep -q '"expf": {"elements"' "$SMOKE/BENCH_kernels.json"
 grep -q '"lstm_step": \[' "$SMOKE/BENCH_kernels.json"

@@ -207,9 +207,11 @@ constexpr int kGemvNv = 8;
 // Portable: 8 lanes as a GNU vector, which GCC and Clang lower to the
 // target's vectors (or to scalars); the lane loop of Fma rounds as
 // MulAdd does and is vectorized back into fmas. A tail mask is the number
-// of live lanes. The tile code passes these vectors by value only between
-// functions of this file, so GCC's warning that doing so without AVX
-// changes the ABI (-Wpsabi) does not apply; it is off from here on.
+// of live lanes. Parameters are taken by const reference, because GCC
+// notes that passing 32-byte vectors by value without AVX changed ABI;
+// the by-value returns would warn the same way (-Wpsabi), and they only
+// pass between functions of this file, so that warning is off from here
+// on.
 #pragma GCC diagnostic ignored "-Wpsabi"
 struct Vec {
   static constexpr int kLanes = 8;
@@ -228,15 +230,21 @@ struct Vec {
     for (int i = 0; i < m; ++i) lanes[i] = p[i];
     return Load(lanes);
   }
-  static void Store(float* p, Reg x) { std::memcpy(p, &x, sizeof x); }
-  static void Store(float* p, Reg x, Mask m) {
-    for (int i = 0; i < m; ++i) p[i] = x[i];
+  // The lane loops run on local copies of their operands, which nothing
+  // can alias (a store through `p` could alias `x`); GCC vectorizes them
+  // as it did when the operands came by value.
+  static void Store(float* p, const Reg& x) { std::memcpy(p, &x, sizeof x); }
+  static void Store(float* p, const Reg& x, Mask m) {
+    const Reg lanes = x;
+    for (int i = 0; i < m; ++i) p[i] = lanes[i];
   }
-  static Reg Fma(Reg a, Reg b, Reg acc) {
-    for (int i = 0; i < kLanes; ++i) acc[i] = MulAdd(a[i], b[i], acc[i]);
-    return acc;
+  static Reg Fma(const Reg& a, const Reg& b, const Reg& acc) {
+    const Reg x = a, y = b;
+    Reg sum = acc;
+    for (int i = 0; i < kLanes; ++i) sum[i] = MulAdd(x[i], y[i], sum[i]);
+    return sum;
   }
-  static Reg Add(Reg a, Reg b) { return a + b; }
+  static Reg Add(const Reg& a, const Reg& b) { return a + b; }
 };
 constexpr int kMr = 4;
 // At eight vectors GCC leaves the row tile's vector loops rolled, at

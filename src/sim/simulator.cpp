@@ -84,7 +84,7 @@ ExecutionSimulator::ExecutionSimulator(const graph::OpGraph& graph,
   std::vector<std::size_t> next(out_begin_.begin(), out_begin_.end() - 1);
   for (const graph::Edge& e : edges) {
     out_edges_[next[static_cast<std::size_t>(e.src)]++] =
-        OutEdge{e.dst, e.bytes};
+        OutEdge{e.dst, 0, e.bytes};
   }
 
   // ComputeSeconds reads a device's gflops, mem_bw_gbps and
@@ -144,6 +144,21 @@ ExecutionSimulator::ExecutionSimulator(const graph::OpGraph& graph,
     }
     critical_priority_[u] = best;
   }
+  for (OutEdge& e : out_edges_) {
+    e.dst_priority = critical_priority_[static_cast<std::size_t>(e.dst)];
+  }
+
+  const int num_devices = cluster.num_devices();
+  links_.reserve(static_cast<std::size_t>(num_devices) *
+                 static_cast<std::size_t>(num_devices));
+  for (DeviceId src = 0; src < num_devices; ++src) {
+    for (DeviceId dst = 0; dst < num_devices; ++dst) {
+      const LinkSpec& link = cluster.link(src, dst);
+      links_.push_back(Link{link.latency_us * 1e-6,
+                            link.bandwidth_gbps * 1e9,
+                            cluster.link_channel(src, dst)});
+    }
+  }
 }
 
 StepResult ExecutionSimulator::Run(const Placement& placement,
@@ -171,33 +186,14 @@ StepResult ExecutionSimulator::Run(const Placement& placement,
 #endif
 }
 
-void ExecutionSimulator::PrimeWorkspaceEpochForTest(std::uint32_t epoch) const {
-  auto lease = workspaces_.Acquire();
-  // Prepare first so the shape matches the next Run(): a shape mismatch
-  // there would reset the epoch and defeat the priming.
-  lease->Prepare(graph_->num_ops(), cluster_->num_devices(),
-                 cluster_->num_link_channels());
-  lease->epoch = epoch;
-}
-
 StepResult ExecutionSimulator::RunInternal(const Placement& placement,
                                            const FaultDraw* faults,
                                            bool record_schedule) const {
+  EAGLE_SPAN("sim.run");
   const int num_ops = graph_->num_ops();
   const int num_devices = cluster_->num_devices();
   EAGLE_CHECK(placement.num_ops() == num_ops);
   const std::vector<DeviceId>& device_of = placement.devices();
-  const auto compute_scale = [faults](DeviceId d) {
-    return faults == nullptr
-               ? 1.0
-               : faults->device_compute_scale[static_cast<std::size_t>(d)];
-  };
-  const auto link_scale = [this, faults](DeviceId src, DeviceId dst) {
-    return faults == nullptr
-               ? 1.0
-               : faults->link_scale[static_cast<std::size_t>(
-                     cluster_->link_channel(src, dst))];
-  };
 
   StepResult result;
   result.device_busy_seconds.assign(static_cast<std::size_t>(num_devices), 0.0);
@@ -205,52 +201,31 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
   result.device_param_bytes.assign(static_cast<std::size_t>(num_devices), 0);
 
   // All per-run scratch lives in a pooled workspace (sim_workspace.h):
-  // epoch-stamped per-op arrays, recycled heap vectors instead of
-  // priority_queues, op-local dedup lists. Zero heap traffic once warm.
+  // one run record per op, recycled heap vectors of integer keys instead
+  // of priority_queues, op-local dedup lists. Zero heap traffic once warm.
   auto lease = workspaces_.Acquire();
   SimWorkspace& ws = *lease;
   ws.Prepare(num_ops, num_devices, cluster_->num_link_channels());
-  const std::uint32_t epoch = ws.epoch;
-  const auto cmp = std::greater<ReadyOp>();
+  const auto cmp = std::greater<ReadyKey>();
 
-  const auto push_ready = [&ws, &cmp](DeviceId d, ReadyOp entry) {
+  const auto push_ready = [&ws, &cmp](DeviceId d, ReadyKey key) {
     auto& h = ws.heaps[static_cast<std::size_t>(d)];
-    h.push_back(entry);
+    h.push_back(key);
     std::push_heap(h.begin(), h.end(), cmp);
   };
-  // An op's ready time defaults to 0 until a predecessor raises it; the
-  // epoch stamp stands in for the old per-run zero-fill.
-  const auto raise_ready = [&ws, epoch](graph::OpId v, double t) {
-    const auto i = static_cast<std::size_t>(v);
-    if (ws.ready_epoch[i] != epoch) {
-      ws.ready_epoch[i] = epoch;
-      ws.ready_time[i] = t;
-    } else if (t > ws.ready_time[i]) {
-      ws.ready_time[i] = t;
-    }
-    return ws.ready_time[i];
-  };
-  // Pending-input counters start at in-degree, materialized on first
-  // decrement; ops with no inputs never get here (seeded below).
-  const auto decrement_pending = [this, &ws, epoch](graph::OpId v) {
-    const auto i = static_cast<std::size_t>(v);
-    if (ws.pending_epoch[i] != epoch) {
-      ws.pending_epoch[i] = epoch;
-      ws.pending_inputs[i] = in_degree_[i];
-    }
-    return --ws.pending_inputs[i];
-  };
 
-  int scheduled = 0;
+  // Each op's run record starts at its in-degree on its device; ops with
+  // no inputs are ready at 0. Device-major pick slots: slot_end[d] counts
+  // device d's ops, then starts at its first slot.
   for (graph::OpId i = 0; i < num_ops; ++i) {
-    if (in_degree_[static_cast<std::size_t>(i)] == 0) {
-      push_ready(device_of[static_cast<std::size_t>(i)],
-                 ReadyOp{0.0, critical_priority_[static_cast<std::size_t>(i)],
-                         i});
+    const auto ii = static_cast<std::size_t>(i);
+    const DeviceId d = device_of[ii];
+    ws.ops[ii] = SimWorkspace::OpRun{
+        0.0, static_cast<std::uint32_t>(in_degree_[ii]), d};
+    ws.first_copy[ii] = SimWorkspace::kNoCopy;
+    if (in_degree_[ii] == 0) {
+      push_ready(d, MakeReadyKey(0.0, critical_priority_[ii], i));
     }
-  }
-  // Device-major pick slots: slot_end[d] starts at device d's first slot.
-  for (const DeviceId d : device_of) {
     ++ws.slot_end[static_cast<std::size_t>(d)];
   }
   std::uint32_t first = 0;
@@ -260,29 +235,31 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
     first += count;
   }
 
+  int scheduled = 0;
   while (scheduled < num_ops) {
     // Pick the (device, op) pair with the earliest feasible start.
     DeviceId best_dev = -1;
     double best_start = 0.0;
-    int best_priority = -1;
+    std::uint32_t best_inverse_priority = 0;
     for (DeviceId d = 0; d < num_devices; ++d) {
       const auto& h = ws.heaps[static_cast<std::size_t>(d)];
       if (h.empty()) continue;
-      const ReadyOp& head = h.front();
-      const double start =
-          std::max(head.ready_time, ws.device_free[static_cast<std::size_t>(d)]);
+      const ReadyKey head = h.front();
+      const double start = std::max(
+          ReadyTimeOf(head), ws.device_free[static_cast<std::size_t>(d)]);
+      const std::uint32_t inverse_priority = InversePriorityOf(head);
       if (best_dev < 0 || start < best_start ||
-          (start == best_start && head.priority > best_priority)) {
+          (start == best_start && inverse_priority < best_inverse_priority)) {
         best_dev = d;
         best_start = start;
-        best_priority = head.priority;
+        best_inverse_priority = inverse_priority;
       }
     }
     EAGLE_CHECK_MSG(best_dev >= 0,
                     "deadlock: no ready ops but " << num_ops - scheduled
                                                   << " unscheduled");
     auto& h = ws.heaps[static_cast<std::size_t>(best_dev)];
-    const graph::OpId u = h.front().op;
+    const graph::OpId u = OpOf(h.front());
     const auto ui = static_cast<std::size_t>(u);
     std::pop_heap(h.begin(), h.end(), cmp);
     h.pop_back();
@@ -290,9 +267,12 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
     const double start = best_start;
     const auto spec = static_cast<std::size_t>(
         spec_of_device_[static_cast<std::size_t>(best_dev)]);
-    const double compute =
-        compute_seconds_[spec * static_cast<std::size_t>(num_ops) + ui] *
-        compute_scale(best_dev);
+    double compute =
+        compute_seconds_[spec * static_cast<std::size_t>(num_ops) + ui];
+    if (faults != nullptr) {
+      compute *=
+          faults->device_compute_scale[static_cast<std::size_t>(best_dev)];
+    }
     const double finish = start + compute;
     ws.device_free[static_cast<std::size_t>(best_dev)] = finish;
     result.device_busy_seconds[static_cast<std::size_t>(best_dev)] += compute;
@@ -302,8 +282,7 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
     const std::uint32_t slot =
         ws.slot_end[static_cast<std::size_t>(best_dev)]++;
     ws.picks[slot] = SimWorkspace::PickSlot{finish, 0, 0};
-    ws.pick_slot[ui] = slot;
-    ws.pick_order[static_cast<std::size_t>(scheduled)] = u;
+    ws.ops[ui].pending = slot;
     ++scheduled;
 
     // Resolve out-edges: local hand-off or (deduped) transfer. Dedup is
@@ -313,9 +292,14 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
     // than being silently merged (the old 32-bit byte-size hash could
     // collide and drop a real transfer). All of u's sends happen in this
     // loop, so the lookup walks only u's earlier sends to that device.
+    const auto copies_begin = static_cast<std::uint32_t>(ws.copies.size());
+    const Link* links_from =
+        &links_[static_cast<std::size_t>(best_dev) *
+                static_cast<std::size_t>(num_devices)];
     for (std::size_t k = out_begin_[ui]; k < out_begin_[ui + 1]; ++k) {
       const OutEdge& e = out_edges_[k];
-      const DeviceId dst_dev = device_of[static_cast<std::size_t>(e.dst)];
+      SimWorkspace::OpRun& consumer = ws.ops[static_cast<std::size_t>(e.dst)];
+      const DeviceId dst_dev = consumer.device;
       double arrival = finish;
       if (dst_dev != best_dev) {
         SimWorkspace::DeviceScratch& dst =
@@ -327,12 +311,10 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
         if (hit != 0) {
           arrival = ws.sends[hit - 1].arrival;
         } else {
-          auto& lf = ws.link_free[static_cast<std::size_t>(
-              cluster_->link_channel(best_dev, dst_dev))];
+          const Link& link = links_from[dst_dev];
+          auto& lf = ws.link_free[static_cast<std::size_t>(link.channel)];
           const double xfer_start = std::max(finish, lf);
-          const double xfer =
-              cost_model_.TransferSeconds(best_dev, dst_dev, e.bytes) *
-              link_scale(best_dev, dst_dev);
+          const double xfer = link.TransferSeconds(e.bytes, faults);
           arrival = xfer_start + xfer;
           lf = arrival;
           ws.sends.push_back(
@@ -360,14 +342,13 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
           }
         }
       }
-      const double dst_ready = raise_ready(e.dst, arrival);
-      if (decrement_pending(e.dst) == 0) {
+      if (arrival > consumer.ready) consumer.ready = arrival;
+      if (--consumer.pending == 0) {
         push_ready(dst_dev,
-                   ReadyOp{dst_ready,
-                           critical_priority_[static_cast<std::size_t>(e.dst)],
-                           e.dst});
+                   MakeReadyKey(consumer.ready, e.dst_priority, e.dst));
       }
     }
+    if (ws.copies.size() != copies_begin) ws.first_copy[ui] = copies_begin;
     for (const SimWorkspace::Send& send : ws.sends) {
       ws.device_scratch[static_cast<std::size_t>(send.device)] = {};
     }
@@ -381,48 +362,51 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
     result.device_param_bytes[static_cast<std::size_t>(device_of[i])] +=
         param_bytes_[i];
   }
-  // Interval ends, one pass over the out-edges in pick order: u's output
+  // Interval ends, one pass over the out-edges in op-id order: u's output
   // is held on its own device from u's pick until its last local
   // consumer's (a tensor with no local consumer is zero-length), and
   // each remote copy until its last consumer on that device that reads
   // a non-empty edge. A device's finish times never decrease along its
-  // slots, so "last" is the largest slot.
-  std::size_t next_copy = 0;
-  for (const graph::OpId u : ws.pick_order) {
-    const auto ui = static_cast<std::size_t>(u);
-    const DeviceId du = device_of[ui];
-    const std::size_t first_copy = next_copy;
-    for (; next_copy < ws.copies.size() &&
-           ws.copies[next_copy].producer == u;
-         ++next_copy) {
-      const SimWorkspace::RemoteCopy& copy = ws.copies[next_copy];
-      ws.device_scratch[static_cast<std::size_t>(copy.device)].copy =
-          static_cast<std::uint32_t>(next_copy + 1);
+  // slots, so "last" is the largest slot. Every bucket is an int64 sum
+  // and every end a max, so the order of the ops cannot change them.
+  for (std::size_t ui = 0; ui < static_cast<std::size_t>(num_ops); ++ui) {
+    const SimWorkspace::OpRun& run = ws.ops[ui];
+    std::size_t copies_begin = 0;
+    std::size_t copies_end = 0;
+    if (ws.first_copy[ui] != SimWorkspace::kNoCopy) {
+      copies_begin = copies_end = ws.first_copy[ui];
+      for (; copies_end < ws.copies.size() &&
+             ws.copies[copies_end].producer == static_cast<graph::OpId>(ui);
+           ++copies_end) {
+        const SimWorkspace::RemoteCopy& copy = ws.copies[copies_end];
+        ws.device_scratch[static_cast<std::size_t>(copy.device)].copy =
+            static_cast<std::uint32_t>(copies_end + 1);
+      }
     }
-    std::uint32_t local_free = ws.pick_slot[ui];
+    std::uint32_t local_free = run.pending;
     for (std::size_t k = out_begin_[ui]; k < out_begin_[ui + 1]; ++k) {
       const OutEdge& e = out_edges_[k];
-      const DeviceId dv = device_of[static_cast<std::size_t>(e.dst)];
-      const std::uint32_t consumer =
-          ws.pick_slot[static_cast<std::size_t>(e.dst)];
-      if (dv == du) {
-        local_free = std::max(local_free, consumer);
+      const SimWorkspace::OpRun& consumer =
+          ws.ops[static_cast<std::size_t>(e.dst)];
+      if (consumer.device == run.device) {
+        local_free = std::max(local_free, consumer.pending);
       } else if (e.bytes > 0) {
-        // A non-empty send to dv made u's copy there (set just above).
+        // A non-empty send to the consumer's device made u's copy there
+        // (set just above).
         const std::uint32_t copy =
-            ws.device_scratch[static_cast<std::size_t>(dv)].copy;
+            ws.device_scratch[static_cast<std::size_t>(consumer.device)].copy;
         std::uint32_t& free_slot = ws.copies[copy - 1].free_slot;
-        free_slot = std::max(free_slot, consumer);
+        free_slot = std::max(free_slot, consumer.pending);
       }
     }
     if (output_bytes_[ui] > 0) {
-      ws.picks[ws.pick_slot[ui]].delta += output_bytes_[ui];
+      ws.picks[run.pending].delta += output_bytes_[ui];
       ws.picks[local_free].delta -= output_bytes_[ui];
     }
     // A copy is allocated at its arrival: in the slot whose finish equals
     // it, or else before the first slot finishing later (binary search
     // over the device's non-decreasing finish times).
-    for (std::size_t c = first_copy; c < next_copy; ++c) {
+    for (std::size_t c = copies_begin; c < copies_end; ++c) {
       const SimWorkspace::RemoteCopy& copy = ws.copies[c];
       const auto d = static_cast<std::size_t>(copy.device);
       const auto last = ws.picks.begin() + ws.slot_end[d];
@@ -480,18 +464,17 @@ StepResult ExecutionSimulator::RunInternal(const Placement& placement,
 double ExecutionSimulator::ParamTransferSeconds(
     const Placement& placement, const FaultDraw* faults) const {
   const DeviceId cpu = cluster_->FirstCpu();
+  const auto num_devices = static_cast<std::size_t>(cluster_->num_devices());
   double total = 0.0;
   for (graph::OpId i = 0; i < graph_->num_ops(); ++i) {
     const std::int64_t param_bytes = param_bytes_[static_cast<std::size_t>(i)];
-    if (param_bytes > 0) {
-      double scale = 1.0;
-      if (faults != nullptr && placement.device(i) != cpu) {
-        scale = faults->link_scale[static_cast<std::size_t>(
-            cluster_->link_channel(cpu, placement.device(i)))];
-      }
-      total += scale * cost_model_.TransferSeconds(cpu, placement.device(i),
-                                                   param_bytes);
-    }
+    const DeviceId device = placement.device(i);
+    // Parameters already on the host cost nothing to ship.
+    if (param_bytes <= 0 || device == cpu) continue;
+    EAGLE_CHECK_MSG(cpu >= 0, "no CPU device to ship parameters from");
+    total += links_[static_cast<std::size_t>(cpu) * num_devices +
+                    static_cast<std::size_t>(device)]
+                 .TransferSeconds(param_bytes, faults);
   }
   return total;
 }

@@ -87,12 +87,6 @@ class ExecutionSimulator {
   StepResult Run(const Placement& placement,
                  const FaultDraw* faults = nullptr) const;
 
-  // Test hook: primes the pooled workspace's epoch counter so the
-  // wrap-around path (epoch overflowing back to 0) can be exercised
-  // without 2^32 runs. Single-threaded callers get the primed workspace
-  // back on the next Run() (the pool is LIFO).
-  void PrimeWorkspaceEpochForTest(std::uint32_t epoch) const;
-
   // Seconds to ship every parameter tensor from host to its device — the
   // warm-up cost the measurement protocol pays on the first step.
   double ParamTransferSeconds(const Placement& placement,
@@ -117,9 +111,11 @@ class ExecutionSimulator {
 
   // Flat per-op tables, built once so Run() reads no OpDef and no nested
   // edge list: out-edges in CSR form (op u's edges are
-  // out_edges_[out_begin_[u], out_begin_[u + 1]), in graph order).
+  // out_edges_[out_begin_[u], out_begin_[u + 1]), in graph order), each
+  // with its consumer's critical-path priority.
   struct OutEdge {
     graph::OpId dst;
+    int dst_priority;
     std::int64_t bytes;
   };
   std::vector<std::size_t> out_begin_;
@@ -132,6 +128,25 @@ class ExecutionSimulator {
   // is num_specs × num_ops rather than num_devices × num_ops.
   std::vector<int> spec_of_device_;
   std::vector<double> compute_seconds_;
+  // One entry per directed (src, dst) pair, src-major: its contention
+  // channel and the two products CostModel::TransferSeconds forms.
+  struct Link {
+    double latency_seconds;
+    double bytes_per_second;
+    int channel;
+
+    // CostModel::TransferSeconds for a src != dst pair, times the
+    // channel's fault scale when a draw is given.
+    double TransferSeconds(std::int64_t bytes, const FaultDraw* faults) const {
+      const double seconds =
+          latency_seconds + static_cast<double>(bytes) / bytes_per_second;
+      return faults == nullptr
+                 ? seconds
+                 : seconds *
+                       faults->link_scale[static_cast<std::size_t>(channel)];
+    }
+  };
+  std::vector<Link> links_;
   // Run() is const and concurrent (EvalService workers share one
   // simulator), so per-run scratch is leased rather than a plain member.
   // After warm-up every lease hits the free list and runs allocation-free.

@@ -6,11 +6,12 @@
 //
 // Ordering note: hot-path code (env.cpp, eval_service.cpp, trainer.cpp)
 // caches registry pointers in function-local statics, and so does every
-// EAGLE_SPAN site (tape.backward, adam.step, sim.audit, graph.import,
-// partition.*, eval.*, train.*, the benches' spans); ResetForTest()
-// dangles every handle taken before it. The unit tests below call
-// ResetForTest and therefore run BEFORE the training-based integration
-// tests; nothing resets the registry after training has started.
+// EAGLE_SPAN site (tape.backward, adam.step, sim.run, sim.audit,
+// graph.import, partition.*, eval.*, train.*, the benches' spans);
+// ResetForTest() dangles every handle taken before it. The unit tests
+// below call ResetForTest and therefore run BEFORE the training-based
+// integration tests; nothing resets the registry after training has
+// started.
 #include <gtest/gtest.h>
 
 #include <cmath>

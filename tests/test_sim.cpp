@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -8,7 +9,9 @@
 #include "models/fuzz_corpus.h"
 #include "models/synthetic.h"
 #include "models/zoo.h"
+#include "partition/metis_like.h"
 #include "sim/cost_model.h"
+#include "sim/fault.h"
 #include "sim/measurement.h"
 #include "sim/memory_model.h"
 #include "sim/naive_ref.h"
@@ -421,7 +424,7 @@ TEST(Simulator, MatchesFrozenReferenceOnModelZoo) {
       ExecutionSimulator simulator(g, cluster, options);
       support::Rng rng(17);
       // Several runs on one simulator instance: the second and third reuse
-      // the pooled workspace, so any stale epoch-stamped state shows up as
+      // the pooled workspace, so any state a run leaves behind shows up as
       // a mismatch against the allocate-fresh-every-time reference.
       for (int round = 0; round < 3; ++round) {
         Placement placement(g, RandomDevices(g, cluster, rng));
@@ -571,6 +574,53 @@ TEST(Simulator, TieHeavyGraphsMatchFrozenReference) {
   EXPECT_EQ(placements, 1200);
 }
 
+TEST(Simulator, MatchesFrozenReferenceOnGroupedPlacements) {
+  // Post's shape: a 10k-op graph placed by its 16 METIS groups, so a
+  // device's ready heap holds tens of ops at each pick, where the zoo
+  // tests' per-op random placements keep the heaps short. One reused
+  // simulator runs every placement, so each run's rebuild of the per-op
+  // records is checked against a reference that allocates afresh.
+  support::Rng graph_rng(40);
+  models::FuzzGraphConfig config;
+  config.num_ops = 5500;
+  const OpGraph g = models::BuildFuzzGraph(config, graph_rng);
+  ASSERT_GE(g.num_ops(), 10000);
+  constexpr int kGroups = 16;
+  partition::MetisOptions metis;
+  metis.num_parts = kGroups;
+  const graph::Grouping grouping = partition::MetisPartition(g, metis);
+  const std::vector<std::pair<const char*, ClusterSpec>> clusters{
+      {"default", MakeDefaultCluster()},
+      {"2node8", MakeTwoNodeNvlinkIbCluster()}};
+  SimulatorOptions options;
+  options.record_schedule = true;
+  for (const auto& [cluster_name, cluster] : clusters) {
+    SCOPED_TRACE(cluster_name);
+    const ExecutionSimulator simulator(g, cluster, options);
+    const FaultInjector injector(
+        FaultProfileFromString("straggler=0.5,link=0.5"), cluster);
+    support::Rng rng(41);
+    for (int round = 0; round < 3; ++round) {
+      std::vector<DeviceId> group_devices(kGroups);
+      for (DeviceId& d : group_devices) {
+        d = static_cast<DeviceId>(
+            rng.NextBelow(static_cast<std::uint64_t>(cluster.num_devices())));
+      }
+      const Placement placement =
+          Placement::FromGroups(g, cluster, grouping, group_devices);
+      const FaultDraw draw = injector.Draw(rng);
+      ASSERT_TRUE(draw.HasPerfFaults());
+      for (const FaultDraw* faults : {static_cast<const FaultDraw*>(nullptr),
+                                      &draw}) {
+        ExpectStepResultsIdentical(
+            simulator.Run(placement, faults),
+            naive::RunReference(g, cluster, placement, faults,
+                                /*record_schedule=*/true));
+      }
+    }
+  }
+}
+
 TEST(Simulator, MatchesFrozenReferenceUnderFaults) {
   const auto cluster = MakeDefaultCluster();
   const OpGraph g =
@@ -702,58 +752,94 @@ TEST(Simulator, TransferDedupManyDistinctSizesPerSlot) {
                                   /*record_schedule=*/true));
 }
 
-TEST(SimWorkspace, EpochWrapRestampsCleanly) {
-  // Prime the pooled workspace's epoch next to the 2^32 boundary and run
-  // straight through the wrap; each run must match a fresh simulator.
-  const auto cluster = TwoGpuCluster();
-  support::Rng graph_rng(47);
-  models::FuzzGraphConfig config;
-  config.num_ops = 120;
-  config.width = 8;
-  const OpGraph g = models::BuildFuzzGraph(config, graph_rng);
-  SimulatorOptions options;
-  options.record_schedule = true;
-  const ExecutionSimulator wrapped(g, cluster, options);
-  wrapped.PrimeWorkspaceEpochForTest(
-      std::numeric_limits<std::uint32_t>::max() - 2);
-  support::Rng rng(53);
-  for (int round = 0; round < 6; ++round) {
-    Placement placement(g, RandomDevices(g, cluster, rng));
-    placement.Normalize(g, cluster);
-    const ExecutionSimulator fresh(g, cluster, options);
-    ExpectStepResultsIdentical(wrapped.Run(placement), fresh.Run(placement));
+// The ready-queue comparator the integer key replaced, kept as its
+// oracle: ops ready earlier first, then the longer critical path, then
+// the lower id.
+struct ReadyOp {
+  double ready_time;
+  int priority;
+  graph::OpId op;
+
+  bool operator>(const ReadyOp& other) const {
+    if (ready_time != other.ready_time) return ready_time > other.ready_time;
+    if (priority != other.priority) return priority < other.priority;
+    return op > other.op;
+  }
+};
+
+TEST(SimWorkspace, ReadyKeyOrdersAsTheComparator) {
+  // Triples drawn from small pools force ties on every field: equal times
+  // (+0.0, a subnormal and the largest double among them), equal
+  // priorities (0 and next to INT32_MAX among them) and equal ids.
+  constexpr int kMax = std::numeric_limits<std::int32_t>::max();
+  const std::vector<double> times{
+      0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      1e-9,
+      0.5,
+      1.0,
+      std::nextafter(1.0, 2.0),
+      3.75,
+      std::numeric_limits<double>::max()};
+  const std::vector<int> priorities{0, 1, 2, 17, kMax - 2, kMax - 1, kMax};
+  const std::vector<graph::OpId> ids{0, 1, 5, kMax - 1, kMax};
+  support::Rng rng(29);
+  // Each field comes from its pool three times in four, else at random.
+  const auto draw = [&rng](const auto& pool, auto random) {
+    return rng.NextBelow(4) != 0 ? pool[rng.NextBelow(pool.size())]
+                                 : random();
+  };
+  std::vector<ReadyOp> ops;
+  for (int i = 0; i < 600; ++i) {
+    ReadyOp op{};
+    op.ready_time = draw(times, [&rng] { return rng.NextDouble() * 8.0; });
+    op.priority = draw(priorities, [&rng] {
+      return static_cast<int>(rng.NextBelow(1 << 20));
+    });
+    op.op = draw(ids, [&rng] {
+      return static_cast<graph::OpId>(rng.NextBelow(1 << 20));
+    });
+    ops.push_back(op);
+  }
+  for (const ReadyOp& a : ops) {
+    const ReadyKey ka = MakeReadyKey(a.ready_time, a.priority, a.op);
+    ASSERT_EQ(ReadyTimeOf(ka), a.ready_time);
+    ASSERT_EQ(InversePriorityOf(ka),
+              static_cast<std::uint32_t>(kMax - a.priority));
+    ASSERT_EQ(OpOf(ka), a.op);
+    for (const ReadyOp& b : ops) {
+      const ReadyKey kb = MakeReadyKey(b.ready_time, b.priority, b.op);
+      ASSERT_EQ(ka > kb, a > b)
+          << a.ready_time << "/" << a.priority << "/" << a.op << " vs "
+          << b.ready_time << "/" << b.priority << "/" << b.op;
+    }
   }
 }
 
 TEST(SimWorkspace, PrepareHandlesShapeChanges) {
   SimWorkspace ws;
   ws.Prepare(4, 2, 8);
-  EXPECT_EQ(ws.epoch, 1u);
   // A run leaves per-device scratch behind; the next one starts clean.
   ws.copies.push_back({});
   ws.sends.push_back({});
   ws.device_scratch[1] = {3, 1};
   ws.Prepare(4, 2, 8);
-  EXPECT_EQ(ws.epoch, 2u);
   EXPECT_TRUE(ws.copies.empty());
   EXPECT_TRUE(ws.sends.empty());
   EXPECT_EQ(ws.device_scratch[1].send_head, 0u);
   EXPECT_EQ(ws.device_scratch[1].copy, 0u);
-  // More devices: the per-device state regrows, but no per-op stamp is
-  // keyed by device, so the epoch keeps counting.
+  // More devices: the per-device state regrows.
   ws.Prepare(4, 3, 18);
-  EXPECT_EQ(ws.epoch, 3u);
   EXPECT_EQ(ws.heaps.size(), 3u);
   EXPECT_EQ(ws.device_scratch.size(), 3u);
   EXPECT_EQ(ws.slot_end.size(), 3u);
   EXPECT_EQ(ws.link_free.size(), 18u);
   EXPECT_EQ(ws.picks.size(), 4u);
-  // An op-count change regrows the per-op arrays and restarts the epoch,
-  // so no stale stamp can alias a live entry.
+  // An op-count change regrows the per-op arrays.
   ws.Prepare(6, 2, 8);
-  EXPECT_EQ(ws.epoch, 1u);
-  EXPECT_EQ(ws.ready_epoch.size(), 6u);
-  EXPECT_EQ(ws.pick_slot.size(), 6u);
+  EXPECT_EQ(ws.ops.size(), 6u);
+  EXPECT_EQ(ws.first_copy.size(), 6u);
   EXPECT_EQ(ws.picks.size(), 6u);
   EXPECT_EQ(ws.heaps.size(), 2u);
 }
