@@ -134,23 +134,20 @@ inline BenchConfig ReadCommonFlags(const support::ArgParser& args) {
   if (config.threads <= 0) {
     config.threads = support::ThreadPool::HardwareThreads();
   }
-  config.faults = sim::FaultProfileFromString(args.GetString("faults"));
+  // Flag values are untrusted input: a bad --faults or --models value is
+  // one stderr line and exit 2, as a malformed --cluster spec is.
+  config.faults = args.GetParsed("faults", sim::FaultProfileFromString);
   config.cluster_name = args.GetString("cluster");
   config.cluster = ResolveClusterOrExit(config.cluster_name);
   config.checkpoint_dir = args.GetString("checkpoint-dir");
   config.resume = args.GetBool("resume");
-  std::string list = args.GetString("models");
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string name =
-        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!name.empty()) {
-      config.benchmarks.push_back(models::BenchmarkFromName(name));
+  config.benchmarks = args.GetParsed("models", [](const std::string& list) {
+    std::vector<models::Benchmark> benchmarks;
+    for (const std::string& name : support::SplitList(list)) {
+      benchmarks.push_back(models::BenchmarkFromName(name));
     }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
+    return benchmarks;
+  });
   if (args.GetBool("verbose")) {
     support::SetLogLevel(support::LogLevel::kDebug);
   }
@@ -264,27 +261,20 @@ inline void AppendSnapshotJson(std::ostringstream& os,
 }
 
 // Trains `agent` on the context's benchmark under the bench's flags
-// (samples, seed, threads, faults, checkpoints, telemetry). `baseline`
-// picks the advantage baseline: the paper's EMA, or the A2C-style critic
-// the baselines bench compares it with.
-inline rl::TrainResult TrainOnBenchmark(
-    core::PolicyAgent& agent, BenchContext& context, rl::Algorithm algorithm,
-    const BenchConfig& config,
-    rl::BaselineKind baseline = rl::BaselineKind::kEma) {
+// (samples, seed, threads, faults, checkpoints, telemetry).
+inline rl::TrainResult TrainOnBenchmark(core::PolicyAgent& agent,
+                                        BenchContext& context,
+                                        rl::Algorithm algorithm,
+                                        const BenchConfig& config) {
   namespace json = support::json;
   namespace telemetry = support::telemetry;
   support::Stopwatch stopwatch;
-  const bool critic = baseline == rl::BaselineKind::kValueNetwork;
   auto options = PaperTrainerOptions(algorithm, config.samples, config.seed);
-  options.baseline = baseline;
-  options.num_devices = context.cluster.num_devices();
   if (!config.checkpoint_dir.empty()) {
     options.checkpoint_dir = config.checkpoint_dir;
-    // A critic run snapshots its own file: it never resumes an EMA run's.
     options.checkpoint_name =
         std::string(models::BenchmarkName(context.benchmark)) + "_" +
-        agent.name() + "_" + rl::AlgorithmName(algorithm) +
-        (critic ? "_critic" : "");
+        agent.name() + "_" + rl::AlgorithmName(algorithm);
     options.resume = config.resume;
   }
   // A fresh environment per run: its fault stream and counters belong to
@@ -373,7 +363,7 @@ inline rl::TrainResult TrainOnBenchmark(
   }
   EAGLE_LOG(Info) << models::BenchmarkName(context.benchmark) << " / "
                   << agent.name() << " / " << rl::AlgorithmName(algorithm)
-                  << (critic ? " (critic)" : "") << ": best "
+                  << ": best "
                   << (result.found_valid
                           ? support::Table::Num(result.best_per_step_seconds)
                           : "OOM")

@@ -15,19 +15,20 @@ using bench::BenchConfig;
 
 namespace {
 
-std::vector<double> ParseRates(const std::string& list) {
-  std::vector<double> rates;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string token =
-        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!token.empty()) rates.push_back(std::stod(token));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+// Each --rates entry is a bare rate, the sim::FaultProfileFromString
+// shorthand, applied on top of the --faults profile (whose slowdown and
+// link factors it keeps).
+std::vector<sim::FaultProfile> ColumnProfiles(const std::string& faults,
+                                              const std::string& rates) {
+  std::vector<sim::FaultProfile> profiles;
+  for (const std::string& rate : support::SplitList(rates)) {
+    if (rate.find('=') != std::string::npos) {
+      throw std::invalid_argument("'" + rate + "' is not a bare rate");
+    }
+    profiles.push_back(sim::FaultProfileFromString(faults + "," + rate));
   }
-  EAGLE_CHECK_MSG(!rates.empty(), "--rates needs at least one value");
-  return rates;
+  if (profiles.empty()) throw std::invalid_argument("needs at least one rate");
+  return profiles;
 }
 
 }  // namespace
@@ -39,7 +40,10 @@ int main(int argc, char** argv) {
                  "comma-separated base fault rates to sweep");
   if (!args.Parse(argc, argv)) return 0;
   const BenchConfig config = bench::ReadCommonFlags(args);
-  const auto rates = ParseRates(args.GetString("rates"));
+  const auto profiles =
+      args.GetParsed("rates", [&args](const std::string& rates) {
+        return ColumnProfiles(args.GetString("faults"), rates);
+      });
 
   support::Table table(
       "FAULTS: best per-step time (s) found by EAGLE (PPO) vs injected "
@@ -48,13 +52,9 @@ int main(int argc, char** argv) {
                    "failures", "timeouts", "retries", "gave up",
                    "sim hours"});
   for (auto benchmark : config.benchmarks) {
-    for (std::size_t i = 0; i < rates.size(); ++i) {
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
       BenchConfig run_config = config;
-      // The bare-number shorthand of sim::FaultProfileFromString.
-      run_config.faults.transient_failure_rate = rates[i];
-      run_config.faults.device_down_rate = rates[i] / 4.0;
-      run_config.faults.straggler_rate = rates[i];
-      run_config.faults.degraded_link_rate = rates[i];
+      run_config.faults = profiles[i];
       // Distinct fault stream per (model, rate) cell, reproducible per
       // --seed.
       run_config.faults.seed =
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
       const auto result = bench::TrainOnBenchmark(
           *agent, context, rl::Algorithm::kPpo, run_config);
       table.AddRow({models::BenchmarkName(benchmark),
-                    support::Table::Num(rates[i], 2),
+                    support::Table::Num(profiles[i].transient_failure_rate, 2),
                     bench::FormatResult(result),
                     std::to_string(result.invalid_samples),
                     std::to_string(context.env->attempts()),

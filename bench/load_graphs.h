@@ -14,6 +14,7 @@
 
 #include "graph/ingest.h"
 #include "sim/cluster_ingest.h"
+#include "support/args.h"
 
 namespace eagle::bench {
 
@@ -25,25 +26,16 @@ namespace eagle::bench {
 inline std::vector<std::pair<std::string, graph::OpGraph>> ImportGraphsOrExit(
     const std::string& list) {
   std::vector<std::pair<std::string, graph::OpGraph>> graphs;
-  std::size_t pos = 0;
-  while (pos <= list.size() && !list.empty()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string path =
-        list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!path.empty()) {
-      support::StatusOr<graph::OpGraph> parsed =
-          graph::ImportGraphFile(path);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-        std::exit(2);
-      }
-      std::string name = path.substr(path.find_last_of('/') + 1);
-      const std::size_t dot = name.find_last_of('.');
-      if (dot != std::string::npos && dot > 0) name.resize(dot);
-      graphs.emplace_back(std::move(name), std::move(parsed).value());
+  for (const std::string& path : support::SplitList(list)) {
+    support::StatusOr<graph::OpGraph> parsed = graph::ImportGraphFile(path);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+      std::exit(2);
     }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+    std::string name = path.substr(path.find_last_of('/') + 1);
+    const std::size_t dot = name.find_last_of('.');
+    if (dot != std::string::npos && dot > 0) name.resize(dot);
+    graphs.emplace_back(std::move(name), std::move(parsed).value());
   }
   return graphs;
 }

@@ -10,7 +10,7 @@ set -euo pipefail
 BUILD=${1:-build}
 OUT=${2:-results}
 mkdir -p "$OUT"
-for b in table1 table2 table3 table4 fig2 fig5 fig6 fig7 ablation baselines faults clusters; do
+for b in table1 table2 table3 table4 fig2 fig5 fig6 fig7 ablation faults clusters; do
   echo "=== bench_$b ==="
   flags=(--csv="$OUT/")
   if [ "$b" = clusters ]; then flags+=(--out="$OUT/BENCH_clusters.json"); fi

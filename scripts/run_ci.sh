@@ -21,9 +21,8 @@
 #      --telemetry-out / --profile-out must produce JSONL that
 #      tools/metrics_report parses and a Chrome trace containing
 #      trainer-phase and simulator spans (see docs/OBSERVABILITY.md), and a
-#      tiny
-#      bench_baselines run must write one checkpoint and one run_start
-#      line per advantage baseline (EMA and critic); the fig5 run's
+#      tiny bench_table3 run must write one checkpoint and one run_start
+#      line per training run (REINFORCE, PPO and PPO+CE); the fig5 run's
 #      training checkpoints and those of a tiny bench_table2 run must
 #      match the sha256 sums pinned below, so every agent's training
 #      output is pinned, not only the two the end-to-end smoke trains,
@@ -159,17 +158,18 @@ grep -q '"name":"sim\.run"' "$SMOKE/profile.json"
 "$BUILD/tools/metrics_report" --in="$SMOKE/run.jsonl" --csv="$SMOKE/report_"
 test -s "$SMOKE/report_runs.csv"
 test -s "$SMOKE/report_phases.csv"
-# bench_baselines trains through bench::TrainOnBenchmark like the other
-# benches, so it honours --checkpoint-dir and --telemetry-out. Its
-# checkpoints go to their own directory, away from the pinned ones.
-"$BUILD/bench/bench_baselines" --models=inception_v3 --samples=20 \
-  --threads=2 --checkpoint-dir="$SMOKE/baselines_ck" \
-  --telemetry-out="$SMOKE/baselines.jsonl" >/dev/null
-ckpts=$(find "$SMOKE/baselines_ck" -name '*.ckpt' 2>/dev/null | wc -l || true)
-starts=$(grep -c '"event":"run_start"' "$SMOKE/baselines.jsonl" || true)
-test "$ckpts" -eq 2 && test "$starts" -eq 2 ||
-  { echo "bench_baselines: $ckpts checkpoints, $starts run_start lines," \
-      "want 2 of each"; exit 1; }
+# bench_table3 trains its three runs (one per RL algorithm) through
+# bench::TrainOnBenchmark like the other benches, so each run honours
+# --checkpoint-dir and --telemetry-out. Its checkpoints go to their own
+# directory, away from the pinned ones.
+"$BUILD/bench/bench_table3" --models=inception_v3 --samples=20 \
+  --threads=2 --checkpoint-dir="$SMOKE/table3_ck" \
+  --telemetry-out="$SMOKE/table3.jsonl" >/dev/null
+ckpts=$(find "$SMOKE/table3_ck" -name '*.ckpt' 2>/dev/null | wc -l || true)
+starts=$(grep -c '"event":"run_start"' "$SMOKE/table3.jsonl" || true)
+test "$ckpts" -eq 3 && test "$starts" -eq 3 ||
+  { echo "bench_table3: $ckpts checkpoints, $starts run_start lines," \
+      "want 3 of each"; exit 1; }
 echo TELEMETRY_SMOKE_CLEAN
 
 echo "=== training checkpoint pins ==="

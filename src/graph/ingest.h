@@ -28,8 +28,8 @@ namespace eagle::graph {
 
 struct IngestOptions {
   // Resource caps applied both during parsing (so a hostile file cannot
-  // balloon memory before validation runs) and by ValidateGraph, which
-  // every parser runs on its result.
+  // balloon memory before validation runs) and by ValidateGraphValues,
+  // which every parser runs on its result.
   IngestLimits limits;
   // Name used in diagnostics ("<input>" for in-memory strings;
   // ImportGraphFile overrides it with the path).

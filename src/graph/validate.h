@@ -5,8 +5,11 @@
 // free of duplicate edges, with shape/byte arithmetic that cannot
 // overflow int64, and within configurable resource caps. Every external
 // entry point (inspect_model --load, trace_placement --load, bench_micro
-// --load, custom_model --load) runs this before the graph reaches
-// grouping or simulation.
+// --load, custom_model --load) imports through graph/ingest.h, whose
+// parsers refuse a duplicate pair as they add it, find cycles with their
+// own attributed pass and then run ValidateGraphValues, all before the
+// graph reaches grouping or simulation. ValidateGraph runs every check in
+// one call, for graphs built in memory; only tests call it today.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,7 @@
 #include "models/zoo.h"
 
+#include <stdexcept>
+
 #include "models/bert.h"
 #include "models/gnmt.h"
 #include "models/inception_v3.h"
@@ -13,9 +15,8 @@ Benchmark BenchmarkFromName(const std::string& name) {
   }
   if (name == "gnmt" || name == "nmt") return Benchmark::kGNMT;
   if (name == "bert" || name == "bert_base") return Benchmark::kBertBase;
-  EAGLE_CHECK_MSG(false, "unknown benchmark '" << name
-                                               << "' (expected inception_v3 |"
-                                                  " gnmt | bert)");
+  throw std::invalid_argument("unknown benchmark '" + name +
+                              "' (expected inception_v3, gnmt or bert)");
 }
 
 const char* BenchmarkName(Benchmark benchmark) {

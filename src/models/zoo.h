@@ -12,7 +12,8 @@ namespace eagle::models {
 
 enum class Benchmark { kInceptionV3, kGNMT, kBertBase };
 
-// Parses "inception_v3" / "gnmt" / "bert"; throws on unknown names.
+// Parses "inception_v3" / "gnmt" / "bert"; an unknown name throws
+// std::invalid_argument with a one-line message naming it.
 Benchmark BenchmarkFromName(const std::string& name);
 const char* BenchmarkName(Benchmark benchmark);
 

@@ -97,23 +97,34 @@ TrainResult ReadResult(ByteReader& in) {
   return result;
 }
 
-// The environment and critic sections: a u64-length blob holding the
-// target's own state, empty when there is no target.
-template <typename Target>
-void WriteState(ByteWriter& out, const Target* target) {
+// The environment section: a u64-length blob holding the environment's
+// own state, empty when there is no environment.
+void WriteEnvironment(ByteWriter& out, const core::Environment* environment) {
   ByteWriter state;
-  if (target != nullptr) target->SaveState(state);
+  if (environment != nullptr) environment->SaveState(state);
   out.PutBlob(state.bytes());
 }
 
-template <typename Target>
-void ReadState(ByteReader& in, Target* target) {
+void ReadEnvironment(ByteReader& in, core::Environment* environment) {
   ByteReader state = in.Blob();
-  if (target != nullptr && state.ok() && !state.at_end()) {
-    target->LoadState(state);
+  if (environment != nullptr && state.ok() && !state.at_end()) {
+    environment->LoadState(state);
     state.ExpectEnd();
   }
   in.Adopt(state);
+}
+
+// The section of the retired value-network critic: a u64-length blob the
+// writer leaves empty. A non-empty one is state this build cannot restore,
+// so it fails the load rather than resuming a run without it.
+void ReadCriticSection(ByteReader& in) {
+  const std::size_t at = in.offset();
+  if (!in.Blob().at_end()) {
+    in.Fail(at, "critic section holds " +
+                    std::to_string(in.offset() - at - sizeof(std::uint64_t)) +
+                    " bytes; the value-network critic is retired and its "
+                    "section must be empty");
+  }
 }
 
 }  // namespace
@@ -126,7 +137,7 @@ std::string CheckpointFilePath(const std::string& dir,
 bool SaveCheckpoint(const std::string& path, const nn::ParamStore& params,
                     const nn::Adam& optimizer,
                     const core::Environment* environment,
-                    const ValueBaseline* critic, const CheckpointData& data) {
+                    const CheckpointData& data) {
   ByteWriter out;
   const std::string magic = Magic(kCheckpointFormatVersion);
   out.Write(magic.data(), magic.size());
@@ -138,8 +149,8 @@ bool SaveCheckpoint(const std::string& path, const nn::ParamStore& params,
   WriteSamples(out, data.pool);
   WriteSamples(out, data.batch);
   out.Put(static_cast<std::int32_t>(data.since_ce));
-  WriteState(out, environment);
-  WriteState(out, critic);
+  WriteEnvironment(out, environment);
+  out.PutBlob({});  // the retired critic's section, always empty
   out.Write(kEndMarker.data(), kEndMarker.size());
   // The temp-file-then-rename dance lives in WriteFileAtomic: a crash at
   // any instant leaves the previous good checkpoint loadable.
@@ -153,7 +164,7 @@ bool SaveCheckpoint(const std::string& path, const nn::ParamStore& params,
 support::Status LoadCheckpoint(const std::string& path,
                                nn::ParamStore& params, nn::Adam& optimizer,
                                core::Environment* environment,
-                               ValueBaseline* critic, CheckpointData* data) {
+                               CheckpointData* data) {
   std::ifstream file(path, std::ios::binary);
   std::string bytes;
   support::Status status =
@@ -176,8 +187,8 @@ support::Status LoadCheckpoint(const std::string& path,
   data->pool = ReadSamples(in, version);
   data->batch = ReadSamples(in, version);
   data->since_ce = in.Get<std::int32_t>();
-  ReadState(in, environment);
-  ReadState(in, critic);
+  ReadEnvironment(in, environment);
+  ReadCriticSection(in);
   in.Expect(kEndMarker, "end marker");
   in.ExpectEnd();
   return in.status();

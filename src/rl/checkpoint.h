@@ -3,9 +3,11 @@
 // A checkpoint captures everything TrainAgent needs to resume a run
 // bit-compatibly after a crash or kill: agent parameters, Adam moment
 // slots, the EMA baseline, the trainer's RNG state, the virtual clock and
-// full progress history, the CE elite pool and in-flight minibatch, the
+// full progress history, the CE elite pool and in-flight minibatch and the
 // environment's state (Environment::SaveState — the fault stream and
-// robustness counters for PlacementEnvironment) and the critic's.
+// robustness counters for PlacementEnvironment). The format keeps the
+// section of the retired value-network critic, always empty, so EMA
+// checkpoints written before the critic was removed still load.
 //
 // Every section goes through the one codec in support/byte_io.h; the
 // byte layout is tabulated in docs/AGENTS.md ("Crash-safe checkpoints").
@@ -48,26 +50,26 @@ struct CheckpointData {
   int since_ce = 0;
 };
 
-// Serializes params, optimizer, the environment's and the critic's state
-// (null: an empty section) and data to `path` via atomic rename. Returns
-// false (after logging) on I/O failure.
+// Serializes params, optimizer, the environment's state (null: an empty
+// section) and data to `path` via atomic rename. Returns false (after
+// logging) on I/O failure.
 bool SaveCheckpoint(const std::string& path, const nn::ParamStore& params,
                     const nn::Adam& optimizer,
                     const core::Environment* environment,
-                    const ValueBaseline* critic, const CheckpointData& data);
+                    const CheckpointData& data);
 
 // Restores a checkpoint written by SaveCheckpoint into params, optimizer,
-// environment, critic and *data. An empty environment or critic section,
-// or a null target, is skipped. Every failure names `path` and a byte
-// offset: kIo when the file cannot be opened or read, kResourceLimit when
-// a count or length exceeds the bytes left, kSyntax for anything else
-// (bad magic, truncation, a bad end marker, or a section that does not
-// match the targets). A failed load may leave the targets partly
-// overwritten.
+// environment and *data. An empty environment section, or a null
+// environment, is skipped. Every failure names `path` and a byte offset:
+// kIo when the file cannot be opened or read, kResourceLimit when a count
+// or length exceeds the bytes left, kSyntax for anything else (bad magic,
+// truncation, a bad end marker, a section that does not match the
+// targets, or a critic section that is not empty). A failed load may
+// leave the targets partly overwritten.
 support::Status LoadCheckpoint(const std::string& path,
                                nn::ParamStore& params, nn::Adam& optimizer,
                                core::Environment* environment,
-                               ValueBaseline* critic, CheckpointData* data);
+                               CheckpointData* data);
 
 // The checkpoint file TrainAgent uses for `options.checkpoint_dir`.
 std::string CheckpointFilePath(const std::string& dir,

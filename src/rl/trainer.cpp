@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <memory>
 #include <stdexcept>
 
 #include "rl/checkpoint.h"
@@ -28,12 +27,7 @@ TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
   EAGLE_CHECK(options.total_samples >= 1 && options.minibatch_size >= 1);
   support::Rng rng(options.seed);
   nn::Adam optimizer(agent.params(), options.adam);
-  EmaBaseline baseline(options.ema_decay);
-  std::unique_ptr<ValueBaseline> critic;
-  if (options.baseline == BaselineKind::kValueNetwork) {
-    critic = std::make_unique<ValueBaseline>(options.num_devices,
-                                             options.value_baseline);
-  }
+  EmaBaseline baseline;
   RewardOptions reward_options{environment.InvalidPenaltySeconds()};
 
   TrainResult result;
@@ -61,7 +55,7 @@ TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
                               .batch = batch,
                               .since_ce = since_ce};
     if (SaveCheckpoint(snapshot_path, agent.params(), optimizer,
-                       &environment, critic.get(), data)) {
+                       &environment, data)) {
       last_snapshot_sample = result.total_samples;
     }
   };
@@ -73,7 +67,7 @@ TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
       CheckpointData data;
       const support::Status status =
           LoadCheckpoint(snapshot_path, agent.params(), optimizer,
-                         &environment, critic.get(), &data);
+                         &environment, &data);
       if (!status.ok()) throw std::runtime_error(status.ToString());
       rng.set_state(data.rng_state);
       baseline.set_state(data.baseline_value, data.baseline_initialized);
@@ -152,12 +146,7 @@ TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
       sample.valid = eval.valid;
       sample.per_step_seconds = eval.per_step_seconds;
       sample.reward = ComputeReward(eval, reward_options);
-      if (critic != nullptr) {
-        sample.advantage = sample.reward - critic->Predict(sample);
-        baseline.AdvantageAndUpdate(sample.reward);  // tracked for logging
-      } else {
-        sample.advantage = baseline.AdvantageAndUpdate(sample.reward);
-      }
+      sample.advantage = baseline.AdvantageAndUpdate(sample.reward);
 
       result.total_samples++;
       result.total_virtual_hours += eval.measurement_cost_seconds / 3600.0;
@@ -200,7 +189,6 @@ TrainResult TrainAgent(core::PolicyAgent& agent, core::Environment& environment,
       updated_policy = true;
       {
       EAGLE_SPAN("train.update");
-      if (critic != nullptr) critic->Update(batch);
       switch (options.algorithm) {
         case Algorithm::kReinforce:
           ReinforceUpdate(agent, optimizer, batch, options.reinforce);

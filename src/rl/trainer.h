@@ -1,7 +1,9 @@
 // The RL training loop shared by all agents: sample placements in
 // minibatches, evaluate them in the environment, shape rewards/advantages
-// with the EMA baseline, and update the agent with the configured
-// algorithm (REINFORCE / PPO / PPO joint with cross-entropy, §III-D).
+// with the EMA baseline of Eq. 4, and update the agent with the configured
+// algorithm (REINFORCE / PPO / PPO joint with cross-entropy, §III-D). The
+// EMA is the only advantage baseline: the paper tried an A2C-style value
+// network and found it under-trained at device-placement sample rates.
 //
 // The loop is round-structured for parallel evaluation: each round
 // samples a full minibatch up front (serial, so the policy RNG stream is
@@ -28,18 +30,12 @@
 #include "rl/ppo.h"
 #include "rl/reinforce.h"
 #include "rl/reward.h"
-#include "rl/value_baseline.h"
 
 namespace eagle::rl {
 
 enum class Algorithm { kReinforce, kPpo, kPpoCe };
 
 const char* AlgorithmName(Algorithm algorithm);
-
-// Advantage baseline: the paper's EMA (§III-D, Eq. 4) or the A2C-style
-// learned critic the paper evaluated and found under-trained at device-
-// placement sample rates (kept for the baseline-comparison bench).
-enum class BaselineKind { kEma, kValueNetwork };
 
 // Per-round digest handed to TrainerOptions::on_round.
 struct RoundStats {
@@ -61,10 +57,6 @@ struct TrainerOptions {
   ReinforceOptions reinforce;
   CrossEntropyOptions ce;       // top-5 elites
   int ce_interval = 50;         // samples between CE updates (paper: 50)
-  double ema_decay = 0.9;
-  BaselineKind baseline = BaselineKind::kEma;
-  ValueBaselineOptions value_baseline;
-  int num_devices = 5;          // critic input width (cluster size)
   nn::AdamOptions adam;         // lr=0.01, clip=1.0 (paper)
   std::uint64_t seed = 7;
   // Optional parallel evaluation service (not owned; null: evaluate

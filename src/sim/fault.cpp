@@ -1,21 +1,52 @@
 #include "sim/fault.h"
 
-#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
+#include "graph/record_reader.h"
+#include "support/args.h"
 #include "support/check.h"
 
 namespace eagle::sim {
 
 namespace {
 
+// Flag values are untrusted input: every value is one whole, finite
+// token (graph/record_reader.h), and a bad one is a one-line
+// std::invalid_argument. An empty key is the bare-rate shorthand.
+[[noreturn]] void BadValue(const std::string& key, const std::string& value,
+                           const char* expected) {
+  throw std::invalid_argument(
+      (key.empty() ? "bad fault rate " + graph::Quote(value)
+                   : "bad fault value " + graph::Quote(value) + " for " +
+                         key) +
+      " (expected " + expected + ")");
+}
+
+// A per-attempt probability.
 double ParseRate(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  EAGLE_CHECK_MSG(end != nullptr && *end == '\0',
-                  "bad fault value '" << value << "' for " << key);
-  EAGLE_CHECK_MSG(v >= 0.0, "fault " << key << " must be non-negative");
+  double v = 0.0;
+  if (!graph::ParseDouble(value, &v) || v < 0.0 || v > 1.0) {
+    BadValue(key, value, "a number in [0, 1]");
+  }
   return v;
+}
+
+// A slowdown factor, 1 meaning healthy.
+double ParseFactor(const std::string& key, const std::string& value) {
+  double v = 0.0;
+  if (!graph::ParseDouble(value, &v) || v < 1.0) {
+    BadValue(key, value, "a finite number >= 1");
+  }
+  return v;
+}
+
+std::uint64_t ParseSeed(const std::string& value) {
+  std::int64_t v = 0;
+  if (!graph::ParseInt64(value, &v) || v < 0) {
+    BadValue("seed", value, "a non-negative integer below 2^63");
+  }
+  return static_cast<std::uint64_t>(v);
 }
 
 }  // namespace
@@ -31,45 +62,45 @@ std::string FaultProfile::ToString() const {
 
 FaultProfile FaultProfileFromString(const std::string& text) {
   FaultProfile profile;
-  if (text.empty()) return profile;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string item = text.substr(
-        pos, comma == std::string::npos ? comma : comma - pos);
-    if (!item.empty()) {
-      const std::size_t eq = item.find('=');
-      if (eq == std::string::npos) {
-        // Bare rate: a uniform profile at that severity.
-        const double rate = ParseRate("rate", item);
-        profile.transient_failure_rate = rate;
-        profile.device_down_rate = rate / 4.0;
-        profile.straggler_rate = rate;
-        profile.degraded_link_rate = rate;
-      } else {
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        if (key == "crash") {
-          profile.transient_failure_rate = ParseRate(key, value);
-        } else if (key == "down") {
-          profile.device_down_rate = ParseRate(key, value);
-        } else if (key == "straggler") {
-          profile.straggler_rate = ParseRate(key, value);
-        } else if (key == "slowdown") {
-          profile.straggler_slowdown = ParseRate(key, value);
-        } else if (key == "link") {
-          profile.degraded_link_rate = ParseRate(key, value);
-        } else if (key == "linkfactor") {
-          profile.degraded_link_factor = ParseRate(key, value);
-        } else if (key == "seed") {
-          profile.seed = static_cast<std::uint64_t>(ParseRate(key, value));
-        } else {
-          EAGLE_CHECK_MSG(false, "unknown fault key '" << key << "'");
-        }
-      }
+  for (const std::string& item : support::SplitList(text)) {
+    const std::size_t eq = item.find('=');
+    if (eq == std::string::npos) {
+      // Bare rate: a uniform profile at that severity.
+      const double rate = ParseRate("", item);
+      profile.transient_failure_rate = rate;
+      profile.device_down_rate = rate / 4.0;
+      profile.straggler_rate = rate;
+      profile.degraded_link_rate = rate;
+      continue;
     }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+    const std::string key = item.substr(0, eq);
+    const std::string value = item.substr(eq + 1);
+    if (key == "crash") {
+      profile.transient_failure_rate = ParseRate(key, value);
+    } else if (key == "down") {
+      profile.device_down_rate = ParseRate(key, value);
+    } else if (key == "straggler") {
+      profile.straggler_rate = ParseRate(key, value);
+    } else if (key == "slowdown") {
+      profile.straggler_slowdown = ParseFactor(key, value);
+    } else if (key == "link") {
+      profile.degraded_link_rate = ParseRate(key, value);
+    } else if (key == "linkfactor") {
+      profile.degraded_link_factor = ParseFactor(key, value);
+    } else if (key == "seed") {
+      profile.seed = ParseSeed(value);
+    } else {
+      throw std::invalid_argument(
+          "unknown fault key " + graph::Quote(key) +
+          " (expected crash, down, straggler, slowdown, link, linkfactor "
+          "or seed)");
+    }
+  }
+  // FaultInjector refuses this profile: no attempt could ever succeed.
+  if (profile.transient_failure_rate >= 1.0 &&
+      profile.device_down_rate >= 1.0) {
+    throw std::invalid_argument(
+        "fault profile fails every attempt (crash and down both 1)");
   }
   return profile;
 }

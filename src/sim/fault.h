@@ -51,8 +51,10 @@ struct FaultProfile {
 
 // Parses "crash=0.1,down=0.02,straggler=0.2,slowdown=3,link=0.1,
 // linkfactor=4,seed=9" (any subset, any order). A bare number is
-// shorthand for "crash=x,down=x/4,straggler=x,link=x". Throws on unknown
-// keys or malformed values.
+// shorthand for "crash=x,down=x/4,straggler=x,link=x". Rates are numbers
+// in [0, 1], slowdown and linkfactor finite numbers >= 1, and the seed a
+// non-negative integer, each one whole token. An unknown key or a bad
+// value throws std::invalid_argument with a one-line message naming it.
 FaultProfile FaultProfileFromString(const std::string& text);
 
 // One attempt's realized faults. Scale vectors are sized to the cluster

@@ -1,5 +1,6 @@
 #include "support/args.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +9,17 @@
 #include <system_error>
 
 namespace eagle::support {
+
+std::vector<std::string> SplitList(const std::string& list) {
+  std::vector<std::string> items;
+  std::size_t pos = 0;
+  while (pos <= list.size()) {
+    const std::size_t comma = std::min(list.find(',', pos), list.size());
+    if (comma > pos) items.push_back(list.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  return items;
+}
 
 ArgParser::ArgParser(std::string program_description)
     : description_(std::move(program_description)) {}
@@ -56,12 +68,8 @@ namespace {
 
 // Prints "<program>: <message>" on one line and exits 2, the status the
 // graph and cluster importers use for unusable input.
-[[noreturn]] void ExitUsageError(const char* argv0,
+[[noreturn]] void ExitUsageError(const std::string& program,
                                  const std::string& message) {
-  std::string program = argv0 != nullptr ? argv0 : "";
-  if (const auto slash = program.rfind('/'); slash != std::string::npos) {
-    program.erase(0, slash + 1);
-  }
   std::fprintf(stderr, "%s: %s\n", program.c_str(), message.c_str());
   std::exit(2);
 }
@@ -79,7 +87,10 @@ bool ParseWhole(const std::string& text, T* out) {
 }  // namespace
 
 bool ArgParser::Parse(int argc, char** argv) {
-  const char* program = argc > 0 ? argv[0] : nullptr;
+  program_ = argc > 0 && argv[0] != nullptr ? argv[0] : "";
+  if (const auto slash = program_.rfind('/'); slash != std::string::npos) {
+    program_.erase(0, slash + 1);
+  }
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -100,7 +111,7 @@ bool ArgParser::Parse(int argc, char** argv) {
     }
     auto it = flags_.find(name);
     if (it == flags_.end()) {
-      ExitUsageError(program,
+      ExitUsageError(program_,
                      "unknown flag --" + name + " (--help lists flags)");
     }
     Flag& flag = it->second;
@@ -110,7 +121,7 @@ bool ArgParser::Parse(int argc, char** argv) {
         continue;
       }
       if (i + 1 >= argc) {
-        ExitUsageError(program, "flag --" + name + " expects a value");
+        ExitUsageError(program_, "flag --" + name + " expects a value");
       }
       value = argv[++i];
     }
@@ -131,11 +142,16 @@ bool ArgParser::Parse(int argc, char** argv) {
         break;
     }
     if (!ok) {
-      ExitUsageError(program,
+      ExitUsageError(program_,
                      "invalid value '" + value + "' for --" + name);
     }
   }
   return true;
+}
+
+void ArgParser::ExitBadValue(const std::string& name,
+                             const std::string& message) const {
+  ExitUsageError(program_, "--" + name + ": " + message);
 }
 
 const ArgParser::Flag& ArgParser::Find(const std::string& name,

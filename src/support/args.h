@@ -8,10 +8,15 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace eagle::support {
+
+// The non-empty items of a comma-separated flag value, in order
+// ("a,,b," → {"a", "b"}).
+std::vector<std::string> SplitList(const std::string& list);
 
 class ArgParser {
  public:
@@ -39,6 +44,19 @@ class ArgParser {
   double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;
   const std::string& GetString(const std::string& name) const;
+  // String flag `name` converted by `parse`. A value that `parse` rejects
+  // by throwing std::invalid_argument prints one line,
+  // "<program>: --<name>: <what()>", and exits with status 2, as a
+  // malformed value does in Parse().
+  template <typename Parse>
+  auto GetParsed(const std::string& name, Parse&& parse) const {
+    const std::string& value = GetString(name);
+    try {
+      return parse(value);
+    } catch (const std::invalid_argument& error) {
+      ExitBadValue(name, error.what());
+    }
+  }
 
   // Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
@@ -57,8 +75,11 @@ class ArgParser {
   };
 
   const Flag& Find(const std::string& name, Kind kind) const;
+  [[noreturn]] void ExitBadValue(const std::string& name,
+                                 const std::string& message) const;
 
   std::string description_;
+  std::string program_;  // argv[0]'s last path component, set by Parse()
   std::map<std::string, Flag> flags_;
   std::vector<std::string> positional_;
 };

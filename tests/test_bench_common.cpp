@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 
 #include "bench/bench_common.h"
 #include "nn/serialize.h"
@@ -43,12 +41,30 @@ TEST(BenchFlags, SubsetAndFull) {
   EXPECT_EQ(config.seed, 42u);
 }
 
-TEST(BenchFlags, UnknownModelThrows) {
+// Flag values are untrusted input: a --models or --faults value the
+// parsers reject ends the bench with one stderr line and exit 2.
+void ExpectFlagExitsTwo(const char* flag, const char* line) {
+  SCOPED_TRACE(flag);
   support::ArgParser args("t");
   AddCommonFlags(args, 100);
-  const char* argv[] = {"prog", "--models=alexnet"};
+  const char* argv[] = {"prog", flag};
   ASSERT_TRUE(args.Parse(2, const_cast<char**>(argv)));
-  EXPECT_THROW(ReadCommonFlags(args), std::logic_error);
+  EXPECT_EXIT(ReadCommonFlags(args), ::testing::ExitedWithCode(2), line);
+}
+
+TEST(BenchFlagsDeathTest, UnknownModelExitsTwo) {
+  ExpectFlagExitsTwo("--models=alexnet",
+                     "^prog: --models: unknown benchmark 'alexnet' "
+                     "\\(expected inception_v3, gnmt or bert\\)\n$");
+}
+
+TEST(BenchFlagsDeathTest, BadFaultsExitTwo) {
+  ExpectFlagExitsTwo("--faults=abc",
+                     "^prog: --faults: bad fault rate 'abc' \\(expected a "
+                     "number in \\[0, 1\\]\\)\n$");
+  ExpectFlagExitsTwo("--faults=seed=1e30",
+                     "^prog: --faults: bad fault value '1e30' for seed "
+                     "\\(expected a non-negative integer below 2\\^63\\)\n$");
 }
 
 TEST(BenchContext, BuildsEnvironmentPerBenchmark) {
@@ -147,58 +163,6 @@ TEST(BenchTraining, ResumedRunsMatchUninterruptedOnes) {
                 want.history[i].per_step_seconds)
           << "run " << r << " sample " << i;
     }
-  }
-  std::filesystem::remove_all(dir);
-}
-
-// The baselines bench trains its critic runs through TrainOnBenchmark
-// too, so --checkpoint-dir and --resume cover them: a critic run
-// checkpointed at 10 samples and resumed to 20 in a fresh context ends
-// where an uninterrupted 20-sample run does, critic section included.
-TEST(BenchTraining, ResumedCriticRunMatchesUninterruptedOne) {
-  const std::string dir = ::testing::TempDir() + "/eagle_bench_critic";
-  std::filesystem::remove_all(dir);
-  BenchConfig config;
-  config.cluster = sim::MakeDefaultCluster();
-  struct Run {
-    rl::TrainResult result;
-    std::string params;
-    std::string checkpoint;
-  };
-  const auto train = [&config](int samples, const std::string& ckpt_dir) {
-    config.samples = samples;
-    config.checkpoint_dir = ckpt_dir;
-    auto context = MakeContext(models::Benchmark::kInceptionV3, &config);
-    auto agent = core::MakePostAgent(context.graph, context.cluster,
-                                     /*num_groups=*/16, config.seed);
-    Run run;
-    run.result = TrainOnBenchmark(*agent, context, rl::Algorithm::kPpo,
-                                  config, rl::BaselineKind::kValueNetwork);
-    support::ByteWriter params;
-    nn::SaveParams(agent->params(), params);
-    run.params = params.bytes();
-    // The final snapshot holds the critic's parameters and Adam slots.
-    std::ifstream in(rl::CheckpointFilePath(
-                         ckpt_dir, "Inception-V3_Post_PPO_critic"),
-                     std::ios::binary);
-    run.checkpoint.assign(std::istreambuf_iterator<char>(in), {});
-    return run;
-  };
-  const Run reference = train(20, dir + "/reference");
-  train(10, dir + "/resumed");
-  config.resume = true;
-  const Run resumed = train(20, dir + "/resumed");
-
-  ASSERT_FALSE(reference.checkpoint.empty());
-  EXPECT_FALSE(std::filesystem::exists(
-      rl::CheckpointFilePath(dir + "/resumed", "Inception-V3_Post_PPO")));
-  EXPECT_EQ(resumed.params, reference.params);
-  EXPECT_EQ(resumed.checkpoint, reference.checkpoint);
-  ASSERT_EQ(resumed.result.history.size(), reference.result.history.size());
-  for (std::size_t i = 0; i < reference.result.history.size(); ++i) {
-    EXPECT_EQ(resumed.result.history[i].per_step_seconds,
-              reference.result.history[i].per_step_seconds)
-        << "sample " << i;
   }
   std::filesystem::remove_all(dir);
 }

@@ -204,27 +204,19 @@ TEST(Checkpoint, DataRoundTrip) {
   for (int i = 0; i < 3; ++i) {
     env.Evaluate(core::SingleGpuPlacement(fix.graph, fix.cluster), nullptr);
   }
-  core::Sample critic_sample;
-  critic_sample.group_devices = {1, 3};
-  critic_sample.reward = -0.5;
-  ValueBaseline critic(fix.cluster.num_devices());
-  critic.Update({critic_sample});
 
   const std::string dir = FreshDir("eagle_ckpt_roundtrip");
   const std::string path = CheckpointFilePath(dir, "trainer");
-  ASSERT_TRUE(
-      SaveCheckpoint(path, agent->params(), optimizer, &env, &critic, data));
+  ASSERT_TRUE(SaveCheckpoint(path, agent->params(), optimizer, &env, data));
 
   auto restored_agent = fix.Agent(99);  // different init, same shapes
   nn::Adam restored_optimizer(restored_agent->params());
   core::PlacementEnvironment restored_env(fix.graph, fix.cluster,
                                           fix.EnvOptions());
-  ValueBaseline restored_critic(fix.cluster.num_devices(),
-                                ValueBaselineOptions{.seed = 12});
   CheckpointData restored;
   const support::Status status =
       LoadCheckpoint(path, restored_agent->params(), restored_optimizer,
-                     &restored_env, &restored_critic, &restored);
+                     &restored_env, &restored);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(ParamBlob(*restored_agent), ParamBlob(*agent));
   EXPECT_EQ(restored.result.total_samples, 7);
@@ -255,8 +247,6 @@ TEST(Checkpoint, DataRoundTrip) {
   EXPECT_EQ(restored_env.attempts(), env.attempts());
   EXPECT_DOUBLE_EQ(restored_env.backoff_seconds_total(),
                    env.backoff_seconds_total());
-  EXPECT_EQ(restored_critic.Predict(critic_sample),
-            critic.Predict(critic_sample));
   std::filesystem::remove_all(dir);
 }
 
@@ -274,7 +264,7 @@ TEST(Checkpoint, V1MagicStillLoads) {
   const std::string dir = FreshDir("eagle_ckpt_v1");
   const std::string path = CheckpointFilePath(dir, "trainer");
   ASSERT_TRUE(SaveCheckpoint(path, agent->params(), optimizer, nullptr,
-                             nullptr, data));
+                             data));
   {
     std::fstream io(path,
                     std::ios::binary | std::ios::in | std::ios::out);
@@ -283,7 +273,7 @@ TEST(Checkpoint, V1MagicStillLoads) {
   }
   CheckpointData restored;
   ASSERT_TRUE(LoadCheckpoint(path, agent->params(), optimizer, nullptr,
-                             nullptr, &restored)
+                             &restored)
                   .ok());
   EXPECT_EQ(restored.result.total_samples, 12);
   EXPECT_EQ(restored.rng_state, data.rng_state);
@@ -304,10 +294,10 @@ TEST(Checkpoint, SampleEvalStreamRoundTrips) {
   const std::string dir = FreshDir("eagle_ckpt_stream");
   const std::string path = CheckpointFilePath(dir, "trainer");
   ASSERT_TRUE(SaveCheckpoint(path, agent->params(), optimizer, nullptr,
-                             nullptr, data));
+                             data));
   CheckpointData restored;
   ASSERT_TRUE(LoadCheckpoint(path, agent->params(), optimizer, nullptr,
-                             nullptr, &restored)
+                             &restored)
                   .ok());
   ASSERT_EQ(restored.pool.size(), 1u);
   EXPECT_EQ(restored.pool[0].eval_stream, 0x0123456789abcdefULL);
@@ -321,7 +311,7 @@ TEST(Checkpoint, LoadMissingIsIoError) {
   CheckpointData data;
   const std::string path = ::testing::TempDir() + "/eagle_no_such.ckpt";
   const support::Status status = LoadCheckpoint(
-      path, agent->params(), optimizer, nullptr, nullptr, &data);
+      path, agent->params(), optimizer, nullptr, &data);
   EXPECT_EQ(status.ToString(), path + ": [io] cannot open checkpoint");
 }
 
@@ -336,7 +326,7 @@ TEST(Checkpoint, CorruptOrTruncatedFileFailsWithStatus) {
   WriteBytes(garbage, "this is not a checkpoint");
   CheckpointData data;
   EXPECT_EQ(LoadCheckpoint(garbage, agent->params(), optimizer, nullptr,
-                           nullptr, &data)
+                           &data)
                 .ToString(),
             garbage + ": [syntax] byte 0: bad checkpoint magic");
 
@@ -344,12 +334,12 @@ TEST(Checkpoint, CorruptOrTruncatedFileFailsWithStatus) {
   const std::string path = CheckpointFilePath(dir, "trainer");
   CheckpointData full;
   full.result.total_samples = 5;
-  ASSERT_TRUE(SaveCheckpoint(path, agent->params(), optimizer, nullptr,
-                             nullptr, full));
+  ASSERT_TRUE(
+      SaveCheckpoint(path, agent->params(), optimizer, nullptr, full));
   const std::string bytes = ReadBytes(path);
   WriteBytes(path, bytes.substr(0, bytes.size() / 2));
   const support::Status status = LoadCheckpoint(
-      path, agent->params(), optimizer, nullptr, nullptr, &data);
+      path, agent->params(), optimizer, nullptr, &data);
   EXPECT_EQ(status.code(), support::ErrorCode::kSyntax);
   EXPECT_NE(status.message().find("truncated"), std::string::npos)
       << status.ToString();
@@ -368,15 +358,65 @@ TEST(Checkpoint, CorruptOrTruncatedFileFailsWithStatus) {
   std::filesystem::remove_all(dir);
 }
 
+// The value-network critic is retired, but its section stays in the
+// format: writers leave it empty, and a checkpoint whose critic section
+// holds bytes names the file, the section's byte offset and the critic
+// instead of resuming without that state.
+TEST(Checkpoint, NonEmptyCriticSectionFailsWithStatus) {
+  Fixture fix;
+  const std::string dir = FreshDir("eagle_ckpt_critic");
+  auto agent = fix.Agent(8);
+  core::PlacementEnvironment env(fix.graph, fix.cluster, fix.EnvOptions());
+  auto options = fix.Options(10);
+  options.checkpoint_dir = dir;
+  TrainAgent(*agent, env, options);
+  const std::string path = CheckpointFilePath(dir, "trainer");
+  const std::string bytes = ReadBytes(path);
+
+  // The critic section is the u64 length before the 8-byte end marker.
+  const std::size_t at = bytes.size() - 16;
+  std::uint64_t length = 0;
+  std::memcpy(&length, &bytes[at], sizeof(length));
+  ASSERT_EQ(length, 0u);
+  const std::string critic(24, '\x5a');
+  length = critic.size();
+  std::string spliced = bytes.substr(0, at);
+  spliced.append(reinterpret_cast<const char*>(&length), sizeof(length));
+  spliced += critic;
+  spliced += bytes.substr(bytes.size() - 8);
+  WriteBytes(path, spliced);
+
+  const std::string want =
+      path + ": [syntax] byte " + std::to_string(at) +
+      ": critic section holds 24 bytes; the value-network critic is "
+      "retired and its section must be empty";
+  auto restored_agent = fix.Agent(8);
+  nn::Adam optimizer(restored_agent->params());
+  CheckpointData data;
+  EXPECT_EQ(LoadCheckpoint(path, restored_agent->params(), optimizer,
+                           nullptr, &data)
+                .ToString(),
+            want);
+  options.resume = true;
+  core::PlacementEnvironment resumed_env(fix.graph, fix.cluster,
+                                         fix.EnvOptions());
+  try {
+    TrainAgent(*restored_agent, resumed_env, options);
+    ADD_FAILURE() << "resuming past a non-empty critic section succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), want);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // A small checkpoint with every section filled: two parameters with Adam
-// slots, history, pool and batch samples, and the environment and critic
-// blobs, each restored through its own decoder.
+// slots, history, pool and batch samples, and the environment blob,
+// restored through its own decoder.
 struct SmallCheckpoint {
   Fixture fix;
   nn::ParamStore params;
   nn::Adam optimizer{params};
   core::PlacementEnvironment env{fix.graph, fix.cluster, fix.EnvOptions()};
-  ValueBaseline critic{2, ValueBaselineOptions{.hidden = 2}};
   std::string path = ::testing::TempDir() + "/eagle_small.ckpt";
 
   SmallCheckpoint() {
@@ -392,20 +432,19 @@ struct SmallCheckpoint {
     sample.grouping = {0, 1};
     sample.group_devices = {1, 0};
     sample.reward = -0.5;
-    critic.Update({sample});
     CheckpointData data;
     data.result.best_placement = sim::Placement::FromRaw({0, 1, 1});
     data.result.history.resize(3);
     data.pool = {sample, sample};
     data.batch = {sample};
-    EXPECT_TRUE(SaveCheckpoint(path, params, optimizer, &env, &critic, data));
+    EXPECT_TRUE(SaveCheckpoint(path, params, optimizer, &env, data));
   }
   ~SmallCheckpoint() { std::filesystem::remove(path); }
 
   support::Status Load(const std::string& bytes) {
     WriteBytes(path, bytes);
     CheckpointData data;
-    return LoadCheckpoint(path, params, optimizer, &env, &critic, &data);
+    return LoadCheckpoint(path, params, optimizer, &env, &data);
   }
 };
 
@@ -467,11 +506,10 @@ Fields WalkCheckpoint(const std::string& bytes) {
   in.Bytes(28 * count(28));     // history
   samples();                    // pool
   samples();                    // batch
-  in.Bytes(4);                  // since_ce
-  in.Bytes(blob_length());      // environment
-  blob_length();                // critic
-  params();
-  in.Bytes(8);  // end marker
+  in.Bytes(4);                   // since_ce
+  in.Bytes(blob_length());       // environment
+  EXPECT_EQ(blob_length(), 0u);  // the retired critic, always empty
+  in.Bytes(8);                   // end marker
   EXPECT_TRUE(in.ok() && in.at_end()) << in.status().ToString();
   return fields;
 }
@@ -486,7 +524,7 @@ TEST(Checkpoint, EveryCorruptionFailsWithStatus) {
   const std::string good = ReadBytes(small.path);
   ASSERT_TRUE(small.Load(good).ok());
   const Fields fields = WalkCheckpoint(good);
-  ASSERT_EQ(fields.lengths.size(), 28u);
+  ASSERT_EQ(fields.lengths.size(), 18u);
 
   int exceptions = 0;
   // Every failure names the file and a byte offset inside it.

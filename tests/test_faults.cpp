@@ -65,6 +65,25 @@ TEST(FaultProfile, RejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(sim::FaultProfileFromString("bogus=1"), std::logic_error);
   EXPECT_THROW(sim::FaultProfileFromString("crash=abc"), std::logic_error);
   EXPECT_THROW(sim::FaultProfileFromString("crash=-0.1"), std::logic_error);
+  // Values are whole, finite tokens; a seed is an integer that fits.
+  for (const char* text :
+       {"crash=inf", "inf", "link=nan", "nan", "slowdown=inf", "seed=1e30",
+        "seed=1.5", "seed=-1", "crash=0.1x", "crash=1.5", "slowdown=0.5",
+        "crash=1,down=1"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(sim::FaultProfileFromString(text), std::invalid_argument);
+  }
+  // Each failure is one line naming the value.
+  try {
+    sim::FaultProfileFromString("seed=1e30");
+    ADD_FAILURE() << "seed=1e30 parsed";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "bad fault value '1e30' for seed (expected a non-negative "
+                 "integer below 2^63)");
+  }
+  EXPECT_EQ(sim::FaultProfileFromString("seed=9223372036854775807").seed,
+            9223372036854775807u);
 }
 
 TEST(FaultInjector, DeterministicPerSeed) {

@@ -204,8 +204,11 @@ TEST(LintRules, RawNumericParseScopedToGraphLayer) {
   EXPECT_TRUE(LintSource("src/support/json.cpp", src).empty());
   EXPECT_TRUE(LintSource("tools/fixture.cpp", src).empty());
   // The cluster-spec importer parses the same class of untrusted files
-  // as src/graph and is in scope; the rest of src/sim is not.
+  // as src/graph, and the fault-profile parser untrusted --faults values:
+  // both are in scope; the rest of src/sim is not.
   EXPECT_EQ(RuleIds(LintSource("src/sim/cluster_ingest.cpp", src)),
+            std::set<std::string>{"IN01"});
+  EXPECT_EQ(RuleIds(LintSource("src/sim/fault.cpp", src)),
             std::set<std::string>{"IN01"});
   EXPECT_TRUE(LintSource("src/sim/cluster.cpp", src).empty());
 }

@@ -636,14 +636,26 @@ TEST(Simulator, MatchesFrozenReferenceUnderFaults) {
   faults.device_compute_scale[2] = 2.5;  // straggler GPU
   faults.link_scale.assign(
       static_cast<std::size_t>(cluster.num_link_channels()), 1.0);
-  faults.link_scale[0] = 3.0;  // degraded channel
+  const FaultDraw healthy_links = faults;
+  // Degrade the channels transfers use: every CPU<->GPU and GPU<->GPU
+  // link (a device's link to itself carries no transfer).
+  for (DeviceId src = 0; src < cluster.num_devices(); ++src) {
+    for (DeviceId dst = 0; dst < cluster.num_devices(); ++dst) {
+      if (src == dst) continue;
+      faults.link_scale[static_cast<std::size_t>(
+          cluster.link_channel(src, dst))] = 3.0;
+    }
+  }
   support::Rng rng(23);
   Placement placement(g, RandomDevices(g, cluster, rng));
   placement.Normalize(g, cluster);
+  const StepResult degraded = simulator.Run(placement, &faults);
   ExpectStepResultsIdentical(
-      simulator.Run(placement, &faults),
-      naive::RunReference(g, cluster, placement, &faults,
-                          /*record_schedule=*/true));
+      degraded, naive::RunReference(g, cluster, placement, &faults,
+                                    /*record_schedule=*/true));
+  // The slow links alone lengthen the step.
+  EXPECT_GT(degraded.step_seconds,
+            simulator.Run(placement, &healthy_links).step_seconds);
 }
 
 TEST(Simulator, TransferDedupKeysOnExactBytes) {

@@ -34,8 +34,9 @@ int main(int argc, char** argv) {
 
   graph::OpGraph graph;
   if (args.GetString("load").empty()) {
+    // An unknown --model is one stderr line and exit 2.
     graph = models::BuildBenchmark(
-        models::BenchmarkFromName(args.GetString("model")));
+        args.GetParsed("model", models::BenchmarkFromName));
   } else {
     // Hardened ingestion: a malformed file is a diagnostic with the
     // offending file:line:column and exit 2, never an abort.

@@ -83,9 +83,10 @@ std::vector<RuleInfo> MakeRules() {
       "failures through graph::ParseInt64 / graph::ParseDouble "
       "(graph/record_reader.h)",
       // src/graph plus the cluster-spec importer, which parses the same
-      // class of untrusted files; json.cpp (strtod) and args.cpp (stoll)
-      // live in src/support and parse trusted, non-adversarial input.
-      {"src/graph/", "src/sim/cluster_ingest."},
+      // class of untrusted files, and the fault-profile parser, which
+      // reads --faults flag values; json.cpp (strtod) and args.cpp
+      // (from_chars) live in src/support and parse trusted input.
+      {"src/graph/", "src/sim/cluster_ingest.", "src/sim/fault."},
       {"src/graph/record_reader."}});
   rules.push_back(RuleInfo{
       "WC01", "error",

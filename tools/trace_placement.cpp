@@ -10,8 +10,8 @@
 // Policies: single (one GPU), expert (the paper's human-expert layout,
 // built-in models only), balanced (METIS groups round-robined over the
 // GPUs), random. Malformed --load files and unusable policy choices (a
-// GPU policy on a cluster without a GPU, say) are a diagnostic on stderr
-// and exit 2, never an abort.
+// GPU policy on a cluster without a GPU, say), like bad --model and
+// --faults values, are a diagnostic on stderr and exit 2, never an abort.
 #include <cstdio>
 #include <ostream>
 #include <utility>
@@ -84,7 +84,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Flag values are untrusted input: a bad --model or --faults value is
+  // one stderr line and exit 2, like a malformed --load file.
   const bool loading = !args.GetString("load").empty();
+  const models::Benchmark benchmark =
+      loading ? models::Benchmark{}
+              : args.GetParsed("model", models::BenchmarkFromName);
+  const sim::FaultProfile fault_profile =
+      args.GetParsed("faults", sim::FaultProfileFromString);
   graph::OpGraph graph;
   if (loading) {
     // Hardened ingestion: a malformed file is a diagnostic with the
@@ -98,8 +105,7 @@ int main(int argc, char** argv) {
     }
     graph = std::move(parsed).value();
   } else {
-    graph = models::BuildBenchmark(
-        models::BenchmarkFromName(args.GetString("model")));
+    graph = models::BuildBenchmark(benchmark);
   }
 
   // Same hardened path as graphs: builtin names resolve directly, file
@@ -128,8 +134,7 @@ int main(int argc, char** argv) {
                    "--model, not --load — try --policy=balanced\n");
       return 2;
     }
-    auto expert = core::HumanExpertPlacement(
-        models::BenchmarkFromName(args.GetString("model")), graph, cluster);
+    auto expert = core::HumanExpertPlacement(benchmark, graph, cluster);
     if (!expert.has_value()) {
       std::fprintf(stderr,
                    "trace_placement: no expert placement for '%s' — try "
@@ -147,8 +152,6 @@ int main(int argc, char** argv) {
   // Optional fault injection: one deterministic draw (the profile's seed
   // picks which) so slowed devices / degraded links show up directly in
   // the exported timeline.
-  const auto fault_profile =
-      sim::FaultProfileFromString(args.GetString("faults"));
   sim::FaultDraw draw;
   if (fault_profile.enabled()) {
     sim::FaultInjector injector(fault_profile, cluster);
